@@ -444,11 +444,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     extra = {k: getattr(args, k) for k in ("r1sq", "r2sq", "params", "mu",
                                            "radii") if hasattr(args, k)}
-    if "r1sq" in extra and extra["r1sq"] is not None:
-        extra["r1sq"] = _rational(extra["r1sq"])
-    if "r2sq" in extra and extra["r2sq"] is not None:
-        extra["r2sq"] = _rational(extra["r2sq"])
     try:
+        for key in ("r1sq", "r2sq"):
+            if extra.get(key) is not None:
+                extra[key] = _rational(extra[key])
         cfg = RunConfig(command=args.command, input=getattr(args, "input",
                                                             None),
                         out=args.out, seed=args.seed, samples=args.samples,

@@ -1,8 +1,13 @@
-"""Exact arithmetic kernel: Gaussian rationals and sparse multivariate polynomials.
+"""Exact arithmetic kernel: sparse multivariate polynomials and Gaussian rationals.
 
 Every symbolic claim in this package reduces to arithmetic in this module.
-Coefficients are Gaussian rationals (pairs of Fractions); polynomials are
-sparse exponent dicts over a fixed ordered variable tuple.  The canonical term
+The coefficient domain is the real rationals: a coefficient or scalar value
+is a Fraction, and a GaussRational (a pair of Fractions) stands only for a
+value whose imaginary part is nonzero.  as_coeff brings ints and real
+GaussRationals into that form where values enter the kernel, and
+GaussRational arithmetic returns a Fraction whenever its result is real, so
+real inputs never pay for complex multiplication.  Polynomials are sparse
+exponent dicts over a fixed ordered variable tuple.  The canonical term
 order is lexicographic on exponent tuples with the first variable most
 significant; serialization, leading coefficients, and gcd normalization all
 refer to that order.
@@ -41,7 +46,11 @@ def _frac(x) -> Fraction:
 
 
 class GaussRational:
-    """Gaussian rational a + b*i with exact Fraction components."""
+    """Gaussian rational a + b*i with exact Fraction components.
+
+    Arithmetic results go through _gauss, so a result with a zero imaginary
+    part comes back as a plain Fraction.
+    """
 
     __slots__ = ("re", "im")
 
@@ -57,18 +66,19 @@ class GaussRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to a real Fraction when im == 0, so hash like it
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __add__(self, other):
         if isinstance(other, MPoly):
             return NotImplemented
         other = as_gauss(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        return _gauss(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _gauss(-self.re, -self.im)
 
     def __sub__(self, other):
         if isinstance(other, MPoly):
@@ -79,27 +89,26 @@ class GaussRational:
         return as_gauss(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _gauss(self.re * other, self.im * other)
         if isinstance(other, MPoly):
             return NotImplemented
         other = as_gauss(other)
-        return GaussRational(
+        return _gauss(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
     __rmul__ = __mul__
 
-    def conj(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
-
     def norm2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    def inverse(self) -> "GaussRational":
+    def inverse(self):
         n = self.norm2()
         if not n:
             raise ZeroDivisionError("inverse of 0")
-        return GaussRational(self.re / n, -self.im / n)
+        return _gauss(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         return self * as_gauss(other).inverse()
@@ -110,7 +119,7 @@ class GaussRational:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = GaussRational(1)
+        out = Fraction(1)
         base = self
         while k:
             if k & 1:
@@ -118,14 +127,6 @@ class GaussRational:
             base = base * base
             k >>= 1
         return out
-
-    def is_real(self) -> bool:
-        return not self.im
-
-    def as_fraction(self) -> Fraction:
-        if self.im:
-            raise ValueError(f"not real: {self}")
-        return self.re
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -146,6 +147,11 @@ class GaussRational:
     __repr__ = __str__
 
 
+def _gauss(re: Fraction, im: Fraction):
+    """re + im*i in the coefficient domain: a Fraction when im == 0."""
+    return GaussRational(re, im) if im else re
+
+
 def as_gauss(x) -> GaussRational:
     if isinstance(x, GaussRational):
         return x
@@ -154,16 +160,28 @@ def as_gauss(x) -> GaussRational:
     raise TypeError(f"cannot coerce {x!r} to GaussRational")
 
 
+def as_coeff(x):
+    """A scalar in the coefficient domain: ints and real GaussRationals
+    become Fractions; a GaussRational with nonzero im stays as it is."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, GaussRational):
+        return x if x.im else x.re
+    raise TypeError(f"not an exact scalar: {x!r}")
+
+
 I = GaussRational(0, 1)
-_ONE = GaussRational(1)
 
 
 class MPoly:
-    """Sparse multivariate polynomial over GaussRational.
+    """Sparse multivariate polynomial with exact coefficients.
 
     terms maps exponent tuples (one slot per variable) to nonzero
-    coefficients.  Values are immutable by convention; all operations
-    return fresh instances.
+    coefficients: Fractions, and GaussRationals only where the imaginary
+    part is nonzero (see the module docstring).  Values are immutable by
+    convention; all operations return fresh instances.
     """
 
     __slots__ = ("vars", "terms")
@@ -178,7 +196,7 @@ class MPoly:
 
     @classmethod
     def const(cls, vars, c) -> "MPoly":
-        c = as_gauss(c)
+        c = as_coeff(c)
         z = (0,) * len(vars)
         return cls(vars, {z: c} if c else {})
 
@@ -186,7 +204,7 @@ class MPoly:
     def variable(cls, vars, name) -> "MPoly":
         i = tuple(vars).index(name)
         exp = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {exp: _ONE})
+        return cls(vars, {exp: Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -200,7 +218,7 @@ class MPoly:
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
-            return (self - self.const(self.vars, as_gauss(other))).is_zero()
+            return (self - self.const(self.vars, other)).is_zero()
         return self.vars == other.vars and self.terms == other.terms
 
     def _coerce(self, other) -> "MPoly":
@@ -208,7 +226,7 @@ class MPoly:
             if other.vars != self.vars:
                 raise ValueError("variable tuples differ")
             return other
-        return MPoly.const(self.vars, as_gauss(other))
+        return MPoly.const(self.vars, other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -269,7 +287,7 @@ class MPoly:
         """Partial exact evaluation; bound variables get exponent 0."""
         idx = {}
         for name, val in assignment.items():
-            idx[self.vars.index(name)] = as_gauss(val)
+            idx[self.vars.index(name)] = as_coeff(val)
         out: dict = {}
         for exp, c in self.terms.items():
             val = c
@@ -290,9 +308,9 @@ class MPoly:
                 out.pop(key, None)
         return MPoly(self.vars, out)
 
-    def scalar(self) -> GaussRational:
+    def scalar(self):
         if not self.terms:
-            return GaussRational(0)
+            return Fraction(0)
         if len(self.terms) == 1:
             (exp, c), = self.terms.items()
             if not any(exp):
@@ -336,13 +354,13 @@ class MPoly:
     def leading_exponent(self) -> tuple:
         return max(self.terms)
 
-    def leading_coefficient(self) -> GaussRational:
+    def leading_coefficient(self):
         return self.terms[max(self.terms)]
 
     def monic(self) -> "MPoly":
         if not self.terms:
             return self
-        inv = self.leading_coefficient().inverse()
+        inv = 1 / self.leading_coefficient()
         return MPoly(self.vars, {e: c * inv for e, c in self.terms.items()})
 
     def exact_div(self, divisor: "MPoly") -> "MPoly":
@@ -365,7 +383,7 @@ class MPoly:
             q[qexp] = qc
             for e2, c2 in divisor.terms.items():
                 exp = tuple(a + b for a, b in zip(qexp, e2))
-                s = rem.get(exp, _ZERO_G) - qc * c2
+                s = rem.get(exp, _ZERO) - qc * c2
                 if s:
                     rem[exp] = s
                 else:
@@ -383,13 +401,14 @@ class MPoly:
                 for v, k in zip(self.vars, exp) if k
             )
             cs = str(c)
+            mixed = isinstance(c, GaussRational) and c.re and c.im
             if not mono:
-                parts.append(f"({cs})" if (c.re and c.im) else cs)
-            elif c == _ONE:
+                parts.append(f"({cs})" if mixed else cs)
+            elif c == 1:
                 parts.append(mono)
-            elif c == GaussRational(-1):
+            elif c == -1:
                 parts.append(f"-{mono}")
-            elif c.re and c.im:
+            elif mixed:
                 parts.append(f"({cs})*{mono}")
             else:
                 parts.append(f"{cs}*{mono}")
@@ -403,7 +422,7 @@ class MPoly:
         return s if len(s) <= 120 else f"<MPoly {len(self.terms)} terms, deg {self.degree()}>"
 
 
-_ZERO_G = GaussRational(0)
+_ZERO = Fraction(0)
 
 
 def generators(names):

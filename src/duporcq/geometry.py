@@ -434,6 +434,9 @@ def design_from_dict(d: dict) -> tuple:
     base = d["base"]
     platform = d["platform"]
     radii2 = d["radii2"]
+    if not all(isinstance(v, (list, tuple))
+               for v in (base, platform, radii2)):
+        raise SchemaError("base, platform, radii2 must be lists")
     if len(base) != 5 or len(platform) != 5 or len(radii2) != 5:
         raise SchemaError("base, platform, radii2 must have 5 entries each")
     try:

@@ -18,11 +18,12 @@ usually irrational even when the direction itself is rational).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactpoly import GaussRational, I, MPoly, as_gauss, gcd, generators
+from .exactpoly import GaussRational, I, MPoly, as_coeff, gcd, generators
 from .geometry import BaseParams, PlanarPoint, canonical_base, collinear, cross
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
@@ -52,38 +53,46 @@ class NotCollinearDirection(ValueError):
 
 @dataclass(frozen=True)
 class ConicDirection:
-    """Point (c1 : c2 : c3) of the conic; c3 may stay implicit for planar use."""
+    """Point (c1 : c2 : c3) of the conic; c3 may stay implicit for planar use.
 
-    c1: GaussRational
-    c2: GaussRational
-    c3: GaussRational | None = None
+    Coordinates are held in the coefficient domain of exactpoly: Fractions,
+    GaussRationals only where the imaginary part is nonzero.
+    """
+
+    c1: Fraction | GaussRational
+    c2: Fraction | GaussRational
+    c3: Fraction | GaussRational | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "c1", as_gauss(self.c1))
-        object.__setattr__(self, "c2", as_gauss(self.c2))
+        object.__setattr__(self, "c1", as_coeff(self.c1))
+        object.__setattr__(self, "c2", as_coeff(self.c2))
         if self.c3 is not None:
-            c3 = as_gauss(self.c3)
+            c3 = as_coeff(self.c3)
             object.__setattr__(self, "c3", c3)
-            if self.c1 ** 2 + self.c2 ** 2 + c3 ** 2 != GaussRational(0):
+            if self.c1 ** 2 + self.c2 ** 2 + c3 ** 2:
                 raise ValueError("c must satisfy c1^2+c2^2+c3^2 = 0")
         if not self.c1 and not self.c2:
             raise ValueError("c1 = c2 = 0 projects every planar point to 0")
 
     @classmethod
     def from_t(cls, t) -> "ConicDirection":
-        t = as_gauss(t)
+        t = as_coeff(t)
         return cls(2 * t, 1 - t * t, I * (1 + t * t))
 
     @classmethod
     def from_direction(cls, u) -> "ConicDirection":
         """Projection direction parallel to the planar vector u."""
         u1, u2 = _as_uv(u)
-        return cls(GaussRational(u2), GaussRational(-u1))
+        return cls(u2, -u1)
+
+    def is_real(self) -> bool:
+        """Whether c1 and c2 are real, i.e. c has a planar direction."""
+        return isinstance(self.c1, Fraction) and isinstance(self.c2, Fraction)
 
     def planar_direction(self) -> PlanarPoint:
-        if not (self.c1.is_real() and self.c2.is_real()):
+        if not self.is_real():
             raise ValueError("no rational planar direction for a complex c")
-        return PlanarPoint(-self.c2.as_fraction(), self.c1.as_fraction())
+        return PlanarPoint(-self.c2, self.c1)
 
 
 def _as_uv(u) -> tuple:
@@ -102,7 +111,7 @@ class DelPezzoPoint:
     phi: tuple
 
     def __post_init__(self):
-        phi = tuple(as_gauss(v) for v in self.phi)
+        phi = tuple(as_coeff(v) for v in self.phi)
         if len(phi) != 6:
             raise ValueError("need six components")
         if not any(phi):
@@ -121,32 +130,24 @@ class DelPezzoPoint:
 
 
 def project(points, c: ConicDirection) -> list:
-    return [c.c1 * GaussRational(p.x) + c.c2 * GaussRational(p.y)
-            for p in points]
+    return [c.c1 * p.x + c.c2 * p.y for p in points]
 
 
-def dij(points, c: ConicDirection, i: int, j: int) -> GaussRational:
+def dij(points, c: ConicDirection, i: int, j: int):
     """Projected difference z_i - z_j; zero iff M_i M_j is parallel to the
     direction of c."""
     if i == j:
         raise ValueError("need two distinct indices")
     d = points[i - 1] - points[j - 1]
-    return c.c1 * GaussRational(d.x) + c.c2 * GaussRational(d.y)
+    return c.c1 * d.x + c.c2 * d.y
 
 
 def phi_from_projections(z) -> tuple:
     """Six picture components from five already-projected complex values."""
-    z = [as_gauss(v) for v in z]
-    dd = {}
-    for (i, j) in PAIRS:
-        dd[(i, j)] = z[i - 1] - z[j - 1]
-    out = []
-    for factors in PHI_FACTORS:
-        prod = GaussRational(1)
-        for pair in factors:
-            prod = prod * dd[pair]
-        out.append(prod)
-    return tuple(out)
+    z = [as_coeff(v) for v in z]
+    dd = {(i, j): z[i - 1] - z[j - 1] for (i, j) in PAIRS}
+    return tuple(math.prod(dd[pair] for pair in factors)
+                 for factors in PHI_FACTORS)
 
 
 def del_pezzo(points, c: ConicDirection) -> DelPezzoPoint:
@@ -181,29 +182,25 @@ def extended_del_pezzo(points, direction) -> DelPezzoPoint:
     if len(matching) != 1:
         raise NotCollinearDirection(
             f"direction ({u1},{u2}) carries {len(matching)} collinear triples")
-    c1, c2 = GaussRational(u2), GaussRational(-u1)
-    val = {}     # nonvanishing D values at c
+    val = {}     # nonvanishing D values at c = (u2, -u1)
     lam = {}     # D = lam * L for the vanishing ones
     for (i, j) in PAIRS:
         d = points[i - 1] - points[j - 1]
-        v = c1 * GaussRational(d.x) + c2 * GaussRational(d.y)
+        v = u2 * d.x - u1 * d.y
         if v:
             val[(i, j)] = v
         else:
             # D_ij = a*x1 + b*x2 with (a,b) = d, proportional to L = -u1*x1 - u2*x2
-            lam[(i, j)] = (GaussRational(d.x) / GaussRational(-u1) if u1 != 0
-                           else GaussRational(d.y) / GaussRational(-u2))
+            lam[(i, j)] = d.x / -u1 if u1 != 0 else d.y / -u2
     mults = [sum(1 for pair in factors if pair in lam) for factors in PHI_FACTORS]
     m = min(mults)
     out = []
     for k, factors in enumerate(PHI_FACTORS):
         if mults[k] > m:
-            out.append(GaussRational(0))
+            out.append(Fraction(0))
             continue
-        prod = GaussRational(1)
-        for pair in factors:
-            prod = prod * (lam[pair] if pair in lam else val[pair])
-        out.append(prod)
+        out.append(math.prod(lam[pair] if pair in lam else val[pair]
+                             for pair in factors))
     return DelPezzoPoint(tuple(out))
 
 
@@ -231,7 +228,7 @@ def same_picture(tuple_a, tuple_b, c: ConicDirection) -> bool:
         try:
             return del_pezzo(points, c)
         except AllZero:
-            if c.c1.is_real() and c.c2.is_real():
+            if c.is_real():
                 return extended_del_pezzo(points, c.planar_direction())
             raise
     return side(tuple_a).proportional(side(tuple_b))
@@ -347,8 +344,7 @@ class ProfileCurve:
 def profile(points) -> ProfileCurve:
     (t,) = generators(("t",))
     one = MPoly.const(("t",), 1)
-    z = [2 * t * GaussRational(p.x) + (one - t * t) * GaussRational(p.y)
-         for p in points]
+    z = [2 * t * p.x + (one - t * t) * p.y for p in points]
     dd = {(i, j): z[i - 1] - z[j - 1] for (i, j) in PAIRS}
     phis = []
     for factors in PHI_FACTORS:
@@ -370,12 +366,11 @@ def profile_rows(curve: ProfileCurve, ts) -> list:
     """CSV rows (t, phi0..phi5) at rational parameter values."""
     rows = []
     for t in ts:
-        tv = as_gauss(t)
-        vals = [comp.evaluate({"t": tv}).scalar() for comp in curve.components]
+        vals = [comp.evaluate({"t": t}).scalar() for comp in curve.components]
         rows.append([str(Fraction(t))] + [str(v) for v in vals])
     return rows
 
 
-def cross_ratio(a, b, c, d) -> GaussRational:
-    a, b, c, d = (as_gauss(v) for v in (a, b, c, d))
+def cross_ratio(a, b, c, d):
+    a, b, c, d = (as_coeff(v) for v in (a, b, c, d))
     return ((a - c) * (b - d)) / ((b - c) * (a - d))

@@ -74,11 +74,11 @@ def derive_G(params: BaseParams) -> MPoly:
 def g_coefficients(gpoly: MPoly) -> tuple:
     """(g0, g1, ..., g5): constant term and the r1sq..r5sq coefficients."""
     zeros = {f"r{i}sq": 0 for i in range(1, 6)}
-    out = [gpoly.evaluate(zeros).scalar().as_fraction()]
+    out = [gpoly.evaluate(zeros).scalar()]
     for i in range(1, 6):
         block = dict(zeros)
         block[f"r{i}sq"] = 1
-        out.append(gpoly.coeff_block(block).scalar().as_fraction())
+        out.append(gpoly.coeff_block(block).scalar())
     return tuple(out)
 
 

@@ -349,8 +349,8 @@ def e0e3_ratio(ke: QuadricForm, design: CanonicalDesign):
     ratio = c.exact_div(denom)
     if ratio.degree() <= 0:
         s = ratio.scalar()
-        if s.is_real():
-            return s.as_fraction()
+        if isinstance(s, Fraction):
+            return s
     return ratio
 
 
@@ -386,7 +386,7 @@ def _normalize_quadric(p: MPoly) -> MPoly:
     out = p.exact_div(g)
     for c in _e_coefficients(out):
         if not c.is_zero():
-            return out * MPoly.const(p.vars, c.leading_coefficient().inverse())
+            return out * (1 / c.leading_coefficient())
     return out
 
 
@@ -485,8 +485,8 @@ def f_matrix_at(design: CanonicalDesign, e_values) -> list:
     """The 5x4 f-coefficient matrix evaluated at numeric e."""
     assignment = {E_VARS[k]: e_values[k] for k in range(4)}
     mat = f_coefficient_matrix(design)
-    return [[entry.evaluate(assignment).scalar().as_fraction()
-             for entry in row] for row in mat]
+    return [[entry.evaluate(assignment).scalar() for entry in row]
+            for row in mat]
 
 
 # ------------------------------------------------------------------ F1 and F2
@@ -555,8 +555,8 @@ def _square_value(p: MPoly):
         return Fraction(0)
     if p.degree() == 0:
         s = p.scalar()
-        if s.is_real():
-            return _rational_sqrt(s.as_fraction())
+        if isinstance(s, Fraction):
+            return _rational_sqrt(s)
     return None
 
 
@@ -778,8 +778,8 @@ def pipeline_report(design: CanonicalDesign) -> dict:
             "forces_all_zero": rep.forces_all_zero(),
         }
     except AnsatzSolvable as exc:
-        ansatz = {"solvable_branch": exc.args[0],
-                  "witness": {k: str(v) for k, v in exc.args[1].items()}}
+        ansatz = {"solvable_branch": exc.branch,
+                  "witness": {k: str(v) for k, v in exc.witness.items()}}
     conclusion = ("two-parameter self-motion (platform map is the identity)"
                   if f2.is_zero() else "no two-parameter self-motion")
     return {

@@ -142,6 +142,24 @@ def test_motion_unrealizable_radii(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("flag", ["--r1sq", "--r2sq"])
+def test_motion_bad_radius_flag_is_schema_error(tmp_path, capsys, flag):
+    code = main(["motion", worked_file(tmp_path), flag, "abc",
+                 "--samples", "3", "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "abc" in json.loads(captured.err)["error"]
+
+
+def test_non_list_design_field_is_schema_error(tmp_path, capsys):
+    d = design_to_dict(worked_design())
+    d["base"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert run_cli(capsys, "classify", str(path))[0] == 2
+
+
 def test_motion_needs_identity_platform(tmp_path, capsys):
     d = worked_design()
     path = write_design(tmp_path, PentapodDesign(d.base, d.base,

@@ -217,6 +217,43 @@ def test_product_divisible_by_factor(p, q):
     assert (p * q).exact_div(q) == p
 
 
+# --------------------------------------------------------- coefficient domain
+
+def _real_terms(p: MPoly) -> bool:
+    return all(isinstance(c, Fraction) for c in p.terms.values())
+
+
+@st.composite
+def small_real_poly(draw, max_terms=4, max_exp=2):
+    p = MPoly.zero(VARS)
+    for _ in range(draw(st.integers(1, max_terms))):
+        exp = tuple(draw(st.integers(0, max_exp)) for _ in range(4))
+        p = p + MPoly(VARS, {exp: Fraction(1)}) * draw(small_frac)
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_real_poly(), small_real_poly())
+def test_real_inputs_keep_fraction_coefficients(p, q):
+    out = [p * q, p + q, p - 3 * q, p.evaluate({"x": 2, "a": Fraction(1, 3)}),
+           gcd(p, q), det([[p, q], [q * q, p]])]
+    if q:
+        out.append((p * q).exact_div(q))
+    if p.degree_in("x") and q.degree_in("x"):
+        out.append(resultant(p, q, "x"))
+    assert all(_real_terms(r) for r in out)
+
+
+def test_real_gaussian_results_become_fractions():
+    assert _real_terms((X + I * Y) * (X - I * Y))
+    assert _real_terms((X + I) ** 2 - 2 * I * X)
+    assert isinstance((1 + I) * (1 - I), Fraction)
+    assert isinstance(GaussRational(3) / GaussRational(0, 1) * I, Fraction)
+    assert MPoly.const(VARS, GaussRational(2)).scalar() == 2
+    assert _real_terms(MPoly.const(VARS, GaussRational(2)))
+    assert hash(GaussRational(Fraction(3, 2))) == hash(Fraction(3, 2))
+
+
 def test_term_count_reproducible():
     p = (X + Y + A) ** 3
     q = (X + Y + A) ** 3

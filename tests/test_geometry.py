@@ -341,6 +341,15 @@ def test_design_json_schema_errors(mutate):
         design_from_dict(d)
 
 
+@pytest.mark.parametrize("key", ["base", "platform", "radii2"])
+@pytest.mark.parametrize("value", [5, "12345", {"a": 1}, None])
+def test_design_json_non_list_field(key, value):
+    d = design_to_dict(worked_design())
+    d[key] = value
+    with pytest.raises(SchemaError):
+        design_from_dict(d)
+
+
 def test_coincident_points_rejected():
     pts = (P(0, 0), P(1, 0), P(0, 0), P(0, 1), P(2, 3))
     with pytest.raises(SchemaError):

@@ -1,0 +1,36 @@
+"""The CLI's stdout, byte for byte, on the worked design and one generic design.
+
+Each file under tests/golden/ is the exact stdout of one command. A change
+that alters a byte of it has to say why and regenerate the file with the
+same command.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from duporcq.cli import main
+from duporcq.geometry import design_to_dict, duporcq_hexapod, worked_design
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "classify": ["classify", "{worked}"],
+    "pipeline": ["pipeline", "{worked}"],
+    "profile": ["profile", "{worked}"],
+    "pipeline_generic": ["pipeline", "--params", "1/3,-2,5/2,7",
+                         "--mu", "3/2,1/5,-2", "--radii", "1,2,3,4,5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden(name, tmp_path, capsys):
+    design = worked_design()
+    worked = tmp_path / "worked.json"
+    worked.write_text(json.dumps(design_to_dict(design,
+                                                duporcq_hexapod(design))))
+    argv = [a.format(worked=worked) for a in COMMANDS[name]]
+    assert main(argv) == 0
+    expected = (GOLDEN / f"{name}.stdout").read_text()
+    assert capsys.readouterr().out == expected

@@ -207,6 +207,26 @@ def test_accepted_match_at_all_special_directions():
         assert all(d["match"] for d in rep[tag]["directions"].values())
 
 
+def test_real_directions_give_fraction_pictures():
+    directions = [ConicDirection.from_t(Fraction(2, 3)),
+                  ConicDirection.from_direction((1, 2))]
+    directions += [ConicDirection.from_direction(u)
+                   for _, u in special_directions(PTS)]
+    for c in directions:
+        assert c.is_real()
+        assert all(isinstance(v, Fraction) for v in picture(PTS, c).phi)
+    assert isinstance(ConicDirection.from_t(Fraction(2, 3)).c3, GaussRational)
+    for comp in profile(PTS).components:
+        assert all(isinstance(v, Fraction) for v in comp.terms.values())
+
+
+def test_complex_direction_keeps_gaussian_values():
+    assert not C_IZ.is_real()
+    phi = del_pezzo(PTS, C_IZ).phi
+    assert any(isinstance(v, GaussRational) for v in phi)
+    assert not any(isinstance(v, GaussRational) and not v.im for v in phi)
+
+
 def test_membership_report_shape():
     entries = membership_report(PTS, special_directions(PTS))
     assert [e["direction"] for e in entries] == ["d123", "d345", "d15", "d14", "d25", "d24"]

@@ -471,6 +471,34 @@ def test_chain_locus_samples():
             continue
 
 
+def test_pipeline_stays_in_fraction_coefficients():
+    design = _generic_design(random.Random(43))
+    ke = compute_Ke(design)
+    td = rank_drop_T(design)
+    chain = resultant_chain(ke, td.T, design)
+    polys = [ke.poly, td.T.poly, chain.gcd, *chain.res_e0.values(),
+             *chain.res_e3.values()]
+    assert not chain.gcd.is_zero()
+    for p in polys:
+        assert all(isinstance(c, Fraction) for c in p.terms.values())
+
+
+def test_pipeline_report_solvable_ansatz(monkeypatch):
+    witness = {"nu": Fraction(-1), "nu0": Fraction(1), "nu1": Fraction(0),
+               "nu2": Fraction(0), "nu3": Fraction(1, 2)}
+
+    def solvable(ke):
+        raise AnsatzSolvable("nu1=nu2=0", witness)
+
+    monkeypatch.setattr("duporcq.study.tangency_ansatz", solvable)
+    report = pipeline_report(_generic_design(random.Random(43)))
+    assert report["ansatz"] == {
+        "solvable_branch": "nu1=nu2=0",
+        "witness": {"nu": "-1", "nu0": "1", "nu1": "0", "nu2": "0",
+                    "nu3": "1/2"},
+    }
+
+
 def test_pipeline_report_shape():
     rng = random.Random(43)
     report = pipeline_report(_generic_design(rng))
