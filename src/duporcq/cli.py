@@ -49,7 +49,7 @@ from .selfmotion import (
     sixth_radius,
     verify_selfmotion,
 )
-from .study import CanonicalDesign, pipeline_report
+from .study import CanonicalDesign, InvariantViolation, pipeline_report
 
 EXIT_SCHEMA = 2
 EXIT_DEGENERATE = 3
@@ -303,8 +303,9 @@ def cmd_hexapod_check(cfg: RunConfig):
 def cmd_profile(cfg: RunConfig):
     design, _ = load_design(cfg.input)
     payload = {}
+    curves = {}
     for name, pts in (("base", design.base), ("platform", design.platform)):
-        curve = profile(pts)
+        curve = curves[name] = profile(pts)
         directions = special_directions(pts)
         payload[name] = {
             "components": [c.to_str() for c in curve.components],
@@ -312,8 +313,8 @@ def cmd_profile(cfg: RunConfig):
             "special_directions": membership_report(pts, directions),
         }
     if cfg.out:
-        curve = profile(design.base)
-        rows = profile_rows(curve, [Fraction(k) for k in range(cfg.samples)])
+        rows = profile_rows(curves["base"],
+                            [Fraction(k) for k in range(cfg.samples)])
         _write_csv(cfg.out, ("t", "phi0", "phi1", "phi2", "phi3", "phi4",
                              "phi5"), rows)
         payload["csv"] = cfg.out
@@ -463,7 +464,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INCONSISTENT
     except (DegenerateBase, DegeneratePlatform, NotDuporcq, AllZero,
-            ConstructionDegenerate) as exc:
+            ConstructionDegenerate, InvariantViolation) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_DEGENERATE
     text = json.dumps(payload, indent=2, sort_keys=True)

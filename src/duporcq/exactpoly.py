@@ -18,6 +18,9 @@ Pinned conventions:
   * gcd output is normalized to leading coefficient 1 (0 when both inputs 0);
   * multivariate gcd runs by recursive content/primitive-part reduction with a
     subresultant polynomial remainder sequence in the main variable;
+  * det is a division-free Laplace expansion with sub-minors memoized by
+    column set, O(2^n * n) products for an n x n matrix; the largest the
+    package builds is the resultant chain's 8-row Sylvester matrix in e3;
   * to_str renders rationals as a/b and the imaginary unit as the literal i,
     terms in descending canonical order (stable for golden-file tests).
 """
@@ -62,7 +65,10 @@ class GaussRational:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        other = as_gauss(other)
+        try:
+            other = as_gauss(other)
+        except TypeError:
+            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -218,7 +224,11 @@ class MPoly:
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
-            return (self - self.const(self.vars, other)).is_zero()
+            try:
+                other = self.const(self.vars, other)
+            except TypeError:
+                return NotImplemented
+            return (self - other).is_zero()
         return self.vars == other.vars and self.terms == other.terms
 
     def _coerce(self, other) -> "MPoly":
@@ -532,31 +542,43 @@ def gcd(p: MPoly, q: MPoly) -> MPoly:
 
 
 def det(rows) -> MPoly:
-    """Fraction-free (Bareiss) determinant of a square matrix of MPoly."""
+    """Determinant of a square matrix of MPoly by division-free Laplace
+    expansion.
+
+    Expands along the first row and recurses on the rows below it; the
+    minor of the last k rows on a column set is computed once per call and
+    memoized by that set.  Zero entries and zero sub-minors are skipped.
+    The cost is O(2^n * n) polynomial products and no divisions, which
+    suits the sizes this package builds: the 4x4 minors of the 5x4
+    f-coefficient matrix and Sylvester matrices of at most 8 rows (the
+    chain's resultants in e3 of two polynomials of degree at most 4).
+    Over the parameter ring this avoids the exact polynomial division at
+    every step that fraction-free elimination would need.
+    """
     m = [list(r) for r in rows]
     n = len(m)
     if n == 0:
         raise ValueError("empty matrix")
-    vars = m[0][0].vars
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MPoly.zero(vars)
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * pk - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else num.exact_div(prev)
-        prev = pk
-    r = m[n - 1][n - 1]
-    return -r if sign < 0 else r
+    memo: dict = {}
+
+    def minor(cols: tuple) -> MPoly:
+        # determinant of the last len(cols) rows restricted to cols
+        if len(cols) == 1:
+            return m[-1][cols[0]]
+        out = memo.get(cols)
+        if out is None:
+            row = m[n - len(cols)]
+            out = MPoly.zero(row[0].vars)
+            for j, c in enumerate(cols):
+                if row[c]:
+                    sub = minor(cols[:j] + cols[j + 1:])
+                    if sub:
+                        t = row[c] * sub
+                        out = out - t if j & 1 else out + t
+            memo[cols] = out
+        return out
+
+    return minor(tuple(range(n)))
 
 
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:

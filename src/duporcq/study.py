@@ -48,6 +48,10 @@ class NotFFree(ArithmeticError):
     """f-terms survived a combination that must eliminate them."""
 
 
+class InvariantViolation(ArithmeticError):
+    """An identity the elimination relies on failed on computed data."""
+
+
 class AnsatzSolvable(ArithmeticError):
     """The tangency ansatz admits a nonzero solution; carries the witness."""
 
@@ -293,7 +297,8 @@ def delta(design: CanonicalDesign, i: int) -> MPoly:
     else:
         d = q1 - sphere_condition(pose, legs[i])
     d = poly(d)
-    assert all(d.degree_in(fv) <= 1 for fv in F_VARS)
+    if any(d.degree_in(fv) > 1 for fv in F_VARS):
+        raise InvariantViolation(f"Delta_{i} is not affine-linear in f")
     return d
 
 
@@ -423,26 +428,35 @@ def rank_drop_T(design: CanonicalDesign) -> RankDropResult:
         rows = [list(mat[r]) for r in range(5) if r != drop]
         minor = det(rows)
         if drop == 0:
-            assert minor.is_zero(), "minor without the S row must vanish"
+            if not minor.is_zero():
+                raise InvariantViolation("minor without the S row must vanish")
             continue
-        q = minor.exact_div(n)
+        try:
+            q = minor.exact_div(n)
+        except NotDivisible as exc:
+            raise InvariantViolation("minor is not a multiple of N") from exc
         cand = _normalize_quadric(q)
         if t_norm is None:
             t_norm = cand
-        else:
-            assert cand == t_norm, "minors disagree after normalization"
+        elif cand != t_norm:
+            raise InvariantViolation("minors disagree after normalization")
+    eps = epsilons(design)
+    if t_norm != _normalize_quadric(epsilon_quadric(eps)):
+        raise InvariantViolation("minor-derived T differs from its closed form")
+    return RankDropResult(QuadricForm(t_norm), eps, mat)
+
+
+def epsilons(design: CanonicalDesign) -> dict:
+    """The closed-form coefficients of T on e0e1, e0e2, e2e3 and e1e3."""
     A = design.A5 - design.A4 + 1
     B = design.B4 - design.B5
     mu1, mu2, mu3 = design.mu1, design.mu2, design.mu3
-    eps = {
+    return {
         "eps01": mu3 * (1 + mu1) * B,
         "eps02": mu1 * A * (mu3 + 1) - mu2 * B,
         "eps23": mu3 * (1 - mu1) * B,
         "eps13": mu1 * A * (mu3 - 1) + mu2 * B,
     }
-    assert t_norm == _normalize_quadric(epsilon_quadric(eps)), \
-        "minor-derived T differs from its closed form"
-    return RankDropResult(QuadricForm(t_norm), eps, mat)
 
 
 def epsilon_quadric(eps: dict) -> MPoly:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from duporcq import study
 from duporcq.cli import main
 from duporcq.geometry import (
     PentapodDesign,
@@ -206,6 +207,23 @@ def test_pipeline_degenerate_base(capsys):
 
 def test_pipeline_without_input(capsys):
     assert run_cli(capsys, "pipeline")[0] == 2
+
+
+def test_pipeline_invariant_violation_exits_3(monkeypatch, capsys):
+    real = study.det
+    drops = iter(range(5))
+
+    def perturbed(rows):
+        # break the first check: the minor without the S row must vanish
+        minor = real(rows)
+        return minor + study.GENS["e0"] if next(drops) == 0 else minor
+
+    monkeypatch.setattr(study, "det", perturbed)
+    code = main(["pipeline", "--params", "1/3,-2,5/2,7",
+                 "--mu", "3/2,1/5,-2", "--radii", "1,2,3,4,5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "must vanish" in json.loads(captured.err)["error"]
 
 
 # --------------------------------------------------------------- hexapod-check

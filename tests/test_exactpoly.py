@@ -137,6 +137,37 @@ def test_det_singular():
     assert det([[X, Y], [X, Y]]).is_zero()
 
 
+def test_det_and_resultant_make_no_division(monkeypatch):
+    calls = []
+    real = MPoly.exact_div
+
+    def counting(self, divisor):
+        calls.append(divisor)
+        return real(self, divisor)
+
+    monkeypatch.setattr(MPoly, "exact_div", counting)
+    rows = [[X + k, Y - j, A * B + k * j, X * Y + A + j] for k, j in
+            ((1, 2), (3, -1), (0, 5), (-2, 1))]
+    assert not det(rows).is_zero()
+    assert not resultant(X ** 3 + A * X + B, Y * X ** 2 + A, "x").is_zero()
+    assert calls == []
+
+
+# ------------------------------------------------------------------ equality
+
+def test_eq_with_non_numbers_is_false():
+    assert (GaussRational(0, 1) == None) is False  # noqa: E711
+    assert (X == "x") is False
+    assert X != "x"
+    assert [I].count(None) == 0
+    assert [X].count(None) == 0
+    # equality against numbers is unchanged, in both operand orders
+    assert C(3) == 3 and 3 == C(3)
+    assert C(I) == I and I == C(I)
+    assert X - X == 0
+    assert GaussRational(2) == Fraction(2)
+
+
 # ------------------------------------------------------------- serialization
 
 def test_to_str_golden():

@@ -136,14 +136,34 @@ def test_resultant_gaussian_matches_sympy(p, q):
     assert same(resultant(p, q, "x"), sympy.expand(expected))
 
 
+# sparse entries: about one in three is zero, as in the Sylvester and
+# f-coefficient matrices the package builds
+sparse_entry = st.one_of(st.just(MPoly.zero(VARS)), polys(max_terms=2),
+                         polys(max_terms=2))
+
+
+def square(n):
+    return st.lists(st.lists(sparse_entry, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 3).flatmap(
-    lambda n: st.lists(st.lists(polys(max_terms=2), min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
+@given(st.integers(2, 5).flatmap(square))
 def test_det_matches_sympy(rows):
     expected = sympy.Matrix([[to_sympy(e) for e in row] for row in rows]).det(
         method="berkowitz")
     assert same(det(rows), sympy.expand(expected))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_det_with_a_repeated_row_is_zero(data):
+    n = data.draw(st.integers(2, 5))
+    rows = data.draw(square(n))
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                              unique=True))
+    rows[j] = rows[i]
+    assert det(rows).is_zero()
 
 
 def test_oracle_sees_coefficients():

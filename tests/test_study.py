@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duporcq.exactpoly import MPoly, ZeroDegree
+from duporcq.exactpoly import MPoly, ZeroDegree, det
 from duporcq.geometry import BaseParams
 from duporcq.study import (
     GENS,
     AnsatzSolvable,
     CanonicalDesign,
     ExceptionalPose,
+    InvariantViolation,
     NotFFree,
     QuadricForm,
     SphereConstraint,
@@ -22,6 +23,7 @@ from duporcq.study import (
     StudyViolation,
     N_poly,
     S_poly,
+    _e_coefficients,
     _normalize_quadric,
     apply_pose,
     chain_vanishes_at,
@@ -30,9 +32,11 @@ from duporcq.study import (
     displacement,
     e0e3_ratio,
     epsilon_quadric,
+    epsilons,
     exact_rank,
     f1_degeneracy_certificate,
     f1_f2,
+    f_coefficient_matrix,
     f_matrix_at,
     leg_condition,
     numeric_rank,
@@ -208,6 +212,17 @@ def test_delta_rejects_bad_index():
         delta(design, 1)
 
 
+def test_delta_f_linearity_is_a_typed_check(monkeypatch):
+    real = sphere_condition
+
+    def quadratic_in_f(pose, leg, weight=1):
+        return real(pose, leg, weight) + GENS["f0"] ** 2 * leg.r2
+
+    monkeypatch.setattr("duporcq.study.sphere_condition", quadratic_in_f)
+    with pytest.raises(InvariantViolation, match="affine-linear"):
+        delta(CanonicalDesign.worked(), 2)
+
+
 # -------------------------------------------------------------------- K_e
 
 def test_Ke_is_f_free_and_quadratic():
@@ -326,6 +341,50 @@ def test_rank_drop_iff_T_vanishes():
         else:
             assert rank == 4
     assert hits >= 10
+
+
+def test_T_symbolic_identity():
+    # the paper's claim over the full parameter ring, not at a specialization
+    design = CanonicalDesign.symbolic()
+    mat = f_coefficient_matrix(design)
+    assert det([mat[r] for r in (1, 2, 3, 4)]).is_zero()
+    q = det([mat[r] for r in (0, 2, 3, 4)]).exact_div(N_poly())
+    a = _e_coefficients(q)
+    b = _e_coefficients(epsilon_quadric(epsilons(design)))
+    assert [c.is_zero() for c in a] == [c.is_zero() for c in b]
+    assert any(a)
+    for i in range(10):
+        for j in range(i + 1, 10):
+            assert a[i] * b[j] == a[j] * b[i]
+
+
+def _perturbed_det(kind):
+    """det for rank_drop_T's five calls (drop = 0..4), one check broken."""
+    n, e0 = N_poly(), GENS["e0"]
+    drops = iter(range(5))
+
+    def fake(rows):
+        drop, minor = next(drops), det(rows)
+        if kind == "S-free" and drop == 0:
+            return minor + e0 * e0
+        if kind == "not-N" and drop == 1:
+            return minor + e0
+        if kind == "disagree" and drop == 2:
+            return n * e0 * e0
+        if kind == "closed-form" and drop > 0:
+            return n * e0 * e0
+        return minor
+
+    return fake
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("S-free", "must vanish"), ("not-N", "multiple of N"),
+    ("disagree", "disagree"), ("closed-form", "closed form")])
+def test_rank_drop_checks_are_typed(monkeypatch, kind, message):
+    monkeypatch.setattr("duporcq.study.det", _perturbed_det(kind))
+    with pytest.raises(InvariantViolation, match=message):
+        rank_drop_T(_generic_design(random.Random(43)))
 
 
 def test_numeric_rank_agrees_with_exact():
