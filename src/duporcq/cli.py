@@ -19,6 +19,7 @@ from .geometry import (
     DegenerateBase,
     DegeneratePlatform,
     HexapodDesign,
+    InvariantViolation,
     NotDuporcq,
     PentapodDesign,
     PlanarPoint,
@@ -49,7 +50,7 @@ from .selfmotion import (
     sixth_radius,
     verify_selfmotion,
 )
-from .study import CanonicalDesign, InvariantViolation, pipeline_report
+from .study import CanonicalDesign, pipeline_report
 
 EXIT_SCHEMA = 2
 EXIT_DEGENERATE = 3

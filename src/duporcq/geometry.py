@@ -47,6 +47,10 @@ class SchemaError(ValueError):
     """Design JSON does not match the expected schema."""
 
 
+class InvariantViolation(ArithmeticError):
+    """An identity a construction relies on failed on computed data."""
+
+
 def _fr(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -242,9 +246,11 @@ def build_platform(base: BaseParams, kappa: int, A: AffineMap2):
     platform = (m1, m2, m3, m4, m5)
     # collinearity constraints of the case must hold exactly
     if kappa == 2:
-        assert collinear(m1, m3, m5) and collinear(m2, m3, m4)
+        ok = collinear(m1, m3, m5) and collinear(m2, m3, m4)
     else:
-        assert collinear(m1, m3, m4) and collinear(m2, m3, m5)
+        ok = collinear(m1, m3, m4) and collinear(m2, m3, m5)
+    if not ok:
+        raise InvariantViolation(f"kappa_{kappa} m3 is off its carrier lines")
     return platform
 
 

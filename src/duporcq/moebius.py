@@ -14,17 +14,28 @@ direction this is exact, and it agrees projectively with parametrizing the
 conic by c(t) = (2t : 1-t^2 : i(1+t^2)) and cancelling the polynomial gcd
 in t, without ever leaving the rationals (the t of a special direction is
 usually irrational even when the direction itself is rational).
+
+picture is the one place that falls back from the plain to the extended
+picture; same_picture, candidate_report and membership_report all go through
+it and read DelPezzoPoint.extended to tell which one they got.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactpoly import GaussRational, I, MPoly, as_coeff, gcd, generators
-from .geometry import BaseParams, PlanarPoint, canonical_base, collinear, cross
+from .geometry import (
+    BaseParams,
+    InvariantViolation,
+    PlanarPoint,
+    canonical_base,
+    collinear,
+    cross,
+)
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
          (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))
@@ -108,7 +119,11 @@ def _as_uv(u) -> tuple:
 
 @dataclass(frozen=True)
 class DelPezzoPoint:
+    """Six picture components; extended marks a picture that extended_del_pezzo
+    computed at a collapsing direction."""
+
     phi: tuple
+    extended: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         phi = tuple(as_coeff(v) for v in self.phi)
@@ -201,14 +216,20 @@ def extended_del_pezzo(points, direction) -> DelPezzoPoint:
             continue
         out.append(math.prod(lam[pair] if pair in lam else val[pair]
                              for pair in factors))
-    return DelPezzoPoint(tuple(out))
+    return DelPezzoPoint(tuple(out), extended=True)
 
 
 def picture(points, c: ConicDirection) -> DelPezzoPoint:
-    """Plain picture, falling back to the extended one at special directions."""
+    """Plain picture, falling back to the extended one at special directions.
+
+    The only place the fallback happens.  A complex c admits no extension,
+    so AllZero propagates there.
+    """
     try:
         return del_pezzo(points, c)
     except AllZero:
+        if not c.is_real():
+            raise
         return extended_del_pezzo(points, c.planar_direction())
 
 
@@ -217,21 +238,14 @@ def line_membership(p: DelPezzoPoint) -> set:
     return {frozenset(pair) for pair in PAIRS if SUPPORT[pair] == z}
 
 
-def same_picture(tuple_a, tuple_b, c: ConicDirection) -> bool:
-    """True iff the two pictures agree as projective points.
+def _membership(p: DelPezzoPoint) -> list:
+    return sorted(sorted(pair) for pair in line_membership(p))
 
-    Each side independently falls back to its extended picture when its five
-    projections collapse; a complex c admits no extension, so AllZero
-    propagates there.
-    """
-    def side(points):
-        try:
-            return del_pezzo(points, c)
-        except AllZero:
-            if c.is_real():
-                return extended_del_pezzo(points, c.planar_direction())
-            raise
-    return side(tuple_a).proportional(side(tuple_b))
+
+def same_picture(tuple_a, tuple_b, c: ConicDirection) -> bool:
+    """True iff the two pictures agree as projective points; each side is
+    taken by picture, so it may be extended independently."""
+    return picture(tuple_a, c).proportional(picture(tuple_b, c))
 
 
 def special_directions(points) -> list:
@@ -258,14 +272,6 @@ def random_directions(seed: int, samples: int) -> list:
     return out
 
 
-def validate_candidates(base: BaseParams, candidates, seed: int = 0,
-                        samples: int = 20) -> list:
-    """Keep the candidates whose pictures match the base's at 20 random
-    directions and at all six special directions."""
-    report = candidate_report(base, candidates, seed=seed, samples=samples)
-    return [c for c in candidates if report[c.tag]["accepted"]]
-
-
 def candidate_report(base: BaseParams, candidates, seed: int = 0,
                      samples: int = 20) -> dict:
     """Per-candidate verdicts with the memberships that decide them."""
@@ -279,22 +285,14 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
         for name, c in directions:
             ok = same_picture(pts, cand.platform, c)
             if name.startswith("d"):
-                def memb(tuple_):
-                    try:
-                        p = del_pezzo(tuple_, c)
-                        ext = False
-                    except AllZero:
-                        p = extended_del_pezzo(tuple_, c.planar_direction())
-                        ext = True
-                    return sorted(sorted(pair) for pair in line_membership(p)), ext
-                base_m, base_ext = memb(pts)
-                cand_m, cand_ext = memb(cand.platform)
+                base_p = picture(pts, c)
+                cand_p = picture(cand.platform, c)
                 entry["directions"][name] = {
                     "match": ok,
-                    "base_membership": base_m,
-                    "base_extended": base_ext,
-                    "candidate_membership": cand_m,
-                    "candidate_extended": cand_ext,
+                    "base_membership": _membership(base_p),
+                    "base_extended": base_p.extended,
+                    "candidate_membership": _membership(cand_p),
+                    "candidate_extended": cand_p.extended,
                 }
             if not ok and entry["first_failure"] is None:
                 entry["accepted"] = False
@@ -310,18 +308,12 @@ def membership_report(points, directions) -> list:
     out = []
     for name, u in directions:
         u1, u2 = _as_uv(u)
-        c = ConicDirection.from_direction((u1, u2))
-        try:
-            p = del_pezzo(points, c)
-            extended = False
-        except AllZero:
-            p = extended_del_pezzo(points, (u1, u2))
-            extended = True
+        p = picture(points, ConicDirection.from_direction((u1, u2)))
         out.append({
             "direction": name,
             "vector": [str(u1), str(u2)],
-            "extended": extended,
-            "membership": sorted(sorted(pair) for pair in line_membership(p)),
+            "extended": p.extended,
+            "membership": _membership(p),
             "phi": [str(v) for v in p.phi],
         })
     return out
@@ -338,7 +330,8 @@ class ProfileCurve:
         g = None
         for comp in self.components:
             g = comp if g is None else gcd(g, comp)
-        assert g is not None and g.degree() == 0, "components share a factor"
+        if g is None or g.degree() != 0:
+            raise InvariantViolation("profile components share a factor")
 
 
 def profile(points) -> ProfileCurve:

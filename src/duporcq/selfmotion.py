@@ -7,6 +7,10 @@ The motion lives on e0 = 0: for each rotation direction (0:e1:e2:e3) the legs
 admit a translation fiber, generically two points, one of which the sampler
 returns.  A design carries such a motion exactly when its squared radii
 satisfy the linear relation G = 0 produced by derive_G.
+
+The float path has no leg model of its own: the rows it solves come from
+study.sphere_linear on float leg data, and poses act through
+study.rotation_numerator and translation_numerator.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .geometry import (
     BaseParams,
     CoincidentBase,
     HexapodDesign,
+    InvariantViolation,
     NotCollinear,
     PentapodDesign,
     PlanarPoint,
@@ -32,7 +37,15 @@ from .geometry import (
     cross,
     tv_ratio,
 )
-from .study import GENS, CanonicalDesign, compute_Ke
+from .study import (
+    GENS,
+    CanonicalDesign,
+    SphereConstraint,
+    compute_Ke,
+    rotation_numerator,
+    sphere_linear,
+    translation_numerator,
+)
 
 
 class Unrealizable(ValueError):
@@ -66,8 +79,8 @@ def derive_G(params: BaseParams) -> MPoly:
     g = GENS
     e123 = g["e1"] * g["e1"] + g["e2"] * g["e2"] + g["e3"] * g["e3"]
     quotient = restricted.exact_div(e123)
-    for v in ("e0", "e1", "e2", "e3"):
-        assert quotient.degree_in(v) == 0, "quotient must be free of e"
+    if any(quotient.degree_in(v) for v in ("e0", "e1", "e2", "e3")):
+        raise InvariantViolation("K_e(e0=0) / (e1^2+e2^2+e3^2) is not e-free")
     return quotient
 
 
@@ -102,7 +115,8 @@ def motion_radii(params: BaseParams, r1sq, r2sq) -> RadiiSolution:
     g = derive_G(params)
     coeff = g_coefficients(g)
     a = coeff[3]
-    assert a != 0, "r3sq coefficient vanishes on a valid base"
+    if a == 0:
+        raise InvariantViolation("r3sq coefficient of G vanishes")
     b = (coeff[0] + (coeff[1] + coeff[4]) * r1sq + (coeff[2] + coeff[5]) * r2sq)
     r3sq = -b / a
     if r3sq < 0:
@@ -120,17 +134,20 @@ def build_motion_design(params: BaseParams, r1sq, r2sq) -> PentapodDesign:
 
 # ------------------------------------------------------------------ numeric legs
 
-def _leg_arrays(design):
-    """(M, m, r2) float arrays; a hexapod contributes its sixth leg last."""
+def design_legs(design):
+    """(base points, platform points, squared radii) as exact lists; a
+    hexapod contributes its sixth leg last."""
     if isinstance(design, HexapodDesign):
         penta = design.pentapod
-        base = list(penta.base) + [design.M6]
-        plat = list(penta.platform) + [design.m6]
-        radii = list(penta.radii2) + [sixth_radius(design)]
-    else:
-        base = list(design.base)
-        plat = list(design.platform)
-        radii = list(design.radii2)
+        return (list(penta.base) + [design.M6],
+                list(penta.platform) + [design.m6],
+                list(penta.radii2) + [sixth_radius(design)])
+    return list(design.base), list(design.platform), list(design.radii2)
+
+
+def _leg_arrays(design):
+    """(M, m, r2) float arrays of design_legs."""
+    base, plat, radii = design_legs(design)
     M = np.array([[float(p.x), float(p.y), 0.0] for p in base])
     m = np.array([[float(p.x), float(p.y), 0.0] for p in plat])
     r2 = np.array([float(r) for r in radii])
@@ -143,52 +160,25 @@ def sixth_radius(design: HexapodDesign) -> Fraction:
     return p.x * p.x + p.y * p.y
 
 
-def _rotation(e):
-    e0, e1, e2, e3 = e
-    return np.array([
-        [e0 * e0 + e1 * e1 - e2 * e2 - e3 * e3,
-         2 * (e1 * e2 - e0 * e3), 2 * (e1 * e3 + e0 * e2)],
-        [2 * (e1 * e2 + e0 * e3),
-         e0 * e0 - e1 * e1 + e2 * e2 - e3 * e3, 2 * (e2 * e3 - e0 * e1)],
-        [2 * (e1 * e3 - e0 * e2), 2 * (e2 * e3 + e0 * e1),
-         e0 * e0 - e1 * e1 - e2 * e2 + e3 * e3]])
+def leg_rows(M, m, r2, e):
+    """Rows L_i and constants c_i of the float legs (M, m, r2) at a
+    unit-norm e, split by study.sphere_linear: Q_i(f) = 4|f|^2 + L_i.f + c_i."""
+    e = [float(v) for v in e]
+    rows, consts = zip(*(sphere_linear(e, SphereConstraint(*leg))
+                         for leg in zip(M.tolist(), m.tolist(), r2.tolist())))
+    return np.array(rows), np.array(consts)
 
 
-def _translation(e, f):
-    e0, e1, e2, e3 = e
-    f0, f1, f2, f3 = f
-    return np.array([
-        2 * (e0 * f1 - e1 * f0 + e2 * f3 - e3 * f2),
-        2 * (e0 * f2 - e2 * f0 + e3 * f1 - e1 * f3),
-        2 * (e0 * f3 - e3 * f0 + e1 * f2 - e2 * f1)])
-
-
-def _leg_linear(e, Mi, mi, r2i):
-    """Row L and constant c with Q_i(f) = 4|f|^2 + L.f + c at unit N."""
-    e0, e1, e2, e3 = e
-    a, b, c_ = mi
-    A, B, C = Mi
-    em = 4 * np.array([-(e1 * a + e2 * b + e3 * c_),
-                       e0 * a + e2 * c_ - e3 * b,
-                       e0 * b + e3 * a - e1 * c_,
-                       e0 * c_ + e1 * b - e2 * a])
-    tM = np.array([4 * (e1 * A + e2 * B + e3 * C),
-                   -4 * (e0 * A + e3 * B - e2 * C),
-                   -4 * (-e3 * A + e0 * B + e1 * C),
-                   -4 * (e2 * A - e1 * B + e0 * C)])
-    rot = _rotation(e)
-    const = (a * a + b * b + c_ * c_ + A * A + B * B + C * C - r2i
-             - 2.0 * (np.array([A, B, C]) @ rot @ np.array([a, b, c_])))
-    return em + tM, const
+def _move(m, e, f) -> np.ndarray:
+    """Platform anchors m (rows) carried by a unit-norm pose (e, f)."""
+    return (m @ np.array(rotation_numerator(e)).T
+            + np.array(translation_numerator(e, f)))
 
 
 def residuals_at(design, e, f) -> np.ndarray:
     """Per-leg dist^2 - r^2 at a unit-norm pose."""
     M, m, r2 = _leg_arrays(design)
-    rot = _rotation(e)
-    t = _translation(e, f)
-    moved = m @ rot.T + t
-    return ((moved - M) ** 2).sum(axis=1) - r2
+    return ((_move(m, e, f) - M) ** 2).sum(axis=1) - r2
 
 
 @dataclass(frozen=True)
@@ -224,13 +214,9 @@ def sample_pose(design, direction, tol_leg: float = 1e-9,
         raise ValueError("direction must be a nonzero 3-vector")
     e = np.concatenate([[0.0], d / np.linalg.norm(d)])
     M, m, r2 = _leg_arrays(design)
-    rows, consts = [], []
-    for i in range(len(r2)):
-        L, c = _leg_linear(e, M[i], m[i], r2[i])
-        rows.append(L)
-        consts.append(c)
-    A = np.vstack([e] + [rows[0] - rows[i] for i in range(1, len(rows))])
-    b = np.array([0.0] + [consts[i] - consts[0] for i in range(1, len(rows))])
+    rows, consts = leg_rows(M, m, r2, e)
+    A = np.vstack([e, rows[0] - rows[1:]])
+    b = np.concatenate([[0.0], consts[1:] - consts[0]])
     fp, *_ = np.linalg.lstsq(A, b, rcond=None)
     scale = 1.0 + float(np.max(np.abs(r2)))
     if np.linalg.norm(A @ fp - b) > tol_leg * scale:
@@ -377,13 +363,7 @@ def translational_submotion(design) -> TranslationalCircle:
     c_i = M_i + m_i; the pairwise differences must be proportional (rank one),
     leaving one plane whose sphere section is the circle.
     """
-    if isinstance(design, HexapodDesign):
-        penta = design.pentapod
-        base = list(penta.base) + [design.M6]
-        plat = list(penta.platform) + [design.m6]
-        radii = list(penta.radii2) + [sixth_radius(design)]
-    else:
-        base, plat, radii = list(design.base), list(design.platform), list(design.radii2)
+    base, plat, radii = design_legs(design)
     centers = [Mi + mi for Mi, mi in zip(base, plat)]
     norms = [c.x * c.x + c.y * c.y for c in centers]
     rows = [centers[i] - centers[0] for i in range(1, len(centers))]
@@ -495,11 +475,8 @@ def random_pose(rng) -> tuple:
 def plucker_matrix(design: HexapodDesign, e, f) -> np.ndarray:
     """Rows are the six leg lines (direction; moment) at the given pose."""
     M, m, _ = _leg_arrays(design)
-    rot = _rotation(np.asarray(e))
-    t = _translation(np.asarray(e), np.asarray(f))
-    moved = m @ rot.T + t
-    rows = np.hstack([moved - M, np.cross(M, moved)])
-    return rows
+    moved = _move(m, e, f)
+    return np.hstack([moved - M, np.cross(M, moved)])
 
 
 def arch_singularity_check(design: HexapodDesign, seed: int = 0,
@@ -544,7 +521,7 @@ def trajectory(design: HexapodDesign, n1: int = 6, n2: int = 12,
                 s = sample_pose(design, d, tol_leg, tol_f0)
             except NoRealSolution:
                 continue
-            t = _translation(np.array(s.e), np.array(s.f))
+            t = translation_numerator(s.e, s.f)
             rows.append((t1, t2) + s.e[1:] + s.f[1:]
                         + tuple(t) + tuple(s.residuals))
     return rows

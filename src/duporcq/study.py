@@ -14,6 +14,11 @@ with the platform the kappa_2 image under (x,y) -> (mu1 x + mu2 y, mu3 y).
 Leg 3 carries denominators, so its sphere condition is assembled from the
 weight-cleared data M3*w3, m3*w3 with w3 = (B4-B5)*U2, keeping every
 expression polynomial even for fully symbolic parameters.
+
+sphere_linear is the one leg model: it splits a sphere condition at fixed e
+into its f-row and constant, sphere_condition is built from it, and the
+float sampler in selfmotion evaluates it on floats.  The tangency ansatz runs
+one branch function twice, over mirrored index pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactpoly import MPoly, NotDivisible, ZeroDegree, det, gcd, resultant
-from .geometry import AffineMap2, BaseParams
+from .geometry import AffineMap2, BaseParams, InvariantViolation
 
 STUDY_VARS = ("e0", "e1", "e2", "e3", "f0", "f1", "f2", "f3",
               "A4", "B4", "A5", "B5", "mu1", "mu2", "mu3",
@@ -46,10 +51,6 @@ class StudyViolation(ValueError):
 
 class NotFFree(ArithmeticError):
     """f-terms survived a combination that must eliminate them."""
-
-
-class InvariantViolation(ArithmeticError):
-    """An identity the elimination relies on failed on computed data."""
 
 
 class AnsatzSolvable(ArithmeticError):
@@ -167,6 +168,30 @@ class SphereConstraint:
     r2: object
 
 
+def sphere_linear(e, leg: SphereConstraint, weight=1):
+    """The sphere condition at fixed e, split as Q = 4 w^2 |f|^2 + row.f + c0.
+
+    Returns (row, c0): row holds the coefficients of f0..f3 and c0 the
+    f-free part.  Entries follow the type of e and the leg data, so the same
+    formula serves exact polynomials and floats.
+    """
+    A, B, C = leg.M
+    a, b, c = leg.m
+    e0, e1, e2, e3 = e
+    w = weight
+    # on S = 0: 2 N (R m).t = 4 em.f and -2 N M.t = -4 tM.f
+    em = (-(e1 * a + e2 * b + e3 * c), e0 * a + e2 * c - e3 * b,
+          e0 * b + e3 * a - e1 * c, e0 * c + e1 * b - e2 * a)
+    tM = (-(e1 * A + e2 * B + e3 * C), e0 * A + e3 * B - e2 * C,
+          e0 * B + e1 * C - e3 * A, e0 * C + e2 * A - e1 * B)
+    row = tuple(4 * w * (x - y) for x, y in zip(em, tM))
+    rot = rotation_numerator(e)
+    rm = tuple(rot[i][0] * a + rot[i][1] * b + rot[i][2] * c for i in range(3))
+    const = (a * a + b * b + c * c) + (A * A + B * B + C * C) - leg.r2 * w * w
+    c0 = const * euler_norm(e) - 2 * (A * rm[0] + B * rm[1] + C * rm[2])
+    return row, c0
+
+
 def sphere_condition(pose: StudyPose, leg: SphereConstraint, weight=1):
     """N*(|R m + t - M|^2 - r2) with all denominators cleared.
 
@@ -174,25 +199,10 @@ def sphere_condition(pose: StudyPose, leg: SphereConstraint, weight=1):
     replaced by w*M, w*m); the result is then w^2 times the unscaled value,
     which leaves every coefficient polynomial.
     """
-    e, f = pose.e, pose.f
-    A, B, C = leg.M
-    a, b, c = leg.m
-    e0, e1, e2, e3 = e
-    f0, f1, f2, f3 = f
-    n = euler_norm(e)
-    w = weight
-    const = (a * a + b * b + c * c) + (A * A + B * B + C * C) - leg.r2 * w * w
-    fsq = f0 * f0 + f1 * f1 + f2 * f2 + f3 * f3
-    em_f = (f0 * (-(e1 * a + e2 * b + e3 * c))
-            + f1 * (e0 * a + e2 * c - e3 * b)
-            + f2 * (e0 * b + e3 * a - e1 * c)
-            + f3 * (e0 * c + e1 * b - e2 * a))
-    rot = rotation_numerator(e)
-    rm = tuple(rot[i][0] * a + rot[i][1] * b + rot[i][2] * c for i in range(3))
-    m_rot = A * rm[0] + B * rm[1] + C * rm[2]
-    v = translation_numerator(e, f)
-    v_M = v[0] * A + v[1] * B + v[2] * C
-    return const * n + 4 * w * w * fsq + 4 * w * em_f - 2 * m_rot - 2 * w * v_M
+    row, c0 = sphere_linear(pose.e, leg, weight)
+    f = pose.f
+    fsq = sum(fk * fk for fk in f)
+    return 4 * weight * weight * fsq + sum(r * fk for r, fk in zip(row, f)) + c0
 
 
 @dataclass(frozen=True)
@@ -276,15 +286,6 @@ def N_poly() -> MPoly:
     return sum(GENS[v] * GENS[v] for v in E_VARS)
 
 
-def leg_condition(design: CanonicalDesign, i: int, pose: StudyPose | None = None):
-    """Q_i of the canonical design (leg 3 weight-cleared)."""
-    pose = pose or StudyPose.symbolic()
-    legs, w3 = design.legs()
-    if i == 3:
-        return sphere_condition(pose, legs[3], weight=w3)
-    return sphere_condition(pose, legs[i])
-
-
 def delta(design: CanonicalDesign, i: int) -> MPoly:
     """Numerator of Q_1 - Q_i; affine-linear in f0..f3."""
     if i not in (2, 3, 4, 5):
@@ -317,11 +318,7 @@ class QuadricForm:
                 raise ValueError("not homogeneous of degree 2 in e")
 
     def coeff(self, i: int, j: int) -> MPoly:
-        block = {f"e{k}": 0 for k in range(4)}
-        block[f"e{i}"] = 2 if i == j else 1
-        if i != j:
-            block[f"e{j}"] = 1
-        return self.poly.coeff_block(block)
+        return _e_coeff(self.poly, i, j)
 
     def __call__(self, e_values):
         assignment = {f"e{k}": e_values[k] for k in range(4)}
@@ -361,22 +358,17 @@ def e0e3_ratio(ke: QuadricForm, design: CanonicalDesign):
 
 # ------------------------------------------------------------------ T quadric
 
-E_MONOMIAL_ORDER = (("e0", "e0"), ("e0", "e1"), ("e0", "e2"), ("e0", "e3"),
-                    ("e1", "e1"), ("e1", "e2"), ("e1", "e3"),
-                    ("e2", "e2"), ("e2", "e3"), ("e3", "e3"))
+def _e_coeff(p: MPoly, i: int, j: int) -> MPoly:
+    """Coefficient of the monomial e_i e_j of p."""
+    block = {ev: 0 for ev in E_VARS}
+    block[f"e{i}"] += 1
+    block[f"e{j}"] += 1
+    return p.coeff_block(block)
 
 
 def _e_coefficients(p: MPoly) -> list:
-    out = []
-    for (u, v) in E_MONOMIAL_ORDER:
-        block = {ev: 0 for ev in E_VARS}
-        if u == v:
-            block[u] = 2
-        else:
-            block[u] = 1
-            block[v] = 1
-        out.append(p.coeff_block(block))
-    return out
+    """Coefficients of e0e0, e0e1, ..., e0e3, e1e1, ..., e3e3 in that order."""
+    return [_e_coeff(p, i, j) for i in range(4) for j in range(i, 4)]
 
 
 def _normalize_quadric(p: MPoly) -> MPoly:
@@ -485,16 +477,6 @@ def exact_rank(rows) -> int:
     return rank
 
 
-def numeric_rank(rows, tol: float = 1e-9) -> int:
-    import numpy as np
-
-    a = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    return int((sv > tol * sv[0]).sum())
-
-
 def f_matrix_at(design: CanonicalDesign, e_values) -> list:
     """The 5x4 f-coefficient matrix evaluated at numeric e."""
     assignment = {E_VARS[k]: e_values[k] for k in range(4)}
@@ -574,6 +556,49 @@ def _square_value(p: MPoly):
     return None
 
 
+def _ansatz_branch(q, ke: QuadricForm, active, partner) -> BranchReport:
+    """One branch of the tangency ansatz: nu_k = 0 for k in partner.
+
+    With (a1, a2) = active and (p1, p2) = partner, the e_k^2 coefficients
+    force nu = -q_p1p1, nu_a1^2 = q_p1p1 - q_a1a1, nu_a2^2 = q_p2p2 - q_a2a2
+    and q_p1p1 = q_p2p2; every off-diagonal coefficient but q_a1a2 must
+    vanish, and q_a1a2 = -2 nu_a1 nu_a2.
+    """
+    (a1, a2), (p1, p2) = active, partner
+    name = f"nu{p1}=nu{p2}=0"
+    forced, obstructions = {}, {}
+    squares = {a1: q[(p1, p1)] - q[(a1, a1)], a2: q[(p2, p2)] - q[(a2, a2)]}
+    for k, sq in squares.items():
+        v = _square_value(sq)
+        if v is not None:
+            forced[f"nu{k}"] = v
+        else:
+            obstructions[f"nu{k}_square"] = sq
+    gap = q[(p1, p1)] - q[(p2, p2)]
+    if not gap.is_zero():
+        obstructions["diagonal_gap"] = gap
+    for (i, j), c in q.items():
+        if i != j and (i, j) != (a1, a2) and not c.is_zero():
+            obstructions[f"q{i}{j}"] = c
+    cross = q[(a1, a2)]
+    resid = cross * cross - 4 * squares[a1] * squares[a2]
+    if not resid.is_zero():
+        obstructions[f"q{a1}{a2}_square"] = resid
+    if obstructions:
+        return BranchReport(name, forced, obstructions, False)
+    nu = {p1: Fraction(0), p2: Fraction(0),
+          a1: forced[f"nu{a1}"], a2: forced[f"nu{a2}"]}
+    # fix signs so the cross equation holds: q_a1a2 = -2 nu_a1 nu_a2
+    if not (cross + poly(2 * nu[a1] * nu[a2])).is_zero():
+        nu[a2] = -nu[a2]
+    witness = {"nu": -q[(p1, p1)]}
+    witness.update((f"nu{k}", nu[k]) for k in range(4))
+    lin = sum(poly(nu[k]) * GENS[f"e{k}"] for k in active)
+    if (ke.poly + poly(witness["nu"]) * N_poly() + lin * lin).is_zero():
+        raise AnsatzSolvable(name, witness)
+    return BranchReport(name, forced, {}, True)
+
+
 def tangency_ansatz(ke: QuadricForm) -> AnsatzReport:
     """Decide whether K_e + nu*N + (nu0 e0 + ... + nu3 e3)^2 can vanish.
 
@@ -582,105 +607,9 @@ def tangency_ansatz(ke: QuadricForm) -> AnsatzReport:
     requirements are reported as obstructions.  A branch whose requirements
     all hold identically yields a verified witness and raises AnsatzSolvable.
     """
-    q = {}
-    for i in range(4):
-        for j in range(i, 4):
-            q[(i, j)] = poly(ke.coeff(i, j))
-
-    def branch_a():
-        forced, obstructions = {}, {}
-        nu1sq = q[(0, 0)] - q[(1, 1)]
-        nu2sq = q[(3, 3)] - q[(2, 2)]
-        v1 = _square_value(nu1sq)
-        v2 = _square_value(nu2sq)
-        if v1 is not None:
-            forced["nu1"] = v1
-        else:
-            obstructions["nu1_square"] = nu1sq
-        if v2 is not None:
-            forced["nu2"] = v2
-        else:
-            obstructions["nu2_square"] = nu2sq
-        gap = q[(0, 0)] - q[(3, 3)]
-        if not gap.is_zero():
-            obstructions["diagonal_gap"] = gap
-        for name, (i, j) in (("q01", (0, 1)), ("q02", (0, 2)),
-                             ("q03", (0, 3)), ("q13", (1, 3)),
-                             ("q23", (2, 3))):
-            if not q[(i, j)].is_zero():
-                obstructions[name] = q[(i, j)]
-        # e1e2 requirement: q12^2 = 4 nu1^2 nu2^2
-        resid = q[(1, 2)] * q[(1, 2)] - 4 * nu1sq * nu2sq
-        if not resid.is_zero():
-            obstructions["q12_square"] = resid
-        if obstructions:
-            return BranchReport("nu0=nu3=0", forced, obstructions, False)
-        nu1, nu2 = forced["nu1"], forced["nu2"]
-        # fix signs so the cross equation holds: q12 = -2 nu1 nu2
-        if not (q[(1, 2)] + poly(2 * nu1 * nu2)).is_zero():
-            nu2 = -nu2
-        witness = {"nu": -q[(0, 0)], "nu0": Fraction(0),
-                   "nu1": nu1, "nu2": nu2, "nu3": Fraction(0)}
-        return BranchReport("nu0=nu3=0", forced, {}, True), witness
-
-    def branch_b():
-        forced, obstructions = {}, {}
-        nu0sq = q[(1, 1)] - q[(0, 0)]
-        nu3sq = q[(2, 2)] - q[(3, 3)]
-        v0 = _square_value(nu0sq)
-        v3 = _square_value(nu3sq)
-        if v0 is not None:
-            forced["nu0"] = v0
-        else:
-            obstructions["nu0_square"] = nu0sq
-        if v3 is not None:
-            forced["nu3"] = v3
-        else:
-            obstructions["nu3_square"] = nu3sq
-        gap = q[(1, 1)] - q[(2, 2)]
-        if not gap.is_zero():
-            obstructions["diagonal_gap"] = gap
-        for name, (i, j) in (("q01", (0, 1)), ("q02", (0, 2)),
-                             ("q12", (1, 2)), ("q13", (1, 3)),
-                             ("q23", (2, 3))):
-            if not q[(i, j)].is_zero():
-                obstructions[name] = q[(i, j)]
-        # e0e3 requirement: q03^2 = 4 nu0^2 nu3^2
-        lhs = q[(0, 3)] * q[(0, 3)]
-        rhs = 4 * nu0sq * nu3sq
-        if not (lhs - rhs).is_zero():
-            obstructions["q03_square"] = lhs - rhs
-        if obstructions:
-            return BranchReport("nu1=nu2=0", forced, obstructions, False)
-        nu0, nu3 = forced["nu0"], forced["nu3"]
-        # fix signs so the cross equation holds: q03 = -2 nu0 nu3
-        if not (q[(0, 3)] + poly(2 * nu0 * nu3)).is_zero():
-            nu3 = -nu3
-        witness = {"nu": -q[(1, 1)], "nu0": nu0, "nu1": Fraction(0),
-                   "nu2": Fraction(0), "nu3": nu3}
-        return BranchReport("nu1=nu2=0", forced, {}, True), witness
-
-    ra = branch_a()
-    rb = branch_b()
-
-    def verify_and_raise(rep, witness):
-        g = GENS
-        lin = (poly(witness["nu0"]) * g["e0"] + poly(witness["nu1"]) * g["e1"]
-               + poly(witness["nu2"]) * g["e2"] + poly(witness["nu3"]) * g["e3"])
-        w = ke.poly + poly(witness["nu"]) * N_poly() + lin * lin
-        if w.is_zero():
-            raise AnsatzSolvable(rep.name, witness)
-        return None
-
-    if isinstance(ra, tuple):
-        rep_a, wit_a = ra
-        verify_and_raise(rep_a, wit_a)
-        ra = rep_a
-    if isinstance(rb, tuple):
-        rep_b, wit_b = rb
-        verify_and_raise(rep_b, wit_b)
-        rb = rep_b
-    return AnsatzReport(ra, rb)
+    q = {(i, j): poly(ke.coeff(i, j)) for i in range(4) for j in range(i, 4)}
+    return AnsatzReport(_ansatz_branch(q, ke, (1, 2), (0, 3)),
+                        _ansatz_branch(q, ke, (0, 3), (1, 2)))
 
 
 # -------------------------------------------------------------- resultant chain
@@ -729,42 +658,35 @@ def resultant_chain(ke: QuadricForm, t: QuadricForm, design: CanonicalDesign) ->
     extraneous powers of shared factors, so the match is tested on radicals;
     at mu = identity F2 vanishes identically and so does the gcd.
     """
-    n = N_poly()
-    kp, tp = ke.poly, t.poly
-    r_ke = _res_or_zero(tp, n, "e0")
-    r_t = _res_or_zero(kp, n, "e0")
-    r_n = _res_or_zero(kp, tp, "e0")
-    s_tn = _res_or_zero(r_t, r_n, "e3")
-    s_ken = _res_or_zero(r_ke, r_n, "e3")
-    s_ket = _res_or_zero(r_ke, r_t, "e3")
-    g = gcd(gcd(s_tn, s_ken), s_ket)
+    res_e0, res_e3 = _eliminate(ke.poly, t.poly, N_poly())
+    g = gcd(gcd(res_e3["S_TN"], res_e3["S_KeN"]), res_e3["S_KeT"])
     f1, f2 = f1_f2(design)
     expected = f1 * f1 * f2 * f2
     if g.is_zero() or expected.is_zero():
         match = g.is_zero() and expected.is_zero()
     else:
         match = radical_part(g) == radical_part(expected)
-    return ChainResult(
-        {"R_Ke": r_ke, "R_T": r_t, "R_N": r_n},
-        {"S_TN": s_tn, "S_KeN": s_ken, "S_KeT": s_ket},
-        g, match, expected)
+    return ChainResult(res_e0, res_e3, g, match, expected)
+
+
+def _eliminate(kp: MPoly, tp: MPoly, n: MPoly):
+    """Pairwise resultants of K_e, T and N in e0, then of those in e3."""
+    r_ke = _res_or_zero(tp, n, "e0")
+    r_t = _res_or_zero(kp, n, "e0")
+    r_n = _res_or_zero(kp, tp, "e0")
+    return ({"R_Ke": r_ke, "R_T": r_t, "R_N": r_n},
+            {"S_TN": _res_or_zero(r_t, r_n, "e3"),
+             "S_KeN": _res_or_zero(r_ke, r_n, "e3"),
+             "S_KeT": _res_or_zero(r_ke, r_t, "e3")})
 
 
 def chain_vanishes_at(design: CanonicalDesign, e1, e2) -> bool:
     """Whether all three chain polynomials vanish at numeric (e1, e2)."""
-    ke = compute_Ke(design)
-    t = rank_drop_T(design).T
-    n = N_poly()
     assignment = {"e1": e1, "e2": e2}
-    kp = ke.poly.evaluate(assignment)
-    tp = t.poly.evaluate(assignment)
-    np_ = n.evaluate(assignment)
-    r_ke = _res_or_zero(tp, np_, "e0")
-    r_t = _res_or_zero(kp, np_, "e0")
-    r_n = _res_or_zero(kp, tp, "e0")
-    vals = [_res_or_zero(a, b, "e3") for a, b in
-            ((r_t, r_n), (r_ke, r_n), (r_ke, r_t))]
-    return all(v.is_zero() for v in vals)
+    _, res_e3 = _eliminate(compute_Ke(design).poly.evaluate(assignment),
+                           rank_drop_T(design).T.poly.evaluate(assignment),
+                           N_poly().evaluate(assignment))
+    return all(v.is_zero() for v in res_e3.values())
 
 
 # ------------------------------------------------------------------- pipeline

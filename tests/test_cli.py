@@ -226,6 +226,17 @@ def test_pipeline_invariant_violation_exits_3(monkeypatch, capsys):
     assert "must vanish" in json.loads(captured.err)["error"]
 
 
+def test_motion_invariant_violation_exits_3(monkeypatch, tmp_path, capsys):
+    # a vanishing r3sq coefficient of G is an invariant failure, not a crash
+    monkeypatch.setattr("duporcq.selfmotion.g_coefficients",
+                        lambda gpoly: (1, 1, 1, 0, 1, 1))
+    code = main(["motion", worked_file(tmp_path), "--samples", "1",
+                 "--out", str(tmp_path / "m.csv")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "r3sq" in json.loads(captured.err)["error"]
+
+
 # --------------------------------------------------------------- hexapod-check
 
 def test_hexapod_check_worked(tmp_path, capsys):

@@ -12,6 +12,7 @@ from duporcq.geometry import (
     CoincidentBase,
     DegenerateBase,
     HexapodDesign,
+    InvariantViolation,
     NotCollinear,
     NotDuporcq,
     PentapodDesign,
@@ -136,6 +137,15 @@ def test_platform_case_collinearities():
     plat3 = build_platform(WORKED, 3, AffineMap2.identity())
     m1, m2, m3, m4, m5 = plat3
     assert collinear(m1, m3, m4) and collinear(m2, m3, m5)
+
+
+@pytest.mark.parametrize("kappa", [2, 3])
+def test_build_platform_collinearity_is_typed(monkeypatch, kappa):
+    # an m3 off both carrier lines must fail loudly, also under python -O
+    monkeypatch.setattr("duporcq.geometry.intersect_lines",
+                        lambda *args: P(7, 11))
+    with pytest.raises(InvariantViolation, match="carrier lines"):
+        build_platform(WORKED, kappa, AffineMap2.identity())
 
 
 def test_build_platform_bad_kappa():

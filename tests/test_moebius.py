@@ -4,8 +4,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from duporcq.exactpoly import GaussRational, I, as_gauss
-from duporcq.geometry import BaseParams, PlanarPoint, canonical_base, reconstruct_candidates
+from duporcq.exactpoly import GaussRational, I, MPoly, as_gauss, generators
+from duporcq.geometry import (
+    BaseParams,
+    InvariantViolation,
+    PlanarPoint,
+    canonical_base,
+    reconstruct_candidates,
+)
 from duporcq.moebius import (
     AllZero,
     ConicDirection,
@@ -14,6 +20,7 @@ from duporcq.moebius import (
     PAIRS,
     PHI_FACTORS,
     SUPPORT,
+    ProfileCurve,
     candidate_report,
     collinear_triples,
     cross_ratio,
@@ -29,7 +36,6 @@ from duporcq.moebius import (
     project,
     same_picture,
     special_directions,
-    validate_candidates,
 )
 
 WORKED = BaseParams(0, 1, 2, 3)
@@ -153,6 +159,18 @@ def test_picture_auto_extends():
     assert line_membership(p) == {frozenset({4, 5})}
 
 
+def test_picture_marks_extended_pictures():
+    assert picture(PTS, ConicDirection.from_direction((1, 0))).extended
+    assert not picture(PTS, C_IZ).extended
+
+
+def test_picture_propagates_allzero_for_complex_c():
+    # all six phi vanish at c = (0 : i), and a complex c has no planar
+    # direction to extend along
+    with pytest.raises(AllZero):
+        picture(PTS, ConicDirection(0, I))
+
+
 # -------------------------------------------------------------- same_picture
 
 def test_same_picture_self():
@@ -181,8 +199,8 @@ def test_same_picture_propagates_allzero_for_complex_c():
 
 def test_validate_candidates_accepts_exactly_123():
     cands = reconstruct_candidates(WORKED)
-    accepted = validate_candidates(WORKED, cands)
-    assert [c.tag for c in accepted] == ["1a", "2bi", "3"]
+    report = candidate_report(WORKED, cands)
+    assert [c.tag for c in cands if report[c.tag]["accepted"]] == ["1a", "2bi", "3"]
 
 
 def test_rejection_paths():
@@ -343,3 +361,11 @@ def test_single_pair_membership(A4, B4, A5, B5):
             continue
         p = del_pezzo(pts, c)
         assert line_membership(p) == {frozenset({i, j})}
+
+
+def test_profile_curve_common_factor_is_typed():
+    # the check lives in ProfileCurve's constructor: components sharing t
+    (t,) = generators(("t",))
+    one = MPoly.const(("t",), 1)
+    with pytest.raises(InvariantViolation, match="share a factor"):
+        ProfileCurve((t * (t + one), t * (t - one)), one)

@@ -5,6 +5,7 @@ import csv
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from duporcq.geometry import (
     BaseParams,
     HexapodDesign,
+    InvariantViolation,
     PentapodDesign,
     PlanarPoint,
     collinear,
@@ -23,12 +25,15 @@ from duporcq.selfmotion import (
     NoRealSolution,
     RankTooHigh,
     Unrealizable,
+    _leg_arrays,
     arch_singularity_check,
     build_motion_design,
     circle_translations,
     derive_G,
+    design_legs,
     fibonacci_directions,
     g_coefficients,
+    leg_rows,
     motion_radii,
     pose_from_translation,
     residuals_at,
@@ -41,6 +46,7 @@ from duporcq.selfmotion import (
     verify_selfmotion,
     write_trajectory,
 )
+from duporcq.study import F_VARS, GENS, SphereConstraint, StudyPose, sphere_condition
 
 WORKED = BaseParams(0, 1, 2, 3)
 
@@ -84,6 +90,22 @@ def test_g3_closed_form_random_bases():
         assert g[3] == (p.B4 - p.B5) ** 2 * p.U2 ** 2 * p.U3
 
 
+def test_derive_G_e_free_quotient_is_typed(monkeypatch):
+    g = GENS
+    e123 = g["e1"] * g["e1"] + g["e2"] * g["e2"] + g["e3"] * g["e3"]
+    monkeypatch.setattr("duporcq.selfmotion.compute_Ke",
+                        lambda design: SimpleNamespace(poly=e123 * g["e1"]))
+    with pytest.raises(InvariantViolation, match="e-free"):
+        derive_G(WORKED)
+
+
+def test_motion_radii_zero_r3_coefficient_is_typed(monkeypatch):
+    monkeypatch.setattr("duporcq.selfmotion.g_coefficients",
+                        lambda gpoly: (1, 1, 1, 0, 1, 1))
+    with pytest.raises(InvariantViolation, match="r3sq"):
+        motion_radii(WORKED, 1, 18)
+
+
 def test_motion_radii_worked():
     sol = motion_radii(WORKED, 1, 18)
     assert sol.as_tuple() == (1, 18, Fraction(18, 25), 1, 18)
@@ -113,6 +135,33 @@ def test_build_motion_design_worked():
 
 
 # --------------------------------------------------------------- pose sampling
+
+# rational unit-norm Euler parameters (Pythagorean quadruples)
+UNIT_E = [
+    (0, Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)),
+    (0, Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)),
+    (0, Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)),
+    (0, Fraction(1, 9), Fraction(4, 9), Fraction(8, 9)),
+    (0, Fraction(6, 11), Fraction(-6, 11), Fraction(7, 11)),
+    (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("e", UNIT_E)
+def test_float_leg_rows_match_exact_sphere_condition(e):
+    # the rows and constants sample_pose solves with are float() of the
+    # exact sphere condition's f-coefficients
+    hexapod = worked_hexapod()
+    rows, consts = leg_rows(*_leg_arrays(hexapod), [float(v) for v in e])
+    pose = StudyPose(e, tuple(GENS[v] for v in F_VARS))
+    zero_f = {v: 0 for v in F_VARS}
+    for i, (M, m, r2) in enumerate(zip(*design_legs(hexapod))):
+        q = sphere_condition(pose, SphereConstraint(M.as3(), m.as3(), r2))
+        for k, fv in enumerate(F_VARS):
+            lin = q.coeff_block({v: int(v == fv) for v in F_VARS}).scalar()
+            assert abs(rows[i][k] - float(lin)) <= 1e-12
+            assert q.coeff_block({v: 2 * (v == fv) for v in F_VARS}) == 4
+        assert abs(consts[i] - float(q.evaluate(zero_f).scalar())) <= 1e-12
 
 def test_reference_pose_is_exact_zero():
     s = sample_pose(worked_design(), (0.0, 0.0, 1.0))

@@ -38,8 +38,6 @@ from duporcq.study import (
     f1_f2,
     f_coefficient_matrix,
     f_matrix_at,
-    leg_condition,
-    numeric_rank,
     pipeline_report,
     poly,
     rank_drop_T,
@@ -144,8 +142,9 @@ def test_sphere_matching_radius_at_identity():
 def test_worked_design_closes_at_half_turn():
     design = CanonicalDesign.worked(radii=WORKED_RADII)
     pose = StudyPose((0, 0, 0, 1), (0, 0, 0, 0))
+    legs, w3 = design.legs()
     for i in (1, 2, 3, 4, 5):
-        assert leg_condition(design, i, pose) == 0
+        assert sphere_condition(pose, legs[i], w3 if i == 3 else 1) == 0
 
 
 @given(st.lists(rationals, min_size=4, max_size=4),
@@ -385,18 +384,6 @@ def test_rank_drop_checks_are_typed(monkeypatch, kind, message):
     monkeypatch.setattr("duporcq.study.det", _perturbed_det(kind))
     with pytest.raises(InvariantViolation, match=message):
         rank_drop_T(_generic_design(random.Random(43)))
-
-
-def test_numeric_rank_agrees_with_exact():
-    rng = random.Random(19)
-    design = CanonicalDesign.from_params(random_base(rng), mu=random_mu(rng))
-    td = rank_drop_T(design)
-    e = _t_zero_sample(td.epsilons, rng)
-    mat = f_matrix_at(design, e)
-    assert exact_rank(mat) == numeric_rank(mat)
-    e_generic = (Fraction(1), Fraction(2), Fraction(3), Fraction(5))
-    mat = f_matrix_at(design, e_generic)
-    assert exact_rank(mat) == numeric_rank(mat) == 4
 
 
 # -------------------------------------------------------------------- F1 and F2
