@@ -34,6 +34,7 @@ from .geometry import (
 )
 from .moebius import (
     AllZero,
+    NotCollinearDirection,
     candidate_report,
     membership_report,
     profile,
@@ -465,7 +466,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INCONSISTENT
     except (DegenerateBase, DegeneratePlatform, NotDuporcq, AllZero,
-            ConstructionDegenerate, InvariantViolation) as exc:
+            NotCollinearDirection, ConstructionDegenerate,
+            InvariantViolation) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_DEGENERATE
     text = json.dumps(payload, indent=2, sort_keys=True)

@@ -22,7 +22,10 @@ Pinned conventions:
     column set, O(2^n * n) products for an n x n matrix; the largest the
     package builds is the resultant chain's 8-row Sylvester matrix in e3;
   * to_str renders rationals as a/b and the imaginary unit as the literal i,
-    terms in descending canonical order (stable for golden-file tests).
+    terms in descending canonical order (stable for golden-file tests);
+  * proportional(a, b) is the one projective-equality test, for sequences
+    of scalars or MPolys: equal zero patterns, then cross-multiplication
+    against the first nonzero slot; two all-zero sequences are proportional.
 """
 
 from __future__ import annotations
@@ -579,6 +582,18 @@ def det(rows) -> MPoly:
         return out
 
     return minor(tuple(range(n)))
+
+
+def proportional(a, b) -> bool:
+    """Whether the sequences a and b are the same projective point; no
+    division is made, so MPoly entries compare over their fraction field."""
+    if [not x for x in a] != [not y for y in b]:
+        return False
+    ref = next((k for k, x in enumerate(a) if x), None)
+    if ref is None:
+        return True
+    ra, rb = a[ref], b[ref]
+    return all(x * rb == y * ra for x, y in zip(a, b) if x)
 
 
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:

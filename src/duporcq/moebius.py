@@ -18,6 +18,8 @@ usually irrational even when the direction itself is rational).
 picture is the one place that falls back from the plain to the extended
 picture; same_picture, candidate_report and membership_report all go through
 it and read DelPezzoPoint.extended to tell which one they got.
+candidate_report takes each picture once per direction, compares them with
+DelPezzoPoint.proportional and reads the memberships off the same pictures.
 """
 
 from __future__ import annotations
@@ -27,7 +29,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactpoly import GaussRational, I, MPoly, as_coeff, gcd, generators
+from .exactpoly import (
+    GaussRational,
+    I,
+    MPoly,
+    as_coeff,
+    gcd,
+    generators,
+    proportional,
+)
 from .geometry import (
     BaseParams,
     InvariantViolation,
@@ -137,11 +147,7 @@ class DelPezzoPoint:
         return frozenset(k for k, v in enumerate(self.phi) if not v)
 
     def proportional(self, other: "DelPezzoPoint") -> bool:
-        if self.zeros() != other.zeros():
-            return False
-        ref = next(k for k, v in enumerate(self.phi) if v)
-        a, b = self.phi[ref], other.phi[ref]
-        return all(self.phi[k] * b == other.phi[k] * a for k in range(6))
+        return proportional(self.phi, other.phi)
 
 
 def project(points, c: ConicDirection) -> list:
@@ -274,19 +280,20 @@ def random_directions(seed: int, samples: int) -> list:
 
 def candidate_report(base: BaseParams, candidates, seed: int = 0,
                      samples: int = 20) -> dict:
-    """Per-candidate verdicts with the memberships that decide them."""
+    """Per-candidate verdicts with the memberships that decide them; the
+    base pictures are taken once and shared by all candidates."""
     pts, _, _, _ = canonical_base(base)
     directions = [(name, ConicDirection.from_direction(u))
                   for name, u in special_directions(pts)]
     directions += random_directions(seed, samples)
+    base_pictures = [(name, c, picture(pts, c)) for name, c in directions]
     report = {}
     for cand in candidates:
         entry = {"accepted": True, "first_failure": None, "directions": {}}
-        for name, c in directions:
-            ok = same_picture(pts, cand.platform, c)
+        for name, c, base_p in base_pictures:
+            cand_p = picture(cand.platform, c)
+            ok = base_p.proportional(cand_p)
             if name.startswith("d"):
-                base_p = picture(pts, c)
-                cand_p = picture(cand.platform, c)
                 entry["directions"][name] = {
                     "match": ok,
                     "base_membership": _membership(base_p),
@@ -294,11 +301,9 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
                     "candidate_membership": _membership(cand_p),
                     "candidate_extended": cand_p.extended,
                 }
-            if not ok and entry["first_failure"] is None:
+            if not ok and entry["accepted"]:
                 entry["accepted"] = False
                 entry["first_failure"] = name
-            elif not ok:
-                entry["accepted"] = False
         report[cand.tag] = entry
     return report
 

@@ -175,10 +175,14 @@ def _move(m, e, f) -> np.ndarray:
             + np.array(translation_numerator(e, f)))
 
 
+def _residuals(M, m, r2, e, f) -> np.ndarray:
+    """Per-leg dist^2 - r^2 of the float legs (M, m, r2) at a unit-norm pose."""
+    return ((_move(m, e, f) - M) ** 2).sum(axis=1) - r2
+
+
 def residuals_at(design, e, f) -> np.ndarray:
     """Per-leg dist^2 - r^2 at a unit-norm pose."""
-    M, m, r2 = _leg_arrays(design)
-    return ((_move(m, e, f) - M) ** 2).sum(axis=1) - r2
+    return _residuals(*_leg_arrays(design), e, f)
 
 
 @dataclass(frozen=True)
@@ -244,10 +248,10 @@ def sample_pose(design, direction, tol_leg: float = 1e-9,
         roots = [fp + s * k for s in ((-cb + math.sqrt(disc)) / 8.0,
                                       (-cb - math.sqrt(disc)) / 8.0)]
         # both roots close legs 1,2,4; only points on the motion close the rest
-        good = [v for v in roots
-                if np.max(np.abs(residuals_at(design, e, v))) <= tol_leg * scale]
+        worst = [np.max(np.abs(_residuals(M, m, r2, e, v))) for v in roots]
+        good = [v for v, w in zip(roots, worst) if w <= tol_leg * scale]
         f = min(good, key=lambda v: v @ v) if good \
-            else min(roots, key=lambda v: np.max(np.abs(residuals_at(design, e, v))))
+            else roots[int(np.argmin(worst))]
     else:
         lin = np.array([8.0 * fp @ k + L1 @ k for k in kernel])
         center = -lin / 8.0
@@ -261,7 +265,7 @@ def sample_pose(design, direction, tol_leg: float = 1e-9,
         else:
             s = center * (1.0 - math.sqrt(rho2) / nc)
         f = fp + s @ kernel
-    res = residuals_at(design, e, f)
+    res = _residuals(M, m, r2, e, f)
     return MotionSample(tuple(e), tuple(f), tuple(res),
                         leg_tolerance=tol_leg * scale, f0_tolerance=tol_f0)
 

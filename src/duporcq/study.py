@@ -19,6 +19,10 @@ sphere_linear is the one leg model: it splits a sphere condition at fixed e
 into its f-row and constant, sphere_condition is built from it, and the
 float sampler in selfmotion evaluates it on floats.  The tangency ansatz runs
 one branch function twice, over mirrored index pairs.
+
+rank_drop_T checks each of the five 4x4 minors against the epsilon closed
+form by cross-multiplication and normalizes only the closed form.
+pipeline_report concludes from the chain's gcd, checked against F2.
 """
 
 from __future__ import annotations
@@ -27,7 +31,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactpoly import MPoly, NotDivisible, ZeroDegree, det, gcd, resultant
+from .exactpoly import (
+    MPoly,
+    NotDivisible,
+    ZeroDegree,
+    det,
+    gcd,
+    proportional,
+    resultant,
+)
 from .geometry import AffineMap2, BaseParams, InvariantViolation
 
 STUDY_VARS = ("e0", "e1", "e2", "e3", "f0", "f1", "f2", "f3",
@@ -410,12 +422,15 @@ def f_coefficient_matrix(design: CanonicalDesign) -> tuple:
 def rank_drop_T(design: CanonicalDesign) -> RankDropResult:
     """T from the 4x4 minors of the f-coefficient matrix of (S, Delta_2..5).
 
-    Each minor equals (parameter constant) * N * T; the minor dropping the S
-    row vanishes identically.  T is returned normalized per the module rule.
+    The minor dropping the S row vanishes identically; each other minor
+    over N is an e-quadric proportional to epsilon_quadric(epsilons), which
+    _normalize_quadric then turns into T.  No gcd is taken of a minor.
     """
     mat = f_coefficient_matrix(design)
     n = N_poly()
-    t_norm = None
+    eps = epsilons(design)
+    closed = epsilon_quadric(eps)
+    want = _e_coefficients(closed)
     for drop in range(5):
         rows = [list(mat[r]) for r in range(5) if r != drop]
         minor = det(rows)
@@ -427,15 +442,15 @@ def rank_drop_T(design: CanonicalDesign) -> RankDropResult:
             q = minor.exact_div(n)
         except NotDivisible as exc:
             raise InvariantViolation("minor is not a multiple of N") from exc
-        cand = _normalize_quadric(q)
-        if t_norm is None:
-            t_norm = cand
-        elif cand != t_norm:
-            raise InvariantViolation("minors disagree after normalization")
-    eps = epsilons(design)
-    if t_norm != _normalize_quadric(epsilon_quadric(eps)):
-        raise InvariantViolation("minor-derived T differs from its closed form")
-    return RankDropResult(QuadricForm(t_norm), eps, mat)
+        coeffs = _e_coefficients(q)
+        # the e-coefficients must hold every term of q, or q is no e-quadric
+        if (sum(c.term_count for c in coeffs) != q.term_count
+                or not proportional(coeffs, want)):
+            raise InvariantViolation(
+                "minor-derived T differs from its closed form" if drop == 1
+                else f"minors disagree: the minor without row {drop} is not "
+                     "proportional to the first")
+    return RankDropResult(QuadricForm(_normalize_quadric(closed)), eps, mat)
 
 
 def epsilons(design: CanonicalDesign) -> dict:
@@ -700,7 +715,11 @@ def _branch_json(rep: BranchReport) -> dict:
 
 
 def pipeline_report(design: CanonicalDesign) -> dict:
-    """The elimination pipeline summary; design must have numeric mu."""
+    """The elimination pipeline summary; design must have numeric mu.
+
+    The chain's gcd vanishes identically iff the design moves; F2's closed
+    form must agree, else InvariantViolation.
+    """
     ke = compute_Ke(design)
     ratio = e0e3_ratio(ke, design)
     td = rank_drop_T(design)
@@ -716,8 +735,12 @@ def pipeline_report(design: CanonicalDesign) -> dict:
     except AnsatzSolvable as exc:
         ansatz = {"solvable_branch": exc.branch,
                   "witness": {k: str(v) for k, v in exc.witness.items()}}
+    moves = chain.gcd.is_zero()
+    if moves != f2.is_zero():
+        raise InvariantViolation(
+            "the chain gcd and F2's closed form disagree on vanishing")
     conclusion = ("two-parameter self-motion (platform map is the identity)"
-                  if f2.is_zero() else "no two-parameter self-motion")
+                  if moves else "no two-parameter self-motion")
     return {
         "conclusion": conclusion,
         "ansatz": ansatz,

@@ -10,6 +10,7 @@ from duporcq import study
 from duporcq.cli import main
 from duporcq.geometry import (
     PentapodDesign,
+    PlanarPoint,
     design_to_dict,
     duporcq_hexapod,
     reconstruct_candidates,
@@ -224,6 +225,18 @@ def test_pipeline_invariant_violation_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert "must vanish" in json.loads(captured.err)["error"]
+
+
+def test_profile_with_four_collinear_points_exits_3(tmp_path, capsys):
+    # a direction carrying several collinear triples has no extended
+    # picture; that is a degenerate configuration, not a crash
+    pts = [PlanarPoint(x, y) for x, y in ((0, 0), (1, 0), (2, 0), (3, 0),
+                                          (0, 1))]
+    path = write_design(tmp_path, PentapodDesign(pts, pts, (1, 1, 1, 1, 1)))
+    code = main(["profile", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "collinear triples" in json.loads(captured.err)["error"]
 
 
 def test_motion_invariant_violation_exits_3(monkeypatch, tmp_path, capsys):

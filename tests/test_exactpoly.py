@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from duporcq.exactpoly import (
     GaussRational,
@@ -14,6 +14,7 @@ from duporcq.exactpoly import (
     det,
     gcd,
     generators,
+    proportional,
     resultant,
 )
 
@@ -290,3 +291,43 @@ def test_term_count_reproducible():
     q = (X + Y + A) ** 3
     assert p.term_count == q.term_count
     assert p.to_str() == q.to_str()
+
+
+# -------------------------------------------------------------- proportional
+
+def _ratio_oracle(a, b) -> bool:
+    """Same projective point by division: both zero, or a = lam * b with
+    lam != 0 read off one nonzero slot of b."""
+    if not any(a) or not any(b):
+        return not any(a) and not any(b)
+    k = next(i for i, y in enumerate(b) if y)
+    lam = a[k] / b[k]
+    return lam != 0 and all(x == lam * y for x, y in zip(a, b))
+
+
+frac_entry = st.one_of(st.just(Fraction(0)), small_frac)
+
+
+@st.composite
+def frac_pairs(draw):
+    b = draw(st.lists(frac_entry, min_size=1, max_size=6))
+    mode = draw(st.sampled_from(("scaled", "perturbed", "free")))
+    if mode == "free":
+        a = draw(st.lists(frac_entry, min_size=len(b), max_size=len(b)))
+    else:
+        lam = draw(small_frac.filter(bool))
+        a = [lam * y for y in b]
+        if mode == "perturbed":
+            a[draw(st.integers(0, len(b) - 1))] = draw(frac_entry)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(frac_pairs())
+@example(([Fraction(0)] * 3, [Fraction(0)] * 3))
+@example(([Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]))
+@example(([Fraction(0), Fraction(2)], [Fraction(1), Fraction(2)]))
+def test_proportional_matches_ratio_oracle_on_fractions(pair):
+    a, b = pair
+    assert proportional(a, b) == _ratio_oracle(a, b)
+    assert proportional(b, a) == proportional(a, b)

@@ -4,7 +4,8 @@ Random small polynomials in three variables go through MPoly's product,
 exact division, gcd, resultant and determinant and through sympy's, and the
 results are compared exactly (gcd up to a constant factor).  Most draws have
 Fraction coefficients, the kernel's domain; a Gaussian variant exercises the
-mixed Fraction x GaussRational path.
+mixed Fraction x GaussRational path.  proportional is checked against
+sympy's rational-function ratios.
 """
 
 from fractions import Fraction
@@ -20,6 +21,7 @@ from duporcq.exactpoly import (
     as_coeff,
     det,
     gcd,
+    proportional,
     resultant,
 )
 
@@ -172,3 +174,39 @@ def test_oracle_sees_coefficients():
     p = (x + Fraction(1, 2) * y) * (x - y)
     assert same(p, SYMS[0] ** 2 - SYMS[0] * SYMS[1] / 2 - SYMS[1] ** 2 / 2)
     assert not same(p, SYMS[0] ** 2)
+
+
+def _sympy_proportional(a, b) -> bool:
+    """Same projective point over the rational functions: both zero, or
+    a = lam * b with lam = a_k / b_k cancelled by sympy."""
+    sa = [to_sympy(x) for x in a]
+    sb = [to_sympy(y) for y in b]
+    za, zb = all(x == 0 for x in sa), all(y == 0 for y in sb)
+    if za or zb:
+        return za and zb
+    k = next(i for i, y in enumerate(sb) if y != 0)
+    lam = sympy.cancel(sa[k] / sb[k])
+    return lam != 0 and all(sympy.cancel(x - lam * y) == 0
+                            for x, y in zip(sa, sb))
+
+
+@st.composite
+def poly_vector_pairs(draw):
+    base = draw(st.lists(sparse_entry, min_size=1, max_size=5))
+    mode = draw(st.sampled_from(("scaled", "perturbed", "free")))
+    if mode == "free":
+        a = draw(st.lists(sparse_entry, min_size=len(base),
+                          max_size=len(base)))
+        return a, base
+    p, q = draw(polys(max_terms=2)), draw(polys(max_terms=2))
+    a, b = [p * x for x in base], [q * x for x in base]
+    if mode == "perturbed":
+        a[draw(st.integers(0, len(a) - 1))] = draw(sparse_entry)
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_vector_pairs())
+def test_proportional_matches_sympy_on_polynomials(pair):
+    a, b = pair
+    assert proportional(a, b) == _sympy_proportional(a, b)

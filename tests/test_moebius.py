@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from duporcq import moebius
 from duporcq.exactpoly import GaussRational, I, MPoly, as_gauss, generators
 from duporcq.geometry import (
     BaseParams,
@@ -223,6 +225,24 @@ def test_accepted_match_at_all_special_directions():
     for tag in ("1a", "2bi", "3"):
         assert rep[tag]["accepted"] is True
         assert all(d["match"] for d in rep[tag]["directions"].values())
+
+
+def test_candidate_report_takes_each_picture_once(monkeypatch):
+    # one del_pezzo call per (tuple, direction): the base picture is shared
+    # by all candidates, and a candidate's picture serves both the match and
+    # the membership fields
+    calls = Counter()
+    real = moebius.del_pezzo
+
+    def counting(points, c):
+        calls[id(points), c] += 1
+        return real(points, c)
+
+    monkeypatch.setattr(moebius, "del_pezzo", counting)
+    cands = reconstruct_candidates(WORKED)
+    candidate_report(WORKED, cands, seed=0, samples=20)
+    assert set(calls.values()) == {1}
+    assert len(calls) == (1 + len(cands)) * (6 + 20)
 
 
 def test_real_directions_give_fraction_pictures():

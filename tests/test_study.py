@@ -1,6 +1,7 @@
 """Study-parameter displacements, sphere conditions, and the elimination
 pipeline on the canonical pentapod."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duporcq.exactpoly import MPoly, ZeroDegree, det
+from duporcq import study
+from duporcq.exactpoly import MPoly, ZeroDegree, det, gcd
 from duporcq.geometry import BaseParams
 from duporcq.study import (
     GENS,
+    STUDY_VARS,
     AnsatzSolvable,
     CanonicalDesign,
     ExceptionalPose,
@@ -357,6 +360,33 @@ def test_T_symbolic_identity():
             assert a[i] * b[j] == a[j] * b[i]
 
 
+def test_T_symbolic_is_the_normalized_closed_form():
+    design = CanonicalDesign.symbolic()
+    td = rank_drop_T(design)
+    assert td.T.poly == _normalize_quadric(epsilon_quadric(epsilons(design)))
+    assert td.T.poly.term_count == 24
+
+
+def test_rank_drop_T_takes_no_gcd_of_a_minor(monkeypatch):
+    # gcd only ever sees the closed form's coefficients and their gcds;
+    # the minors are compared by cross-multiplication
+    design = dataclasses.replace(
+        _generic_design(random.Random(43)), A4=GENS["A4"], B4=GENS["B4"])
+    allowed = [c for c in _e_coefficients(epsilon_quadric(epsilons(design)))
+               if not c.is_zero()]
+    foreign = []
+
+    def counting(p, q):
+        out = gcd(p, q)
+        foreign.extend(x for x in (p, q) if x not in allowed)
+        allowed.append(out)
+        return out
+
+    monkeypatch.setattr(study, "gcd", counting)
+    rank_drop_T(design)
+    assert foreign == []
+
+
 def _perturbed_det(kind):
     """det for rank_drop_T's five calls (drop = 0..4), one check broken."""
     n, e0 = N_poly(), GENS["e0"]
@@ -372,6 +402,11 @@ def _perturbed_det(kind):
             return n * e0 * e0
         if kind == "closed-form" and drop > 0:
             return n * e0 * e0
+        # terms outside the e-quadratic monomials, on top of a good minor
+        if kind == "parameter-term" and drop == 1:
+            return minor + n * GENS["A4"]
+        if kind == "e-cubic-term" and drop == 1:
+            return minor + n * e0 ** 3
         return minor
 
     return fake
@@ -379,7 +414,8 @@ def _perturbed_det(kind):
 
 @pytest.mark.parametrize("kind, message", [
     ("S-free", "must vanish"), ("not-N", "multiple of N"),
-    ("disagree", "disagree"), ("closed-form", "closed form")])
+    ("disagree", "disagree"), ("closed-form", "closed form"),
+    ("parameter-term", "closed form"), ("e-cubic-term", "closed form")])
 def test_rank_drop_checks_are_typed(monkeypatch, kind, message):
     monkeypatch.setattr("duporcq.study.det", _perturbed_det(kind))
     with pytest.raises(InvariantViolation, match=message):
@@ -543,6 +579,24 @@ def test_pipeline_report_solvable_ansatz(monkeypatch):
         "witness": {"nu": "-1", "nu0": "1", "nu1": "0", "nu2": "0",
                     "nu3": "1/2"},
     }
+
+
+@pytest.mark.parametrize("design, gcd_value", [
+    (_generic_design(random.Random(43)), MPoly.zero(STUDY_VARS)),
+    (CanonicalDesign.worked(radii=WORKED_RADII), GENS["e1"])],
+    ids=["generic-vanishing-gcd", "identity-nonzero-gcd"])
+def test_pipeline_conclusion_comes_from_the_chain(monkeypatch, design,
+                                                  gcd_value):
+    # evidence that contradicts F2's closed form is an invariant failure,
+    # not a conclusion read off F2 alone
+    real = study.resultant_chain
+
+    def forged(ke, t, d):
+        return dataclasses.replace(real(ke, t, d), gcd=gcd_value)
+
+    monkeypatch.setattr(study, "resultant_chain", forged)
+    with pytest.raises(InvariantViolation, match="disagree"):
+        pipeline_report(design)
 
 
 def test_pipeline_report_shape():

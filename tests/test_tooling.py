@@ -1,11 +1,14 @@
 """Repository guards that keep the package's invariants enforceable."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import duporcq
+import duporcq.cli
 
 PACKAGE = Path(duporcq.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_package_has_no_assert_statements():
@@ -17,3 +20,19 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_bench_tracer_installs():
+    # the traced benchmark wraps package functions by name; renaming or
+    # removing one of them must fail here, not only in a benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    original = duporcq.cli.main
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert duporcq.cli.main is not original
+    finally:
+        tracer.uninstall()
+    assert duporcq.cli.main is original
