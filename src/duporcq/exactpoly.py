@@ -17,7 +17,10 @@ Pinned conventions:
     first, so resultant(x - a, x - b, x) == a - b;
   * gcd output is normalized to leading coefficient 1 (0 when both inputs 0);
   * multivariate gcd runs by recursive content/primitive-part reduction with a
-    subresultant polynomial remainder sequence in the main variable;
+    subresultant polynomial remainder sequence in the main variable, after
+    two exact reductions on the variables the operands use: a single-term
+    operand gives the monomial of least exponents, and variables only one
+    operand uses are split off through its coefficients in them;
   * det is a division-free Laplace expansion with sub-minors memoized by
     column set, O(2^n * n) products for an n x n matrix; the largest the
     package builds is the resultant chain's 8-row Sylvester matrix in e3;
@@ -495,52 +498,83 @@ def _content(p: MPoly, var: str) -> MPoly:
     return c
 
 
+def _used(p: MPoly) -> set:
+    """Slots of the variables that occur in p."""
+    return {i for i, col in enumerate(zip(*p.terms)) if any(col)}
+
+
+def _coefficients_in(p: MPoly, slots) -> list:
+    """p's coefficients as a polynomial in the variables at slots."""
+    groups: dict = {}
+    for exp, c in p.terms.items():
+        rest = list(exp)
+        for i in slots:
+            rest[i] = 0
+        groups.setdefault(tuple(exp[i] for i in slots), {})[tuple(rest)] = c
+    return [MPoly(p.vars, t) for t in groups.values()]
+
+
 def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
     if p.is_zero():
         return q
     if q.is_zero():
         return p
-    main = None
-    for v in p.vars:
-        if p.degree_in(v) or q.degree_in(v):
-            main = v
-            break
-    if main is None:
-        return MPoly.const(p.vars, 1)
-    dp, dq = p.degree_in(main), q.degree_in(main)
-    if dp == 0 or dq == 0:
-        xfree, other = (p, q) if dp == 0 else (q, p)
-        return _gcd_impl(xfree, _content(other, main))
-    a, b = (p, q) if dp >= dq else (q, p)
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        return MPoly(p.vars, {tuple(map(min, *p.terms, *q.terms)): Fraction(1)})
+    used_p, used_q = _used(p), _used(q)
+    if used_p != used_q:
+        extra = used_q - used_p
+        if not extra:
+            p, q, extra = q, p, used_p - used_q
+        g = p
+        for c in sorted(_coefficients_in(q, sorted(extra)),
+                        key=lambda c: len(c.terms)):
+            g = _gcd_impl(g, c)
+            if g.degree() == 0:
+                break
+        return g
+    main = p.vars[min(used_p)]
+    a, b = p, q
+    da, db = p.degree_in(main), q.degree_in(main)
+    if da < db:
+        a, b, da, db = q, p, db, da
     ca, cb = _content(a, main), _content(b, main)
     a = a.exact_div(ca)
     b = b.exact_div(cb)
     one = MPoly.const(p.vars, 1)
     g = h = one
     while True:
-        d = a.degree_in(main) - b.degree_in(main)
+        d = da - db
         r = _prem(a, b, main)
         if r.is_zero():
             break
-        if r.degree_in(main) == 0:
-            b = one
+        dr = r.degree_in(main)
+        if dr == 0:
+            b, db = one, 0
             break
         beta = g * h ** d
         a, b = b, r.exact_div(beta)
-        g = a.coeff_list(main)[-1]
+        da, db = db, dr
+        g = a.coeff_block({main: da})
         if d == 1:
             h = g
         elif d > 1:
             h = (g ** d).exact_div(h ** (d - 1))
-    if b.degree_in(main) > 0:
-        b = b.exact_div(_content(b, main))
-    else:
-        b = one
+    b = b.exact_div(_content(b, main)) if db > 0 else one
     return _gcd_impl(ca, cb) * b
 
 
 def gcd(p: MPoly, q: MPoly) -> MPoly:
-    """GCD normalized to leading coefficient 1 (canonical order); gcd(0,0)=0."""
+    """GCD normalized to leading coefficient 1 (canonical order); gcd(0,0)=0.
+
+    Two reductions come before the subresultant remainder sequence, both
+    exact.  If p or q is a single term, every divisor of it is a monomial,
+    so the gcd is the monomial of the least exponents over both operands'
+    terms.  If q uses variables X that p lacks, a common factor divides p
+    and so is free of X; an X-free polynomial divides q iff it divides each
+    coefficient of q as a polynomial in X, so gcd(p, q) is the gcd of p and
+    those coefficients, folded smallest first until it is a constant.
+    """
     return _gcd_impl(p, q).monic()
 
 

@@ -281,7 +281,11 @@ def random_directions(seed: int, samples: int) -> list:
 def candidate_report(base: BaseParams, candidates, seed: int = 0,
                      samples: int = 20) -> dict:
     """Per-candidate verdicts with the memberships that decide them; the
-    base pictures are taken once and shared by all candidates."""
+    base pictures are taken once and shared by all candidates.
+
+    Only the six special directions, which come first, feed the membership
+    fields, so a rejected candidate is not pictured at random directions
+    past its first failure."""
     pts, _, _, _ = canonical_base(base)
     directions = [(name, ConicDirection.from_direction(u))
                   for name, u in special_directions(pts)]
@@ -291,9 +295,12 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
     for cand in candidates:
         entry = {"accepted": True, "first_failure": None, "directions": {}}
         for name, c, base_p in base_pictures:
+            special = name.startswith("d")
+            if not special and not entry["accepted"]:
+                break
             cand_p = picture(cand.platform, c)
             ok = base_p.proportional(cand_p)
-            if name.startswith("d"):
+            if special:
                 entry["directions"][name] = {
                     "match": ok,
                     "base_membership": _membership(base_p),

@@ -2,7 +2,9 @@
 
 Random small polynomials in three variables go through MPoly's product,
 exact division, gcd, resultant and determinant and through sympy's, and the
-results are compared exactly (gcd up to a constant factor).  Most draws have
+results are compared exactly (gcd up to a constant factor).  The gcd is
+also drawn over random variable subsets and with single-term operands, the
+inputs of its monomial shortcut and absent-variable split.  Most draws have
 Fraction coefficients, the kernel's domain; a Gaussian variant exercises the
 mixed Fraction x GaussRational path.  proportional is checked against
 sympy's rational-function ratios.
@@ -36,10 +38,14 @@ gauss_coeff = st.builds(GaussRational, small_frac, small_frac).filter(bool)
 
 
 @st.composite
-def polys(draw, coeff=real_coeff, max_terms=3, max_exp=2):
+def polys(draw, coeff=real_coeff, max_terms=3, max_exp=2, subset=False):
+    """A nonzero polynomial; with subset, over a random subset of VARS
+    (possibly none), so two draws often use different variables."""
+    used = draw(st.sets(st.sampled_from(VARS))) if subset else VARS
     terms = {}
     for _ in range(draw(st.integers(1, max_terms))):
-        exp = tuple(draw(st.integers(0, max_exp)) for _ in VARS)
+        exp = tuple(draw(st.integers(0, max_exp)) if v in used else 0
+                    for v in VARS)
         terms[exp] = as_coeff(draw(coeff))
     return MPoly(VARS, terms)
 
@@ -118,6 +124,40 @@ def test_gcd_matches_sympy_up_to_unit(g, u, v):
 def test_gcd_gaussian_matches_sympy_up_to_unit(g, u, v):
     p, q = g * u, g * v
     _assert_gcd_up_to_unit(gcd(p, q), p, q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys(subset=True), polys(subset=True), polys(subset=True))
+def test_gcd_over_variable_subsets_matches_sympy(g, u, v):
+    p, q = g * u, g * v
+    _assert_gcd_up_to_unit(gcd(p, q), p, q)
+
+
+@settings(max_examples=10, deadline=None)
+@given(polys(gauss_coeff, max_terms=2, subset=True),
+       polys(max_terms=2, subset=True), polys(max_terms=2, subset=True))
+def test_gcd_gaussian_over_variable_subsets_matches_sympy(g, u, v):
+    p, q = g * u, g * v
+    _assert_gcd_up_to_unit(gcd(p, q), p, q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys(subset=True), polys(max_terms=1, subset=True),
+       polys(max_terms=1, subset=True))
+def test_gcd_with_a_single_term_matches_sympy(u, m, n):
+    p, q = m * u, m * n
+    _assert_gcd_up_to_unit(gcd(p, q), p, q)
+    _assert_gcd_up_to_unit(gcd(q, p), q, p)
+
+
+@settings(max_examples=10, deadline=None)
+@given(polys(gauss_coeff, max_terms=2, subset=True),
+       polys(gauss_coeff, max_terms=1, subset=True),
+       polys(max_terms=1, subset=True))
+def test_gcd_gaussian_with_a_single_term_matches_sympy(u, m, n):
+    p, q = m * u, m * n
+    _assert_gcd_up_to_unit(gcd(p, q), p, q)
+    _assert_gcd_up_to_unit(gcd(q, p), q, p)
 
 
 @settings(max_examples=30, deadline=None)

@@ -36,6 +36,7 @@ from duporcq.moebius import (
     profile,
     profile_rows,
     project,
+    random_directions,
     same_picture,
     special_directions,
 )
@@ -230,7 +231,8 @@ def test_accepted_match_at_all_special_directions():
 def test_candidate_report_takes_each_picture_once(monkeypatch):
     # one del_pezzo call per (tuple, direction): the base picture is shared
     # by all candidates, and a candidate's picture serves both the match and
-    # the membership fields
+    # the membership fields; a rejected candidate is pictured at the six
+    # special directions and at none of the random ones past its failure
     calls = Counter()
     real = moebius.del_pezzo
 
@@ -240,9 +242,17 @@ def test_candidate_report_takes_each_picture_once(monkeypatch):
 
     monkeypatch.setattr(moebius, "del_pezzo", counting)
     cands = reconstruct_candidates(WORKED)
-    candidate_report(WORKED, cands, seed=0, samples=20)
+    report = candidate_report(WORKED, cands, seed=0, samples=20)
+    names = [n for n, _ in special_directions(PTS)]
+    names += [n for n, _ in random_directions(0, 20)]
+
+    def taken(entry):
+        if entry["first_failure"] is None:
+            return len(names)
+        return max(6, names.index(entry["first_failure"]) + 1)
+
     assert set(calls.values()) == {1}
-    assert len(calls) == (1 + len(cands)) * (6 + 20)
+    assert len(calls) == len(names) + sum(taken(e) for e in report.values())
 
 
 def test_real_directions_give_fraction_pictures():

@@ -25,6 +25,7 @@ from duporcq.study import (
     StudyPose,
     StudyViolation,
     N_poly,
+    RADII_SYMBOLS,
     S_poly,
     _e_coefficients,
     _normalize_quadric,
@@ -519,6 +520,37 @@ def test_chain_vanishes_identically_at_identity_map():
     chain = resultant_chain(ke, td.T, design)
     assert chain.gcd.is_zero()
     assert chain.factor_match
+
+
+def test_chain_with_symbolic_r1sq_matches_F1F2():
+    design = CanonicalDesign.from_params(
+        BaseParams(Fraction(-1, 2), Fraction(3), Fraction(1), Fraction(-4, 3)),
+        mu=(Fraction(2), Fraction(-1, 3), Fraction(1, 2)),
+        radii=(GENS["r1sq"], Fraction(2), Fraction(3), Fraction(5, 2),
+               Fraction(4)))
+    chain = resultant_chain(compute_Ke(design), rank_drop_T(design).T, design)
+    assert chain.res_e3["S_TN"].degree_in("r1sq") > 0
+    assert not chain.gcd.is_zero()
+    assert chain.gcd.degree_in("r1sq") == 0
+    assert chain.factor_match, chain.gcd.to_str()
+
+
+@pytest.mark.parametrize("mu, conclusion", [
+    ((Fraction(3, 2), Fraction(1, 5), Fraction(-2)),
+     "no two-parameter self-motion"),
+    (None, "two-parameter self-motion (platform map is the identity)")],
+    ids=["generic-mu", "identity-mu"])
+def test_pipeline_over_the_radii_ring(mu, conclusion):
+    # all five squared radii stay symbolic, so the chain's gcd is taken over
+    # the radii ring and the conclusion holds for every choice of radii
+    design = CanonicalDesign.from_params(
+        BaseParams(Fraction(1, 3), Fraction(-2), Fraction(5, 2), Fraction(7)),
+        mu=mu)
+    assert all(isinstance(r, MPoly) for r in design.radii)
+    report = pipeline_report(design)
+    assert report["conclusion"] == conclusion
+    assert report["chain"]["factors"]["match"] is True
+    assert not any(r in report["chain"]["gcd"] for r in RADII_SYMBOLS)
 
 
 def test_chain_locus_samples():

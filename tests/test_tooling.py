@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import duporcq
@@ -9,6 +12,15 @@ import duporcq.cli
 
 PACKAGE = Path(duporcq.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+# each script with its smallest arguments and the files it writes
+SCRIPT_RUNS = {
+    "export_worked_design.py": (["--out", "design.json"], ["design.json"]),
+    "ratio_survey.py": (["--draws", "1"], []),
+    "trace_trajectory.py": (["--n1", "3", "--n2", "4", "--out", "motion.csv"],
+                            ["motion.csv"]),
+}
 
 
 def test_package_has_no_assert_statements():
@@ -36,3 +48,18 @@ def test_bench_tracer_installs():
     finally:
         tracer.uninstall()
     assert duporcq.cli.main is original
+
+
+def test_scripts_run(tmp_path):
+    # the scripts import the package by name; a rename that breaks one
+    # must fail here
+    assert sorted(p.name for p in SCRIPTS.glob("*.py")) == sorted(SCRIPT_RUNS)
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    for name, (args, outputs) in SCRIPT_RUNS.items():
+        done = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, f"{name}: {done.stderr}"
+        for out in outputs:
+            assert (tmp_path / out).stat().st_size > 0, f"{name}: {out}"
