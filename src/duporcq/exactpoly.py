@@ -12,6 +12,18 @@ order is lexicographic on exponent tuples with the first variable most
 significant; serialization, leading coefficients, and gcd normalization all
 refer to that order.
 
+An exponent tuple is stored packed into one int (Monagan and Pearce's
+packed exponent vectors): variable i of n owns the 16-bit field at bit
+offset (n - 1 - i) * 16.  Fields never overlap and the first variable is
+the most significant, so comparing packed ints compares the tuples
+lexicographically, and max(terms) is the leading exponent.  Multiplying
+monomials is one int addition.  The top bit of each field is a guard that
+stays clear: an exponent is below EXPONENT_LIMIT = 2**15, so the sum of two
+fields cannot carry into the next one, and a product whose sum sets a guard
+bit raises ExponentOverflow.  exact_div tests divisibility of all fields
+at once: with every guard bit of r set, r - d borrows within a field and
+clears its guard bit exactly where r's exponent is below d's.
+
 Pinned conventions:
   * resultant(p, q, x) is the Sylvester determinant with p's coefficient rows
     first, so resultant(x - a, x - b, x) == a - b;
@@ -34,6 +46,9 @@ Pinned conventions:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import chain
+from operator import or_
 
 
 class NotDivisible(ArithmeticError):
@@ -187,13 +202,63 @@ def as_coeff(x):
 I = GaussRational(0, 1)
 
 
+# packed exponents, laid out as the module docstring says
+_W = 16
+_FIELD = (1 << _W) - 1
+EXPONENT_LIMIT = 1 << (_W - 1)
+
+
+class ExponentOverflow(ArithmeticError):
+    """An exponent reached EXPONENT_LIMIT, past its field in a packed monomial."""
+
+
+@lru_cache(maxsize=None)
+def _guard(n: int) -> int:
+    """The guard bits of an n-variable packed exponent."""
+    return sum(1 << off for off in range(_W - 1, n * _W, _W))
+
+
+def _offset(vars: tuple, var: str) -> int:
+    return (len(vars) - 1 - vars.index(var)) * _W
+
+
+def _pack(exps, n: int) -> int:
+    if len(exps) != n:
+        raise ValueError(f"expected {n} exponents, got {len(exps)}")
+    out = 0
+    for k in exps:
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
+        if k >= EXPONENT_LIMIT:
+            raise ExponentOverflow(f"exponent {k} >= {EXPONENT_LIMIT}")
+        out = out << _W | k
+    return out
+
+
+def _unpack(exp: int, n: int) -> tuple:
+    return tuple(exp >> off & _FIELD for off in range((n - 1) * _W, -1, -_W))
+
+
+def _overflow(exp: int, vars: tuple) -> ExponentOverflow:
+    names = [v for v, k in zip(vars, _unpack(exp, len(vars)))
+             if k >= EXPONENT_LIMIT]
+    return ExponentOverflow(f"exponent of {', '.join(names)} "
+                            f"reaches {EXPONENT_LIMIT}")
+
+
 class MPoly:
     """Sparse multivariate polynomial with exact coefficients.
 
-    terms maps exponent tuples (one slot per variable) to nonzero
-    coefficients: Fractions, and GaussRationals only where the imaginary
-    part is nonzero (see the module docstring).  Values are immutable by
-    convention; all operations return fresh instances.
+    terms maps packed exponents to nonzero coefficients: Fractions, and
+    GaussRationals only where the imaginary part is nonzero (see the module
+    docstring).  A packed exponent is one int with a 16-bit field per
+    variable, the first variable in the most significant field, and the top
+    bit of each field kept clear as a guard; so integer order is the
+    canonical lexicographic term order, and exponents stay below
+    EXPONENT_LIMIT or the operation raises ExponentOverflow.  The layout is
+    private to this module: from_exponents and monomials convert from and to
+    exponent tuples.  Values are immutable by convention; all operations
+    return fresh instances.
     """
 
     __slots__ = ("vars", "terms")
@@ -209,14 +274,30 @@ class MPoly:
     @classmethod
     def const(cls, vars, c) -> "MPoly":
         c = as_coeff(c)
-        z = (0,) * len(vars)
-        return cls(vars, {z: c} if c else {})
+        return cls(vars, {0: c} if c else {})
 
     @classmethod
     def variable(cls, vars, name) -> "MPoly":
-        i = tuple(vars).index(name)
-        exp = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {exp: Fraction(1)})
+        vars = tuple(vars)
+        return cls(vars, {1 << _offset(vars, name): Fraction(1)})
+
+    @classmethod
+    def from_exponents(cls, vars, terms: dict) -> "MPoly":
+        """The polynomial with the given {exponent tuple: coefficient} terms;
+        zero coefficients are dropped."""
+        vars = tuple(vars)
+        out = {}
+        for exps, c in terms.items():
+            c = as_coeff(c)
+            if c:
+                out[_pack(exps, len(vars))] = c
+        return cls(vars, out)
+
+    def monomials(self):
+        """The (exponent tuple, coefficient) pairs of the terms."""
+        n = len(self.vars)
+        for exp, c in self.terms.items():
+            yield _unpack(exp, n), c
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -239,7 +320,7 @@ class MPoly:
 
     def _coerce(self, other) -> "MPoly":
         if isinstance(other, MPoly):
-            if other.vars != self.vars:
+            if other.vars is not self.vars and other.vars != self.vars:
                 raise ValueError("variable tuples differ")
             return other
         return MPoly.const(self.vars, other)
@@ -265,24 +346,46 @@ class MPoly:
         return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
         other = self._coerce(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(exp)
-                s = c if s is None else s + c
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            s = out.get(exp)
+            if s is None:
+                out[exp] = -c
+            else:
+                s -= c
                 if s:
                     out[exp] = s
                 else:
-                    out.pop(exp, None)
+                    del out[exp]
+        return MPoly(self.vars, out)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        if not isinstance(other, MPoly):
+            c = as_coeff(other)
+            return MPoly(self.vars, {e: v * c for e, v in self.terms.items()}
+                         if c else {})
+        if other.vars is not self.vars and other.vars != self.vars:
+            raise ValueError("variable tuples differ")
+        guard = _guard(len(self.vars))
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exp = e1 + e2
+                if exp & guard:
+                    raise _overflow(exp, self.vars)
+                s = out.get(exp)
+                if s is None:
+                    out[exp] = c1 * c2
+                else:
+                    s += c1 * c2
+                    if s:
+                        out[exp] = s
+                    else:
+                        del out[exp]
         return MPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -295,33 +398,31 @@ class MPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def evaluate(self, assignment: dict) -> "MPoly":
         """Partial exact evaluation; bound variables get exponent 0."""
-        idx = {}
-        for name, val in assignment.items():
-            idx[self.vars.index(name)] = as_coeff(val)
+        fields = [(_offset(self.vars, name), as_coeff(val))
+                  for name, val in assignment.items()]
         out: dict = {}
         for exp, c in self.terms.items():
             val = c
-            new = list(exp)
-            for i, s in idx.items():
-                k = exp[i]
+            for off, s in fields:
+                k = (exp >> off) & _FIELD
                 if k:
                     val = val * s ** k
-                    new[i] = 0
+                    exp -= k << off
             if not val:
                 continue
-            key = tuple(new)
-            acc = out.get(key)
+            acc = out.get(exp)
             acc = val if acc is None else acc + val
             if acc:
-                out[key] = acc
+                out[exp] = acc
             else:
-                out.pop(key, None)
+                out.pop(exp, None)
         return MPoly(self.vars, out)
 
     def scalar(self):
@@ -329,46 +430,41 @@ class MPoly:
             return Fraction(0)
         if len(self.terms) == 1:
             (exp, c), = self.terms.items()
-            if not any(exp):
+            if not exp:
                 return c
         raise ValueError("polynomial is not constant")
 
     def degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        n = len(self.vars)
+        return max(sum(_unpack(e, n)) for e in self.terms)
 
     def degree_in(self, var: str) -> int:
-        i = self.vars.index(var)
+        off = _offset(self.vars, var)
         if not self.terms:
             return 0
-        return max(e[i] for e in self.terms)
+        return max((e >> off) & _FIELD for e in self.terms)
 
     def coeff_list(self, var: str) -> list:
         """Coefficients as polynomials (var slot zeroed), ascending powers."""
-        i = self.vars.index(var)
+        off = _offset(self.vars, var)
         d = self.degree_in(var)
         buckets: list[dict] = [dict() for _ in range(d + 1)]
         for exp, c in self.terms.items():
-            k = exp[i]
-            e2 = exp[:i] + (0,) + exp[i + 1:]
-            buckets[k][e2] = c
+            k = (exp >> off) & _FIELD
+            buckets[k][exp - (k << off)] = c
         return [MPoly(self.vars, b) for b in buckets]
 
     def coeff_block(self, block: dict) -> "MPoly":
         """Coefficient of the monomial given by block (exact match on those vars)."""
-        idxs = [(self.vars.index(k), v) for k, v in block.items()]
-        out = {}
-        for exp, c in self.terms.items():
-            if all(exp[i] == v for i, v in idxs):
-                e2 = list(exp)
-                for i, _ in idxs:
-                    e2[i] = 0
-                out[tuple(e2)] = c
-        return MPoly(self.vars, out)
-
-    def leading_exponent(self) -> tuple:
-        return max(self.terms)
+        mask = want = 0
+        for name, k in block.items():
+            off = _offset(self.vars, name)
+            mask |= _FIELD << off
+            want |= k << off
+        return MPoly(self.vars, {exp - want: c for exp, c in self.terms.items()
+                                 if exp & mask == want})
 
     def leading_coefficient(self):
         return self.terms[max(self.terms)]
@@ -386,19 +482,24 @@ class MPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
-        dexp = divisor.leading_exponent()
+        guard = _guard(len(self.vars))
+        dexp = max(divisor.terms)
         dlc = divisor.terms[dexp]
         rem = dict(self.terms)
         q: dict = {}
         while rem:
             rexp = max(rem)
-            qexp = tuple(a - b for a, b in zip(rexp, dexp))
-            if any(k < 0 for k in qexp):
-                raise NotDivisible(f"remainder with leading term {rexp}")
+            # the all-fields divisibility test of the module docstring; a
+            # guard bit set in rexp marks a term no exact division makes
+            if rexp & guard or ((rexp | guard) - dexp) & guard != guard:
+                raise NotDivisible(
+                    f"remainder with leading term "
+                    f"{_unpack(rexp, len(self.vars))}")
+            qexp = rexp - dexp
             qc = rem[rexp] / dlc
             q[qexp] = qc
             for e2, c2 in divisor.terms.items():
-                exp = tuple(a + b for a, b in zip(qexp, e2))
+                exp = qexp + e2
                 s = rem.get(exp, _ZERO) - qc * c2
                 if s:
                     rem[exp] = s
@@ -409,12 +510,13 @@ class MPoly:
     def to_str(self) -> str:
         if not self.terms:
             return "0"
+        n = len(self.vars)
         parts = []
         for exp in sorted(self.terms, reverse=True):
             c = self.terms[exp]
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.vars, exp) if k
+                for v, k in zip(self.vars, _unpack(exp, n)) if k
             )
             cs = str(c)
             mixed = isinstance(c, GaussRational) and c.re and c.im
@@ -447,26 +549,26 @@ def generators(names):
     return [MPoly.variable(names, n) for n in names]
 
 
-def _shift(p: MPoly, var_idx: int, k: int) -> MPoly:
-    if k == 0 or p.is_zero():
-        return p
+def derivative(p: MPoly, var: str) -> MPoly:
+    """Partial derivative of p in var."""
+    off = _offset(p.vars, var)
+    one = 1 << off
     out = {}
     for exp, c in p.terms.items():
-        e2 = exp[:var_idx] + (exp[var_idx] + k,) + exp[var_idx + 1:]
-        out[e2] = c
+        k = (exp >> off) & _FIELD
+        if k:
+            out[exp - one] = c * k
     return MPoly(p.vars, out)
 
 
 def _from_coeff_list(coeffs: list, var: str) -> MPoly:
+    """sum(coeffs[k] * var**k); every coefficient must be free of var."""
     if not coeffs:
         raise ValueError("empty coefficient list")
     vars = coeffs[0].vars
-    i = vars.index(var)
-    out = MPoly.zero(vars)
-    for k, c in enumerate(coeffs):
-        if not c.is_zero():
-            out = out + _shift(c, i, k)
-    return out
+    off = _offset(vars, var)
+    return MPoly(vars, {exp + (k << off): c for k, p in enumerate(coeffs)
+                        for exp, c in p.terms.items()})
 
 
 def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
@@ -498,20 +600,32 @@ def _content(p: MPoly, var: str) -> MPoly:
     return c
 
 
-def _used(p: MPoly) -> set:
-    """Slots of the variables that occur in p."""
-    return {i for i, col in enumerate(zip(*p.terms)) if any(col)}
+def _support(p: MPoly) -> int:
+    """The fields of the variables that occur in p, as a mask."""
+    used = reduce(or_, p.terms, 0)
+    return sum(_FIELD << off for off in range(0, len(p.vars) * _W, _W)
+               if used >> off & _FIELD)
 
 
-def _coefficients_in(p: MPoly, slots) -> list:
-    """p's coefficients as a polynomial in the variables at slots."""
+def _coefficients_in(p: MPoly, fields: int) -> list:
+    """p's coefficients as a polynomial in the variables of the field mask."""
     groups: dict = {}
     for exp, c in p.terms.items():
-        rest = list(exp)
-        for i in slots:
-            rest[i] = 0
-        groups.setdefault(tuple(exp[i] for i in slots), {})[tuple(rest)] = c
+        mono = exp & fields
+        groups.setdefault(mono, {})[exp - mono] = c
     return [MPoly(p.vars, t) for t in groups.values()]
+
+
+def _least_exponents(exps, n: int) -> int:
+    """The packed exponent whose fields are the least over exps."""
+    guard = _guard(n)
+
+    def field_min(a, b):
+        # the guard bit of a field survives (a | guard) - b iff a >= b there
+        b_fields = ((((a | guard) - b) & guard) >> (_W - 1)) * _FIELD
+        return a & ~b_fields | b & b_fields
+
+    return reduce(field_min, exps)
 
 
 def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
@@ -520,20 +634,22 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
     if q.is_zero():
         return p
     if len(p.terms) == 1 or len(q.terms) == 1:
-        return MPoly(p.vars, {tuple(map(min, *p.terms, *q.terms)): Fraction(1)})
-    used_p, used_q = _used(p), _used(q)
+        mono = _least_exponents(chain(p.terms, q.terms), len(p.vars))
+        return MPoly(p.vars, {mono: Fraction(1)})
+    used_p, used_q = _support(p), _support(q)
     if used_p != used_q:
-        extra = used_q - used_p
+        extra = used_q & ~used_p
         if not extra:
-            p, q, extra = q, p, used_p - used_q
+            p, q, extra = q, p, used_p & ~used_q
         g = p
-        for c in sorted(_coefficients_in(q, sorted(extra)),
+        for c in sorted(_coefficients_in(q, extra),
                         key=lambda c: len(c.terms)):
             g = _gcd_impl(g, c)
             if g.degree() == 0:
                 break
         return g
-    main = p.vars[min(used_p)]
+    # the most significant variable p uses
+    main = p.vars[len(p.vars) - 1 - (used_p.bit_length() - 1) // _W]
     a, b = p, q
     da, db = p.degree_in(main), q.degree_in(main)
     if da < db:

@@ -11,6 +11,9 @@ satisfy the linear relation G = 0 produced by derive_G.
 The float path has no leg model of its own: the rows it solves come from
 study.sphere_linear on float leg data, and poses act through
 study.rotation_numerator and translation_numerator.
+
+numpy is imported inside the functions that use it, so importing this
+module, as the CLI does for every subcommand, does not load it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exactpoly import MPoly, NotDivisible
 from .geometry import (
@@ -147,6 +148,7 @@ def design_legs(design):
 
 def _leg_arrays(design):
     """(M, m, r2) float arrays of design_legs."""
+    import numpy as np
     base, plat, radii = design_legs(design)
     M = np.array([[float(p.x), float(p.y), 0.0] for p in base])
     m = np.array([[float(p.x), float(p.y), 0.0] for p in plat])
@@ -163,6 +165,7 @@ def sixth_radius(design: HexapodDesign) -> Fraction:
 def leg_rows(M, m, r2, e):
     """Rows L_i and constants c_i of the float legs (M, m, r2) at a
     unit-norm e, split by study.sphere_linear: Q_i(f) = 4|f|^2 + L_i.f + c_i."""
+    import numpy as np
     e = [float(v) for v in e]
     rows, consts = zip(*(sphere_linear(e, SphereConstraint(*leg))
                          for leg in zip(M.tolist(), m.tolist(), r2.tolist())))
@@ -171,6 +174,7 @@ def leg_rows(M, m, r2, e):
 
 def _move(m, e, f) -> np.ndarray:
     """Platform anchors m (rows) carried by a unit-norm pose (e, f)."""
+    import numpy as np
     return (m @ np.array(rotation_numerator(e)).T
             + np.array(translation_numerator(e, f)))
 
@@ -213,6 +217,7 @@ def sample_pose(design, direction, tol_leg: float = 1e-9,
     with a consistent right side; InconsistentSystem otherwise.
     NoRealSolution means the fiber over this direction is empty.
     """
+    import numpy as np
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,) or not np.linalg.norm(d) > 0:
         raise ValueError("direction must be a nonzero 3-vector")
@@ -292,6 +297,7 @@ class MotionReport:
 def tangent_pair(design, h: float = 1e-4, tol_leg: float = 1e-9,
                  tol_f0: float = 1e-12):
     """Two independent motion tangents at the half-turn reference pose."""
+    import numpy as np
     ref = sample_pose(design, (0, 0, 1), tol_leg, tol_f0)
     p0 = np.array(ref.e + ref.f)
     tangents = []
@@ -400,6 +406,7 @@ def translational_submotion(design) -> TranslationalCircle:
 
 def circle_translations(circle: TranslationalCircle, count: int):
     """Float translation samples on the circle."""
+    import numpy as np
     nx, ny, _ = (float(v) for v in circle.normal)
     nn = math.hypot(nx, ny)
     u = np.array([-ny / nn, nx / nn, 0.0])
@@ -478,6 +485,7 @@ def random_pose(rng) -> tuple:
 
 def plucker_matrix(design: HexapodDesign, e, f) -> np.ndarray:
     """Rows are the six leg lines (direction; moment) at the given pose."""
+    import numpy as np
     M, m, _ = _leg_arrays(design)
     moved = _move(m, e, f)
     return np.hstack([moved - M, np.cross(M, moved)])
@@ -487,6 +495,7 @@ def arch_singularity_check(design: HexapodDesign, seed: int = 0,
                            samples: int = 100) -> float:
     """Worst relative smallest singular value of the leg-line matrix over
     random poses; tiny values certify architectural singularity."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):

@@ -35,6 +35,7 @@ from .exactpoly import (
     MPoly,
     NotDivisible,
     ZeroDegree,
+    derivative,
     det,
     gcd,
     proportional,
@@ -324,9 +325,9 @@ class QuadricForm:
         for fv in F_VARS:
             if p.degree_in(fv) > 0:
                 raise NotFFree(f"{fv} present in a supposedly f-free quadric")
-        for exp in p.terms:
-            edeg = sum(exp[p.vars.index(v)] for v in E_VARS)
-            if edeg != 2:
+        slots = [p.vars.index(v) for v in E_VARS]
+        for exp, _ in p.monomials():
+            if sum(exp[i] for i in slots) != 2:
                 raise ValueError("not homogeneous of degree 2 in e")
 
     def coeff(self, i: int, j: int) -> MPoly:
@@ -644,17 +645,6 @@ def _res_or_zero(p: MPoly, qp: MPoly, var: str) -> MPoly:
     return resultant(p, qp, var)
 
 
-def derivative(p: MPoly, var: str) -> MPoly:
-    k = p.vars.index(var)
-    terms = {}
-    for exp, c in p.terms.items():
-        if exp[k] == 0:
-            continue
-        new = exp[:k] + (exp[k] - 1,) + exp[k + 1:]
-        terms[new] = terms.get(new, 0 * c) + c * exp[k]
-    return MPoly(p.vars, {e: c for e, c in terms.items() if c})
-
-
 def radical_part(p: MPoly, variables=("e1", "e2")) -> MPoly:
     """Product of the distinct irreducible factors, monic; repeated factors
     and extraneous powers drop out."""
@@ -674,7 +664,10 @@ def resultant_chain(ke: QuadricForm, t: QuadricForm, design: CanonicalDesign) ->
     at mu = identity F2 vanishes identically and so does the gcd.
     """
     res_e0, res_e3 = _eliminate(ke.poly, t.poly, N_poly())
-    g = gcd(gcd(res_e3["S_TN"], res_e3["S_KeN"]), res_e3["S_KeT"])
+    # smallest operands first: the gcd of the two smaller ones bounds the
+    # largest one's part in the remainder sequence
+    a, b, c = sorted(res_e3.values(), key=lambda p: p.term_count)
+    g = gcd(gcd(a, b), c)
     f1, f2 = f1_f2(design)
     expected = f1 * f1 * f2 * f2
     if g.is_zero() or expected.is_zero():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from duporcq.exactpoly import (
+    EXPONENT_LIMIT,
+    ExponentOverflow,
     GaussRational,
     I,
     MPoly,
@@ -190,6 +192,78 @@ def test_str_ordering_deterministic():
     assert p.to_str() == "x + y + a + b + 1"
 
 
+# ---------------------------------------------------------- packed exponents
+
+TOP = EXPONENT_LIMIT - 1
+
+
+def test_power_reaches_the_field_limit():
+    # binary powering must not square past the last bit: x**(2*16384) is
+    # out of range although x**TOP is not
+    p = X ** TOP
+    assert p.degree_in("x") == TOP
+    assert p.exact_div(X ** (TOP - 1)) == X
+
+
+@pytest.mark.parametrize("make", [
+    lambda: X ** EXPONENT_LIMIT,
+    lambda: X ** TOP * X,
+    lambda: Y ** TOP * Y,  # a carry would turn it into x
+    lambda: (B ** TOP + A) * (B + 1),
+    lambda: (X + Y ** TOP) ** 2,
+    lambda: 3 * (A * B) ** TOP * A,
+])
+def test_exponent_overflow_raises(make):
+    with pytest.raises(ExponentOverflow):
+        make()
+
+
+def test_from_exponents_checks_exponents():
+    with pytest.raises(ExponentOverflow):
+        MPoly.from_exponents(VARS, {(0, EXPONENT_LIMIT, 0, 0): 1})
+    with pytest.raises(ValueError):
+        MPoly.from_exponents(VARS, {(0, -1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        MPoly.from_exponents(VARS, {(1, 0, 0): 1})
+
+
+@pytest.mark.parametrize("num, den", [
+    (X, Y), (X ** 2, X * Y), (X * A, Y * B), (X ** 3 * B, X * A ** 2),
+    (MPoly.from_exponents(VARS, {(0, 1, TOP, 0): 1}), A * B),
+])
+def test_exact_div_does_not_borrow_across_variables(num, den):
+    # num's exponent is short in one variable and in surplus in a more
+    # significant one, where a plain int subtraction would borrow
+    with pytest.raises(NotDivisible):
+        num.exact_div(den)
+
+
+exponent_tuples = st.tuples(*[st.integers(0, TOP)] * len(VARS))
+term_dicts = st.dictionaries(exponent_tuples, st.fractions(
+    min_value=-4, max_value=4, max_denominator=3).filter(bool), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts)
+def test_monomials_round_trip(terms):
+    p = MPoly.from_exponents(VARS, terms)
+    assert dict(p.monomials()) == terms
+    assert p.degree() == max(map(sum, terms), default=-1)
+    for i, v in enumerate(VARS):
+        assert p.degree_in(v) == max((e[i] for e in terms), default=0)
+    if terms:
+        assert p.leading_coefficient() == terms[max(terms)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts)
+def test_to_str_orders_terms_as_sorted_exponent_tuples(terms):
+    parts = [MPoly.from_exponents(VARS, {e: c}).to_str()
+             for e, c in sorted(terms.items(), reverse=True)]
+    expected = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    assert MPoly.from_exponents(VARS, terms).to_str() == expected
+
+
 # ---------------------------------------------------------------- properties
 
 small_frac = st.fractions(
@@ -205,7 +279,7 @@ def small_poly(draw, max_terms=4, max_exp=2):
         c = GaussRational(draw(small_frac), draw(small_frac))
         if c:
             terms[exp] = c
-    return MPoly(VARS, terms)
+    return MPoly.from_exponents(VARS, terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,7 +334,7 @@ def small_real_poly(draw, max_terms=4, max_exp=2):
     p = MPoly.zero(VARS)
     for _ in range(draw(st.integers(1, max_terms))):
         exp = tuple(draw(st.integers(0, max_exp)) for _ in range(4))
-        p = p + MPoly(VARS, {exp: Fraction(1)}) * draw(small_frac)
+        p = p + MPoly.from_exponents(VARS, {exp: 1}) * draw(small_frac)
     return p
 
 

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duporcq.exactpoly import (
+    EXPONENT_LIMIT,
     GaussRational,
     MPoly,
     NotDivisible,
-    as_coeff,
+    derivative,
     det,
     gcd,
     proportional,
@@ -46,8 +47,8 @@ def polys(draw, coeff=real_coeff, max_terms=3, max_exp=2, subset=False):
     for _ in range(draw(st.integers(1, max_terms))):
         exp = tuple(draw(st.integers(0, max_exp)) if v in used else 0
                     for v in VARS)
-        terms[exp] = as_coeff(draw(coeff))
-    return MPoly(VARS, terms)
+        terms[exp] = draw(coeff)
+    return MPoly.from_exponents(VARS, terms)
 
 
 def _sympy_scalar(c):
@@ -60,7 +61,7 @@ def _sympy_scalar(c):
 def to_sympy(p: MPoly):
     return sympy.Add(*(
         _sympy_scalar(c) * prod(s ** k for s, k in zip(SYMS, exp))
-        for exp, c in p.terms.items()))
+        for exp, c in p.monomials()))
 
 
 def same(p: MPoly, expr) -> bool:
@@ -100,6 +101,26 @@ def test_exact_div_matches_sympy(p, q, r, divisible):
     assert (mine is None) == (theirs is None)
     if mine is not None:
         assert same(mine, theirs.as_expr())
+
+
+# exponents up to the packed field limit: products stay below it, so only
+# sympy's sparse expressions are used (its Poly is dense)
+HALF = (EXPONENT_LIMIT - 1) // 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys(max_exp=HALF), polys(max_exp=HALF))
+def test_mul_near_the_field_limit_matches_sympy(p, q):
+    pq = p * q
+    assert same(pq, sympy.expand(to_sympy(p) * to_sympy(q)))
+    assert pq.exact_div(q) == p
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys(max_exp=EXPONENT_LIMIT - 1), st.sampled_from(VARS))
+def test_derivative_matches_sympy(p, var):
+    assert same(derivative(p, var),
+                sympy.diff(to_sympy(p), SYMS[VARS.index(var)]))
 
 
 def _assert_gcd_up_to_unit(g: MPoly, p: MPoly, q: MPoly):

@@ -34,6 +34,32 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_only_the_kernel_reads_polynomial_terms():
+    # MPoly.terms is keyed by packed exponents, a layout private to
+    # exactpoly; other modules go through its methods
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "exactpoly.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "terms"]
+    assert found == []
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is about half of the CLI's import time, and classify, pipeline
+    # and profile never use it
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, duporcq.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_bench_tracer_installs():
     # the traced benchmark wraps package functions by name; renaming or
     # removing one of them must fail here, not only in a benchmark run
