@@ -1,22 +1,31 @@
-"""Exact arithmetic kernel: sparse multivariate polynomials and Gaussian rationals.
+"""Exact arithmetic kernel: sparse multivariate polynomials over the
+rationals, and Gaussian rational scalars.
 
 Every symbolic claim in this package reduces to arithmetic in this module.
-The coefficient domain is the real rationals: a coefficient or scalar value
-is a Fraction, and a GaussRational (a pair of Fractions) stands only for a
-value whose imaginary part is nonzero.  as_coeff brings ints and real
-GaussRationals into that form where values enter the kernel, and
-GaussRational arithmetic returns a Fraction whenever its result is real, so
-real inputs never pay for complex multiplication.  Polynomials are sparse
-exponent dicts over a fixed ordered variable tuple.  The canonical term
-order is lexicographic on exponent tuples with the first variable most
-significant; serialization, leading coefficients, and gcd normalization all
-refer to that order.
+A polynomial coefficient is a real rational and nothing else: const,
+from_exponents, scalar products, evaluate and the scalar operands of + and -
+take ints, Fractions and GaussRationals with a zero imaginary part, and raise
+TypeError for a GaussRational whose imaginary part is nonzero.  GaussRational
+(a pair of Fractions) is a scalar type, used for values whose imaginary part
+is nonzero; its arithmetic returns a Fraction whenever the result is real,
+and as_coeff brings ints and real GaussRationals to Fractions.
+
+A polynomial is stored as content * P (see MPoly): one Fraction, and a
+primitive integer polynomial P with a positive leading coefficient, a
+canonical form.  Gauss's lemma (a product of primitive polynomials is
+primitive) lets a product skip the gcd over its coefficients that Fraction
+arithmetic would take term by term; a sum takes one gcd over its integer
+coefficients, and exact division divides integers.  Polynomials are sparse
+over a fixed ordered variable tuple.  The canonical term order is
+lexicographic on exponent tuples with the first variable most significant;
+serialization, leading coefficients, and gcd normalization all refer to
+that order.
 
 An exponent tuple is stored packed into one int (Monagan and Pearce's
 packed exponent vectors): variable i of n owns the 16-bit field at bit
 offset (n - 1 - i) * 16.  Fields never overlap and the first variable is
 the most significant, so comparing packed ints compares the tuples
-lexicographically, and max(terms) is the leading exponent.  Multiplying
+lexicographically, and the largest key is the leading exponent.  Multiplying
 monomials is one int addition.  The top bit of each field is a guard that
 stays clear: an exponent is below EXPONENT_LIMIT = 2**15, so the sum of two
 fields cannot carry into the next one, and a product whose sum sets a guard
@@ -29,15 +38,16 @@ Pinned conventions:
     first, so resultant(x - a, x - b, x) == a - b;
   * gcd output is normalized to leading coefficient 1 (0 when both inputs 0);
   * multivariate gcd runs by recursive content/primitive-part reduction with a
-    subresultant polynomial remainder sequence in the main variable, after
-    two exact reductions on the variables the operands use: a single-term
-    operand gives the monomial of least exponents, and variables only one
-    operand uses are split off through its coefficients in them;
+    subresultant polynomial remainder sequence in the main variable, over
+    the integers (each polynomial in it is an integer P times its content),
+    after two exact reductions on the variables the operands use: a
+    single-term operand gives the monomial of least exponents, and variables
+    only one operand uses are split off through its coefficients in them;
   * det is a division-free Laplace expansion with sub-minors memoized by
     column set, O(2^n * n) products for an n x n matrix; the largest the
     package builds is the resultant chain's 8-row Sylvester matrix in e3;
-  * to_str renders rationals as a/b and the imaginary unit as the literal i,
-    terms in descending canonical order (stable for golden-file tests);
+  * to_str renders rationals as a/b, terms in descending canonical order
+    (stable for golden-file tests);
   * proportional(a, b) is the one projective-equality test, for sequences
     of scalars or MPolys: equal zero patterns, then cross-multiplication
     against the first nonzero slot; two all-zero sequences are proportional.
@@ -47,7 +57,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
 from itertools import chain
+from math import gcd as _igcd, lcm
 from operator import or_
 
 
@@ -188,8 +200,9 @@ def as_gauss(x) -> GaussRational:
 
 
 def as_coeff(x):
-    """A scalar in the coefficient domain: ints and real GaussRationals
-    become Fractions; a GaussRational with nonzero im stays as it is."""
+    """An exact scalar: ints and real GaussRationals become Fractions; a
+    GaussRational with nonzero im stays as it is, which only a scalar, never
+    a polynomial coefficient, may be."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -246,68 +259,159 @@ def _overflow(exp: int, vars: tuple) -> ExponentOverflow:
                             f"reaches {EXPONENT_LIMIT}")
 
 
-class MPoly:
-    """Sparse multivariate polynomial with exact coefficients.
+def _real(x) -> Fraction:
+    """x as a real rational coefficient; TypeError for a non-real value."""
+    c = as_coeff(x)
+    if isinstance(c, GaussRational):
+        raise TypeError(f"polynomial coefficients are real: {x!r}")
+    return c
 
-    terms maps packed exponents to nonzero coefficients: Fractions, and
-    GaussRationals only where the imaginary part is nonzero (see the module
-    docstring).  A packed exponent is one int with a 16-bit field per
-    variable, the first variable in the most significant field, and the top
-    bit of each field kept clear as a guard; so integer order is the
-    canonical lexicographic term order, and exponents stay below
-    EXPONENT_LIMIT or the operation raises ExponentOverflow.  The layout is
-    private to this module: from_exponents and monomials convert from and to
-    exponent tuples.  Values are immutable by convention; all operations
-    return fresh instances.
+
+def _normal(vars, ints: dict, content: Fraction) -> "MPoly":
+    """content * ints in the canonical form of MPoly; ints holds nonzero
+    ints, content is nonzero unless ints is empty."""
+    if not ints:
+        return MPoly(vars, _ZERO, ints)
+    g = _igcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    if g != 1:
+        ints = {e: v // g for e, v in ints.items()}
+        content = Fraction(content.numerator * g, content.denominator)
+    return MPoly(vars, content, ints)
+
+
+# integer polynomials: {packed exponent: nonzero int} dicts, the P of MPoly
+
+def _imul(a: dict, b: dict, vars: tuple) -> dict:
+    """The product of two integer polynomials."""
+    out: dict = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = e1 + e2
+            out[exp] = get(exp, 0) + c1 * c2
+    # fields stay below 2**15, so a sum sets its own guard bit and never
+    # carries; terms that cancelled are still keys here
+    guard = _guard(len(vars))
+    if reduce(or_, out, 0) & guard:
+        raise _overflow(next(e for e in out if e & guard), vars)
+    if 0 in out.values():
+        out = {e: v for e, v in out.items() if v}
+    return out
+
+
+def _icomb(a: dict, ka: int, b: dict, kb: int) -> dict:
+    """ka * a + kb * b for integer polynomials and nonzero ints ka, kb."""
+    if len(a) < len(b):
+        a, b, ka, kb = b, a, kb, ka
+    out = dict(a) if ka == 1 else {e: ka * v for e, v in a.items()}
+    get = out.get
+    for e, v in b.items():
+        s = get(e, 0) + kb * v
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def _buckets(prim: dict, off: int) -> list:
+    """An integer polynomial's coefficients in the variable at field
+    offset off, ascending powers, with that field zeroed."""
+    out: list = []
+    for exp, v in prim.items():
+        k = (exp >> off) & _FIELD
+        while len(out) <= k:
+            out.append({})
+        out[k][exp - (k << off)] = v
+    return out
+
+
+class MPoly:
+    """Sparse multivariate polynomial with real rational coefficients.
+
+    The value is content * P: content is one Fraction that carries the sign
+    and the denominator, and P maps packed exponents to nonzero ints, is
+    primitive (the gcd of its coefficients is 1) and has a positive leading
+    coefficient (at the largest packed exponent).  The zero polynomial has
+    content 0 and no terms.  The form is canonical, so equality compares
+    content and P.  By Gauss's lemma a product of primitive polynomials is
+    primitive, and its leading coefficient is the product of theirs, so
+    __mul__ multiplies ints and one pair of contents with no gcd; scalar
+    products, negation and monic touch only the content; sums, differences,
+    evaluate and the polynomials cut out of P (coefficients in a variable)
+    take one gcd over their integer coefficients.
+
+    A packed exponent is one int with a 16-bit field per variable, the
+    first variable in the most significant field, and the top bit of each
+    field kept clear as a guard; so integer order is the canonical
+    lexicographic term order, and exponents stay below EXPONENT_LIMIT or
+    the operation raises ExponentOverflow.  The layout and the split into
+    content and P are private to this module: from_exponents and monomials
+    convert from and to exponent tuples, and terms is a read-only
+    {packed exponent: Fraction} view.  Values are immutable by convention;
+    all operations return fresh instances, which may share P.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_content", "_prim")
 
-    def __init__(self, vars, terms):
+    def __init__(self, vars, content: Fraction, prim: dict):
+        # stored as given: callers pass the canonical pair (see _normal)
         self.vars = tuple(vars)
-        self.terms = terms
+        self._content = content
+        self._prim = prim
 
     @classmethod
     def zero(cls, vars) -> "MPoly":
-        return cls(vars, {})
+        return cls(vars, _ZERO, {})
 
     @classmethod
     def const(cls, vars, c) -> "MPoly":
-        c = as_coeff(c)
-        return cls(vars, {0: c} if c else {})
+        c = _real(c)
+        return cls(vars, c, {0: 1}) if c else cls(vars, _ZERO, {})
 
     @classmethod
     def variable(cls, vars, name) -> "MPoly":
         vars = tuple(vars)
-        return cls(vars, {1 << _offset(vars, name): Fraction(1)})
+        return cls(vars, _ONE, {1 << _offset(vars, name): 1})
 
     @classmethod
     def from_exponents(cls, vars, terms: dict) -> "MPoly":
         """The polynomial with the given {exponent tuple: coefficient} terms;
         zero coefficients are dropped."""
         vars = tuple(vars)
-        out = {}
+        packed = {}
         for exps, c in terms.items():
-            c = as_coeff(c)
+            c = _real(c)
             if c:
-                out[_pack(exps, len(vars))] = c
-        return cls(vars, out)
+                packed[_pack(exps, len(vars))] = c
+        den = lcm(*(c.denominator for c in packed.values()))
+        return _normal(vars, {e: c.numerator * (den // c.denominator)
+                              for e, c in packed.items()}, Fraction(1, den))
+
+    @property
+    def terms(self) -> dict:
+        """{packed exponent: Fraction coefficient}, built on each read."""
+        c = self._content
+        return {e: c * v for e, v in self._prim.items()}
 
     def monomials(self):
         """The (exponent tuple, coefficient) pairs of the terms."""
         n = len(self.vars)
-        for exp, c in self.terms.items():
-            yield _unpack(exp, n), c
+        c = self._content
+        for exp, v in self._prim.items():
+            yield _unpack(exp, n), c * v
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._prim
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._prim)
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self._prim)
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
@@ -315,8 +419,8 @@ class MPoly:
                 other = self.const(self.vars, other)
             except TypeError:
                 return NotImplemented
-            return (self - other).is_zero()
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars == other.vars and self._content == other._content
+                and self._prim == other._prim)
 
     def _coerce(self, other) -> "MPoly":
         if isinstance(other, MPoly):
@@ -325,68 +429,49 @@ class MPoly:
             return other
         return MPoly.const(self.vars, other)
 
+    def _plus(self, other: "MPoly", sign: int) -> "MPoly":
+        """self + sign * other, with one content gcd over the result."""
+        if not other._prim:
+            return self
+        if not self._prim:
+            return other if sign > 0 else -other
+        # over the rational gcd g = gcd(na, nb) / lcm(da, db) of the
+        # contents, both scale factors are ints
+        ca, cb = self._content, other._content
+        na, da = ca.numerator, ca.denominator
+        nb, db = cb.numerator, cb.denominator
+        g, d = _igcd(na, nb), lcm(da, db)
+        out = _icomb(self._prim, na // g * (d // da),
+                     other._prim, sign * nb // g * (d // db))
+        return _normal(self.vars, out, Fraction(g, d))
+
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for exp, c in b.items():
-            s = out.get(exp)
-            s = c if s is None else s + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return MPoly(self.vars, out)
+        return self._plus(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly(self.vars, -self._content, self._prim)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp)
-            if s is None:
-                out[exp] = -c
-            else:
-                s -= c
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
-        return MPoly(self.vars, out)
+        return self._plus(self._coerce(other), -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, MPoly):
-            c = as_coeff(other)
-            return MPoly(self.vars, {e: v * c for e, v in self.terms.items()}
-                         if c else {})
+            c = _real(other)
+            if not c or not self._prim:
+                return MPoly(self.vars, _ZERO, {})
+            return MPoly(self.vars, self._content * c, self._prim)
         if other.vars is not self.vars and other.vars != self.vars:
             raise ValueError("variable tuples differ")
-        guard = _guard(len(self.vars))
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = e1 + e2
-                if exp & guard:
-                    raise _overflow(exp, self.vars)
-                s = out.get(exp)
-                if s is None:
-                    out[exp] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        out[exp] = s
-                    else:
-                        del out[exp]
-        return MPoly(self.vars, out)
+        if not self._prim or not other._prim:
+            return MPoly(self.vars, _ZERO, {})
+        ca, cb = self._content, other._content
+        return MPoly(self.vars, cb if ca == 1 else ca if cb == 1 else ca * cb,
+                     _imul(self._prim, other._prim, self.vars))
 
     __rmul__ = __mul__
 
@@ -404,57 +489,57 @@ class MPoly:
         return out
 
     def evaluate(self, assignment: dict) -> "MPoly":
-        """Partial exact evaluation; bound variables get exponent 0."""
-        fields = [(_offset(self.vars, name), as_coeff(val))
-                  for name, val in assignment.items()]
-        out: dict = {}
-        for exp, c in self.terms.items():
-            val = c
-            for off, s in fields:
-                k = (exp >> off) & _FIELD
-                if k:
-                    val = val * s ** k
-                    exp -= k << off
-            if not val:
-                continue
-            acc = out.get(exp)
-            acc = val if acc is None else acc + val
-            if acc:
-                out[exp] = acc
-            else:
-                out.pop(exp, None)
-        return MPoly(self.vars, out)
+        """Partial exact evaluation; bound variables get exponent 0.
 
-    def scalar(self):
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            (exp, c), = self.terms.items()
-            if not exp:
-                return c
+        A value n/d at a variable of degree t scales the term with exponent
+        k there by n^k * d^(t - k) and the content by 1/d^t, so the terms
+        stay integers.
+        """
+        fields = []
+        content = self._content
+        for name, val in assignment.items():
+            val = _real(val)
+            off = _offset(self.vars, name)
+            ks = {(e >> off) & _FIELD for e in self._prim}
+            t = max(ks, default=0)
+            num, den = val.numerator, val.denominator
+            fields.append((off, {k: num ** k * den ** (t - k) for k in ks}))
+            content = content / den ** t
+        out: dict = {}
+        get = out.get
+        for exp, v in self._prim.items():
+            for off, scale in fields:
+                k = (exp >> off) & _FIELD
+                v *= scale[k]
+                exp -= k << off
+            out[exp] = get(exp, 0) + v
+        if 0 in out.values():
+            out = {e: v for e, v in out.items() if v}
+        return _normal(self.vars, out, content)
+
+    def scalar(self) -> Fraction:
+        if not self._prim:
+            return _ZERO
+        if len(self._prim) == 1 and 0 in self._prim:
+            return self._content
         raise ValueError("polynomial is not constant")
 
     def degree(self) -> int:
-        if not self.terms:
+        if not self._prim:
             return -1
         n = len(self.vars)
-        return max(sum(_unpack(e, n)) for e in self.terms)
+        return max(sum(_unpack(e, n)) for e in self._prim)
 
     def degree_in(self, var: str) -> int:
         off = _offset(self.vars, var)
-        if not self.terms:
+        if not self._prim:
             return 0
-        return max((e >> off) & _FIELD for e in self.terms)
+        return max((e >> off) & _FIELD for e in self._prim)
 
     def coeff_list(self, var: str) -> list:
         """Coefficients as polynomials (var slot zeroed), ascending powers."""
-        off = _offset(self.vars, var)
-        d = self.degree_in(var)
-        buckets: list[dict] = [dict() for _ in range(d + 1)]
-        for exp, c in self.terms.items():
-            k = (exp >> off) & _FIELD
-            buckets[k][exp - (k << off)] = c
-        return [MPoly(self.vars, b) for b in buckets]
+        return [_normal(self.vars, b, self._content) for b
+                in _buckets(self._prim, _offset(self.vars, var)) or [{}]]
 
     def coeff_block(self, block: dict) -> "MPoly":
         """Coefficient of the monomial given by block (exact match on those vars)."""
@@ -463,73 +548,88 @@ class MPoly:
             off = _offset(self.vars, name)
             mask |= _FIELD << off
             want |= k << off
-        return MPoly(self.vars, {exp - want: c for exp, c in self.terms.items()
-                                 if exp & mask == want})
+        return _normal(self.vars, {exp - want: v for exp, v
+                                   in self._prim.items()
+                                   if exp & mask == want}, self._content)
 
-    def leading_coefficient(self):
-        return self.terms[max(self.terms)]
+    def leading_coefficient(self) -> Fraction:
+        return self._content * self._prim[max(self._prim)]
 
     def monic(self) -> "MPoly":
-        if not self.terms:
+        if not self._prim:
             return self
-        inv = 1 / self.leading_coefficient()
-        return MPoly(self.vars, {e: c * inv for e, c in self.terms.items()})
+        return MPoly(self.vars, Fraction(1, self._prim[max(self._prim)]),
+                     self._prim)
 
     def exact_div(self, divisor: "MPoly") -> "MPoly":
-        """Exact division; raises NotDivisible if self is not a multiple."""
+        """Exact division; raises NotDivisible if self is not a multiple.
+
+        The divisor's P is primitive, so by Gauss's lemma a quotient of the
+        two P's is an integer polynomial: a step whose coefficient does not
+        divide exactly already proves a remainder.  The next remainder term
+        comes off a heap of the pending packed exponents.
+        """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
         guard = _guard(len(self.vars))
-        dexp = max(divisor.terms)
-        dlc = divisor.terms[dexp]
-        rem = dict(self.terms)
+        dexp = max(divisor._prim)
+        dlc = divisor._prim[dexp]
+        rest = [(e, v) for e, v in divisor._prim.items() if e != dexp]
+        rem = dict(self._prim)
+        heap = [-e for e in rem]
+        heapify(heap)
         q: dict = {}
         while rem:
-            rexp = max(rem)
+            rexp = -heappop(heap)
+            c = rem.pop(rexp, 0)
+            if not c:
+                continue  # cancelled since it was pushed
+            qc, r = divmod(c, dlc)
             # the all-fields divisibility test of the module docstring; a
             # guard bit set in rexp marks a term no exact division makes
-            if rexp & guard or ((rexp | guard) - dexp) & guard != guard:
+            if (r or rexp & guard
+                    or ((rexp | guard) - dexp) & guard != guard):
                 raise NotDivisible(
                     f"remainder with leading term "
                     f"{_unpack(rexp, len(self.vars))}")
             qexp = rexp - dexp
-            qc = rem[rexp] / dlc
             q[qexp] = qc
-            for e2, c2 in divisor.terms.items():
+            for e2, c2 in rest:
                 exp = qexp + e2
-                s = rem.get(exp, _ZERO) - qc * c2
-                if s:
-                    rem[exp] = s
+                s = rem.get(exp)
+                if s is None:
+                    rem[exp] = -qc * c2
+                    heappush(heap, -exp)
                 else:
-                    rem.pop(exp, None)
-        return MPoly(self.vars, q)
+                    s -= qc * c2
+                    if s:
+                        rem[exp] = s
+                    else:
+                        del rem[exp]
+        return MPoly(self.vars, self._content / divisor._content, q)
 
     def to_str(self) -> str:
-        if not self.terms:
+        if not self._prim:
             return "0"
         n = len(self.vars)
         parts = []
-        for exp in sorted(self.terms, reverse=True):
-            c = self.terms[exp]
+        for exp in sorted(self._prim, reverse=True):
+            c = self._content * self._prim[exp]
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
                 for v, k in zip(self.vars, _unpack(exp, n)) if k
             )
-            cs = str(c)
-            mixed = isinstance(c, GaussRational) and c.re and c.im
             if not mono:
-                parts.append(f"({cs})" if mixed else cs)
+                parts.append(str(c))
             elif c == 1:
                 parts.append(mono)
             elif c == -1:
                 parts.append(f"-{mono}")
-            elif mixed:
-                parts.append(f"({cs})*{mono}")
             else:
-                parts.append(f"{cs}*{mono}")
+                parts.append(f"{c}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __str__(self):
@@ -537,10 +637,11 @@ class MPoly:
 
     def __repr__(self):
         s = self.to_str()
-        return s if len(s) <= 120 else f"<MPoly {len(self.terms)} terms, deg {self.degree()}>"
+        return s if len(s) <= 120 else f"<MPoly {len(self._prim)} terms, deg {self.degree()}>"
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def generators(names):
@@ -554,42 +655,35 @@ def derivative(p: MPoly, var: str) -> MPoly:
     off = _offset(p.vars, var)
     one = 1 << off
     out = {}
-    for exp, c in p.terms.items():
+    for exp, v in p._prim.items():
         k = (exp >> off) & _FIELD
         if k:
-            out[exp - one] = c * k
-    return MPoly(p.vars, out)
-
-
-def _from_coeff_list(coeffs: list, var: str) -> MPoly:
-    """sum(coeffs[k] * var**k); every coefficient must be free of var."""
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    vars = coeffs[0].vars
-    off = _offset(vars, var)
-    return MPoly(vars, {exp + (k << off): c for k, p in enumerate(coeffs)
-                        for exp, c in p.terms.items()})
+            out[exp - one] = v * k
+    return _normal(p.vars, out, p._content)
 
 
 def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, in var."""
-    la = a.coeff_list(var)
-    lb = b.coeff_list(var)
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b in var, over
+    the integers: of the P's of a and b, so up to a rational factor, which
+    the gcd does not see."""
+    off = _offset(a.vars, var)
+    la, lb = _buckets(a._prim, off), _buckets(b._prim, off)
     m, n = len(la) - 1, len(lb) - 1
     if m < n:
         raise ValueError("pseudo-division needs deg a >= deg b")
     lbn = lb[n]
-    r = list(la)
+    r = la
     for k in range(m, n - 1, -1):
+        # lbn * r[k] - r[k] * lbn cancels, so the top slot is dropped
         top = r[k]
-        r = [lbn * c for c in r]
-        if not top.is_zero():
-            for j in range(n + 1):
-                r[k - n + j] = r[k - n + j] - top * lb[j]
-        r = r[:k]
-    if not r:
-        return MPoly.zero(a.vars)
-    return _from_coeff_list(r, var)
+        r = [_imul(lbn, c, a.vars) if c else c for c in r[:k]]
+        if top:
+            for j in range(n):
+                if lb[j]:
+                    r[k - n + j] = _icomb(r[k - n + j], 1,
+                                          _imul(top, lb[j], a.vars), -1)
+    return _normal(a.vars, {exp + (k << off): v for k, c in enumerate(r)
+                            for exp, v in c.items()}, _ONE)
 
 
 def _content(p: MPoly, var: str) -> MPoly:
@@ -602,7 +696,7 @@ def _content(p: MPoly, var: str) -> MPoly:
 
 def _support(p: MPoly) -> int:
     """The fields of the variables that occur in p, as a mask."""
-    used = reduce(or_, p.terms, 0)
+    used = reduce(or_, p._prim, 0)
     return sum(_FIELD << off for off in range(0, len(p.vars) * _W, _W)
                if used >> off & _FIELD)
 
@@ -610,10 +704,10 @@ def _support(p: MPoly) -> int:
 def _coefficients_in(p: MPoly, fields: int) -> list:
     """p's coefficients as a polynomial in the variables of the field mask."""
     groups: dict = {}
-    for exp, c in p.terms.items():
+    for exp, v in p._prim.items():
         mono = exp & fields
-        groups.setdefault(mono, {})[exp - mono] = c
-    return [MPoly(p.vars, t) for t in groups.values()]
+        groups.setdefault(mono, {})[exp - mono] = v
+    return [_normal(p.vars, t, p._content) for t in groups.values()]
 
 
 def _least_exponents(exps, n: int) -> int:
@@ -633,9 +727,9 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
         return q
     if q.is_zero():
         return p
-    if len(p.terms) == 1 or len(q.terms) == 1:
-        mono = _least_exponents(chain(p.terms, q.terms), len(p.vars))
-        return MPoly(p.vars, {mono: Fraction(1)})
+    if len(p._prim) == 1 or len(q._prim) == 1:
+        mono = _least_exponents(chain(p._prim, q._prim), len(p.vars))
+        return MPoly(p.vars, _ONE, {mono: 1})
     used_p, used_q = _support(p), _support(q)
     if used_p != used_q:
         extra = used_q & ~used_p
@@ -643,7 +737,7 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
             p, q, extra = q, p, used_p & ~used_q
         g = p
         for c in sorted(_coefficients_in(q, extra),
-                        key=lambda c: len(c.terms)):
+                        key=lambda c: len(c._prim)):
             g = _gcd_impl(g, c)
             if g.degree() == 0:
                 break

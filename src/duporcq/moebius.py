@@ -76,7 +76,7 @@ class NotCollinearDirection(ValueError):
 class ConicDirection:
     """Point (c1 : c2 : c3) of the conic; c3 may stay implicit for planar use.
 
-    Coordinates are held in the coefficient domain of exactpoly: Fractions,
+    Coordinates are exact scalars (exactpoly.as_coeff): Fractions,
     GaussRationals only where the imaginary part is nonzero.
     """
 

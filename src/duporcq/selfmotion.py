@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactpoly import MPoly, NotDivisible
 from .geometry import (
@@ -146,13 +147,17 @@ def design_legs(design):
     return list(design.base), list(design.platform), list(design.radii2)
 
 
+@lru_cache(maxsize=32)
 def _leg_arrays(design):
-    """(M, m, r2) float arrays of design_legs."""
+    """(M, m, r2) float arrays of design_legs, built once per design (the
+    designs are frozen) and shared, so they are read-only."""
     import numpy as np
     base, plat, radii = design_legs(design)
     M = np.array([[float(p.x), float(p.y), 0.0] for p in base])
     m = np.array([[float(p.x), float(p.y), 0.0] for p in plat])
     r2 = np.array([float(r) for r in radii])
+    for a in (M, m, r2):
+        a.flags.writeable = False
     return M, m, r2
 
 

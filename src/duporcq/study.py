@@ -325,10 +325,9 @@ class QuadricForm:
         for fv in F_VARS:
             if p.degree_in(fv) > 0:
                 raise NotFFree(f"{fv} present in a supposedly f-free quadric")
-        slots = [p.vars.index(v) for v in E_VARS]
-        for exp, _ in p.monomials():
-            if sum(exp[i] for i in slots) != 2:
-                raise ValueError("not homogeneous of degree 2 in e")
+        # every term of an e-quadric lies in one of the ten e_i e_j blocks
+        if sum(c.term_count for c in _e_coefficients(p)) != p.term_count:
+            raise ValueError("not homogeneous of degree 2 in e")
 
     def coeff(self, i: int, j: int) -> MPoly:
         return _e_coeff(self.poly, i, j)

@@ -1,10 +1,12 @@
 """Exact polynomial kernel tests: arithmetic, resultant convention, gcd."""
 
 from fractions import Fraction
+from math import gcd as igcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import duporcq.exactpoly as exactpoly
 from duporcq.exactpoly import (
     EXPONENT_LIMIT,
     ExponentOverflow,
@@ -35,7 +37,13 @@ def test_difference_of_squares():
 
 
 def test_gauss_conjugate_product():
-    assert (X + I * Y) * (X - I * Y) == X ** 2 + Y ** 2
+    # a conjugate product of Gaussian scalars is real, so it scales a
+    # polynomial; a polynomial coefficient itself is never Gaussian
+    z = GaussRational(3, 2)
+    norm = z * GaussRational(3, -2)
+    assert isinstance(norm, Fraction) and X * norm == 13 * X
+    with pytest.raises(TypeError):
+        X + I * Y
 
 
 def test_scalar_mixing():
@@ -67,8 +75,11 @@ def test_evaluate_full_scalar():
 
 
 def test_evaluate_gaussian():
+    # a Gaussian value with zero imaginary part is a rational value
     p = X ** 2 + 1
-    assert p.evaluate({"x": I}).scalar() == GaussRational(0)
+    assert p.evaluate({"x": GaussRational(2)}).scalar() == Fraction(5)
+    with pytest.raises(TypeError):
+        p.evaluate({"x": I})
 
 
 # ----------------------------------------------------------------- resultant
@@ -128,6 +139,10 @@ def test_exact_div_roundtrip():
 def test_exact_div_failure():
     with pytest.raises(NotDivisible):
         (X ** 2 + 1).exact_div(X + 1)
+    # every leading exponent divides, but no quotient coefficient is an
+    # integer: the remainder shows only in the coefficients
+    with pytest.raises(NotDivisible):
+        (X ** 2 + X).exact_div(2 * X + 1)
 
 
 # ----------------------------------------------------------------------- det
@@ -156,6 +171,83 @@ def test_det_and_resultant_make_no_division(monkeypatch):
     assert calls == []
 
 
+def test_polynomial_product_makes_no_content_gcd(monkeypatch):
+    # Gauss's lemma: a product of primitive polynomials is primitive, so
+    # MPoly * MPoly multiplies the contents and never takes a gcd over terms
+    p = 3 * X ** 2 - Fraction(2, 5) * X * Y + 7 * A
+    q = Fraction(4, 9) * A * X - 6 * B + 1
+    calls = []
+    real = exactpoly._igcd
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactpoly, "_igcd", counting)
+    pq = p * q
+    assert pq * p == p * (q * p) and (-p) * pq == -(pq * p)
+    assert calls == []
+    # the counter sees the one gcd a sum takes
+    p + q
+    assert calls
+
+
+# ------------------------------------------------------------ domain and form
+
+@pytest.mark.parametrize("make", [
+    lambda: MPoly.const(VARS, I),
+    lambda: MPoly.from_exponents(VARS, {(1, 0, 0, 0): 1, (0, 0, 0, 0): I}),
+    lambda: X * GaussRational(1, -2),
+    lambda: I * X,
+    lambda: X.evaluate({"y": 2, "x": GaussRational(1, 1)}),
+    lambda: X + I,
+    lambda: I - X,
+    lambda: X.exact_div(I),
+], ids=["const", "from_exponents", "mul", "rmul", "evaluate", "add",
+        "rsub", "exact_div"])
+def test_non_real_coefficients_raise_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def _assert_canonical(p: MPoly):
+    c, prim = p._content, p._prim
+    assert isinstance(c, Fraction)
+    if not prim:
+        assert c == 0
+        return
+    assert c and all(type(v) is int and v for v in prim.values())
+    assert igcd(*prim.values()) == 1 and prim[max(prim)] > 0
+
+
+wide_frac = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                         max_denominator=10 ** 6)
+
+
+@st.composite
+def wide_poly(draw):
+    exps = st.tuples(*[st.integers(0, 2)] * len(VARS))
+    return MPoly.from_exponents(VARS, draw(st.dictionaries(
+        exps, wide_frac, max_size=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_poly(), wide_poly(), wide_poly(), wide_frac.filter(bool))
+def test_equal_polynomials_have_one_canonical_form(p, q, r, s):
+    a = (p + q) * r
+    forms = [a, r * q + p * r, (p * s * r + s * q * r) * (1 / s),
+             q * r - (-p) * r, MPoly.from_exponents(VARS, dict(a.monomials())),
+             a.evaluate({"b": 3}) + (a - a.evaluate({"b": 3}))]
+    if p:
+        forms.append((a * p).exact_div(p))
+    for f in forms:
+        _assert_canonical(f)
+        assert (f.vars, f._content, f._prim) == (a.vars, a._content, a._prim)
+    _assert_canonical(a.monic())
+    if a:
+        assert a.monic().leading_coefficient() == 1
+
+
 # ------------------------------------------------------------------ equality
 
 def test_eq_with_non_numbers_is_false():
@@ -166,7 +258,7 @@ def test_eq_with_non_numbers_is_false():
     assert [X].count(None) == 0
     # equality against numbers is unchanged, in both operand orders
     assert C(3) == 3 and 3 == C(3)
-    assert C(I) == I and I == C(I)
+    assert (C(3) == I) is False and (I == C(3)) is False
     assert X - X == 0
     assert GaussRational(2) == Fraction(2)
 
@@ -174,13 +266,8 @@ def test_eq_with_non_numbers_is_false():
 # ------------------------------------------------------------- serialization
 
 def test_to_str_golden():
-    p = X ** 2 - Fraction(1, 2) * Y + I * A - 3
-    assert p.to_str() == "x^2 - 1/2*y + i*a - 3"
-
-
-def test_to_str_mixed_coefficient():
-    p = (1 + I) * X * Y
-    assert p.to_str() == "(1+i)*x*y"
+    p = X ** 2 - Fraction(1, 2) * Y - 3
+    assert p.to_str() == "x^2 - 1/2*y - 3"
 
 
 def test_to_str_zero():
@@ -276,7 +363,7 @@ def small_poly(draw, max_terms=4, max_exp=2):
     terms = {}
     for _ in range(draw(st.integers(1, max_terms))):
         exp = tuple(draw(st.integers(0, max_exp)) for _ in range(4))
-        c = GaussRational(draw(small_frac), draw(small_frac))
+        c = draw(small_frac)
         if c:
             terms[exp] = c
     return MPoly.from_exponents(VARS, terms)
@@ -351,8 +438,6 @@ def test_real_inputs_keep_fraction_coefficients(p, q):
 
 
 def test_real_gaussian_results_become_fractions():
-    assert _real_terms((X + I * Y) * (X - I * Y))
-    assert _real_terms((X + I) ** 2 - 2 * I * X)
     assert isinstance((1 + I) * (1 - I), Fraction)
     assert isinstance(GaussRational(3) / GaussRational(0, 1) * I, Fraction)
     assert MPoly.const(VARS, GaussRational(2)).scalar() == 2

@@ -4,10 +4,9 @@ Random small polynomials in three variables go through MPoly's product,
 exact division, gcd, resultant and determinant and through sympy's, and the
 results are compared exactly (gcd up to a constant factor).  The gcd is
 also drawn over random variable subsets and with single-term operands, the
-inputs of its monomial shortcut and absent-variable split.  Most draws have
-Fraction coefficients, the kernel's domain; a Gaussian variant exercises the
-mixed Fraction x GaussRational path.  proportional is checked against
-sympy's rational-function ratios.
+inputs of its monomial shortcut and absent-variable split.  Coefficients are
+Fractions, the kernel's domain.  proportional is checked against sympy's
+rational-function ratios.
 """
 
 from fractions import Fraction
@@ -18,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from duporcq.exactpoly import (
     EXPONENT_LIMIT,
-    GaussRational,
     MPoly,
     NotDivisible,
     derivative,
@@ -35,11 +33,10 @@ SYMS = sympy.symbols(VARS)
 
 small_frac = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 real_coeff = small_frac.filter(bool)
-gauss_coeff = st.builds(GaussRational, small_frac, small_frac).filter(bool)
 
 
 @st.composite
-def polys(draw, coeff=real_coeff, max_terms=3, max_exp=2, subset=False):
+def polys(draw, max_terms=3, max_exp=2, subset=False):
     """A nonzero polynomial; with subset, over a random subset of VARS
     (possibly none), so two draws often use different variables."""
     used = draw(st.sets(st.sampled_from(VARS))) if subset else VARS
@@ -47,20 +44,13 @@ def polys(draw, coeff=real_coeff, max_terms=3, max_exp=2, subset=False):
     for _ in range(draw(st.integers(1, max_terms))):
         exp = tuple(draw(st.integers(0, max_exp)) if v in used else 0
                     for v in VARS)
-        terms[exp] = draw(coeff)
+        terms[exp] = draw(real_coeff)
     return MPoly.from_exponents(VARS, terms)
-
-
-def _sympy_scalar(c):
-    if isinstance(c, GaussRational):
-        return (sympy.Rational(c.re.numerator, c.re.denominator)
-                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
-    return sympy.Rational(c.numerator, c.denominator)
 
 
 def to_sympy(p: MPoly):
     return sympy.Add(*(
-        _sympy_scalar(c) * prod(s ** k for s, k in zip(SYMS, exp))
+        sympy.Rational(c.numerator, c.denominator) * prod(s ** k for s, k in zip(SYMS, exp))
         for exp, c in p.monomials()))
 
 
@@ -75,12 +65,6 @@ def spoly(p: MPoly):
 @settings(max_examples=40, deadline=None)
 @given(polys(), polys())
 def test_mul_matches_sympy(p, q):
-    assert same(p * q, sympy.expand(to_sympy(p) * to_sympy(q)))
-
-
-@settings(max_examples=15, deadline=None)
-@given(polys(gauss_coeff), polys())
-def test_mul_gaussian_matches_sympy(p, q):
     assert same(p * q, sympy.expand(to_sympy(p) * to_sympy(q)))
 
 
@@ -139,25 +123,9 @@ def test_gcd_matches_sympy_up_to_unit(g, u, v):
     _assert_gcd_up_to_unit(gcd(p, q), p, q)
 
 
-@settings(max_examples=10, deadline=None)
-@given(polys(gauss_coeff, max_terms=2), polys(max_terms=2),
-       polys(max_terms=2))
-def test_gcd_gaussian_matches_sympy_up_to_unit(g, u, v):
-    p, q = g * u, g * v
-    _assert_gcd_up_to_unit(gcd(p, q), p, q)
-
-
 @settings(max_examples=30, deadline=None)
 @given(polys(subset=True), polys(subset=True), polys(subset=True))
 def test_gcd_over_variable_subsets_matches_sympy(g, u, v):
-    p, q = g * u, g * v
-    _assert_gcd_up_to_unit(gcd(p, q), p, q)
-
-
-@settings(max_examples=10, deadline=None)
-@given(polys(gauss_coeff, max_terms=2, subset=True),
-       polys(max_terms=2, subset=True), polys(max_terms=2, subset=True))
-def test_gcd_gaussian_over_variable_subsets_matches_sympy(g, u, v):
     p, q = g * u, g * v
     _assert_gcd_up_to_unit(gcd(p, q), p, q)
 
@@ -171,28 +139,9 @@ def test_gcd_with_a_single_term_matches_sympy(u, m, n):
     _assert_gcd_up_to_unit(gcd(q, p), q, p)
 
 
-@settings(max_examples=10, deadline=None)
-@given(polys(gauss_coeff, max_terms=2, subset=True),
-       polys(gauss_coeff, max_terms=1, subset=True),
-       polys(max_terms=1, subset=True))
-def test_gcd_gaussian_with_a_single_term_matches_sympy(u, m, n):
-    p, q = m * u, m * n
-    _assert_gcd_up_to_unit(gcd(p, q), p, q)
-    _assert_gcd_up_to_unit(gcd(q, p), q, p)
-
-
 @settings(max_examples=30, deadline=None)
 @given(polys(), polys())
 def test_resultant_matches_sympy(p, q):
-    if p.degree_in("x") == 0 or q.degree_in("x") == 0:
-        return
-    expected = sympy.resultant(to_sympy(p), to_sympy(q), SYMS[0])
-    assert same(resultant(p, q, "x"), sympy.expand(expected))
-
-
-@settings(max_examples=10, deadline=None)
-@given(polys(gauss_coeff), polys())
-def test_resultant_gaussian_matches_sympy(p, q):
     if p.degree_in("x") == 0 or q.degree_in("x") == 0:
         return
     expected = sympy.resultant(to_sympy(p), to_sympy(q), SYMS[0])

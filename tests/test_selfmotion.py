@@ -323,6 +323,18 @@ def test_hexapod_motion_closes_sixth_leg():
     assert rep.max_residual <= 1e-12
 
 
+def test_leg_arrays_are_built_once_per_design():
+    hexapod = worked_hexapod()
+    _leg_arrays.cache_clear()
+    verify_selfmotion(hexapod, count=30)
+    info = _leg_arrays.cache_info()
+    assert info.misses == 1 and info.hits > 30
+    # shared between callers, so no caller may write to them
+    for a in _leg_arrays(worked_hexapod()):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 def test_arch_singularity_worked_hexapod():
     assert arch_singularity_check(worked_hexapod(), samples=50) <= 1e-9
 

@@ -279,6 +279,9 @@ def test_quadric_form_rejects_f_terms():
 def test_quadric_form_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         QuadricForm(GENS["e0"] * GENS["e0"] * GENS["e0"])
+    # one term off degree 2 among quadric ones
+    with pytest.raises(ValueError):
+        QuadricForm(GENS["e0"] * GENS["e3"] + GENS["e1"] * GENS["A4"])
 
 
 # ------------------------------------------------------------------- T quadric
