@@ -267,16 +267,24 @@ def _real(x) -> Fraction:
     return c
 
 
-def _normal(vars, ints: dict, content: Fraction) -> "MPoly":
-    """content * ints in the canonical form of MPoly; ints holds nonzero
-    ints, content is nonzero unless ints is empty."""
-    if not ints:
-        return MPoly(vars, _ZERO, ints)
+def _primitive(ints: dict) -> tuple:
+    """(P, g) with ints = g * P, P primitive with a positive leading
+    coefficient; ints holds nonzero ints and is not empty."""
     g = _igcd(*ints.values())
     if ints[max(ints)] < 0:
         g = -g
     if g != 1:
         ints = {e: v // g for e, v in ints.items()}
+    return ints, g
+
+
+def _normal(vars, ints: dict, content: Fraction) -> "MPoly":
+    """content * ints in the canonical form of MPoly; ints holds nonzero
+    ints, content is nonzero unless ints is empty."""
+    if not ints:
+        return MPoly(vars, _ZERO, ints)
+    ints, g = _primitive(ints)
+    if g != 1:
         content = Fraction(content.numerator * g, content.denominator)
     return MPoly(vars, content, ints)
 
@@ -436,14 +444,18 @@ class MPoly:
         if not self._prim:
             return other if sign > 0 else -other
         # over the rational gcd g = gcd(na, nb) / lcm(da, db) of the
-        # contents, both scale factors are ints
+        # contents, both scale factors are ints; the content of the sum is
+        # g * h / d for the gcd h of its ints, built as one Fraction
         ca, cb = self._content, other._content
         na, da = ca.numerator, ca.denominator
         nb, db = cb.numerator, cb.denominator
         g, d = _igcd(na, nb), lcm(da, db)
         out = _icomb(self._prim, na // g * (d // da),
                      other._prim, sign * nb // g * (d // db))
-        return _normal(self.vars, out, Fraction(g, d))
+        if not out:
+            return MPoly(self.vars, _ZERO, out)
+        out, h = _primitive(out)
+        return MPoly(self.vars, Fraction(g * h, d), out)
 
     def __add__(self, other):
         return self._plus(self._coerce(other), 1)

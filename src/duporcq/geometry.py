@@ -91,8 +91,10 @@ def cross(u: PlanarPoint, v: PlanarPoint) -> Fraction:
     return u.x * v.y - u.y * v.x
 
 
-def collinear(p: PlanarPoint, q: PlanarPoint, r: PlanarPoint) -> bool:
-    return cross(q - p, r - p) == 0
+def collinear(p, q, r) -> bool:
+    """Whether three points with .x/.y coordinates, of any exact type, are
+    collinear."""
+    return (q.x - p.x) * (r.y - p.y) == (q.y - p.y) * (r.x - p.x)
 
 
 def dist2(p: PlanarPoint, q: PlanarPoint) -> Fraction:

@@ -20,6 +20,17 @@ picture; same_picture, candidate_report and membership_report all go through
 it and read DelPezzoPoint.extended to tell which one they got.
 candidate_report takes each picture once per direction, compares them with
 DelPezzoPoint.proportional and reads the memberships off the same pictures.
+
+A picture is a projective point, so candidate_report pictures integer
+representatives: scaling the points or (c1 : c2) scales every phi by one
+common factor, and translating the points changes no D_ij.  integral_points
+clears a tuple's denominators, from_direction a direction's, and
+random_directions takes t = n/d as (2nd : d^2 - n^2); zero patterns and
+proportionality, hence the report, come out as on the Fractions.  The
+picture functions compute in the type they are given, ints included (an
+extended picture's multiples lam may be Fractions).  membership_report
+prints phi, whose values depend on the representative, so it keeps the
+Fraction points and direction it is given.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactpoly import (
     GaussRational,
@@ -41,10 +53,8 @@ from .exactpoly import (
 from .geometry import (
     BaseParams,
     InvariantViolation,
-    PlanarPoint,
     canonical_base,
     collinear,
-    cross,
 )
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
@@ -63,6 +73,10 @@ PHI_FACTORS = (
 SUPPORT = {pair: frozenset(k for k in range(6) if pair in PHI_FACTORS[k])
            for pair in PAIRS}
 
+# PHI_FACTORS as positions in PAIRS
+_PHI_SLOTS = tuple(tuple(PAIRS.index(pair) for pair in factors)
+                   for factors in PHI_FACTORS)
+
 
 class AllZero(ArithmeticError):
     """All six picture components vanish; use the extended picture."""
@@ -72,23 +86,53 @@ class NotCollinearDirection(ValueError):
     """Extension requested along a direction with no unique collinear triple."""
 
 
+_REAL = (int, Fraction)
+
+
+def _scalar(x):
+    """An exact scalar as given: ints and Fractions stay what they are, a
+    real GaussRational becomes its Fraction, a complex one stays."""
+    return x if isinstance(x, _REAL) else as_coeff(x)
+
+
+class IntPoint(NamedTuple):
+    """A planar point with int coordinates, the integer representative of a
+    PlanarPoint in a tuple that integral_points scaled."""
+
+    x: int
+    y: int
+
+
+def _cleared(values) -> list:
+    """Rationals times the lcm of their denominators, as ints."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def integral_points(points) -> tuple:
+    """The tuple scaled by the common denominator of its coordinates: the
+    same pictures, with int coordinates."""
+    xy = _cleared([v for p in points for v in (p.x, p.y)])
+    return tuple(IntPoint(*xy[k:k + 2]) for k in range(0, len(xy), 2))
+
+
 @dataclass(frozen=True)
 class ConicDirection:
     """Point (c1 : c2 : c3) of the conic; c3 may stay implicit for planar use.
 
-    Coordinates are exact scalars (exactpoly.as_coeff): Fractions,
+    Coordinates are exact scalars kept as given: ints, Fractions, and
     GaussRationals only where the imaginary part is nonzero.
     """
 
-    c1: Fraction | GaussRational
-    c2: Fraction | GaussRational
-    c3: Fraction | GaussRational | None = None
+    c1: int | Fraction | GaussRational
+    c2: int | Fraction | GaussRational
+    c3: int | Fraction | GaussRational | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "c1", as_coeff(self.c1))
-        object.__setattr__(self, "c2", as_coeff(self.c2))
+        object.__setattr__(self, "c1", _scalar(self.c1))
+        object.__setattr__(self, "c2", _scalar(self.c2))
         if self.c3 is not None:
-            c3 = as_coeff(self.c3)
+            c3 = _scalar(self.c3)
             object.__setattr__(self, "c3", c3)
             if self.c1 ** 2 + self.c2 ** 2 + c3 ** 2:
                 raise ValueError("c must satisfy c1^2+c2^2+c3^2 = 0")
@@ -102,29 +146,24 @@ class ConicDirection:
 
     @classmethod
     def from_direction(cls, u) -> "ConicDirection":
-        """Projection direction parallel to the planar vector u."""
-        u1, u2 = _as_uv(u)
-        return cls(u2, -u1)
+        """Projection direction parallel to the planar vector u, as the
+        primitive integer (c1 : c2) = (u2 : -u1) with denominators cleared."""
+        n1, n2 = _cleared(_as_uv(u))
+        g = math.gcd(n1, n2)
+        return cls(n2 // g, -n1 // g)
 
     def is_real(self) -> bool:
         """Whether c1 and c2 are real, i.e. c has a planar direction."""
-        return isinstance(self.c1, Fraction) and isinstance(self.c2, Fraction)
-
-    def planar_direction(self) -> PlanarPoint:
-        if not self.is_real():
-            raise ValueError("no rational planar direction for a complex c")
-        return PlanarPoint(-self.c2, self.c1)
+        return isinstance(self.c1, _REAL) and isinstance(self.c2, _REAL)
 
 
 def _as_uv(u) -> tuple:
-    if isinstance(u, PlanarPoint):
-        u1, u2 = u.x, u.y
-    else:
-        u1, u2 = (Fraction(str(v)) if not isinstance(v, (int, Fraction)) else Fraction(v)
-                  for v in u)
+    """The two components of a planar direction; ints and Fractions stay as
+    given, anything else is read as a decimal string."""
+    u1, u2 = (v if isinstance(v, _REAL) else Fraction(str(v)) for v in u)
     if u1 == 0 and u2 == 0:
         raise ValueError("zero direction")
-    return Fraction(u1), Fraction(u2)
+    return u1, u2
 
 
 @dataclass(frozen=True)
@@ -136,7 +175,7 @@ class DelPezzoPoint:
     extended: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        phi = tuple(as_coeff(v) for v in self.phi)
+        phi = tuple(map(_scalar, self.phi))
         if len(phi) != 6:
             raise ValueError("need six components")
         if not any(phi):
@@ -159,16 +198,16 @@ def dij(points, c: ConicDirection, i: int, j: int):
     direction of c."""
     if i == j:
         raise ValueError("need two distinct indices")
-    d = points[i - 1] - points[j - 1]
-    return c.c1 * d.x + c.c2 * d.y
+    p, q = points[i - 1], points[j - 1]
+    return c.c1 * (p.x - q.x) + c.c2 * (p.y - q.y)
 
 
 def phi_from_projections(z) -> tuple:
-    """Six picture components from five already-projected complex values."""
-    z = [as_coeff(v) for v in z]
-    dd = {(i, j): z[i - 1] - z[j - 1] for (i, j) in PAIRS}
-    return tuple(math.prod(dd[pair] for pair in factors)
-                 for factors in PHI_FACTORS)
+    """Six picture components from five already-projected values, in
+    their own exact type (int, Fraction or GaussRational)."""
+    d = [z[i - 1] - z[j - 1] for (i, j) in PAIRS]
+    return tuple(d[a] * d[b] * d[c] * d[e] * d[f]
+                 for a, b, c, e, f in _PHI_SLOTS)
 
 
 def del_pezzo(points, c: ConicDirection) -> DelPezzoPoint:
@@ -188,37 +227,50 @@ def collinear_triples(points) -> list:
     return out
 
 
+def _ratio(a, b):
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return q if not r else Fraction(a, b)
+
+
 def extended_del_pezzo(points, direction) -> DelPezzoPoint:
     """Picture at a direction carrying exactly one collinear triple.
 
     Every D_ij vanishing along the direction is a rational multiple of one
     linear form; dividing the six products by the minimal common power of
     that form and evaluating is exact and matches the conic-parameter gcd
-    construction projectively.
+    construction projectively.  The triple and the nonvanishing D values are
+    found in the coordinates' own type; only the multiples lam may be
+    Fractions.
     """
     u1, u2 = _as_uv(direction)
-    udir = PlanarPoint(u1, u2)
-    matching = [T for T in collinear_triples(points)
-                if cross(points[T[1] - 1] - points[T[0] - 1], udir) == 0]
+
+    def along(T):
+        p, q = points[T[0] - 1], points[T[1] - 1]
+        return (q.x - p.x) * u2 == (q.y - p.y) * u1
+
+    matching = [T for T in collinear_triples(points) if along(T)]
     if len(matching) != 1:
         raise NotCollinearDirection(
             f"direction ({u1},{u2}) carries {len(matching)} collinear triples")
     val = {}     # nonvanishing D values at c = (u2, -u1)
     lam = {}     # D = lam * L for the vanishing ones
     for (i, j) in PAIRS:
-        d = points[i - 1] - points[j - 1]
-        v = u2 * d.x - u1 * d.y
+        p, q = points[i - 1], points[j - 1]
+        dx, dy = p.x - q.x, p.y - q.y
+        v = u2 * dx - u1 * dy
         if v:
             val[(i, j)] = v
         else:
             # D_ij = a*x1 + b*x2 with (a,b) = d, proportional to L = -u1*x1 - u2*x2
-            lam[(i, j)] = d.x / -u1 if u1 != 0 else d.y / -u2
+            zero = v     # 0 in the coordinates' type
+            lam[(i, j)] = _ratio(dx, -u1) if u1 != 0 else _ratio(dy, -u2)
     mults = [sum(1 for pair in factors if pair in lam) for factors in PHI_FACTORS]
     m = min(mults)
     out = []
     for k, factors in enumerate(PHI_FACTORS):
         if mults[k] > m:
-            out.append(Fraction(0))
+            out.append(zero)
             continue
         out.append(math.prod(lam[pair] if pair in lam else val[pair]
                              for pair in factors))
@@ -236,7 +288,7 @@ def picture(points, c: ConicDirection) -> DelPezzoPoint:
     except AllZero:
         if not c.is_real():
             raise
-        return extended_del_pezzo(points, c.planar_direction())
+        return extended_del_pezzo(points, (-c.c2, c.c1))
 
 
 def line_membership(p: DelPezzoPoint) -> set:
@@ -269,12 +321,16 @@ def special_directions(points) -> list:
 
 
 def random_directions(seed: int, samples: int) -> list:
+    """Seeded conic points c(t) at rational t = n/d in lowest terms, each as
+    the integer (c1 : c2) of d^2 * c(t) = (2nd : d^2 - n^2), whose gcd is 1
+    or 2; c3 = i(d^2 + n^2) stays implicit, since a planar picture reads c1
+    and c2 only."""
     rng = random.Random(seed)
     out = []
     while len(out) < samples:
         t = Fraction(rng.randint(-60, 60), rng.randint(1, 40))
-        c = ConicDirection.from_t(t)
-        out.append(("t=" + str(t), c))
+        n, d = t.numerator, t.denominator
+        out.append(("t=" + str(t), ConicDirection(2 * n * d, d * d - n * n)))
     return out
 
 
@@ -283,6 +339,8 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
     """Per-candidate verdicts with the memberships that decide them; the
     base pictures are taken once and shared by all candidates.
 
+    Every tuple is pictured through its integral_points and every direction
+    is an integer (c1 : c2), so each plain picture is a product of ints.
     Only the six special directions, which come first, feed the membership
     fields, so a rejected candidate is not pictured at random directions
     past its first failure."""
@@ -290,15 +348,17 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
     directions = [(name, ConicDirection.from_direction(u))
                   for name, u in special_directions(pts)]
     directions += random_directions(seed, samples)
+    pts = integral_points(pts)
     base_pictures = [(name, c, picture(pts, c)) for name, c in directions]
     report = {}
     for cand in candidates:
+        platform = integral_points(cand.platform)
         entry = {"accepted": True, "first_failure": None, "directions": {}}
         for name, c, base_p in base_pictures:
             special = name.startswith("d")
             if not special and not entry["accepted"]:
                 break
-            cand_p = picture(cand.platform, c)
+            cand_p = picture(platform, c)
             ok = base_p.proportional(cand_p)
             if special:
                 entry["directions"][name] = {
@@ -320,7 +380,7 @@ def membership_report(points, directions) -> list:
     out = []
     for name, u in directions:
         u1, u2 = _as_uv(u)
-        p = picture(points, ConicDirection.from_direction((u1, u2)))
+        p = picture(points, ConicDirection(u2, -u1))
         out.append({
             "direction": name,
             "vector": [str(u1), str(u2)],

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from duporcq.moebius import (
     AllZero,
     ConicDirection,
     DelPezzoPoint,
+    IntPoint,
     NotCollinearDirection,
     PAIRS,
     PHI_FACTORS,
@@ -29,6 +32,7 @@ from duporcq.moebius import (
     del_pezzo,
     dij,
     extended_del_pezzo,
+    integral_points,
     line_membership,
     membership_report,
     phi_from_projections,
@@ -255,6 +259,91 @@ def test_candidate_report_takes_each_picture_once(monkeypatch):
     assert len(calls) == len(names) + sum(taken(e) for e in report.values())
 
 
+def _fraction_report(base, candidates, seed, samples, seen):
+    """candidate_report's contract computed on the Fraction tuples and
+    Fraction directions, each picture through picture and _membership;
+    seen counts the extended special pictures and the random-direction
+    comparisons of accepted candidates that it made."""
+    pts = canonical_base(base)[0]
+    # the Fraction (u2 : -u1) of each special direction, and c(t) with c3
+    directions = [(name, ConicDirection(u.y, -u.x))
+                  for name, u in special_directions(pts)]
+    directions += [(name, ConicDirection.from_t(Fraction(name[2:])))
+                   for name, _ in random_directions(seed, samples)]
+    report = {}
+    for cand in candidates:
+        entry = {"accepted": True, "first_failure": None, "directions": {}}
+        for name, c in directions:
+            special = name.startswith("d")
+            if not special and not entry["accepted"]:
+                break
+            base_p, cand_p = picture(pts, c), picture(cand.platform, c)
+            ok = base_p.proportional(cand_p)
+            if special:
+                seen["extended"] += base_p.extended + cand_p.extended
+                entry["directions"][name] = {
+                    "match": ok,
+                    "base_membership": moebius._membership(base_p),
+                    "base_extended": base_p.extended,
+                    "candidate_membership": moebius._membership(cand_p),
+                    "candidate_extended": cand_p.extended,
+                }
+            elif ok:
+                seen["random_accepted"] += 1
+            if not ok and entry["accepted"]:
+                entry["accepted"] = False
+                entry["first_failure"] = name
+        report[cand.tag] = entry
+    return report
+
+
+def _fraction(rng, den=5):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, den))
+
+
+def _seeded_base(seed):
+    rng = random.Random(seed)
+    while True:
+        try:
+            base = BaseParams(*(_fraction(rng) for _ in range(4)))
+            return base, reconstruct_candidates(base), rng
+        except ValueError:      # a degenerate base; draw again
+            continue
+
+
+def test_candidate_report_matches_fraction_pictures():
+    # every slot of seeded bases, each candidate platform moved by a scale
+    # and shift (the same pictures, so accepted slots stay accepted) and by
+    # a general affine map, all with denominators
+    seen = Counter()
+    dens = set()
+    designs = [(WORKED, reconstruct_candidates(WORKED), random.Random(9))]
+    designs += [_seeded_base(seed) for seed in range(4)]
+    for k, (base, cands, rng) in enumerate(designs):
+        pts = canonical_base(base)[0]
+        dens.add(max(v.denominator for p in pts for v in p))
+        moved = []
+        for cand in cands:
+            s, tx, ty = (_fraction(rng) or Fraction(1, 3) for _ in range(3))
+            a, b, c, d = (_fraction(rng, 7) for _ in range(4))
+            if a * d == b * c:
+                a, d = a + 1, d - 1
+            scaled = tuple(PlanarPoint(s * p.x + tx, s * p.y + ty)
+                           for p in cand.platform)
+            mapped = tuple(PlanarPoint(a * p.x + b * p.y + tx,
+                                       c * p.x + d * p.y + ty)
+                           for p in cand.platform)
+            moved += [
+                dataclasses.replace(cand, tag=cand.tag + "/s", platform=scaled),
+                dataclasses.replace(cand, tag=cand.tag + "/a", platform=mapped),
+            ]
+        for group in (cands, moved):
+            want = _fraction_report(base, group, k, 20, seen)
+            assert candidate_report(base, group, seed=k, samples=20) == want
+    assert dens - {1}
+    assert seen["extended"] and seen["random_accepted"]
+
+
 def test_real_directions_give_fraction_pictures():
     directions = [ConicDirection.from_t(Fraction(2, 3)),
                   ConicDirection.from_direction((1, 2))]
@@ -371,10 +460,53 @@ def test_scaling_invariance_of_c(t, s):
     assert p.proportional(q)
 
 
-@given(A4=st.fractions(min_value=-4, max_value=4, max_denominator=3),
-       B4=st.fractions(min_value=-4, max_value=4, max_denominator=3),
-       A5=st.fractions(min_value=-4, max_value=4, max_denominator=3),
-       B5=st.fractions(min_value=-4, max_value=4, max_denominator=3))
+base_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+nonzero_int = st.integers(-6, 6).filter(bool)
+
+
+@given(A4=base_fraction, B4=base_fraction, A5=base_fraction,
+       B5=base_fraction, k=nonzero_int, tx=st.integers(-9, 9),
+       ty=st.integers(-9, 9), m=nonzero_int, c1=st.integers(-9, 9),
+       c2=st.integers(1, 9))
+@settings(max_examples=50, deadline=None)
+def test_picture_is_projective_in_points_and_direction(A4, B4, A5, B5, k, tx,
+                                                       ty, m, c1, c2):
+    # integer representatives: scaling the points by k, shifting them by
+    # (tx, ty) and scaling c by m give a proportional picture with the same
+    # zeros and the same extended flag, plain and extended alike
+    try:
+        params = BaseParams(A4, B4, A5, B5)
+    except Exception:
+        assume(False)
+    pts = canonical_base(params)[0]
+    moved = tuple(IntPoint(k * p.x + tx, k * p.y + ty)
+                  for p in integral_points(pts))
+    directions = [ConicDirection(c1, c2)]
+    directions += [ConicDirection.from_direction(u)
+                   for _, u in special_directions(pts)]
+    for c in directions:
+        try:
+            p = picture(pts, c)
+        except NotCollinearDirection:
+            with pytest.raises(NotCollinearDirection):
+                picture(moved, ConicDirection(m * c.c1, m * c.c2))
+            continue
+        q = picture(moved, ConicDirection(m * c.c1, m * c.c2))
+        assert p.proportional(q)
+        assert p.zeros() == q.zeros()
+        assert p.extended == q.extended
+
+
+def test_int_points_and_direction_give_int_pictures():
+    pts = integral_points(canonical_base(BaseParams(Fraction(1, 3), 2,
+                                                    Fraction(-3, 2), 5))[0])
+    assert all(type(v) is int for p in pts for v in p)
+    p = picture(pts, ConicDirection(3, -7))
+    assert not p.extended
+    assert all(type(v) is int for v in p.phi)
+
+
+@given(A4=base_fraction, B4=base_fraction, A5=base_fraction, B5=base_fraction)
 @settings(max_examples=50, deadline=None)
 def test_single_pair_membership(A4, B4, A5, B5):
     # a direction parallel to exactly one segment lands on exactly that line
