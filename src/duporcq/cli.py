@@ -443,8 +443,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None       # built on the first main() call and kept
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     extra = {k: getattr(args, k) for k in ("r1sq", "r2sq", "params", "mu",
                                            "radii") if hasattr(args, k)}
     try:

@@ -172,8 +172,9 @@ def leg_rows(M, m, r2, e):
     unit-norm e, split by study.sphere_linear: Q_i(f) = 4|f|^2 + L_i.f + c_i."""
     import numpy as np
     e = [float(v) for v in e]
-    rows, consts = zip(*(sphere_linear(e, SphereConstraint(*leg))
-                         for leg in zip(M.tolist(), m.tolist(), r2.tolist())))
+    rows, consts = zip(*sphere_linear(
+        e, [SphereConstraint(*leg)
+            for leg in zip(M.tolist(), m.tolist(), r2.tolist())]))
     return np.array(rows), np.array(consts)
 
 

@@ -15,10 +15,16 @@ Leg 3 carries denominators, so its sphere condition is assembled from the
 weight-cleared data M3*w3, m3*w3 with w3 = (B4-B5)*U2, keeping every
 expression polynomial even for fully symbolic parameters.
 
-sphere_linear is the one leg model: it splits a sphere condition at fixed e
-into its f-row and constant, sphere_condition is built from it, and the
-float sampler in selfmotion evaluates it on floats.  The tangency ansatz runs
-one branch function twice, over mirrored index pairs.
+sphere_linear is the one leg model: it splits the sphere conditions of a
+pose's legs at fixed e into f-rows and constants, forming the pose's
+rotation numerator and N once.  sphere_condition is built from it, and the
+float sampler in selfmotion evaluates it on floats.  leg_split runs it once
+per design over the five legs and forms each leg difference Delta_i as
+(f-row, constant); compute_Ke combines the constants after checking that the
+same combination of f-rows vanishes, f_coefficient_matrix stacks (e0..e3)
+over the rows, and pipeline_report hands one split to both.  delta is a
+view of the split.  The tangency ansatz runs one branch function twice, over
+mirrored index pairs.
 
 rank_drop_T checks each of the five 4x4 minors against the epsilon closed
 form by cross-multiplication and normalizes only the closed form.
@@ -62,7 +68,7 @@ class StudyViolation(ValueError):
     """The Study condition sum(e_i f_i) = 0 fails."""
 
 
-class NotFFree(ArithmeticError):
+class NotFFree(InvariantViolation):
     """f-terms survived a combination that must eliminate them."""
 
 
@@ -181,28 +187,34 @@ class SphereConstraint:
     r2: object
 
 
-def sphere_linear(e, leg: SphereConstraint, weight=1):
-    """The sphere condition at fixed e, split as Q = 4 w^2 |f|^2 + row.f + c0.
+def sphere_linear(e, legs, weights=None):
+    """The sphere conditions of several legs at one fixed e, each split as
+    Q = 4 w^2 |f|^2 + row.f + c0.
 
-    Returns (row, c0): row holds the coefficients of f0..f3 and c0 the
-    f-free part.  Entries follow the type of e and the leg data, so the same
-    formula serves exact polynomials and floats.
+    Returns one (row, c0) per leg: row holds the coefficients of f0..f3 and
+    c0 the f-free part.  The rotation numerator and N of e are formed once
+    for all legs; weights (default all 1) are the legs' w.  Entries follow
+    the type of e and the leg data, so the same formula serves exact
+    polynomials and floats.
     """
-    A, B, C = leg.M
-    a, b, c = leg.m
     e0, e1, e2, e3 = e
-    w = weight
-    # on S = 0: 2 N (R m).t = 4 em.f and -2 N M.t = -4 tM.f
-    em = (-(e1 * a + e2 * b + e3 * c), e0 * a + e2 * c - e3 * b,
-          e0 * b + e3 * a - e1 * c, e0 * c + e1 * b - e2 * a)
-    tM = (-(e1 * A + e2 * B + e3 * C), e0 * A + e3 * B - e2 * C,
-          e0 * B + e1 * C - e3 * A, e0 * C + e2 * A - e1 * B)
-    row = tuple(4 * w * (x - y) for x, y in zip(em, tM))
     rot = rotation_numerator(e)
-    rm = tuple(rot[i][0] * a + rot[i][1] * b + rot[i][2] * c for i in range(3))
-    const = (a * a + b * b + c * c) + (A * A + B * B + C * C) - leg.r2 * w * w
-    c0 = const * euler_norm(e) - 2 * (A * rm[0] + B * rm[1] + C * rm[2])
-    return row, c0
+    n = euler_norm(e)
+    out = []
+    for leg, w in zip(legs, weights or (1,) * len(legs)):
+        A, B, C = leg.M
+        a, b, c = leg.m
+        # on S = 0: 2 N (R m).t = 4 em.f and -2 N M.t = -4 tM.f
+        em = (-(e1 * a + e2 * b + e3 * c), e0 * a + e2 * c - e3 * b,
+              e0 * b + e3 * a - e1 * c, e0 * c + e1 * b - e2 * a)
+        tM = (-(e1 * A + e2 * B + e3 * C), e0 * A + e3 * B - e2 * C,
+              e0 * B + e1 * C - e3 * A, e0 * C + e2 * A - e1 * B)
+        row = tuple(4 * w * (x - y) for x, y in zip(em, tM))
+        rm = tuple(rot[i][0] * a + rot[i][1] * b + rot[i][2] * c
+                   for i in range(3))
+        const = (a * a + b * b + c * c) + (A * A + B * B + C * C) - leg.r2 * w * w
+        out.append((row, const * n - 2 * (A * rm[0] + B * rm[1] + C * rm[2])))
+    return out
 
 
 def sphere_condition(pose: StudyPose, leg: SphereConstraint, weight=1):
@@ -212,7 +224,7 @@ def sphere_condition(pose: StudyPose, leg: SphereConstraint, weight=1):
     replaced by w*M, w*m); the result is then w^2 times the unscaled value,
     which leaves every coefficient polynomial.
     """
-    row, c0 = sphere_linear(pose.e, leg, weight)
+    [(row, c0)] = sphere_linear(pose.e, [leg], [weight])
     f = pose.f
     fsq = sum(fk * fk for fk in f)
     return 4 * weight * weight * fsq + sum(r * fk for r, fk in zip(row, f)) + c0
@@ -299,21 +311,33 @@ def N_poly() -> MPoly:
     return sum(GENS[v] * GENS[v] for v in E_VARS)
 
 
+def leg_split(design: CanonicalDesign) -> dict:
+    """Delta_2..Delta_5 as {i: (f-row, constant)}, from one sphere_linear
+    pass over the five legs at the symbolic pose.
+
+    Delta_i = s*Q_1 - Q_i with s = w3^2 for the pre-scaled leg 3 and 1
+    otherwise, so the 4 s |f|^2 terms cancel and Delta_i is affine-linear in
+    f by construction: row.f + constant.
+    """
+    legs, w3 = design.legs()
+    (row1, c1), *rest = sphere_linear(StudyPose.symbolic().e,
+                                      [legs[k] for k in range(1, 6)],
+                                      (1, 1, w3, 1, 1))
+    s = w3 * w3
+    scaled = (tuple(s * x for x in row1), s * c1)
+    split = {}
+    for i, (row, c) in zip((2, 3, 4, 5), rest):
+        r1, k1 = scaled if i == 3 else (row1, c1)
+        split[i] = (tuple(x - y for x, y in zip(r1, row)), k1 - c)
+    return split
+
+
 def delta(design: CanonicalDesign, i: int) -> MPoly:
     """Numerator of Q_1 - Q_i; affine-linear in f0..f3."""
     if i not in (2, 3, 4, 5):
         raise ValueError("i must be in 2..5")
-    pose = StudyPose.symbolic()
-    legs, w3 = design.legs()
-    q1 = sphere_condition(pose, legs[1])
-    if i == 3:
-        d = w3 * w3 * q1 - sphere_condition(pose, legs[3], weight=w3)
-    else:
-        d = q1 - sphere_condition(pose, legs[i])
-    d = poly(d)
-    if any(d.degree_in(fv) > 1 for fv in F_VARS):
-        raise InvariantViolation(f"Delta_{i} is not affine-linear in f")
-    return d
+    row, c = leg_split(design)[i]
+    return sum((x * GENS[fv] for x, fv in zip(row, F_VARS)), c)
 
 
 @dataclass(frozen=True)
@@ -337,23 +361,25 @@ class QuadricForm:
         return self.poly.evaluate(assignment)
 
 
-def compute_Ke(design: CanonicalDesign) -> QuadricForm:
-    """The f-free quadric: the weighted leg-difference combination.
+def compute_Ke(design: CanonicalDesign, *, split=None) -> QuadricForm:
+    """The f-free quadric: the weighted combination of the leg differences.
 
     The coefficient on the Delta_2 slot is B4*B5*V*(B4-B5)*U2; together with
-    the cleared leg-3 slot this makes all f-terms cancel identically.
+    the cleared leg-3 slot this makes all f-terms cancel identically, which
+    is checked on the f-rows (NotFFree) before K_e is taken from the
+    constants.  split is the design's leg_split when the caller has it.
     """
-    A4, B4, A5, B5 = design.A4, design.B4, design.A5, design.B5
+    if split is None:
+        split = leg_split(design)
+    B4, B5 = design.B4, design.B5
     V, U1, U2, U3 = design.V, design.U1, design.U2, design.U3
-    d2 = delta(design, 2)
-    d3 = delta(design, 3)
-    d4 = delta(design, 4)
-    d5 = delta(design, 5)
-    ke = (poly(B4 * B5 * V * (B4 - B5) * U2) * d2
-          + poly(U3) * d3
-          + poly(B5 * U1 * U2) * d4
-          - poly(B4 * U1 * U2) * d5)
-    return QuadricForm(ke)
+    weights = (poly(B4 * B5 * V * (B4 - B5) * U2), poly(U3),
+               poly(B5 * U1 * U2), -poly(B4 * U1 * U2))
+    parts = [split[i] for i in (2, 3, 4, 5)]
+    for k, fv in enumerate(F_VARS):
+        if not sum(w * row[k] for w, (row, _) in zip(weights, parts)).is_zero():
+            raise NotFFree(f"{fv} survives the K_e combination")
+    return QuadricForm(sum(w * c for w, (_, c) in zip(weights, parts)))
 
 
 def e0e3_ratio(ke: QuadricForm, design: CanonicalDesign):
@@ -406,27 +432,23 @@ class RankDropResult:
     matrix: tuple        # 5x4 MPoly entries: f-coefficients of S, Delta_2..5
 
 
-def f_coefficient_matrix(design: CanonicalDesign) -> tuple:
-    rows = [S_poly(), delta(design, 2), delta(design, 3),
-            delta(design, 4), delta(design, 5)]
-    out = []
-    for rp in rows:
-        entries = []
-        for fv in F_VARS:
-            block = {v: (1 if v == fv else 0) for v in F_VARS}
-            entries.append(rp.coeff_block(block))
-        out.append(tuple(entries))
-    return tuple(out)
+def f_coefficient_matrix(design: CanonicalDesign, *, split=None) -> tuple:
+    """The f-coefficients of S (e0..e3) and of Delta_2..Delta_5, as rows."""
+    if split is None:
+        split = leg_split(design)
+    return ((tuple(GENS[v] for v in E_VARS),)
+            + tuple(split[i][0] for i in (2, 3, 4, 5)))
 
 
-def rank_drop_T(design: CanonicalDesign) -> RankDropResult:
+def rank_drop_T(design: CanonicalDesign, *, split=None) -> RankDropResult:
     """T from the 4x4 minors of the f-coefficient matrix of (S, Delta_2..5).
 
     The minor dropping the S row vanishes identically; each other minor
     over N is an e-quadric proportional to epsilon_quadric(epsilons), which
     _normalize_quadric then turns into T.  No gcd is taken of a minor.
+    split is the design's leg_split when the caller has it.
     """
-    mat = f_coefficient_matrix(design)
+    mat = f_coefficient_matrix(design, split=split)
     n = N_poly()
     eps = epsilons(design)
     closed = epsilon_quadric(eps)
@@ -690,8 +712,11 @@ def _eliminate(kp: MPoly, tp: MPoly, n: MPoly):
 def chain_vanishes_at(design: CanonicalDesign, e1, e2) -> bool:
     """Whether all three chain polynomials vanish at numeric (e1, e2)."""
     assignment = {"e1": e1, "e2": e2}
-    _, res_e3 = _eliminate(compute_Ke(design).poly.evaluate(assignment),
-                           rank_drop_T(design).T.poly.evaluate(assignment),
+    split = leg_split(design)
+    ke = compute_Ke(design, split=split)
+    td = rank_drop_T(design, split=split)
+    _, res_e3 = _eliminate(ke.poly.evaluate(assignment),
+                           td.T.poly.evaluate(assignment),
                            N_poly().evaluate(assignment))
     return all(v.is_zero() for v in res_e3.values())
 
@@ -712,9 +737,10 @@ def pipeline_report(design: CanonicalDesign) -> dict:
     The chain's gcd vanishes identically iff the design moves; F2's closed
     form must agree, else InvariantViolation.
     """
-    ke = compute_Ke(design)
+    split = leg_split(design)
+    ke = compute_Ke(design, split=split)
     ratio = e0e3_ratio(ke, design)
-    td = rank_drop_T(design)
+    td = rank_drop_T(design, split=split)
     f1, f2 = f1_f2(design)
     chain = resultant_chain(ke, td.T, design)
     try:

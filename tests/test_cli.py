@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from duporcq import study
+from duporcq import cli, study
 from duporcq.cli import main
 from duporcq.geometry import (
     PentapodDesign,
@@ -326,3 +326,30 @@ def test_rejects_nonpositive_samples(tmp_path, capsys):
     code, _ = run_cli(capsys, "classify", worked_file(tmp_path),
                       "--samples", "0")
     assert code == 2
+
+
+# ---------------------------------------------------------------------- parser
+
+def test_parser_is_built_once_per_process(monkeypatch, tmp_path, capsys):
+    builds = []
+    real = cli._build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    path = worked_file(tmp_path)
+    assert run_cli(capsys, "classify", path)[0] == 0
+    assert run_cli(capsys, "profile", path)[0] == 0
+    assert len(builds) == 1
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == real().format_help()
+    with pytest.raises(SystemExit) as done:
+        main(["no-such-command"])
+    assert done.value.code == 2
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+    assert len(builds) == 1

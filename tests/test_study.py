@@ -2,6 +2,7 @@
 pipeline on the canonical pentapod."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duporcq import study
+from duporcq.cli import main
 from duporcq.exactpoly import MPoly, ZeroDegree, det, gcd
 from duporcq.geometry import BaseParams
 from duporcq.study import (
@@ -18,6 +20,7 @@ from duporcq.study import (
     AnsatzSolvable,
     CanonicalDesign,
     ExceptionalPose,
+    F_VARS,
     InvariantViolation,
     NotFFree,
     QuadricForm,
@@ -215,15 +218,99 @@ def test_delta_rejects_bad_index():
         delta(design, 1)
 
 
-def test_delta_f_linearity_is_a_typed_check(monkeypatch):
-    real = sphere_condition
+def test_Ke_f_cancellation_is_a_typed_check(monkeypatch, capsys):
+    # perturb leg 2's f-row: the K_e combination no longer cancels f1
+    real = study.sphere_linear
 
-    def quadratic_in_f(pose, leg, weight=1):
-        return real(pose, leg, weight) + GENS["f0"] ** 2 * leg.r2
+    def perturbed(e, legs, weights=None):
+        out = real(e, legs, weights)
+        if len(out) == 5:
+            row, c = out[1]
+            out[1] = (row[:1] + (row[1] + GENS["e0"],) + row[2:], c)
+        return out
 
-    monkeypatch.setattr("duporcq.study.sphere_condition", quadratic_in_f)
-    with pytest.raises(InvariantViolation, match="affine-linear"):
-        delta(CanonicalDesign.worked(), 2)
+    monkeypatch.setattr(study, "sphere_linear", perturbed)
+    with pytest.raises(NotFFree, match="f1"):
+        compute_Ke(CanonicalDesign.worked(radii=WORKED_RADII))
+    code = main(["pipeline", "--params", "1/3,-2,5/2,7",
+                 "--mu", "3/2,1/5,-2", "--radii", "1,2,3,4,5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "f1 survives" in json.loads(captured.err)["error"]
+
+
+def _assembled_delta(design, i):
+    # the leg difference as the full sphere conditions' difference, |f|^2
+    # terms included: w3^2 Q_1 - Q_3 for the pre-scaled leg 3
+    pose = StudyPose.symbolic()
+    legs, w3 = design.legs()
+    s = w3 * w3 if i == 3 else 1
+    return poly(s * sphere_condition(pose, legs[1])
+                - sphere_condition(pose, legs[i], w3 if i == 3 else 1))
+
+
+def _split_design(name):
+    if name == "symbolic":
+        return CanonicalDesign.symbolic()
+    if name == "worked":
+        return CanonicalDesign.worked(radii=WORKED_RADII)
+    rng = random.Random(61)
+    for _ in range(int(name[-1])):
+        _generic_design(rng)
+    design = _generic_design(rng)
+    _, w3 = design.legs()
+    assert w3 != 1 and design.mu2 != 0
+    return design
+
+
+@pytest.mark.parametrize("name", ["symbolic", "worked", "seed61-0",
+                                  "seed61-1", "seed61-2"])
+def test_leg_split_matches_the_assembled_leg_differences(name):
+    design = _split_design(name)
+    deltas = {i: _assembled_delta(design, i) for i in (2, 3, 4, 5)}
+    for i, d in deltas.items():
+        assert delta(design, i) == d
+    extracted = tuple(
+        tuple(rp.coeff_block({v: int(v == fv) for v in F_VARS})
+              for fv in F_VARS)
+        for rp in [S_poly()] + [deltas[i] for i in (2, 3, 4, 5)])
+    assert f_coefficient_matrix(design) == extracted
+    B4, B5, V = design.B4, design.B5, design.V
+    U1, U2, U3 = design.U1, design.U2, design.U3
+    ke = (poly(B4 * B5 * V * (B4 - B5) * U2) * deltas[2]
+          + poly(U3) * deltas[3]
+          + poly(B5 * U1 * U2) * deltas[4]
+          - poly(B4 * U1 * U2) * deltas[5])
+    assert compute_Ke(design).poly == ke
+    if name == "symbolic":
+        assert ke.term_count == 1356
+
+
+def test_pipeline_splits_the_legs_once(monkeypatch):
+    rotations, passes = [], []
+    real_rotation, real_linear = study.rotation_numerator, study.sphere_linear
+
+    def rotation(e):
+        rotations.append(tuple(e))
+        return real_rotation(e)
+
+    def linear(e, legs, weights=None):
+        passes.append(len(legs))
+        return real_linear(e, legs, weights)
+
+    monkeypatch.setattr(study, "rotation_numerator", rotation)
+    monkeypatch.setattr(study, "sphere_linear", linear)
+    design = CanonicalDesign.from_params(
+        BaseParams(Fraction(1, 3), -2, Fraction(5, 2), 7),
+        mu=(Fraction(3, 2), Fraction(1, 5), -2), radii=(1, 2, 3, 4, 5))
+    pipeline_report(design)
+    assert rotations == [StudyPose.symbolic().e]
+    assert passes == [5]
+    for stage in (compute_Ke, rank_drop_T):
+        rotations.clear()
+        passes.clear()
+        stage(design)
+        assert (len(rotations), passes) == (1, [5])
 
 
 # -------------------------------------------------------------------- K_e

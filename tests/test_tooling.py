@@ -52,15 +52,17 @@ def test_only_the_kernel_reads_polynomial_terms():
 
 def test_cli_import_does_not_load_numpy():
     # numpy is about half of the CLI's import time, and classify, pipeline
-    # and profile never use it
+    # and profile never use it; main() builds the argparse parser on its
+    # first call, so the import builds none either
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, duporcq.cli; print('numpy' in sys.modules)"],
+         "import sys, duporcq.cli as cli; "
+         "print('numpy' in sys.modules, cli._parser is None)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False True"
 
 
 def test_bench_tracer_installs():
