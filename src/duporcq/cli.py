@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (
@@ -73,23 +72,8 @@ DIRECTION_STYLE = {
 DIRECTION_ANCHOR = {"d123": 0, "d345": 3, "d15": 0, "d14": 0, "d25": 1,
                     "d24": 1}
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: str | None
-    out: str | None
-    seed: int
-    samples: int
-    tol_leg: float
-    tol_f0: float
-    extra: dict
-
-    def __post_init__(self):
-        if self.tol_leg <= 0 or self.tol_f0 <= 0:
-            raise SchemaError("tolerances must be positive")
-        if self.samples <= 0:
-            raise SchemaError("--samples must be positive")
+# the commands whose --out also gets the JSON report printed to stdout
+JSON_OUT_COMMANDS = ("classify", "pipeline", "hexapod-check")
 
 
 # ------------------------------------------------------------------- helpers
@@ -180,12 +164,12 @@ def _write_csv(path: str, header, rows) -> None:
 
 # ------------------------------------------------------------------ commands
 
-def cmd_classify(cfg: RunConfig):
-    design, _ = load_design(cfg.input)
+def cmd_classify(args):
+    design, _ = load_design(args.input)
     params = _params_from_base(design.base)
     candidates = reconstruct_candidates(params)
-    report = candidate_report(params, candidates, seed=cfg.seed,
-                              samples=cfg.samples)
+    report = candidate_report(params, candidates, seed=args.seed,
+                              samples=args.samples)
     accepted = [c.tag for c in candidates if report[c.tag]["accepted"]]
     match = None
     for cand in sorted(candidates, key=lambda c: c.tag not in accepted):
@@ -208,30 +192,28 @@ def cmd_classify(cfg: RunConfig):
     return 0, payload
 
 
-def cmd_motion(cfg: RunConfig):
-    design, sixth = load_design(cfg.input)
+def cmd_motion(args):
+    design, sixth = load_design(args.input)
     params = _params_from_base(design.base)
     expected = build_platform(params, 2, AffineMap2.identity())
     if tuple(design.platform) != tuple(expected):
         raise DegeneratePlatform(
             "motion sampling needs the identity kappa_2 platform")
-    r1sq = cfg.extra["r1sq"] if cfg.extra["r1sq"] is not None \
-        else design.radii2[0]
-    r2sq = cfg.extra["r2sq"] if cfg.extra["r2sq"] is not None \
-        else design.radii2[1]
+    r1sq = design.radii2[0] if args.r1sq is None else _rational(args.r1sq)
+    r2sq = design.radii2[1] if args.r2sq is None else _rational(args.r2sq)
     motion_radii(params, r1sq, r2sq)    # realizability gate for (r1^2, r2^2)
     radii = (r1sq, r2sq) + tuple(design.radii2[2:])
     moving = PentapodDesign(design.base, design.platform, radii)
     if sixth is not None:
         moving = HexapodDesign(moving, sixth[0], sixth[1])
-    report = verify_selfmotion(moving, count=cfg.samples,
-                               tol_leg=cfg.tol_leg, tol_f0=cfg.tol_f0)
+    report = verify_selfmotion(moving, count=args.samples,
+                               tol_leg=args.tol_leg, tol_f0=args.tol_f0)
     legs = len(report.samples[0].residuals)
     header = ("e0", "e1", "e2", "e3", "f0", "f1", "f2", "f3") + tuple(
         f"res{i}" for i in range(1, legs + 1))
     rows = [[_float_cell(v) for v in s.e + s.f + s.residuals]
             for s in report.samples]
-    out = cfg.out or "motion.csv"
+    out = args.out or "motion.csv"
     _write_csv(out, header, rows)
     t1, t2 = report.tangents
     tangent_rank = 2 if report.tangent_angle > 1e-6 else 1
@@ -248,16 +230,15 @@ def cmd_motion(cfg: RunConfig):
     return 0, payload
 
 
-def cmd_pipeline(cfg: RunConfig):
-    if cfg.extra["params"] is not None:
-        vals = _rational_tuple(cfg.extra["params"], 4, "--params")
-        params = BaseParams(*vals)
-        mu_vals = (_rational_tuple(cfg.extra["mu"], 3, "--mu")
-                   if cfg.extra["mu"] else (1, 0, 1))
-        radii = (_rational_tuple(cfg.extra["radii"], 5, "--radii")
-                 if cfg.extra["radii"] else (1, 1, 1, 1, 1))
-    elif cfg.input:
-        design, _ = load_design(cfg.input)
+def cmd_pipeline(args):
+    if args.params is not None:
+        params = BaseParams(*_rational_tuple(args.params, 4, "--params"))
+        mu_vals = (_rational_tuple(args.mu, 3, "--mu")
+                   if args.mu else (1, 0, 1))
+        radii = (_rational_tuple(args.radii, 5, "--radii")
+                 if args.radii else (1, 1, 1, 1, 1))
+    elif args.input:
+        design, _ = load_design(args.input)
         params = _params_from_base(design.base)
         mu = _mu_from_platform(params, design.platform)
         mu_vals = (mu.mu1, mu.mu2, mu.mu3)
@@ -279,16 +260,16 @@ def cmd_pipeline(cfg: RunConfig):
     return 0, payload
 
 
-def cmd_hexapod_check(cfg: RunConfig):
-    design, sixth = load_design(cfg.input)
+def cmd_hexapod_check(args):
+    design, sixth = load_design(args.input)
     if sixth is not None:
         hexapod = HexapodDesign(design, sixth[0], sixth[1])
     else:
         hexapod = duporcq_hexapod(design)
-    report = verify_selfmotion(hexapod, count=cfg.samples,
-                               tol_leg=cfg.tol_leg, tol_f0=cfg.tol_f0)
-    arch = float(arch_singularity_check(hexapod, seed=cfg.seed,
-                                        samples=cfg.samples))
+    report = verify_selfmotion(hexapod, count=args.samples,
+                               tol_leg=args.tol_leg, tol_f0=args.tol_f0)
+    arch = float(arch_singularity_check(hexapod, seed=args.seed,
+                                        samples=args.samples))
     payload = {
         "sixth_vertex": {"M": [str(hexapod.M6.x), str(hexapod.M6.y)],
                          "m": [str(hexapod.m6.x), str(hexapod.m6.y)]},
@@ -302,8 +283,8 @@ def cmd_hexapod_check(cfg: RunConfig):
     return 0, payload
 
 
-def cmd_profile(cfg: RunConfig):
-    design, _ = load_design(cfg.input)
+def cmd_profile(args):
+    design, _ = load_design(args.input)
     payload = {}
     curves = {}
     for name, pts in (("base", design.base), ("platform", design.platform)):
@@ -314,12 +295,12 @@ def cmd_profile(cfg: RunConfig):
             "removed_factor": curve.removed.to_str(),
             "special_directions": membership_report(pts, directions),
         }
-    if cfg.out:
+    if args.out:
         rows = profile_rows(curves["base"],
-                            [Fraction(k) for k in range(cfg.samples)])
-        _write_csv(cfg.out, ("t", "phi0", "phi1", "phi2", "phi3", "phi4",
+                            [Fraction(k) for k in range(args.samples)])
+        _write_csv(args.out, ("t", "phi0", "phi1", "phi2", "phi3", "phi4",
                              "phi5"), rows)
-        payload["csv"] = cfg.out
+        payload["csv"] = args.out
     return 0, payload
 
 
@@ -332,8 +313,8 @@ def _svg_line(p, u, scale, tf, color, label):
             '</line>')
 
 
-def cmd_svg(cfg: RunConfig):
-    design, sixth = load_design(cfg.input)
+def cmd_svg(args):
+    design, sixth = load_design(args.input)
     pts = list(design.base) + list(design.platform)
     if sixth is not None:
         pts += list(sixth)
@@ -385,7 +366,7 @@ def cmd_svg(cfg: RunConfig):
         parts.append(f'<text x="28" y="{y}" font-size="13">{name} '
                      f'&#8594; {line_tag}</text>')
     parts.append("</svg>")
-    out = cfg.out or "design.svg"
+    out = args.out or "design.svg"
     data = "\n".join(parts) + "\n"
     with open(out, "w") as fh:
         fh.write(data)
@@ -394,52 +375,51 @@ def cmd_svg(cfg: RunConfig):
 
 # ---------------------------------------------------------------- entry point
 
+_OPTIONS = {
+    "--seed": {"type": int, "default": 0},
+    "--samples": {"type": int, "default": 100},
+    "--tol-leg": {"type": float, "default": 1e-9},
+    "--tol-f0": {"type": float, "default": 1e-12},
+    "--out": {"default": None},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="duporcq",
         description="Planar pentapod classification and self-motion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
+    def command(name, func, help, *options, input_optional=False):
+        # each subcommand takes only the options its function reads
+        p = sub.add_parser(name, help=help)
+        if input_optional:
+            p.add_argument("input", nargs="?", default=None,
+                           help="design JSON file (or use --params)")
+        else:
             p.add_argument("input", help="design JSON file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--tol-leg", type=float, default=1e-9)
-        p.add_argument("--tol-f0", type=float, default=1e-12)
-        p.add_argument("--out", default=None)
+        for opt in options:
+            p.add_argument(opt, **_OPTIONS[opt])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("classify", help="case-tree verdict for a design")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("motion", help="sample a self-motion to CSV")
-    common(p)
+    command("classify", cmd_classify, "case-tree verdict for a design",
+            "--seed", "--samples", "--out")
+    p = command("motion", cmd_motion, "sample a self-motion to CSV",
+                "--samples", "--tol-leg", "--tol-f0", "--out")
     p.add_argument("--r1sq", default=None, help="first squared radius")
     p.add_argument("--r2sq", default=None, help="second squared radius")
-    p.set_defaults(func=cmd_motion)
-
-    p = sub.add_parser("pipeline", help="elimination pipeline report")
-    common(p, needs_input=False)
-    p.add_argument("input", nargs="?", default=None,
-                   help="design JSON file (or use --params)")
+    p = command("pipeline", cmd_pipeline, "elimination pipeline report",
+                "--out", input_optional=True)
     p.add_argument("--params", default=None, help="A4,B4,A5,B5")
     p.add_argument("--mu", default=None, help="mu1,mu2,mu3")
     p.add_argument("--radii", default=None, help="five squared radii")
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("hexapod-check",
-                       help="sixth-leg constancy and singularity test")
-    common(p)
-    p.set_defaults(func=cmd_hexapod_check)
-
-    p = sub.add_parser("profile", help="Moebius profile data for a design")
-    common(p)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("svg", help="static figure of a configuration")
-    common(p)
-    p.set_defaults(func=cmd_svg)
+    command("hexapod-check", cmd_hexapod_check,
+            "sixth-leg constancy and singularity test",
+            "--seed", "--samples", "--tol-leg", "--tol-f0", "--out")
+    command("profile", cmd_profile, "Moebius profile data for a design",
+            "--samples", "--out")
+    command("svg", cmd_svg, "static figure of a configuration", "--out")
     return parser
 
 
@@ -451,17 +431,12 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = _build_parser()
     args = _parser.parse_args(argv)
-    extra = {k: getattr(args, k) for k in ("r1sq", "r2sq", "params", "mu",
-                                           "radii") if hasattr(args, k)}
     try:
-        for key in ("r1sq", "r2sq"):
-            if extra.get(key) is not None:
-                extra[key] = _rational(extra[key])
-        cfg = RunConfig(command=args.command, input=getattr(args, "input",
-                                                            None),
-                        out=args.out, seed=args.seed, samples=args.samples,
-                        tol_leg=args.tol_leg, tol_f0=args.tol_f0, extra=extra)
-        code, payload = args.func(cfg)
+        if min(getattr(args, "tol_leg", 1), getattr(args, "tol_f0", 1)) <= 0:
+            raise SchemaError("tolerances must be positive")
+        if getattr(args, "samples", 1) <= 0:
+            raise SchemaError("--samples must be positive")
+        code, payload = args.func(args)
     except SchemaError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_SCHEMA
@@ -478,8 +453,8 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
-    if cfg.out and args.command in ("classify", "pipeline", "hexapod-check"):
-        with open(cfg.out, "w") as fh:
+    if args.out and args.command in JSON_OUT_COMMANDS:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     return code
 

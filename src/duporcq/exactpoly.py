@@ -34,6 +34,9 @@ at once: with every guard bit of r set, r - d borrows within a field and
 clears its guard bit exactly where r's exponent is below d's.
 
 Pinned conventions:
+  * MPoly.coefficients(names) is the one public way to cut a polynomial
+    into coefficients: one pass over P gives {exponent tuple over names:
+    coefficient} for the monomials that occur;
   * resultant(p, q, x) is the Sylvester determinant with p's coefficient rows
     first, so resultant(x - a, x - b, x) == a - b;
   * gcd output is normalized to leading coefficient 1 (0 when both inputs 0);
@@ -348,8 +351,8 @@ class MPoly:
     primitive, and its leading coefficient is the product of theirs, so
     __mul__ multiplies ints and one pair of contents with no gcd; scalar
     products, negation and monic touch only the content; sums, differences,
-    evaluate and the polynomials cut out of P (coefficients in a variable)
-    take one gcd over their integer coefficients.
+    evaluate and the coefficients cut out of P (see coefficients) take one
+    gcd over their integer coefficients.
 
     A packed exponent is one int with a 16-bit field per variable, the
     first variable in the most significant field, and the top bit of each
@@ -548,21 +551,16 @@ class MPoly:
             return 0
         return max((e >> off) & _FIELD for e in self._prim)
 
-    def coeff_list(self, var: str) -> list:
-        """Coefficients as polynomials (var slot zeroed), ascending powers."""
-        return [_normal(self.vars, b, self._content) for b
-                in _buckets(self._prim, _offset(self.vars, var)) or [{}]]
-
-    def coeff_block(self, block: dict) -> "MPoly":
-        """Coefficient of the monomial given by block (exact match on those vars)."""
-        mask = want = 0
-        for name, k in block.items():
-            off = _offset(self.vars, name)
-            mask |= _FIELD << off
-            want |= k << off
-        return _normal(self.vars, {exp - want: v for exp, v
-                                   in self._prim.items()
-                                   if exp & mask == want}, self._content)
+    def coefficients(self, names) -> dict:
+        """self as a polynomial in the variables names, from one pass over
+        P: {exponent tuple over names: coefficient}, for the monomials in
+        names that occur; each coefficient has those variables' exponents
+        zeroed and keeps the others."""
+        offs = [_offset(self.vars, name) for name in names]
+        groups = _coefficients_in(self, reduce(or_, (_FIELD << off
+                                                     for off in offs), 0))
+        return {tuple(mono >> off & _FIELD for off in offs): c
+                for mono, c in groups.items()}
 
     def leading_coefficient(self) -> Fraction:
         return self._content * self._prim[max(self._prim)]
@@ -700,9 +698,9 @@ def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
 
 def _content(p: MPoly, var: str) -> MPoly:
     c = MPoly.zero(p.vars)
-    for coeff in p.coeff_list(var):
-        if not coeff.is_zero():
-            c = _gcd_impl(c, coeff)
+    for b in _buckets(p._prim, _offset(p.vars, var)):
+        if b:
+            c = _gcd_impl(c, _normal(p.vars, b, p._content))
     return c
 
 
@@ -713,13 +711,15 @@ def _support(p: MPoly) -> int:
                if used >> off & _FIELD)
 
 
-def _coefficients_in(p: MPoly, fields: int) -> list:
-    """p's coefficients as a polynomial in the variables of the field mask."""
+def _coefficients_in(p: MPoly, fields: int) -> dict:
+    """p as a polynomial in the variables of the field mask, as
+    {packed monomial in them: coefficient}."""
     groups: dict = {}
     for exp, v in p._prim.items():
         mono = exp & fields
         groups.setdefault(mono, {})[exp - mono] = v
-    return [_normal(p.vars, t, p._content) for t in groups.values()]
+    return {mono: _normal(p.vars, t, p._content)
+            for mono, t in groups.items()}
 
 
 def _least_exponents(exps, n: int) -> int:
@@ -748,7 +748,7 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
         if not extra:
             p, q, extra = q, p, used_p & ~used_q
         g = p
-        for c in sorted(_coefficients_in(q, extra),
+        for c in sorted(_coefficients_in(q, extra).values(),
                         key=lambda c: len(c._prim)):
             g = _gcd_impl(g, c)
             if g.degree() == 0:
@@ -756,6 +756,8 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
         return g
     # the most significant variable p uses
     main = p.vars[len(p.vars) - 1 - (used_p.bit_length() - 1) // _W]
+    off = _offset(p.vars, main)
+    field = _FIELD << off
     a, b = p, q
     da, db = p.degree_in(main), q.degree_in(main)
     if da < db:
@@ -777,7 +779,9 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
         beta = g * h ** d
         a, b = b, r.exact_div(beta)
         da, db = db, dr
-        g = a.coeff_block({main: da})
+        top = da << off
+        g = _normal(p.vars, {e - top: v for e, v in a._prim.items()
+                             if e & field == top}, a._content)
         if d == 1:
             h = g
         elif d > 1:
@@ -857,10 +861,13 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     m, n = p.degree_in(var), q.degree_in(var)
     if m == 0 or n == 0:
         raise ZeroDegree(f"input constant in {var}")
-    pc = list(reversed(p.coeff_list(var)))
-    qc = list(reversed(q.coeff_list(var)))
-    size = m + n
     zero = MPoly.zero(p.vars)
+
+    def descending(x, d):
+        c = x.coefficients((var,))
+        return [c.get((k,), zero) for k in range(d, -1, -1)]
+
+    pc, qc = descending(p, m), descending(q, n)
     rows = []
     for i in range(n):
         rows.append([zero] * i + pc + [zero] * (n - 1 - i))

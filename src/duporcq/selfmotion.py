@@ -41,6 +41,7 @@ from .geometry import (
 )
 from .study import (
     GENS,
+    RADII_SYMBOLS,
     CanonicalDesign,
     SphereConstraint,
     compute_Ke,
@@ -88,13 +89,10 @@ def derive_G(params: BaseParams) -> MPoly:
 
 def g_coefficients(gpoly: MPoly) -> tuple:
     """(g0, g1, ..., g5): constant term and the r1sq..r5sq coefficients."""
-    zeros = {f"r{i}sq": 0 for i in range(1, 6)}
-    out = [gpoly.evaluate(zeros).scalar()]
-    for i in range(1, 6):
-        block = dict(zeros)
-        block[f"r{i}sq"] = 1
-        out.append(gpoly.coeff_block(block).scalar())
-    return tuple(out)
+    coeffs = gpoly.coefficients(RADII_SYMBOLS)
+    keys = [tuple(int(k == i) for k in range(5)) for i in range(-1, 5)]
+    return tuple(coeffs[key].scalar() if key in coeffs else Fraction(0)
+                 for key in keys)
 
 
 @dataclass(frozen=True)

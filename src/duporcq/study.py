@@ -26,15 +26,20 @@ over the rows, and pipeline_report hands one split to both.  delta is a
 view of the split.  The tangency ansatz runs one branch function twice, over
 mirrored index pairs.
 
+Every coefficient read goes through MPoly.coefficients, the kernel's one
+extraction routine.  A QuadricForm checks that it is f-free and of degree 2
+in e with one coefficients pass over F_VARS and one over E_VARS, and keeps
+the ten e_i e_j coefficients, which e0e3_ratio and the tangency ansatz read.
 rank_drop_T checks each of the five 4x4 minors against the epsilon closed
-form by cross-multiplication and normalizes only the closed form.
+form by its coefficient keys and cross-multiplication, takes the closed
+form's coefficients from the epsilons, and normalizes only the closed form.
 pipeline_report concludes from the chain's gcd, checked against F2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactpoly import (
@@ -141,12 +146,6 @@ class StudyPose:
     def symbolic(cls) -> "StudyPose":
         return cls(tuple(GENS[v] for v in E_VARS),
                    tuple(GENS[v] for v in F_VARS))
-
-    def norm(self):
-        return euler_norm(self.e)
-
-    def defect(self):
-        return study_defect(self.e, self.f)
 
 
 def displacement(pose: StudyPose):
@@ -340,21 +339,45 @@ def delta(design: CanonicalDesign, i: int) -> MPoly:
     return sum((x * GENS[fv] for x, fv in zip(row, F_VARS)), c)
 
 
+# the ten monomials e_i e_j (i <= j) by their exponent tuples over E_VARS,
+# in descending canonical order: e0e0, e0e1, ..., e0e3, e1e1, ..., e3e3
+E_PAIRS = {tuple((k == i) + (k == j) for k in range(4)): (i, j)
+           for i in range(4) for j in range(i, 4)}
+
+
+def _e_table(p: MPoly):
+    """The ten e_i e_j coefficients of p as {(i, j): MPoly} (i <= j, in
+    E_PAIRS order) from one coefficients pass, or None if a term of p is
+    not of degree 2 in e."""
+    table = dict.fromkeys(E_PAIRS.values(), MPoly.zero(STUDY_VARS))
+    for exps, c in p.coefficients(E_VARS).items():
+        if exps not in E_PAIRS:
+            return None
+        table[E_PAIRS[exps]] = c
+    return table
+
+
 @dataclass(frozen=True)
 class QuadricForm:
+    """A quadratic form in e0..e3 over the parameter ring; coeffs holds its
+    ten e_i e_j coefficients, taken once at construction."""
+
     poly: MPoly
+    coeffs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = self.poly
-        for fv in F_VARS:
-            if p.degree_in(fv) > 0:
-                raise NotFFree(f"{fv} present in a supposedly f-free quadric")
-        # every term of an e-quadric lies in one of the ten e_i e_j blocks
-        if sum(c.term_count for c in _e_coefficients(p)) != p.term_count:
+        present = sorted({fv for exps in self.poly.coefficients(F_VARS)
+                          for fv, k in zip(F_VARS, exps) if k})
+        if present:
+            raise NotFFree(f"{', '.join(present)} present in a supposedly "
+                           "f-free quadric")
+        table = _e_table(self.poly)
+        if table is None:
             raise ValueError("not homogeneous of degree 2 in e")
+        object.__setattr__(self, "coeffs", table)
 
     def coeff(self, i: int, j: int) -> MPoly:
-        return _e_coeff(self.poly, i, j)
+        return self.coeffs[min(i, j), max(i, j)]
 
     def __call__(self, e_values):
         assignment = {f"e{k}": e_values[k] for k in range(4)}
@@ -384,52 +407,31 @@ def compute_Ke(design: CanonicalDesign, *, split=None) -> QuadricForm:
 
 def e0e3_ratio(ke: QuadricForm, design: CanonicalDesign):
     """coeff(e0 e3) divided by B4*B5*U1*U2; parameter independent."""
-    c = ke.coeff(0, 3)
     denom = poly(design.B4 * design.B5 * design.U1 * design.U2)
-    ratio = c.exact_div(denom)
-    if ratio.degree() <= 0:
-        s = ratio.scalar()
-        if isinstance(s, Fraction):
-            return s
-    return ratio
+    ratio = ke.coeff(0, 3).exact_div(denom)
+    return ratio.scalar() if ratio.degree() <= 0 else ratio
 
 
 # ------------------------------------------------------------------ T quadric
 
-def _e_coeff(p: MPoly, i: int, j: int) -> MPoly:
-    """Coefficient of the monomial e_i e_j of p."""
-    block = {ev: 0 for ev in E_VARS}
-    block[f"e{i}"] += 1
-    block[f"e{j}"] += 1
-    return p.coeff_block(block)
-
-
-def _e_coefficients(p: MPoly) -> list:
-    """Coefficients of e0e0, e0e1, ..., e0e3, e1e1, ..., e3e3 in that order."""
-    return [_e_coeff(p, i, j) for i in range(4) for j in range(i, 4)]
-
-
 def _normalize_quadric(p: MPoly) -> MPoly:
-    """Strip the gcd of the coefficients, then scale so the first nonzero
-    coefficient (canonical monomial order) has leading coefficient 1."""
-    coeffs = [c for c in _e_coefficients(p) if not c.is_zero()]
+    """Strip the gcd of the e-coefficients, then scale so the first nonzero
+    one (canonical monomial order, the largest exponent tuple) has leading
+    coefficient 1."""
+    coeffs = p.coefficients(E_VARS)
     if not coeffs:
         return p
     g = None
-    for c in coeffs:
-        g = c if g is None else gcd(g, c)
-    out = p.exact_div(g)
-    for c in _e_coefficients(out):
-        if not c.is_zero():
-            return out * (1 / c.leading_coefficient())
-    return out
+    for exps in sorted(coeffs, reverse=True):
+        g = coeffs[exps] if g is None else gcd(g, coeffs[exps])
+    first = coeffs[max(coeffs)].exact_div(g)
+    return p.exact_div(g) * (1 / first.leading_coefficient())
 
 
 @dataclass(frozen=True)
 class RankDropResult:
     T: QuadricForm
     epsilons: dict
-    matrix: tuple        # 5x4 MPoly entries: f-coefficients of S, Delta_2..5
 
 
 def f_coefficient_matrix(design: CanonicalDesign, *, split=None) -> tuple:
@@ -445,14 +447,16 @@ def rank_drop_T(design: CanonicalDesign, *, split=None) -> RankDropResult:
 
     The minor dropping the S row vanishes identically; each other minor
     over N is an e-quadric proportional to epsilon_quadric(epsilons), which
-    _normalize_quadric then turns into T.  No gcd is taken of a minor.
-    split is the design's leg_split when the caller has it.
+    _normalize_quadric then turns into T.  The closed form's coefficients
+    are the epsilons themselves, on the EPS_AT slots and zero elsewhere.
+    No gcd is taken of a minor.  split is the design's leg_split when the
+    caller has it.
     """
     mat = f_coefficient_matrix(design, split=split)
     n = N_poly()
     eps = epsilons(design)
-    closed = epsilon_quadric(eps)
-    want = _e_coefficients(closed)
+    want = [poly(eps[EPS_AT[pair]]) if pair in EPS_AT else poly(0)
+            for pair in E_PAIRS.values()]
     for drop in range(5):
         rows = [list(mat[r]) for r in range(5) if r != drop]
         minor = det(rows)
@@ -464,15 +468,15 @@ def rank_drop_T(design: CanonicalDesign, *, split=None) -> RankDropResult:
             q = minor.exact_div(n)
         except NotDivisible as exc:
             raise InvariantViolation("minor is not a multiple of N") from exc
-        coeffs = _e_coefficients(q)
-        # the e-coefficients must hold every term of q, or q is no e-quadric
-        if (sum(c.term_count for c in coeffs) != q.term_count
-                or not proportional(coeffs, want)):
+        # a term of q off the ten e_i e_j keys makes q no e-quadric
+        table = _e_table(q)
+        if table is None or not proportional(list(table.values()), want):
             raise InvariantViolation(
                 "minor-derived T differs from its closed form" if drop == 1
                 else f"minors disagree: the minor without row {drop} is not "
                      "proportional to the first")
-    return RankDropResult(QuadricForm(_normalize_quadric(closed)), eps, mat)
+    t = _normalize_quadric(epsilon_quadric(eps))
+    return RankDropResult(QuadricForm(t), eps)
 
 
 def epsilons(design: CanonicalDesign) -> dict:
@@ -488,12 +492,13 @@ def epsilons(design: CanonicalDesign) -> dict:
     }
 
 
+# the epsilon on each e_i e_j slot of T; T has no other monomials
+EPS_AT = {(0, 1): "eps01", (0, 2): "eps02", (1, 3): "eps13", (2, 3): "eps23"}
+
+
 def epsilon_quadric(eps: dict) -> MPoly:
-    g = GENS
-    return (poly(eps["eps01"]) * g["e0"] * g["e1"]
-            + poly(eps["eps02"]) * g["e0"] * g["e2"]
-            + poly(eps["eps13"]) * g["e1"] * g["e3"]
-            + poly(eps["eps23"]) * g["e2"] * g["e3"])
+    return sum(poly(eps[name]) * GENS[f"e{i}"] * GENS[f"e{j}"]
+               for (i, j), name in EPS_AT.items())
 
 
 def exact_rank(rows) -> int:
@@ -583,17 +588,12 @@ def _rational_sqrt(fr: Fraction):
 
 
 def _square_value(p: MPoly):
-    """0 for the zero poly, the rational sqrt for a constant square, else None."""
-    if p.is_zero():
-        return Fraction(0)
-    if p.degree() == 0:
-        s = p.scalar()
-        if isinstance(s, Fraction):
-            return _rational_sqrt(s)
-    return None
+    """The rational sqrt of a constant square (0 for the zero poly), else
+    None."""
+    return _rational_sqrt(p.scalar()) if p.degree() <= 0 else None
 
 
-def _ansatz_branch(q, ke: QuadricForm, active, partner) -> BranchReport:
+def _ansatz_branch(ke: QuadricForm, active, partner) -> BranchReport:
     """One branch of the tangency ansatz: nu_k = 0 for k in partner.
 
     With (a1, a2) = active and (p1, p2) = partner, the e_k^2 coefficients
@@ -601,6 +601,7 @@ def _ansatz_branch(q, ke: QuadricForm, active, partner) -> BranchReport:
     and q_p1p1 = q_p2p2; every off-diagonal coefficient but q_a1a2 must
     vanish, and q_a1a2 = -2 nu_a1 nu_a2.
     """
+    q = ke.coeffs
     (a1, a2), (p1, p2) = active, partner
     name = f"nu{p1}=nu{p2}=0"
     forced, obstructions = {}, {}
@@ -644,9 +645,8 @@ def tangency_ansatz(ke: QuadricForm) -> AnsatzReport:
     requirements are reported as obstructions.  A branch whose requirements
     all hold identically yields a verified witness and raises AnsatzSolvable.
     """
-    q = {(i, j): poly(ke.coeff(i, j)) for i in range(4) for j in range(i, 4)}
-    return AnsatzReport(_ansatz_branch(q, ke, (1, 2), (0, 3)),
-                        _ansatz_branch(q, ke, (0, 3), (1, 2)))
+    return AnsatzReport(_ansatz_branch(ke, (1, 2), (0, 3)),
+                        _ansatz_branch(ke, (0, 3), (1, 2)))
 
 
 # -------------------------------------------------------------- resultant chain
@@ -764,11 +764,10 @@ def pipeline_report(design: CanonicalDesign) -> dict:
         "ansatz": ansatz,
         "Ke": {
             "terms": ke.poly.term_count,
-            "e0e3_ratio": ratio.to_str() if isinstance(ratio, MPoly) else str(ratio),
+            "e0e3_ratio": str(ratio),
         },
         "T": {
-            "epsilons": {k: (v.to_str() if isinstance(v, MPoly) else str(v))
-                         for k, v in td.epsilons.items()},
+            "epsilons": {k: str(v) for k, v in td.epsilons.items()},
         },
         "F1F2": {
             "F1": f1.to_str(),

@@ -253,9 +253,11 @@ def test_08_degeneracy_forms():
     _, f2s = f1_f2(sym)
     mu1, mu2, mu3 = poly(GENS["mu1"]), poly(GENS["mu2"]), poly(GENS["mu3"])
     one = mu1 ** 0
-    assert f2s.coeff_block({"e1": 2, "e2": 0}) == (one + mu1) * (mu3 - one)
-    assert f2s.coeff_block({"e1": 0, "e2": 2}) == (one + mu3) * (mu1 - one)
-    assert f2s.coeff_block({"e1": 1, "e2": 1}) == -2 * mu2
+    c2 = f2s.coefficients(("e1", "e2"))
+    assert c2.keys() == {(2, 0), (0, 2), (1, 1)}
+    assert c2[2, 0] == (one + mu1) * (mu3 - one)
+    assert c2[0, 2] == (one + mu3) * (mu1 - one)
+    assert c2[1, 1] == -2 * mu2
     for m1, m3 in ((1, 1), (-1, -1)):
         spec = f2s.evaluate({"mu1": m1, "mu2": 0, "mu3": m3})
         assert spec.is_zero()
@@ -271,9 +273,10 @@ def test_08_degeneracy_forms():
     g = GENS
     A = g["A5"] - g["A4"] + poly(1)
     B = g["B4"] - g["B5"]
-    ca = f1s.coeff_block({"e1": 0, "e2": 2})
-    cb = f1s.coeff_block({"e1": 1, "e2": 1})
-    assert f1s.coeff_block({"e1": 2, "e2": 0}) == -ca
+    c1 = f1s.coefficients(("e1", "e2"))
+    assert c1.keys() == {(2, 0), (0, 2), (1, 1)}
+    ca, cb = c1[0, 2], c1[1, 1]
+    assert c1[2, 0] == -ca
     combo = B * B * cb + 2 * A * B * ca
     assert combo == -2 * g["mu3"] * B * B * (A * A + B * B)
     a_free = A.evaluate({"B4": 1, "B5": 1})

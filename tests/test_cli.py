@@ -317,9 +317,25 @@ def test_svg_deterministic(tmp_path, capsys):
 # ---------------------------------------------------------------------- config
 
 def test_rejects_nonpositive_tolerance(tmp_path, capsys):
-    code, _ = run_cli(capsys, "classify", worked_file(tmp_path),
-                      "--tol-leg", "0")
-    assert code == 2
+    code = main(["motion", worked_file(tmp_path), "--tol-leg", "0",
+                 "--out", str(tmp_path / "m.csv")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert json.loads(captured.err) == {"error": "tolerances must be positive"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{design}", "--tol-leg", "1e-9"],
+    ["pipeline", "{design}", "--seed", "1"],
+    ["profile", "{design}", "--seed", "1"],
+    ["svg", "{design}", "--samples", "3"],
+])
+def test_rejects_an_option_the_command_does_not_read(argv, tmp_path, capsys):
+    path = worked_file(tmp_path)
+    with pytest.raises(SystemExit) as done:
+        main([a.format(design=path) for a in argv])
+    assert done.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_rejects_nonpositive_samples(tmp_path, capsys):

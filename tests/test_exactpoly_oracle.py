@@ -6,7 +6,8 @@ results are compared exactly (gcd up to a constant factor).  The gcd is
 also drawn over random variable subsets and with single-term operands, the
 inputs of its monomial shortcut and absent-variable split.  Coefficients are
 Fractions, the kernel's domain.  proportional is checked against sympy's
-rational-function ratios.
+rational-function ratios, and MPoly.coefficients against sympy's Poly over
+a subset of the variables.
 """
 
 from fractions import Fraction
@@ -146,6 +147,31 @@ def test_resultant_matches_sympy(p, q):
         return
     expected = sympy.resultant(to_sympy(p), to_sympy(q), SYMS[0])
     assert same(resultant(p, q, "x"), sympy.expand(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(max_terms=5, subset=True),
+       st.permutations(VARS).flatmap(
+           lambda order: st.integers(0, 3).map(lambda k: order[:k])))
+def test_coefficients_match_sympy(p, names):
+    # names is an ordered subset of VARS, possibly empty, in any order
+    out = p.coefficients(names)
+    syms = [SYMS[VARS.index(n)] for n in names]
+    expected = (sympy.Poly(to_sympy(p), *syms).as_dict() if syms
+                else {(): to_sympy(p)})
+    assert out.keys() == expected.keys()
+    for key, c in out.items():
+        assert same(c, expected[key])
+        assert all(c.degree_in(n) == 0 for n in names)
+    # the coefficients times their monomials give p back
+    gens = [MPoly.variable(VARS, n) for n in names]
+    assert sum((c * prod((g ** k for g, k in zip(gens, key)),
+                         start=MPoly.const(VARS, 1))
+                for key, c in out.items()), MPoly.zero(VARS)) == p
+
+
+def test_coefficients_of_zero_are_empty():
+    assert MPoly.zero(VARS).coefficients(("x",)) == {}
 
 
 # sparse entries: about one in three is zero, as in the Sylvester and

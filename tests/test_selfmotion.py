@@ -155,12 +155,15 @@ def test_float_leg_rows_match_exact_sphere_condition(e):
     rows, consts = leg_rows(*_leg_arrays(hexapod), [float(v) for v in e])
     pose = StudyPose(e, tuple(GENS[v] for v in F_VARS))
     zero_f = {v: 0 for v in F_VARS}
+    zero = 0 * GENS["e0"]
     for i, (M, m, r2) in enumerate(zip(*design_legs(hexapod))):
         q = sphere_condition(pose, SphereConstraint(M.as3(), m.as3(), r2))
-        for k, fv in enumerate(F_VARS):
-            lin = q.coeff_block({v: int(v == fv) for v in F_VARS}).scalar()
+        coeffs = q.coefficients(F_VARS)
+        for k in range(4):
+            unit = tuple(int(j == k) for j in range(4))
+            lin = coeffs.get(unit, zero).scalar()
             assert abs(rows[i][k] - float(lin)) <= 1e-12
-            assert q.coeff_block({v: 2 * (v == fv) for v in F_VARS}) == 4
+            assert coeffs[tuple(2 * x for x in unit)] == 4
         assert abs(consts[i] - float(q.evaluate(zero_f).scalar())) <= 1e-12
 
 def test_reference_pose_is_exact_zero():

@@ -4,6 +4,7 @@ pipeline on the canonical pentapod."""
 import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,6 @@ from duporcq.study import (
     N_poly,
     RADII_SYMBOLS,
     S_poly,
-    _e_coefficients,
     _normalize_quadric,
     apply_pose,
     chain_vanishes_at,
@@ -270,10 +270,11 @@ def test_leg_split_matches_the_assembled_leg_differences(name):
     deltas = {i: _assembled_delta(design, i) for i in (2, 3, 4, 5)}
     for i, d in deltas.items():
         assert delta(design, i) == d
+    units = [tuple(int(j == k) for j in range(4)) for k in range(4)]
     extracted = tuple(
-        tuple(rp.coeff_block({v: int(v == fv) for v in F_VARS})
-              for fv in F_VARS)
-        for rp in [S_poly()] + [deltas[i] for i in (2, 3, 4, 5)])
+        tuple(c.get(u, poly(0)) for u in units)
+        for c in (rp.coefficients(F_VARS) for rp in
+                  [S_poly()] + [deltas[i] for i in (2, 3, 4, 5)]))
     assert f_coefficient_matrix(design) == extracted
     B4, B5, V = design.B4, design.B5, design.V
     U1, U2, U3 = design.U1, design.U2, design.U3
@@ -311,6 +312,32 @@ def test_pipeline_splits_the_legs_once(monkeypatch):
         passes.clear()
         stage(design)
         assert (len(rotations), passes) == (1, [5])
+
+
+def test_pipeline_cuts_each_quadric_once(monkeypatch):
+    # every coefficient read goes through MPoly.coefficients: two passes per
+    # QuadricForm (K_e and T), one per minor of rank_drop_T and one in
+    # _normalize_quadric, and two per resultant in the kernel
+    passes = {"duporcq.study": 0, "duporcq.exactpoly": 0}
+    real = MPoly.coefficients
+
+    def counting(self, names):
+        passes[sys._getframe(1).f_globals["__name__"]] += 1
+        return real(self, names)
+
+    resultants = []
+    real_resultant = study.resultant
+
+    def counting_resultant(p, q, var):
+        resultants.append(var)
+        return real_resultant(p, q, var)
+
+    monkeypatch.setattr(MPoly, "coefficients", counting)
+    monkeypatch.setattr(study, "resultant", counting_resultant)
+    pipeline_report(CanonicalDesign.worked(radii=WORKED_RADII))
+    assert len(resultants) == 4
+    assert passes == {"duporcq.study": 2 * 2 + 4 + 1,
+                      "duporcq.exactpoly": 2 * len(resultants)}
 
 
 # -------------------------------------------------------------------- K_e
@@ -361,6 +388,18 @@ def test_Ke_symbolic_term_count_and_ratio():
 def test_quadric_form_rejects_f_terms():
     with pytest.raises(NotFFree):
         QuadricForm(GENS["e0"] * GENS["f1"] + GENS["e1"] * GENS["e1"])
+
+
+def test_quadric_form_keeps_its_ten_coefficients():
+    ke = compute_Ke(CanonicalDesign.worked(radii=WORKED_RADII))
+    assert list(ke.coeffs) == [(i, j) for i in range(4) for j in range(i, 4)]
+    assert not ke.coeff(0, 3).is_zero()
+    assert ke.coeff(3, 0) == ke.coeff(0, 3)
+    for i in range(4):
+        for j in range(4):
+            assert ke.coeff(i, j) is ke.coeffs[min(i, j), max(i, j)]
+    assert sum((c * GENS[f"e{i}"] * GENS[f"e{j}"]
+                for (i, j), c in ke.coeffs.items()), poly(0)) == ke.poly
 
 
 def test_quadric_form_rejects_inhomogeneous():
@@ -442,8 +481,8 @@ def test_T_symbolic_identity():
     mat = f_coefficient_matrix(design)
     assert det([mat[r] for r in (1, 2, 3, 4)]).is_zero()
     q = det([mat[r] for r in (0, 2, 3, 4)]).exact_div(N_poly())
-    a = _e_coefficients(q)
-    b = _e_coefficients(epsilon_quadric(epsilons(design)))
+    a = list(QuadricForm(q).coeffs.values())
+    b = list(QuadricForm(epsilon_quadric(epsilons(design))).coeffs.values())
     assert [c.is_zero() for c in a] == [c.is_zero() for c in b]
     assert any(a)
     for i in range(10):
@@ -463,8 +502,8 @@ def test_rank_drop_T_takes_no_gcd_of_a_minor(monkeypatch):
     # the minors are compared by cross-multiplication
     design = dataclasses.replace(
         _generic_design(random.Random(43)), A4=GENS["A4"], B4=GENS["B4"])
-    allowed = [c for c in _e_coefficients(epsilon_quadric(epsilons(design)))
-               if not c.is_zero()]
+    closed = QuadricForm(epsilon_quadric(epsilons(design)))
+    allowed = [c for c in closed.coeffs.values() if not c.is_zero()]
     foreign = []
 
     def counting(p, q):

@@ -1,7 +1,9 @@
 """Repository guards that keep the package's invariants enforceable."""
 
+import argparse
 import ast
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -63,6 +65,25 @@ def test_cli_import_does_not_load_numpy():
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False True"
+
+
+def test_cli_subcommands_accept_only_what_they_read():
+    # each subcommand's parser accepts exactly the attributes its function
+    # reads from the parsed namespace, and --out also where main writes
+    # the JSON report there, so no option is settable and then ignored
+    parser = duporcq.cli._build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    for name, p in sub.choices.items():
+        accepted = {a.dest for a in p._actions if a.dest != "help"}
+        tree = ast.parse(inspect.getsource(p.get_default("func")))
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "args"}
+        if name in duporcq.cli.JSON_OUT_COMMANDS:
+            read.add("out")
+        assert accepted == read, name
 
 
 def test_bench_tracer_installs():
