@@ -41,6 +41,8 @@ from .moebius import (
     special_directions,
 )
 from .selfmotion import (
+    TOL_F0,
+    TOL_LEG,
     ConstructionDegenerate,
     InconsistentSystem,
     NoRealSolution,
@@ -56,6 +58,16 @@ EXIT_SCHEMA = 2
 EXIT_DEGENERATE = 3
 EXIT_UNREALIZABLE = 4
 EXIT_INCONSISTENT = 5
+
+# each typed failure with its exit code; main takes the first match
+EXIT_CODES = {
+    SchemaError: EXIT_SCHEMA, Unrealizable: EXIT_UNREALIZABLE,
+    InconsistentSystem: EXIT_INCONSISTENT, NoRealSolution: EXIT_INCONSISTENT,
+    DegenerateBase: EXIT_DEGENERATE, DegeneratePlatform: EXIT_DEGENERATE,
+    NotDuporcq: EXIT_DEGENERATE, InvariantViolation: EXIT_DEGENERATE,
+    AllZero: EXIT_DEGENERATE, NotCollinearDirection: EXIT_DEGENERATE,
+    ConstructionDegenerate: EXIT_DEGENERATE,
+}
 
 CASE_VERDICT = {1: "planar-affine", 2: "duporcq-rec2", 3: "duporcq-rec3"}
 
@@ -99,7 +111,7 @@ def _params_from_base(base) -> BaseParams:
         raise DegenerateBase(
             "base not in canonical form M1=(0,0), M2=(1,0), M3 on the x-axis")
     params = BaseParams(M4.x, M4.y, M5.x, M5.y)
-    if M3.x != params.V / (params.B4 - params.B5):
+    if tuple(base) != canonical_base(params)[0]:
         raise DegenerateBase("M3 is not the diagonal point of M4, M5")
     return params
 
@@ -378,8 +390,8 @@ def cmd_svg(args):
 _OPTIONS = {
     "--seed": {"type": int, "default": 0},
     "--samples": {"type": int, "default": 100},
-    "--tol-leg": {"type": float, "default": 1e-9},
-    "--tol-f0": {"type": float, "default": 1e-12},
+    "--tol-leg": {"type": float, "default": TOL_LEG},
+    "--tol-f0": {"type": float, "default": TOL_F0},
     "--out": {"default": None},
 }
 
@@ -437,20 +449,10 @@ def main(argv=None) -> int:
         if getattr(args, "samples", 1) <= 0:
             raise SchemaError("--samples must be positive")
         code, payload = args.func(args)
-    except SchemaError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_SCHEMA
-    except Unrealizable as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_UNREALIZABLE
-    except (InconsistentSystem, NoRealSolution) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except (DegenerateBase, DegeneratePlatform, NotDuporcq, AllZero,
-            NotCollinearDirection, ConstructionDegenerate,
-            InvariantViolation) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_DEGENERATE
+        return next(code for cls, code in EXIT_CODES.items()
+                    if isinstance(exc, cls))
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out and args.command in JSON_OUT_COMMANDS:

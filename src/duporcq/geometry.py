@@ -112,8 +112,28 @@ def intersect_lines(p: PlanarPoint, du: PlanarPoint,
     return p + du.scale(s)
 
 
+class BaseQuantities:
+    """V, U1, U2, U3 of the canonical base from A4, B4, A5, B5 attributes."""
+
+    @property
+    def V(self):
+        return self.B4 * self.A5 - self.A4 * self.B5
+
+    @property
+    def U1(self):
+        return (self.B4 - self.B5) * self.V * (self.V - self.B4 + self.B5)
+
+    @property
+    def U2(self):
+        return self.V + self.B5
+
+    @property
+    def U3(self):
+        return self.V - self.B4
+
+
 @dataclass(frozen=True)
-class BaseParams:
+class BaseParams(BaseQuantities):
     A4: Fraction
     B4: Fraction
     A5: Fraction
@@ -132,22 +152,6 @@ class BaseParams:
             raise DegenerateBase(
                 f"U1,U2,U3 = {self.U1},{self.U2},{self.U3} (zero value signals "
                 "a coincident vertex or a quadrilateral vertex at infinity)")
-
-    @property
-    def V(self) -> Fraction:
-        return self.B4 * self.A5 - self.A4 * self.B5
-
-    @property
-    def U1(self) -> Fraction:
-        return (self.B4 - self.B5) * self.V * (self.V - self.B4 + self.B5)
-
-    @property
-    def U2(self) -> Fraction:
-        return self.V + self.B5
-
-    @property
-    def U3(self) -> Fraction:
-        return self.V - self.B4
 
 
 @dataclass(frozen=True)

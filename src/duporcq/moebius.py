@@ -19,7 +19,8 @@ picture is the one place that falls back from the plain to the extended
 picture; same_picture, candidate_report and membership_report all go through
 it and read DelPezzoPoint.extended to tell which one they got.
 candidate_report takes each picture once per direction, compares them with
-DelPezzoPoint.proportional and reads the memberships off the same pictures.
+DelPezzoPoint.proportional and reads the memberships off the same pictures;
+it skips a random direction that repeats an earlier one.
 
 A picture is a projective point, so candidate_report pictures integer
 representatives: scaling the points or (c1 : c2) scales every phi by one
@@ -347,7 +348,10 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
     pts, _, _, _ = canonical_base(base)
     directions = [(name, ConicDirection.from_direction(u))
                   for name, u in special_directions(pts)]
-    directions += random_directions(seed, samples)
+    for name, c in random_directions(seed, samples):
+        if not any(proportional((c.c1, c.c2), (o.c1, o.c2))
+                   for _, o in directions):
+            directions.append((name, c))
     pts = integral_points(pts)
     base_pictures = [(name, c, picture(pts, c)) for name, c in directions]
     report = {}

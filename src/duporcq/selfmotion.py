@@ -8,8 +8,9 @@ admit a translation fiber, generically two points, one of which the sampler
 returns.  A design carries such a motion exactly when its squared radii
 satisfy the linear relation G = 0 produced by derive_G.
 
-The float path has no leg model of its own: the rows it solves come from
-study.sphere_linear on float leg data, and poses act through
+The float path has no leg model of its own: each public call reads its
+design once into a FloatLegs, whose float SphereConstraints
+study.sphere_linear splits into rows, and poses act through
 study.rotation_numerator and translation_numerator.
 
 numpy is imported inside the functions that use it, so importing this
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import NamedTuple
 
 from .exactpoly import MPoly, NotDivisible
 from .geometry import (
@@ -49,6 +50,10 @@ from .study import (
     sphere_linear,
     translation_numerator,
 )
+
+
+TOL_LEG = 1e-9      # leg residual bound, scaled by 1 + max r^2
+TOL_F0 = 1e-12      # bound on |f0| of a sample
 
 
 class Unrealizable(ValueError):
@@ -145,18 +150,23 @@ def design_legs(design):
     return list(design.base), list(design.platform), list(design.radii2)
 
 
-@lru_cache(maxsize=32)
-def _leg_arrays(design):
-    """(M, m, r2) float arrays of design_legs, built once per design (the
-    designs are frozen) and shared, so they are read-only."""
+class FloatLegs(NamedTuple):
+    """One design's float legs: arrays M, m, r2 and their SphereConstraints."""
+    M: np.ndarray
+    m: np.ndarray
+    r2: np.ndarray
+    spheres: tuple
+
+
+def float_legs(design) -> FloatLegs:
+    """FloatLegs of design_legs(design)."""
     import numpy as np
     base, plat, radii = design_legs(design)
-    M = np.array([[float(p.x), float(p.y), 0.0] for p in base])
-    m = np.array([[float(p.x), float(p.y), 0.0] for p in plat])
-    r2 = np.array([float(r) for r in radii])
-    for a in (M, m, r2):
-        a.flags.writeable = False
-    return M, m, r2
+    M = [[float(p.x), float(p.y), 0.0] for p in base]
+    m = [[float(p.x), float(p.y), 0.0] for p in plat]
+    r2 = [float(r) for r in radii]
+    return FloatLegs(np.array(M), np.array(m), np.array(r2),
+                     tuple(map(SphereConstraint, M, m, r2)))
 
 
 def sixth_radius(design: HexapodDesign) -> Fraction:
@@ -165,14 +175,12 @@ def sixth_radius(design: HexapodDesign) -> Fraction:
     return p.x * p.x + p.y * p.y
 
 
-def leg_rows(M, m, r2, e):
-    """Rows L_i and constants c_i of the float legs (M, m, r2) at a
-    unit-norm e, split by study.sphere_linear: Q_i(f) = 4|f|^2 + L_i.f + c_i."""
+def leg_rows(legs: FloatLegs, e):
+    """Rows L_i and constants c_i of the legs at a unit-norm e, split by
+    study.sphere_linear: Q_i(f) = 4|f|^2 + L_i.f + c_i."""
     import numpy as np
     e = [float(v) for v in e]
-    rows, consts = zip(*sphere_linear(
-        e, [SphereConstraint(*leg)
-            for leg in zip(M.tolist(), m.tolist(), r2.tolist())]))
+    rows, consts = zip(*sphere_linear(e, legs.spheres))
     return np.array(rows), np.array(consts)
 
 
@@ -183,14 +191,9 @@ def _move(m, e, f) -> np.ndarray:
             + np.array(translation_numerator(e, f)))
 
 
-def _residuals(M, m, r2, e, f) -> np.ndarray:
-    """Per-leg dist^2 - r^2 of the float legs (M, m, r2) at a unit-norm pose."""
-    return ((_move(m, e, f) - M) ** 2).sum(axis=1) - r2
-
-
-def residuals_at(design, e, f) -> np.ndarray:
+def residuals_at(legs: FloatLegs, e, f) -> np.ndarray:
     """Per-leg dist^2 - r^2 at a unit-norm pose."""
-    return _residuals(*_leg_arrays(design), e, f)
+    return ((_move(legs.m, e, f) - legs.M) ** 2).sum(axis=1) - legs.r2
 
 
 @dataclass(frozen=True)
@@ -211,8 +214,8 @@ class MotionSample:
                 f"|f0| = {abs(self.f[0]):.3e} over {self.f0_tolerance:.3e}")
 
 
-def sample_pose(design, direction, tol_leg: float = 1e-9,
-                tol_f0: float = 1e-12) -> MotionSample:
+def sample_pose(legs: FloatLegs, direction, tol_leg: float = TOL_LEG,
+                tol_f0: float = TOL_F0) -> MotionSample:
     """Least-norm motion pose over a rotation direction (e1, e2, e3).
 
     Solves the linear slice {S = 0, Q1 - Qi = 0 for every other leg} for f,
@@ -226,12 +229,11 @@ def sample_pose(design, direction, tol_leg: float = 1e-9,
     if d.shape != (3,) or not np.linalg.norm(d) > 0:
         raise ValueError("direction must be a nonzero 3-vector")
     e = np.concatenate([[0.0], d / np.linalg.norm(d)])
-    M, m, r2 = _leg_arrays(design)
-    rows, consts = leg_rows(M, m, r2, e)
+    rows, consts = leg_rows(legs, e)
     A = np.vstack([e, rows[0] - rows[1:]])
     b = np.concatenate([[0.0], consts[1:] - consts[0]])
     fp, *_ = np.linalg.lstsq(A, b, rcond=None)
-    scale = 1.0 + float(np.max(np.abs(r2)))
+    scale = 1.0 + float(np.max(np.abs(legs.r2)))
     if np.linalg.norm(A @ fp - b) > tol_leg * scale:
         raise InconsistentSystem("linear slice is inconsistent")
     _, sv, Vt = np.linalg.svd(A)
@@ -257,7 +259,7 @@ def sample_pose(design, direction, tol_leg: float = 1e-9,
         roots = [fp + s * k for s in ((-cb + math.sqrt(disc)) / 8.0,
                                       (-cb - math.sqrt(disc)) / 8.0)]
         # both roots close legs 1,2,4; only points on the motion close the rest
-        worst = [np.max(np.abs(_residuals(M, m, r2, e, v))) for v in roots]
+        worst = [np.max(np.abs(residuals_at(legs, e, v))) for v in roots]
         good = [v for v, w in zip(roots, worst) if w <= tol_leg * scale]
         f = min(good, key=lambda v: v @ v) if good \
             else roots[int(np.argmin(worst))]
@@ -274,7 +276,7 @@ def sample_pose(design, direction, tol_leg: float = 1e-9,
         else:
             s = center * (1.0 - math.sqrt(rho2) / nc)
         f = fp + s @ kernel
-    res = _residuals(M, m, r2, e, f)
+    res = residuals_at(legs, e, f)
     return MotionSample(tuple(e), tuple(f), tuple(res),
                         leg_tolerance=tol_leg * scale, f0_tolerance=tol_f0)
 
@@ -298,15 +300,16 @@ class MotionReport:
     tangent_angle: float
 
 
-def tangent_pair(design, h: float = 1e-4, tol_leg: float = 1e-9,
-                 tol_f0: float = 1e-12):
+def tangent_pair(legs: FloatLegs, tol_leg: float = TOL_LEG,
+                 tol_f0: float = TOL_F0):
     """Two independent motion tangents at the half-turn reference pose."""
     import numpy as np
-    ref = sample_pose(design, (0, 0, 1), tol_leg, tol_f0)
+    h = 1e-4        # direction step of the difference quotients
+    ref = sample_pose(legs, (0, 0, 1), tol_leg, tol_f0)
     p0 = np.array(ref.e + ref.f)
     tangents = []
     for u in ((h, 0, 1), (0, h, 1)):
-        s = sample_pose(design, u, tol_leg, tol_f0)
+        s = sample_pose(legs, u, tol_leg, tol_f0)
         tangents.append((np.array(s.e + s.f) - p0) / h)
     t1, t2 = tangents
     cosang = abs(t1 @ t2) / (np.linalg.norm(t1) * np.linalg.norm(t2))
@@ -314,13 +317,14 @@ def tangent_pair(design, h: float = 1e-4, tol_leg: float = 1e-9,
     return (tuple(t1), tuple(t2)), angle
 
 
-def verify_selfmotion(design, count: int = 100, tol_leg: float = 1e-9,
-                      tol_f0: float = 1e-12) -> MotionReport:
+def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
+                      tol_f0: float = TOL_F0) -> MotionReport:
     """Sample the motion over a direction grid and collect the evidence.
 
     Directions whose fiber is empty are skipped; InconsistentSystem from any
     direction propagates, since it falsifies the motion itself.
     """
+    legs = float_legs(design)
     size = 2 * count
     while True:
         samples = []
@@ -328,7 +332,7 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = 1e-9,
         for d in fibonacci_directions(size):
             attempted += 1
             try:
-                samples.append(sample_pose(design, d, tol_leg, tol_f0))
+                samples.append(sample_pose(legs, d, tol_leg, tol_f0))
             except NoRealSolution:
                 continue
             if len(samples) == count:
@@ -339,7 +343,7 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = 1e-9,
             raise NoRealSolution(
                 f"only {len(samples)} of {count} directions admit real poses")
         size *= 2
-    tangents, angle = tangent_pair(design, tol_leg=tol_leg, tol_f0=tol_f0)
+    tangents, angle = tangent_pair(legs, tol_leg, tol_f0)
     return MotionReport(
         tuple(samples), attempted,
         max(max(abs(r) for r in s.residuals) for s in samples),
@@ -351,8 +355,7 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = 1e-9,
 
 def _primitive(p: PlanarPoint) -> PlanarPoint:
     nx, ny = p.x, p.y
-    den = nx.denominator * ny.denominator // math.gcd(nx.denominator,
-                                                      ny.denominator)
+    den = math.lcm(nx.denominator, ny.denominator)
     ax, ay = nx * den, ny * den
     g = math.gcd(int(ax), int(ay))
     if g:
@@ -487,12 +490,11 @@ def random_pose(rng) -> tuple:
     return e / s, f / s
 
 
-def plucker_matrix(design: HexapodDesign, e, f) -> np.ndarray:
-    """Rows are the six leg lines (direction; moment) at the given pose."""
+def plucker_matrix(legs: FloatLegs, e, f) -> np.ndarray:
+    """Rows are the leg lines (direction; moment) at the given pose."""
     import numpy as np
-    M, m, _ = _leg_arrays(design)
-    moved = _move(m, e, f)
-    return np.hstack([moved - M, np.cross(M, moved)])
+    moved = _move(legs.m, e, f)
+    return np.hstack([moved - legs.M, np.cross(legs.M, moved)])
 
 
 def arch_singularity_check(design: HexapodDesign, seed: int = 0,
@@ -500,11 +502,12 @@ def arch_singularity_check(design: HexapodDesign, seed: int = 0,
     """Worst relative smallest singular value of the leg-line matrix over
     random poses; tiny values certify architectural singularity."""
     import numpy as np
+    legs = float_legs(design)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         e, f = random_pose(rng)
-        rows = plucker_matrix(design, e, f)
+        rows = plucker_matrix(legs, e, f)
         norms = np.linalg.norm(rows, axis=1)
         if np.min(norms) < 1e-12:
             continue
@@ -520,13 +523,13 @@ TRAJECTORY_COLUMNS = ("t1", "t2", "e1", "e2", "e3", "f1", "f2", "f3",
                       "res1", "res2", "res3", "res4", "res5", "res6")
 
 
-def trajectory(design: HexapodDesign, n1: int = 6, n2: int = 12,
-               tol_leg: float = 1e-9, tol_f0: float = 1e-12) -> list:
+def trajectory(design: HexapodDesign, n1: int = 6, n2: int = 12) -> list:
     """Motion samples over a (t1, t2) grid of rotation directions.
 
     t1 is the polar angle from the half-turn axis, t2 the azimuth; grid
     points whose fiber is empty are skipped.
     """
+    legs = float_legs(design)
     rows = []
     for i in range(n1):
         t1 = (i + 1) * (math.pi / 2) / (n1 + 1)
@@ -535,7 +538,7 @@ def trajectory(design: HexapodDesign, n1: int = 6, n2: int = 12,
             d = (math.sin(t1) * math.cos(t2), math.sin(t1) * math.sin(t2),
                  math.cos(t1))
             try:
-                s = sample_pose(design, d, tol_leg, tol_f0)
+                s = sample_pose(legs, d)
             except NoRealSolution:
                 continue
             t = translation_numerator(s.e, s.f)

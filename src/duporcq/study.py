@@ -52,7 +52,8 @@ from .exactpoly import (
     proportional,
     resultant,
 )
-from .geometry import AffineMap2, BaseParams, InvariantViolation
+from .geometry import (AffineMap2, BaseParams, BaseQuantities,
+                       InvariantViolation)
 
 STUDY_VARS = ("e0", "e1", "e2", "e3", "f0", "f1", "f2", "f3",
               "A4", "B4", "A5", "B5", "mu1", "mu2", "mu3",
@@ -230,7 +231,7 @@ def sphere_condition(pose: StudyPose, leg: SphereConstraint, weight=1):
 
 
 @dataclass(frozen=True)
-class CanonicalDesign:
+class CanonicalDesign(BaseQuantities):
     """Canonical pentapod data; every field is a Fraction or an MPoly."""
 
     A4: object
@@ -265,20 +266,9 @@ class CanonicalDesign:
         return cls.from_params(BaseParams(0, 1, 2, 3), radii=radii)
 
     @property
-    def V(self):
-        return self.B4 * self.A5 - self.A4 * self.B5
-
-    @property
-    def U1(self):
-        return (self.B4 - self.B5) * self.V * (self.V - self.B4 + self.B5)
-
-    @property
-    def U2(self):
-        return self.V + self.B5
-
-    @property
-    def U3(self):
-        return self.V - self.B4
+    def AB(self) -> tuple:
+        """(A5 - A4 + 1, B4 - B5): the A and B of T's epsilons and of F1."""
+        return self.A5 - self.A4 + 1, self.B4 - self.B5
 
     def legs(self):
         """Legs 1,2,4,5 plain and leg 3 pre-scaled, as (dict, weight3)."""
@@ -481,8 +471,7 @@ def rank_drop_T(design: CanonicalDesign, *, split=None) -> RankDropResult:
 
 def epsilons(design: CanonicalDesign) -> dict:
     """The closed-form coefficients of T on e0e1, e0e2, e2e3 and e1e3."""
-    A = design.A5 - design.A4 + 1
-    B = design.B4 - design.B5
+    A, B = design.AB
     mu1, mu2, mu3 = design.mu1, design.mu2, design.mu3
     return {
         "eps01": mu3 * (1 + mu1) * B,
@@ -531,8 +520,7 @@ def f_matrix_at(design: CanonicalDesign, e_values) -> list:
 
 def f1_f2(design: CanonicalDesign):
     """The two printed factors, quadratic in (e1, e2)."""
-    A = design.A5 - design.A4 + 1
-    B = design.B4 - design.B5
+    A, B = design.AB
     mu1, mu2, mu3 = design.mu1, design.mu2, design.mu3
     g = GENS
     e1, e2 = g["e1"], g["e2"]
@@ -548,8 +536,7 @@ def f1_degeneracy_certificate() -> MPoly:
     """Eliminating mu2 from the two F1 coefficients leaves a polynomial whose
     real zeros force A = B = 0; returned for inspection."""
     d = CanonicalDesign.symbolic()
-    A = poly(d.A5 - d.A4 + 1)
-    B = poly(d.B4 - d.B5)
+    A, B = map(poly, d.AB)
     mu1, mu2, mu3 = poly(d.mu1), poly(d.mu2), poly(d.mu3)
     ca = B * B * mu2 - A * B * (mu1 + mu3)
     cb = 2 * A * A * mu1 - 2 * B * B * mu3 - 2 * A * B * mu2

@@ -39,6 +39,7 @@ from duporcq.selfmotion import (
     arch_singularity_check,
     build_motion_design,
     circle_translations,
+    float_legs,
     pose_from_translation,
     residuals_at,
     similarity_bond,
@@ -345,10 +346,11 @@ def test_11_translational_submotion(motion_design):
     circle = translational_submotion(motion_design)
     n = np.array([float(v) for v in circle.normal])
     offset = float(circle.offset)
+    legs = float_legs(motion_design)
     for t in circle_translations(circle, 100):
         assert abs(n @ t - offset) <= 1e-12
         e, f = pose_from_translation(t)
-        res = residuals_at(motion_design, np.array(e), np.array(f))
+        res = residuals_at(legs, np.array(e), np.array(f))
         assert np.max(np.abs(res)) <= 1e-9
     # the rank condition is not vacuous: a generic platform violates it
     bad_platform = list(motion_design.platform)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -232,31 +233,55 @@ def test_accepted_match_at_all_special_directions():
         assert all(d["match"] for d in rep[tag]["directions"].values())
 
 
+def _projective(c):
+    """The primitive integer (c1 : c2) of a direction, first nonzero > 0."""
+    g = math.gcd(c.c1, c.c2)
+    k = (c.c1 // g, c.c2 // g)
+    return k if k > (0, 0) else (-k[0], -k[1])
+
+
 def test_candidate_report_takes_each_picture_once(monkeypatch):
-    # one del_pezzo call per (tuple, direction): the base picture is shared
-    # by all candidates, and a candidate's picture serves both the match and
-    # the membership fields; a rejected candidate is pictured at the six
-    # special directions and at none of the random ones past its failure
+    # one del_pezzo call per (tuple, projective direction): the base picture
+    # is shared by all candidates, a candidate's picture serves both the
+    # match and the membership fields, and a random direction that repeats
+    # a special or an earlier random one is skipped (on the worked base,
+    # seed 0 draws t = 0, which is d123's (0 : 1)); a rejected candidate is
+    # pictured at the six special directions and at none of the random ones
+    # past its failure
     calls = Counter()
+    kept = []           # keeps each pictured tuple alive, so ids stay unique
     real = moebius.del_pezzo
 
     def counting(points, c):
-        calls[id(points), c] += 1
+        kept.append(points)
+        calls[id(points), _projective(c)] += 1
         return real(points, c)
 
     monkeypatch.setattr(moebius, "del_pezzo", counting)
-    cands = reconstruct_candidates(WORKED)
-    report = candidate_report(WORKED, cands, seed=0, samples=20)
-    names = [n for n, _ in special_directions(PTS)]
-    names += [n for n, _ in random_directions(0, 20)]
+    for base, seed in ((WORKED, 0), (WORKED, 5), (_seeded_base(1)[0], 0),
+                       (_seeded_base(2)[0], 3)):
+        calls.clear()
+        report = candidate_report(base, reconstruct_candidates(base),
+                                  seed=seed, samples=20)
+        pts = canonical_base(base)[0]
+        names = [n for n, _ in special_directions(pts)]
+        seen = {_projective(ConicDirection.from_direction(u))
+                for _, u in special_directions(pts)}
+        for name, c in random_directions(seed, 20):
+            if _projective(c) not in seen:
+                seen.add(_projective(c))
+                names.append(name)
+        if (base, seed) == (WORKED, 0):
+            assert len(names) < 26
 
-    def taken(entry):
-        if entry["first_failure"] is None:
-            return len(names)
-        return max(6, names.index(entry["first_failure"]) + 1)
+        def taken(entry):
+            if entry["first_failure"] is None:
+                return len(names)
+            return max(6, names.index(entry["first_failure"]) + 1)
 
-    assert set(calls.values()) == {1}
-    assert len(calls) == len(names) + sum(taken(e) for e in report.values())
+        assert set(calls.values()) == {1}
+        assert len(calls) == len(names) + sum(taken(e)
+                                              for e in report.values())
 
 
 def _fraction_report(base, candidates, seed, samples, seen):

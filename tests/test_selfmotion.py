@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from duporcq import selfmotion
 from duporcq.geometry import (
     BaseParams,
     HexapodDesign,
@@ -25,13 +26,13 @@ from duporcq.selfmotion import (
     NoRealSolution,
     RankTooHigh,
     Unrealizable,
-    _leg_arrays,
     arch_singularity_check,
     build_motion_design,
     circle_translations,
     derive_G,
     design_legs,
     fibonacci_directions,
+    float_legs,
     g_coefficients,
     leg_rows,
     motion_radii,
@@ -152,7 +153,7 @@ def test_float_leg_rows_match_exact_sphere_condition(e):
     # the rows and constants sample_pose solves with are float() of the
     # exact sphere condition's f-coefficients
     hexapod = worked_hexapod()
-    rows, consts = leg_rows(*_leg_arrays(hexapod), [float(v) for v in e])
+    rows, consts = leg_rows(float_legs(hexapod), [float(v) for v in e])
     pose = StudyPose(e, tuple(GENS[v] for v in F_VARS))
     zero_f = {v: 0 for v in F_VARS}
     zero = 0 * GENS["e0"]
@@ -167,7 +168,7 @@ def test_float_leg_rows_match_exact_sphere_condition(e):
         assert abs(consts[i] - float(q.evaluate(zero_f).scalar())) <= 1e-12
 
 def test_reference_pose_is_exact_zero():
-    s = sample_pose(worked_design(), (0.0, 0.0, 1.0))
+    s = sample_pose(float_legs(worked_design()), (0.0, 0.0, 1.0))
     assert s.f == (0.0, 0.0, 0.0, 0.0)
     assert max(abs(r) for r in s.residuals) == 0.0
 
@@ -177,21 +178,21 @@ def test_sample_pose_on_symmetry_plane():
     # full-system solve must still close every leg
     d = worked_design()
     t1 = math.pi / 10
-    s = sample_pose(d, (math.sin(t1), 0.0, math.cos(t1)))
+    s = sample_pose(float_legs(d), (math.sin(t1), 0.0, math.cos(t1)))
     assert max(abs(r) for r in s.residuals) <= 1e-12
     assert abs(s.f[0]) <= 1e-14
 
 
 def test_sample_pose_rejects_zero_direction():
     with pytest.raises(ValueError):
-        sample_pose(worked_design(), (0.0, 0.0, 0.0))
+        sample_pose(float_legs(worked_design()), (0.0, 0.0, 0.0))
 
 
 def test_sample_pose_wrong_radii_inconsistent():
     d = worked_design()
     bad = PentapodDesign(d.base, d.platform, (1, 18, 1, 1, 18))
     with pytest.raises(InconsistentSystem):
-        sample_pose(bad, (0.3, 0.5, 0.9))
+        sample_pose(float_legs(bad), (0.3, 0.5, 0.9))
 
 
 def test_fibonacci_directions_unit_hemisphere():
@@ -212,7 +213,7 @@ def test_verify_selfmotion_worked():
 
 
 def test_tangent_pair_independent():
-    tangents, angle = tangent_pair(worked_design())
+    tangents, angle = tangent_pair(float_legs(worked_design()))
     t1, t2 = (np.array(t) for t in tangents)
     assert np.linalg.norm(np.cross(t1[:3], t2[:3])) > 1e-3 or angle > 1e-3
 
@@ -231,10 +232,11 @@ def test_circle_points_close_all_legs():
     d = worked_design()
     c = translational_submotion(d)
     n = np.array([float(v) for v in c.normal])
+    legs = float_legs(d)
     for t in circle_translations(c, 12):
         assert abs(n @ t - float(c.offset)) <= 1e-12
         e, f = pose_from_translation(t)
-        res = residuals_at(d, np.array(e), np.array(f))
+        res = residuals_at(legs, np.array(e), np.array(f))
         assert np.max(np.abs(res)) <= 1e-12
 
 
@@ -326,16 +328,27 @@ def test_hexapod_motion_closes_sixth_leg():
     assert rep.max_residual <= 1e-12
 
 
-def test_leg_arrays_are_built_once_per_design():
+def test_float_legs_are_built_once_per_public_call(monkeypatch):
+    # each public call reads its design into float legs once and hands them
+    # to every pose; nothing outlives the call, so a second call of the
+    # same design builds them again
+    built = []
+    real = selfmotion.float_legs
+
+    def counting(design):
+        built.append(design)
+        return real(design)
+
+    monkeypatch.setattr(selfmotion, "float_legs", counting)
     hexapod = worked_hexapod()
-    _leg_arrays.cache_clear()
-    verify_selfmotion(hexapod, count=30)
-    info = _leg_arrays.cache_info()
-    assert info.misses == 1 and info.hits > 30
-    # shared between callers, so no caller may write to them
-    for a in _leg_arrays(worked_hexapod()):
-        with pytest.raises(ValueError):
-            a[0] = 0.0
+    for call in (lambda: verify_selfmotion(hexapod, count=10),
+                 lambda: trajectory(hexapod, n1=2, n2=3),
+                 lambda: arch_singularity_check(hexapod, samples=5)):
+        built.clear()
+        call()
+        assert built == [hexapod]
+        call()
+        assert built == [hexapod, hexapod]
 
 
 def test_arch_singularity_worked_hexapod():

@@ -52,6 +52,22 @@ def test_only_the_kernel_reads_polynomial_terms():
     assert found == []
 
 
+def test_selfmotion_keeps_no_cache():
+    # each public call of selfmotion builds its float legs once and passes
+    # them down; a functools cache would hash the design on every pose and
+    # keep the legs after the call
+    tree = ast.parse((PACKAGE / "selfmotion.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Import)
+                 and any(a.name == "functools" for a in node.names))
+             or (isinstance(node, ast.ImportFrom)
+                 and node.module == "functools")
+             or (isinstance(node, (ast.Name, ast.Attribute))
+                 and getattr(node, "id", getattr(node, "attr", None))
+                 in {"lru_cache", "cache", "cached_property"})]
+    assert found == []
+
+
 def test_cli_import_does_not_load_numpy():
     # numpy is about half of the CLI's import time, and classify, pipeline
     # and profile never use it; main() builds the argparse parser on its
