@@ -20,7 +20,8 @@ picture; same_picture, candidate_report and membership_report all go through
 it and read DelPezzoPoint.extended to tell which one they got.
 candidate_report takes each picture once per direction, compares them with
 DelPezzoPoint.proportional and reads the memberships off the same pictures;
-it skips a random direction that repeats an earlier one.
+it skips a random direction that repeats an earlier one, found by its
+primitive integer (c1 : c2) in a set.
 
 A picture is a projective point, so candidate_report pictures integer
 representatives: scaling the points or (c1 : c2) scales every phi by one
@@ -31,15 +32,23 @@ proportionality, hence the report, come out as on the Fractions.  The
 picture functions compute in the type they are given, ints included (an
 extended picture's multiples lam may be Fractions).  membership_report
 prints phi, whose values depend on the representative, so it keeps the
-Fraction points and direction it is given.
+direction it is given and pictures integral_points: every D_ij, lam and
+nonvanishing value is linear in the points, so each printed phi is the
+integer tuple's divided by den^5, den the tuple's common denominator.
+
+profile takes the common factor of the six phi(t) from the parallel classes
+of the segments M_iM_j, not from gcds; ProfileCurve checks it with gcds.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 from typing import NamedTuple
 
 from .exactpoly import (
@@ -104,9 +113,14 @@ class IntPoint(NamedTuple):
     y: int
 
 
+def _denominator(values) -> int:
+    """The lcm of the rationals' denominators."""
+    return math.lcm(*(v.denominator for v in values))
+
+
 def _cleared(values) -> list:
     """Rationals times the lcm of their denominators, as ints."""
-    den = math.lcm(*(v.denominator for v in values))
+    den = _denominator(values)
     return [v.numerator * (den // v.denominator) for v in values]
 
 
@@ -156,6 +170,14 @@ class ConicDirection:
     def is_real(self) -> bool:
         """Whether c1 and c2 are real, i.e. c has a planar direction."""
         return isinstance(self.c1, _REAL) and isinstance(self.c2, _REAL)
+
+
+def _primitive_key(a: int, b: int) -> tuple:
+    """The primitive integer vector of (a, b) != (0, 0), first nonzero
+    entry positive: equal exactly for parallel (a, b)."""
+    g = math.gcd(a, b)
+    k = (a // g, b // g)
+    return k if k > (0, 0) else (-k[0], -k[1])
 
 
 def _as_uv(u) -> tuple:
@@ -348,9 +370,11 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
     pts, _, _, _ = canonical_base(base)
     directions = [(name, ConicDirection.from_direction(u))
                   for name, u in special_directions(pts)]
+    seen = {_primitive_key(c.c1, c.c2) for _, c in directions}
     for name, c in random_directions(seed, samples):
-        if not any(proportional((c.c1, c.c2), (o.c1, o.c2))
-                   for _, o in directions):
+        key = _primitive_key(c.c1, c.c2)
+        if key not in seen:
+            seen.add(key)
             directions.append((name, c))
     pts = integral_points(pts)
     base_pictures = [(name, c, picture(pts, c)) for name, c in directions]
@@ -380,17 +404,21 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
 
 
 def membership_report(points, directions) -> list:
-    """JSON-ready membership summary for a list of (name, planar direction)."""
+    """JSON-ready membership summary for a list of (name, planar direction);
+    pictures integral_points and prints each phi / den^5, the given tuple's
+    phi (see the module docstring)."""
+    scale = _denominator([v for p in points for v in (p.x, p.y)]) ** 5
+    ints = integral_points(points)
     out = []
     for name, u in directions:
         u1, u2 = _as_uv(u)
-        p = picture(points, ConicDirection(u2, -u1))
+        p = picture(ints, ConicDirection(u2, -u1))
         out.append({
             "direction": name,
             "vector": [str(u1), str(u2)],
             "extended": p.extended,
             "membership": _membership(p),
-            "phi": [str(v) for v in p.phi],
+            "phi": [str(Fraction(v, scale)) for v in p.phi],
         })
     return out
 
@@ -411,24 +439,46 @@ class ProfileCurve:
 
 
 def profile(points) -> ProfileCurve:
+    """The six phi_k(t) along c(t) = (2t : 1-t^2 : i(1+t^2)), with their
+    common factor removed.
+
+    Each difference is D_ij(t) = -dy*t^2 + 2dx*t + dy, with (dx, dy) =
+    M_i - M_j.  Its discriminant 4(dx^2 + dy^2) is positive, so D_ij is
+    squarefree (of degree 1 when dy = 0), and a root t makes c(t) orthogonal
+    to (dx, dy).  c(t) is never 0, so two differences share a root iff
+    their segments are parallel, and then they are proportional.  Hence the
+    gcd of the nonzero phi_k is the product, over the parallel classes of
+    the nonzero differences, of one D of the class raised to the least
+    multiplicity of that class in a nonzero phi_k; it is made monic as gcd
+    makes its result.  A lone nonzero phi_k is its own gcd, as gcd's fold
+    leaves it.  A coincident pair gives D_ij = 0, and every phi_k with that
+    factor stays 0.
+    """
     (t,) = generators(("t",))
     one = MPoly.const(("t",), 1)
     z = [2 * t * p.x + (one - t * t) * p.y for p in points]
     dd = {(i, j): z[i - 1] - z[j - 1] for (i, j) in PAIRS}
-    phis = []
-    for factors in PHI_FACTORS:
-        prod = one
-        for pair in factors:
-            prod = prod * dd[pair]
-        phis.append(prod)
-    g = None
-    for p in phis:
-        if not p.is_zero():
-            g = p if g is None else gcd(g, p)
-    if g is None:
+    phis = [math.prod(dd[pair] for pair in factors) for factors in PHI_FACTORS]
+    ints = integral_points(points)
+    key = {}        # the parallel class of each nonzero difference
+    for (i, j) in PAIRS:
+        p, q = ints[i - 1], ints[j - 1]
+        if p != q:
+            key[(i, j)] = _primitive_key(p.x - q.x, p.y - q.y)
+    counts = [Counter(key[pair] for pair in factors)
+              for factors in PHI_FACTORS if all(pair in key for pair in factors)]
+    if not counts:
         raise AllZero("degenerate tuple: identically zero profile")
-    components = tuple(p.exact_div(g) if not p.is_zero() else p for p in phis)
-    return ProfileCurve(components, g)
+    if len(counts) == 1:
+        removed = next(p for p in phis if not p.is_zero())
+    else:
+        rep = {k: dd[pair] for pair, k in key.items()}
+        removed = math.prod((rep[k] ** m
+                             for k, m in reduce(and_, counts).items()),
+                            start=one).monic()
+    components = tuple(p.exact_div(removed) if not p.is_zero() else p
+                       for p in phis)
+    return ProfileCurve(components, removed)
 
 
 def profile_rows(curve: ProfileCurve, ts) -> list:

@@ -322,8 +322,11 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
     """Sample the motion over a direction grid and collect the evidence.
 
     Directions whose fiber is empty are skipped; InconsistentSystem from any
-    direction propagates, since it falsifies the motion itself.
+    direction propagates, since it falsifies the motion itself.  count must
+    be at least 1 (ValueError before any sampling otherwise).
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     legs = float_legs(design)
     size = 2 * count
     while True:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from duporcq import moebius
-from duporcq.exactpoly import GaussRational, I, MPoly, as_gauss, generators
+from duporcq.exactpoly import GaussRational, I, MPoly, as_gauss, gcd, generators
 from duporcq.geometry import (
     BaseParams,
     InvariantViolation,
@@ -398,6 +398,52 @@ def test_membership_report_shape():
     assert len(d24["phi"]) == 6
 
 
+def _fraction_membership_report(points, directions):
+    """membership_report pictured on the given Fraction tuple itself."""
+    out = []
+    for name, u in directions:
+        u1, u2 = moebius._as_uv(u)
+        p = picture(points, ConicDirection(u2, -u1))
+        out.append({
+            "direction": name,
+            "vector": [str(u1), str(u2)],
+            "extended": p.extended,
+            "membership": moebius._membership(p),
+            "phi": [str(v) for v in p.phi],
+        })
+    return out
+
+
+def test_membership_report_matches_fraction_pictures():
+    # seeded bases (extended at d123 and d345) and their candidate platforms
+    # under affine maps with denominators, at the special directions and at
+    # Fraction directions off them
+    dens, extended = set(), Counter()
+    rng = random.Random(17)
+    tuples = [PTS]
+    for seed in range(5):
+        base, cands, _ = _seeded_base(seed)
+        tuples.append(canonical_base(base)[0])
+        for cand in cands:
+            a, b, c, d = (_fraction(rng, 7) for _ in range(4))
+            if a * d == b * c:
+                a, d = a + 1, d - 1
+            tx, ty = _fraction(rng), _fraction(rng)
+            tuples += [cand.platform,
+                       tuple(PlanarPoint(a * p.x + b * p.y + tx,
+                                         c * p.x + d * p.y + ty)
+                             for p in cand.platform)]
+    for pts in tuples:
+        dens.add(max(v.denominator for p in pts for v in p))
+        directions = special_directions(pts)
+        directions += [("r", (_fraction(rng) or 1, _fraction(rng, 4)))]
+        want = _fraction_membership_report(pts, directions)
+        assert membership_report(pts, directions) == want
+        extended.update(e["direction"] for e in want if e["extended"])
+    assert dens - {1}
+    assert extended["d123"] and extended["d345"]
+
+
 # ------------------------------------------------------------------- profile
 
 def test_profile_removed_factor():
@@ -427,6 +473,89 @@ def test_profile_rows():
     rows = profile_rows(curve, [Fraction(2, 3)])
     assert len(rows) == 1 and len(rows[0]) == 7
     assert rows[0][0] == "2/3"
+
+
+def _gcd_profile(points):
+    """profile by polynomial gcds: the six phi(t) as products of the pair
+    differences, divided by the gcd of the nonzero ones folded in order;
+    (component strings, removed factor string), or AllZero."""
+    (t,) = generators(("t",))
+    one = MPoly.const(("t",), 1)
+    z = [2 * t * p.x + (one - t * t) * p.y for p in points]
+    phis = []
+    for factors in PHI_FACTORS:
+        prod = one
+        for (i, j) in factors:
+            prod = prod * (z[i - 1] - z[j - 1])
+        phis.append(prod)
+    g = None
+    for p in phis:
+        if not p.is_zero():
+            g = p if g is None else gcd(g, p)
+    if g is None:
+        return AllZero
+    return ([(p.exact_div(g) if not p.is_zero() else p).to_str()
+             for p in phis], g.to_str())
+
+
+def _parallel_class_profile(points):
+    try:
+        curve = profile(points)
+    except AllZero:
+        return AllZero
+    return [c.to_str() for c in curve.components], curve.removed.to_str()
+
+
+def _profile_cases():
+    P = PlanarPoint
+    cases = [PTS]
+    for seed in range(4):
+        base, cands, _ = _seeded_base(seed)
+        cases.append(canonical_base(base)[0])
+        cases += [cand.platform for cand in cands]
+    half = Fraction(1, 2)
+    cases += [
+        # coincident points: one pair, two pairs (one nonzero phi), and a
+        # triple (every phi vanishes)
+        (P(1, 2), P(1, 2), P(-3, half), P(4, 1), P(0, -2)),
+        (P(1, 2), P(1, 2), P(-3, half), P(-3, half), P(0, -2)),
+        (P(1, 2), P(1, 2), P(1, 2), P(4, 1), P(0, -2)),
+        # parallel pairs: M1M2 || M3M4 || M5M1 scaled
+        (P(0, 0), P(1, 2), P(3, 1), P(5, 5), P(-2, -4)),
+        # dy = 0 pairs, and all five on two horizontal lines
+        (P(0, 1), P(3, 1), P(-1, half), P(2, half), P(5, -2)),
+        (P(0, 1), P(3, 1), P(-1, 1), P(2, 0), P(half, 0)),
+        # three collinear points, and a vertical triple
+        (P(0, 0), P(1, 1), P(3, 3), P(2, -1), P(-1, 4)),
+        (P(2, 0), P(2, 5), P(2, -half), P(0, 1), P(3, 3)),
+        # all coincident
+        (P(half, 3),) * 5,
+    ]
+    return cases
+
+
+def test_profile_matches_gcd_route():
+    results = Counter()
+    for pts in _profile_cases():
+        want = _gcd_profile(pts)
+        assert _parallel_class_profile(pts) == want, pts
+        results[want is AllZero] += 1
+    assert results[True] == 2 and results[False] > 30
+
+
+def test_profile_makes_only_the_invariant_gcds(monkeypatch):
+    # the removed factor comes from the parallel classes; the five gcds of
+    # ProfileCurve's check over six components are the only ones
+    calls = []
+    real = moebius.gcd
+
+    def counting(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(moebius, "gcd", counting)
+    profile(PTS)
+    assert len(calls) == 5
 
 
 # ----------------------------------------------------------------- invariance

@@ -212,6 +212,18 @@ def test_verify_selfmotion_worked():
     assert abs(rep.tangent_angle - math.pi / 2) <= 1e-6
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_verify_selfmotion_rejects_count_below_one(monkeypatch, count):
+    # a typed error naming count, raised before any pose is sampled (it was
+    # a bare "max() arg is an empty sequence" from the empty report)
+    def no_sampling(*args):
+        raise AssertionError("sampled a pose")
+
+    monkeypatch.setattr(selfmotion, "sample_pose", no_sampling)
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        verify_selfmotion(worked_design(), count=count)
+
+
 def test_tangent_pair_independent():
     tangents, angle = tangent_pair(float_legs(worked_design()))
     t1, t2 = (np.array(t) for t in tangents)
