@@ -21,6 +21,8 @@ def main():
     ap.add_argument("--n2", type=int, default=12, help="longitude grid count")
     ap.add_argument("--out", default="motion.csv")
     args = ap.parse_args()
+    if args.n1 < 1 or args.n2 < 1:
+        ap.error("--n1 and --n2 must be at least 1")
 
     hexapod = duporcq_hexapod(worked_design())
     rows = trajectory(hexapod, n1=args.n1, n2=args.n2)

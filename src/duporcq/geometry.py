@@ -19,6 +19,7 @@ M1M4 is parallel to M2M5.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,6 +90,25 @@ class PlanarPoint:
 
 def cross(u: PlanarPoint, v: PlanarPoint) -> Fraction:
     return u.x * v.y - u.y * v.x
+
+
+def common_denominator(values) -> int:
+    """The lcm of the rationals' denominators."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def cleared(values) -> list:
+    """Rationals times the lcm of their denominators, as ints."""
+    den = common_denominator(values)
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def primitive_key(a: int, b: int) -> tuple:
+    """The primitive integer vector of (a, b) != (0, 0), first nonzero
+    entry positive: equal exactly for parallel (a, b)."""
+    g = math.gcd(a, b)
+    k = (a // g, b // g)
+    return k if k > (0, 0) else (-k[0], -k[1])
 
 
 def collinear(p, q, r) -> bool:

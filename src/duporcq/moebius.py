@@ -64,7 +64,10 @@ from .geometry import (
     BaseParams,
     InvariantViolation,
     canonical_base,
+    cleared,
     collinear,
+    common_denominator,
+    primitive_key,
 )
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
@@ -113,21 +116,10 @@ class IntPoint(NamedTuple):
     y: int
 
 
-def _denominator(values) -> int:
-    """The lcm of the rationals' denominators."""
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _cleared(values) -> list:
-    """Rationals times the lcm of their denominators, as ints."""
-    den = _denominator(values)
-    return [v.numerator * (den // v.denominator) for v in values]
-
-
 def integral_points(points) -> tuple:
     """The tuple scaled by the common denominator of its coordinates: the
     same pictures, with int coordinates."""
-    xy = _cleared([v for p in points for v in (p.x, p.y)])
+    xy = cleared([v for p in points for v in (p.x, p.y)])
     return tuple(IntPoint(*xy[k:k + 2]) for k in range(0, len(xy), 2))
 
 
@@ -163,21 +155,13 @@ class ConicDirection:
     def from_direction(cls, u) -> "ConicDirection":
         """Projection direction parallel to the planar vector u, as the
         primitive integer (c1 : c2) = (u2 : -u1) with denominators cleared."""
-        n1, n2 = _cleared(_as_uv(u))
+        n1, n2 = cleared(_as_uv(u))
         g = math.gcd(n1, n2)
         return cls(n2 // g, -n1 // g)
 
     def is_real(self) -> bool:
         """Whether c1 and c2 are real, i.e. c has a planar direction."""
         return isinstance(self.c1, _REAL) and isinstance(self.c2, _REAL)
-
-
-def _primitive_key(a: int, b: int) -> tuple:
-    """The primitive integer vector of (a, b) != (0, 0), first nonzero
-    entry positive: equal exactly for parallel (a, b)."""
-    g = math.gcd(a, b)
-    k = (a // g, b // g)
-    return k if k > (0, 0) else (-k[0], -k[1])
 
 
 def _as_uv(u) -> tuple:
@@ -370,9 +354,9 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
     pts, _, _, _ = canonical_base(base)
     directions = [(name, ConicDirection.from_direction(u))
                   for name, u in special_directions(pts)]
-    seen = {_primitive_key(c.c1, c.c2) for _, c in directions}
+    seen = {primitive_key(c.c1, c.c2) for _, c in directions}
     for name, c in random_directions(seed, samples):
-        key = _primitive_key(c.c1, c.c2)
+        key = primitive_key(c.c1, c.c2)
         if key not in seen:
             seen.add(key)
             directions.append((name, c))
@@ -407,7 +391,7 @@ def membership_report(points, directions) -> list:
     """JSON-ready membership summary for a list of (name, planar direction);
     pictures integral_points and prints each phi / den^5, the given tuple's
     phi (see the module docstring)."""
-    scale = _denominator([v for p in points for v in (p.x, p.y)]) ** 5
+    scale = common_denominator([v for p in points for v in (p.x, p.y)]) ** 5
     ints = integral_points(points)
     out = []
     for name, u in directions:
@@ -464,7 +448,7 @@ def profile(points) -> ProfileCurve:
     for (i, j) in PAIRS:
         p, q = ints[i - 1], ints[j - 1]
         if p != q:
-            key[(i, j)] = _primitive_key(p.x - q.x, p.y - q.y)
+            key[(i, j)] = primitive_key(p.x - q.x, p.y - q.y)
     counts = [Counter(key[pair] for pair in factors)
               for factors in PHI_FACTORS if all(pair in key for pair in factors)]
     if not counts:

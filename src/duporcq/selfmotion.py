@@ -3,10 +3,14 @@ a numeric pose sampler on the motion, the translational circle at the
 half-turn, similarity bonds, and the architectural-singularity test for the
 hexapod extension.
 
-The motion lives on e0 = 0: for each rotation direction (0:e1:e2:e3) the legs
-admit a translation fiber, generically two points, one of which the sampler
-returns.  A design carries such a motion exactly when its squared radii
-satisfy the linear relation G = 0 produced by derive_G.
+The motion lives on e0 = 0: for each rotation direction (0:e1:e2:e3) the
+Study condition and the differences of the leg conditions cut a linear slice
+of translations f, and leg 1 cuts that slice in a sphere around a center in
+kernel coordinates: the translation fiber, generically two points.  The
+sampler solves the slice by lstsq, takes its kernel from an SVD and returns
+the least-norm point of the fiber that closes every leg.  A design carries
+such a motion exactly when its squared radii satisfy the linear relation
+G = 0 produced by derive_G.
 
 The float path has no leg model of its own: each public call reads its
 design once into a FloatLegs, whose float SphereConstraints
@@ -36,8 +40,10 @@ from .geometry import (
     PlanarPoint,
     build_platform,
     canonical_base,
+    cleared,
     collinear,
     cross,
+    primitive_key,
     tv_ratio,
 )
 from .study import (
@@ -218,11 +224,19 @@ def sample_pose(legs: FloatLegs, direction, tol_leg: float = TOL_LEG,
                 tol_f0: float = TOL_F0) -> MotionSample:
     """Least-norm motion pose over a rotation direction (e1, e2, e3).
 
-    Solves the linear slice {S = 0, Q1 - Qi = 0 for every other leg} for f,
-    then intersects with Q1 = 0 along the kernel, keeping the least-norm
-    point.  A design carrying the motion leaves this slice rank-deficient
-    with a consistent right side; InconsistentSystem otherwise.
-    NoRealSolution means the fiber over this direction is empty.
+    lstsq gives the least-norm solution fp of the linear slice
+    {S = 0, Q1 - Qi = 0 for every other leg}, and an SVD its rank and the
+    orthonormal rows K of its kernel.  A design carrying the motion leaves
+    the slice rank-deficient with a consistent right side;
+    InconsistentSystem otherwise.  In kernel coordinates s, f = fp + s.K,
+    leg 1 reads Q1 = 4|s - center|^2 - 4 rho^2 with center = -K(8 fp + L1)/8
+    and rho^2 = |center|^2 - Q1(fp)/4: the fiber is a sphere of any kernel
+    dimension, and NoRealSolution means it is empty (rho^2 < 0, or a
+    full-rank slice whose point fp misses Q1 = 0).  The candidates are the
+    sphere's two points on the line through its center and s = 0 (fp alone
+    at full rank).  The rank cutoff can leave a candidate off some leg, so
+    each closes every leg once; the least-norm one within tolerance is
+    returned, else the closest miss, which MotionSample rejects.
     """
     import numpy as np
     d = np.asarray(direction, dtype=float)
@@ -232,53 +246,39 @@ def sample_pose(legs: FloatLegs, direction, tol_leg: float = TOL_LEG,
     rows, consts = leg_rows(legs, e)
     A = np.vstack([e, rows[0] - rows[1:]])
     b = np.concatenate([[0.0], consts[1:] - consts[0]])
+    # not from the SVD's factors, Vt[:r].T @ ((U[:, :r].T @ b) / sv[:r]):
+    # at the nearly rank-deficient tangent directions that point rounds
+    # about twice as far as lstsq's, and |f0| there sits near TOL_F0
     fp, *_ = np.linalg.lstsq(A, b, rcond=None)
-    scale = 1.0 + float(np.max(np.abs(legs.r2)))
-    if np.linalg.norm(A @ fp - b) > tol_leg * scale:
+    tol = tol_leg * (1.0 + float(np.max(np.abs(legs.r2))))
+    if np.linalg.norm(A @ fp - b) > tol:
         raise InconsistentSystem("linear slice is inconsistent")
     _, sv, Vt = np.linalg.svd(A)
-    rank = int((sv > 1e-9 * sv[0]).sum())
-    kernel = Vt[rank:]
-
-    L1, c1 = rows[0], consts[0]
-
-    def q1(f):
-        return 4.0 * f @ f + L1 @ f + c1
-
-    if rank >= 4:
-        f = fp
-        if abs(q1(f)) > tol_leg * scale:
+    K = Vt[int((sv > 1e-9 * sv[0]).sum()):]
+    q1 = 4.0 * fp @ fp + rows[0] @ fp + consts[0]
+    if not len(K):
+        if abs(q1) > tol:
             raise NoRealSolution("fiber is a single inconsistent point")
-    elif kernel.shape[0] == 1:
-        k = kernel[0]
-        cb = 8.0 * fp @ k + L1 @ k
-        cc = q1(fp)
-        disc = cb * cb - 16.0 * cc
-        if disc < 0:
-            raise NoRealSolution(f"negative discriminant {disc:.3e}")
-        roots = [fp + s * k for s in ((-cb + math.sqrt(disc)) / 8.0,
-                                      (-cb - math.sqrt(disc)) / 8.0)]
-        # both roots close legs 1,2,4; only points on the motion close the rest
-        worst = [np.max(np.abs(residuals_at(legs, e, v))) for v in roots]
-        good = [v for v, w in zip(roots, worst) if w <= tol_leg * scale]
-        f = min(good, key=lambda v: v @ v) if good \
-            else roots[int(np.argmin(worst))]
+        candidates = [fp]
     else:
-        lin = np.array([8.0 * fp @ k + L1 @ k for k in kernel])
-        center = -lin / 8.0
-        rho2 = center @ center - q1(fp) / 4.0
+        center = -K @ (8.0 * fp + rows[0]) / 8.0
+        rho2 = center @ center - q1 / 4.0
         if rho2 < 0:
-            raise NoRealSolution(f"negative circle radius {rho2:.3e}")
-        nc = np.linalg.norm(center)
-        if nc < 1e-300:
-            s = np.zeros(len(kernel))
-            s[0] = math.sqrt(rho2)
-        else:
-            s = center * (1.0 - math.sqrt(rho2) / nc)
-        f = fp + s @ kernel
-    res = residuals_at(legs, e, f)
-    return MotionSample(tuple(e), tuple(f), tuple(res),
-                        leg_tolerance=tol_leg * scale, f0_tolerance=tol_f0)
+            raise NoRealSolution(f"empty fiber sphere, rho^2 = {rho2:.3e}")
+        nc, rho = math.sqrt(center @ center), math.sqrt(rho2)
+        if nc > 1e-300:
+            ends = (center * (1.0 - rho / nc), center * (1.0 + rho / nc))
+        else:       # centered at s = 0: any axis through it
+            axis = np.eye(len(K))[0]
+            ends = (rho * axis, -rho * axis)
+        candidates = [fp + s @ K for s in ends]
+    res = [residuals_at(legs, e, f) for f in candidates]
+    worst = [np.max(np.abs(x)) for x in res]
+    good = [k for k, w in enumerate(worst) if w <= tol]
+    k = (min(good, key=lambda k: candidates[k] @ candidates[k]) if good
+         else int(np.argmin(worst)))
+    return MotionSample(tuple(e), tuple(candidates[k]), tuple(res[k]),
+                        leg_tolerance=tol, f0_tolerance=tol_f0)
 
 
 def fibonacci_directions(count: int):
@@ -322,16 +322,18 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
     """Sample the motion over a direction grid and collect the evidence.
 
     Directions whose fiber is empty are skipped; InconsistentSystem from any
-    direction propagates, since it falsifies the motion itself.  count must
-    be at least 1 (ValueError before any sampling otherwise).
+    direction propagates, since it falsifies the motion itself.  A grid too
+    sparse for count poses is doubled and sampled again; attempted counts
+    the directions of every pass.  count must be at least 1 (ValueError
+    before any sampling otherwise).
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     legs = float_legs(design)
     size = 2 * count
+    attempted = 0
     while True:
         samples = []
-        attempted = 0
         for d in fibonacci_directions(size):
             attempted += 1
             try:
@@ -355,18 +357,6 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
 
 
 # ------------------------------------------------------- translational circle
-
-def _primitive(p: PlanarPoint) -> PlanarPoint:
-    nx, ny = p.x, p.y
-    den = math.lcm(nx.denominator, ny.denominator)
-    ax, ay = nx * den, ny * den
-    g = math.gcd(int(ax), int(ay))
-    if g:
-        ax, ay = ax / g, ay / g
-    if ax < 0 or (ax == 0 and ay < 0):
-        ax, ay = -ax, -ay
-    return PlanarPoint(ax, ay)
-
 
 @dataclass(frozen=True)
 class TranslationalCircle:
@@ -400,7 +390,7 @@ def translational_submotion(design) -> TranslationalCircle:
         if rhs[i] != lam * rhs[pivot]:
             raise InconsistentSystem("parallel planes with different offsets")
     offset = rhs[pivot]
-    prim = _primitive(n)
+    prim = PlanarPoint(*primitive_key(*cleared(n)))
     offset = offset * (prim.x / n.x if n.x != 0 else prim.y / n.y)
     n = prim
     n2 = n.x * n.x + n.y * n.y
@@ -474,7 +464,7 @@ def similarity_bond(design: PentapodDesign) -> SimilarityBond:
         raise ConstructionDegenerate("bond line collapses to a point")
     if cross(g_dir, G_dir) != 0:
         raise ConstructionDegenerate("bond lines are not parallel")
-    d = _primitive(g_dir)
+    d = PlanarPoint(*primitive_key(*cleared(g_dir)))
     return SimilarityBond(m3p, m3pp, M3p, M3pp, (d.x, d.y, Fraction(0)))
 
 

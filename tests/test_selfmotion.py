@@ -195,6 +195,158 @@ def test_sample_pose_wrong_radii_inconsistent():
         sample_pose(float_legs(bad), (0.3, 0.5, 0.9))
 
 
+def _legs(M, m, r2):
+    return selfmotion.FloatLegs(M, m, r2,
+                                tuple(map(SphereConstraint, M, m, r2)))
+
+
+def _four_legs_through_a_pose(seed):
+    """FloatLegs of four legs with seeded generic planar anchors, their
+    radii read off at a seeded pose on e0 = 0 with f0 = 0, and that pose;
+    the slice of four legs has full rank 4."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=3)
+    e = np.concatenate([[0.0], d / np.linalg.norm(d)])
+    g = rng.normal(size=3)
+    f = np.concatenate([[0.0], g - (g @ e[1:]) * e[1:]])
+    M, m = (np.hstack([rng.normal(size=(4, 2)), np.zeros((4, 1))])
+            for _ in range(2))
+    r2 = residuals_at(_legs(M, m, np.zeros(4)), e, f)
+    return _legs(M, m, r2), tuple(e[1:]), f
+
+
+def test_sample_pose_full_rank_slice_is_a_point_fiber():
+    # four legs leave no kernel: the fiber is the slice's one point, a pose
+    # when it closes leg 1 and empty otherwise
+    legs, d, f = _four_legs_through_a_pose(3)
+    s = sample_pose(legs, d)
+    assert np.allclose(s.f, f, rtol=0, atol=1e-12)
+    assert max(abs(r) for r in s.residuals) <= 1e-12
+    longer = _legs(legs.M, legs.m, legs.r2 + [1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(NoRealSolution, match="single inconsistent point"):
+        sample_pose(longer, d)
+
+
+def _three_branch_sample_pose(legs, direction, tol_leg, tol_f0):
+    """The sampler as it was before the one fiber formula: lstsq for the
+    least-norm point, an SVD for the kernel, a discriminant for a kernel
+    of dimension 1 and the nearest circle point for dimension 2 or more."""
+    d = np.asarray(direction, dtype=float)
+    e = np.concatenate([[0.0], d / np.linalg.norm(d)])
+    rows, consts = leg_rows(legs, e)
+    A = np.vstack([e, rows[0] - rows[1:]])
+    b = np.concatenate([[0.0], consts[1:] - consts[0]])
+    fp, *_ = np.linalg.lstsq(A, b, rcond=None)
+    scale = 1.0 + float(np.max(np.abs(legs.r2)))
+    if np.linalg.norm(A @ fp - b) > tol_leg * scale:
+        raise InconsistentSystem("linear slice is inconsistent")
+    _, sv, Vt = np.linalg.svd(A)
+    rank = int((sv > 1e-9 * sv[0]).sum())
+    kernel = Vt[rank:]
+    L1, c1 = rows[0], consts[0]
+
+    def q1(f):
+        return 4.0 * f @ f + L1 @ f + c1
+
+    if rank >= 4:
+        f = fp
+        if abs(q1(f)) > tol_leg * scale:
+            raise NoRealSolution("fiber is a single inconsistent point")
+    elif kernel.shape[0] == 1:
+        k = kernel[0]
+        cb = 8.0 * fp @ k + L1 @ k
+        disc = cb * cb - 16.0 * q1(fp)
+        if disc < 0:
+            raise NoRealSolution(f"negative discriminant {disc:.3e}")
+        roots = [fp + s * k for s in ((-cb + math.sqrt(disc)) / 8.0,
+                                      (-cb - math.sqrt(disc)) / 8.0)]
+        worst = [np.max(np.abs(residuals_at(legs, e, v))) for v in roots]
+        good = [v for v, w in zip(roots, worst) if w <= tol_leg * scale]
+        f = min(good, key=lambda v: v @ v) if good \
+            else roots[int(np.argmin(worst))]
+    else:
+        center = -np.array([8.0 * fp @ k + L1 @ k for k in kernel]) / 8.0
+        rho2 = center @ center - q1(fp) / 4.0
+        if rho2 < 0:
+            raise NoRealSolution(f"negative circle radius {rho2:.3e}")
+        nc = np.linalg.norm(center)
+        if nc < 1e-300:
+            s = np.zeros(len(kernel))
+            s[0] = math.sqrt(rho2)
+        else:
+            s = center * (1.0 - math.sqrt(rho2) / nc)
+        f = fp + s @ kernel
+    return selfmotion.MotionSample(
+        tuple(e), tuple(f), tuple(residuals_at(legs, e, f)),
+        leg_tolerance=tol_leg * scale, f0_tolerance=tol_f0)
+
+
+def _outcome(sampler, *args):
+    try:
+        return "pose", sampler(*args)
+    except (NoRealSolution, InconsistentSystem) as exc:
+        return type(exc).__name__, None
+
+
+def _seeded_motion_designs(seed, count):
+    rng = random.Random(seed)
+    designs = []
+    while len(designs) < count:
+        r1sq = Fraction(rng.randint(1, 160), rng.randint(1, 4))
+        r2sq = Fraction(rng.randint(1, 160), rng.randint(1, 4))
+        try:
+            designs.append(build_motion_design(WORKED, r1sq, r2sq))
+        except Unrealizable:
+            continue
+    return designs
+
+
+def test_sample_pose_matches_the_three_branch_sampler():
+    # one sphere formula and one root choice give the outcome and the pose
+    # of the former sampler on every direction, at the default tolerances:
+    # the grid and the tangent directions (kernel dimension 1), whose
+    # nearly rank-deficient slices leave |f0| at rounding level near
+    # TOL_F0, and the half-turn (dimension 2)
+    directions = list(fibonacci_directions(150)) + [
+        (0, 0, 1), (1e-4, 0, 1), (0, 1e-4, 1)]
+    outcomes = set()
+    for design in [worked_design(), worked_hexapod(),
+                   *_seeded_motion_designs(14, 8)]:
+        legs = float_legs(design)
+        scale = 1.0 + float(np.max(np.abs(legs.r2)))
+        for d in directions:
+            new, s = _outcome(sample_pose, legs, d, selfmotion.TOL_LEG,
+                              selfmotion.TOL_F0)
+            old, t = _outcome(_three_branch_sample_pose, legs, d,
+                              selfmotion.TOL_LEG, selfmotion.TOL_F0)
+            assert new == old, (design, d)
+            outcomes.add(new)
+            if s is not None:
+                gap = np.max(np.abs(np.subtract(s.e + s.f, t.e + t.f)))
+                assert gap <= 1e-9 * scale, (design, d)
+    assert outcomes == {"pose", "NoRealSolution", "InconsistentSystem"}
+
+
+def test_sample_pose_closes_each_candidate_once(monkeypatch):
+    # residuals_at runs once for each of the fiber's two candidates, at a
+    # kernel of dimension 1 and at the half-turn's dimension 2, and the
+    # chosen pose reuses its residuals
+    calls = []
+    real = selfmotion.residuals_at
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(selfmotion, "residuals_at", counting)
+    legs = float_legs(worked_hexapod())
+    for d in [(0.3, 0.5, 0.9), (0.0, 0.0, 1.0)]:
+        calls.clear()
+        s = sample_pose(legs, d)
+        assert len(calls) == 2
+        assert any(np.array_equal(c[2], s.f) for c in calls)
+
+
 def test_fibonacci_directions_unit_hemisphere():
     pts = list(fibonacci_directions(40))
     assert len(pts) == 40
@@ -222,6 +374,25 @@ def test_verify_selfmotion_rejects_count_below_one(monkeypatch, count):
     monkeypatch.setattr(selfmotion, "sample_pose", no_sampling)
     with pytest.raises(ValueError, match="count must be at least 1"):
         verify_selfmotion(worked_design(), count=count)
+
+
+def test_verify_selfmotion_counts_every_pass(monkeypatch):
+    # radii (20, 4) leave too few real fibers on the first grid of 20
+    # directions, so a second pass of 40 runs; attempted counts both (it
+    # used to count only the last pass).  tangent_pair makes 3 more calls
+    calls = []
+    real = selfmotion.sample_pose
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(selfmotion, "sample_pose", counting)
+    design = build_motion_design(WORKED, 20, 4)
+    rep = verify_selfmotion(design, count=10,
+                            tol_f0=selfmotion.TOL_F0 * (1 + 658 / 25))
+    assert rep.attempted == len(calls) - 3
+    assert rep.attempted > 20
 
 
 def test_tangent_pair_independent():

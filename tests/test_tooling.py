@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import duporcq
 import duporcq.cli
 
@@ -23,6 +25,12 @@ SCRIPT_RUNS = {
     "trace_trajectory.py": (["--n1", "3", "--n2", "4", "--out", "motion.csv"],
                             ["motion.csv"]),
 }
+
+
+def _package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def test_package_has_no_assert_statements():
@@ -72,8 +80,7 @@ def test_cli_import_does_not_load_numpy():
     # numpy is about half of the CLI's import time, and classify, pipeline
     # and profile never use it; main() builds the argparse parser on its
     # first call, so the import builds none either
-    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = _package_env()
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, duporcq.cli as cli; "
@@ -122,8 +129,7 @@ def test_scripts_run(tmp_path):
     # the scripts import the package by name; a rename that breaks one
     # must fail here
     assert sorted(p.name for p in SCRIPTS.glob("*.py")) == sorted(SCRIPT_RUNS)
-    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = _package_env()
     for name, (args, outputs) in SCRIPT_RUNS.items():
         done = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
                               cwd=tmp_path, env=env, capture_output=True,
@@ -131,3 +137,17 @@ def test_scripts_run(tmp_path):
         assert done.returncode == 0, f"{name}: {done.stderr}"
         for out in outputs:
             assert (tmp_path / out).stat().st_size > 0, f"{name}: {out}"
+
+
+@pytest.mark.parametrize("grid", [["--n1", "0"], ["--n2", "-1"]])
+def test_trace_trajectory_rejects_an_empty_grid(tmp_path, grid):
+    # an empty grid used to write a header-only CSV and then fail on the
+    # worst residual of no rows; it is a usage error before any output
+    env = _package_env()
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "trace_trajectory.py"), *grid,
+         "--out", "motion.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "--n1 and --n2 must be at least 1" in done.stderr
+    assert not (tmp_path / "motion.csv").exists()
