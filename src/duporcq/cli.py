@@ -9,6 +9,7 @@ of a configuration.  All outputs are deterministic for a fixed seed.
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -444,8 +445,11 @@ def main(argv=None) -> int:
         _parser = _build_parser()
     args = _parser.parse_args(argv)
     try:
-        if min(getattr(args, "tol_leg", 1), getattr(args, "tol_f0", 1)) <= 0:
-            raise SchemaError("tolerances must be positive")
+        for tol in (getattr(args, "tol_leg", 1), getattr(args, "tol_f0", 1)):
+            if not math.isfinite(tol):  # nan would pass every "> tol" test
+                raise SchemaError("tolerances must be finite")
+            if tol <= 0:
+                raise SchemaError("tolerances must be positive")
         if getattr(args, "samples", 1) <= 0:
             raise SchemaError("--samples must be positive")
         code, payload = args.func(args)

@@ -10,12 +10,15 @@ kernel coordinates: the translation fiber, generically two points.  The
 sampler solves the slice by lstsq, takes its kernel from an SVD and returns
 the least-norm point of the fiber that closes every leg.  A design carries
 such a motion exactly when its squared radii satisfy the linear relation
-G = 0 produced by derive_G.
+G = 0 produced by derive_G.  sample_pose samples one direction;
+sample_poses a whole grid at once, in one sphere_linear call, one stacked
+SVD and one residuals_at call, with lstsq still run per direction.
+verify_selfmotion and trajectory sample their grids with it.
 
 The float path has no leg model of its own: each public call reads its
-design once into a FloatLegs, whose float SphereConstraints
-study.sphere_linear splits into rows, and poses act through
-study.rotation_numerator and translation_numerator.
+design once into a FloatLegs, whose float SphereConstraints, one per leg
+or one stacked over the legs, study.sphere_linear splits into rows, and
+poses act through study.rotation_numerator and translation_numerator.
 
 numpy is imported inside the functions that use it, so importing this
 module, as the CLI does for every subcommand, does not load it.
@@ -157,22 +160,31 @@ def design_legs(design):
 
 
 class FloatLegs(NamedTuple):
-    """One design's float legs: arrays M, m, r2 and their SphereConstraints."""
+    """One design's float legs: arrays M, m (one row per leg) and r2, the
+    legs as SphereConstraints of floats, and the same legs as one stacked
+    SphereConstraint whose entries are (L,) columns."""
     M: np.ndarray
     m: np.ndarray
     r2: np.ndarray
     spheres: tuple
+    stacked: SphereConstraint
+
+    @classmethod
+    def of(cls, M, m, r2) -> "FloatLegs":
+        spheres = tuple(map(SphereConstraint, M.tolist(), m.tolist(),
+                            r2.tolist()))
+        return cls(M, m, r2, spheres,
+                   SphereConstraint(tuple(M.T), tuple(m.T), r2))
 
 
 def float_legs(design) -> FloatLegs:
     """FloatLegs of design_legs(design)."""
     import numpy as np
     base, plat, radii = design_legs(design)
-    M = [[float(p.x), float(p.y), 0.0] for p in base]
-    m = [[float(p.x), float(p.y), 0.0] for p in plat]
-    r2 = [float(r) for r in radii]
-    return FloatLegs(np.array(M), np.array(m), np.array(r2),
-                     tuple(map(SphereConstraint, M, m, r2)))
+    return FloatLegs.of(
+        np.array([[float(p.x), float(p.y), 0.0] for p in base]),
+        np.array([[float(p.x), float(p.y), 0.0] for p in plat]),
+        np.array([float(r) for r in radii]))
 
 
 def sixth_radius(design: HexapodDesign) -> Fraction:
@@ -191,15 +203,20 @@ def leg_rows(legs: FloatLegs, e):
 
 
 def _move(m, e, f) -> np.ndarray:
-    """Platform anchors m (rows) carried by a unit-norm pose (e, f)."""
+    """Platform anchors m (rows) carried by unit-norm poses (e, f), each
+    of shape (..., 4); the leading axes broadcast."""
     import numpy as np
+    # .T puts the Euler and Study parameters first, and on the way back
+    # turns each rotation numerator into its transpose
+    e, f = np.asarray(e, float).T, np.asarray(f, float).T
     return (m @ np.array(rotation_numerator(e)).T
-            + np.array(translation_numerator(e, f)))
+            + np.array(translation_numerator(e, f)).T[..., None, :])
 
 
 def residuals_at(legs: FloatLegs, e, f) -> np.ndarray:
-    """Per-leg dist^2 - r^2 at a unit-norm pose."""
-    return ((_move(legs.m, e, f) - legs.M) ** 2).sum(axis=1) - legs.r2
+    """Per-leg dist^2 - r^2 at unit-norm poses (e, f) of shape (..., 4):
+    shape (..., L)."""
+    return ((_move(legs.m, e, f) - legs.M) ** 2).sum(axis=-1) - legs.r2
 
 
 @dataclass(frozen=True)
@@ -235,14 +252,16 @@ def sample_pose(legs: FloatLegs, direction, tol_leg: float = TOL_LEG,
     full-rank slice whose point fp misses Q1 = 0).  The candidates are the
     sphere's two points on the line through its center and s = 0 (fp alone
     at full rank).  The rank cutoff can leave a candidate off some leg, so
-    each closes every leg once; the least-norm one within tolerance is
-    returned, else the closest miss, which MotionSample rejects.
+    the candidates close every leg in one residuals_at call; the least-norm
+    one within tolerance is returned, else the closest miss, which
+    MotionSample rejects.
     """
     import numpy as np
     d = np.asarray(direction, dtype=float)
-    if d.shape != (3,) or not np.linalg.norm(d) > 0:
+    norm = np.linalg.norm(d) if d.shape == (3,) else 0.0
+    if not norm > 0:
         raise ValueError("direction must be a nonzero 3-vector")
-    e = np.concatenate([[0.0], d / np.linalg.norm(d)])
+    e = np.concatenate([[0.0], d / norm])
     rows, consts = leg_rows(legs, e)
     A = np.vstack([e, rows[0] - rows[1:]])
     b = np.concatenate([[0.0], consts[1:] - consts[0]])
@@ -259,7 +278,7 @@ def sample_pose(legs: FloatLegs, direction, tol_leg: float = TOL_LEG,
     if not len(K):
         if abs(q1) > tol:
             raise NoRealSolution("fiber is a single inconsistent point")
-        candidates = [fp]
+        candidates = np.array([fp])
     else:
         center = -K @ (8.0 * fp + rows[0]) / 8.0
         rho2 = center @ center - q1 / 4.0
@@ -271,14 +290,99 @@ def sample_pose(legs: FloatLegs, direction, tol_leg: float = TOL_LEG,
         else:       # centered at s = 0: any axis through it
             axis = np.eye(len(K))[0]
             ends = (rho * axis, -rho * axis)
-        candidates = [fp + s @ K for s in ends]
-    res = [residuals_at(legs, e, f) for f in candidates]
-    worst = [np.max(np.abs(x)) for x in res]
+        candidates = np.array([fp + s @ K for s in ends])
+    res = residuals_at(legs, e, candidates)
+    worst = np.abs(res).max(axis=1)
     good = [k for k, w in enumerate(worst) if w <= tol]
     k = (min(good, key=lambda k: candidates[k] @ candidates[k]) if good
          else int(np.argmin(worst)))
-    return MotionSample(tuple(e), tuple(candidates[k]), tuple(res[k]),
-                        leg_tolerance=tol, f0_tolerance=tol_f0)
+    return MotionSample(tuple(e.tolist()), tuple(candidates[k].tolist()),
+                        tuple(res[k].tolist()), leg_tolerance=tol,
+                        f0_tolerance=tol_f0)
+
+
+def sample_poses(legs: FloatLegs, directions, tol_leg: float = TOL_LEG,
+                 tol_f0: float = TOL_F0) -> list:
+    """sample_pose over a grid of directions, shape (B, 3), in one pass: a
+    list, in grid order, of each direction's MotionSample or the exception
+    sample_pose raises for it.  ValueError, before any sampling, unless
+    every direction is a nonzero 3-vector.
+
+    The grid goes through one sphere_linear call on legs.stacked, one
+    stacked SVD, the fiber formula and the root choice on arrays, and one
+    residuals_at call for every candidate; only lstsq runs per direction.
+    Each element goes through the IEEE operations of sample_pose, so the
+    slices and least-norm points are bitwise those of sample_pose; the
+    products with the kernel may round differently in the last bits.  For a
+    single direction sample_pose is the cheaper call: the batch's few
+    hundred small-array numpy operations cost more than one direction's
+    scalar work.
+    """
+    import numpy as np
+    if not len(directions):
+        return []
+    d = np.asarray(directions, dtype=float)
+    if d.ndim != 2 or d.shape[1] != 3 or not np.all(np.vecdot(d, d) > 0):
+        raise ValueError("directions must be nonzero 3-vectors")
+    e = np.zeros((len(d), 4))
+    e[:, 1:] = d / np.sqrt(np.vecdot(d, d))[:, None]
+    [(rows, consts)] = sphere_linear(tuple(e.T[:, :, None]), [legs.stacked])
+    rows = np.stack(rows, axis=-1)                  # (B, L, 4), consts (B, L)
+    A = np.concatenate([e[:, None], rows[:, :1] - rows[:, 1:]], axis=1)
+    b = np.concatenate([np.zeros((len(d), 1)), consts[:, 1:] - consts[:, :1]],
+                       axis=1)
+    fp = np.array([np.linalg.lstsq(a, y, rcond=None)[0]
+                   for a, y in zip(A, b)])
+    tol = tol_leg * (1.0 + float(np.max(np.abs(legs.r2))))
+    gap = (A @ fp[:, :, None])[:, :, 0] - b
+    inconsistent = np.sqrt(np.vecdot(gap, gap)) > tol
+    _, sv, Vt = np.linalg.svd(A)
+    rank = (sv > 1e-9 * sv[:, :1]).sum(axis=1)
+    point = rank == 4
+    q1 = np.vecdot(4.0 * fp, fp) + np.vecdot(rows[:, 0], fp) + consts[:, 0]
+    # rows of Vt past the rank span K; the others get s = 0
+    center = np.where(np.arange(4) >= rank[:, None],
+                      -(Vt @ (8.0 * fp + rows[:, 0])[:, :, None])[:, :, 0]
+                      / 8.0, 0.0)
+    cc = np.vecdot(center, center)
+    rho2 = cc - q1 / 4.0
+    nc, rho = np.sqrt(cc), np.sqrt(np.where(point, 0.0, np.maximum(rho2, 0)))
+    # the candidates s = center * (1 -+ rho / nc); a sphere centered at
+    # s = 0 takes s = +-rho on K's first axis instead
+    off = nc > 1e-300
+    sign = np.array([-1.0, 1.0])[:, None]
+    ends = center[:, None] * (1.0 + sign * (rho / np.where(off, nc, 1.0))[
+        :, None, None])
+    if not off.all():
+        axis = np.eye(4)[np.minimum(rank, 3)][:, None]
+        ends[~off] = (-sign * rho[:, None, None] * axis)[~off]
+    candidates = fp[:, None] + ends @ Vt            # (B, 2, 4)
+    res = residuals_at(legs, e[:, None], candidates)
+    worst = np.abs(res).max(axis=-1)
+    good = worst <= tol
+    k = np.where(good.any(axis=1),
+                 np.argmin(np.where(good, np.vecdot(candidates, candidates),
+                                    np.inf), axis=1),
+                 np.argmin(worst, axis=1))
+    out = []
+    for ei, ci, ri, ki, bad, pt, q, r2 in zip(
+            e.tolist(), candidates.tolist(), res.tolist(), k.tolist(),
+            inconsistent.tolist(), point.tolist(), q1.tolist(),
+            rho2.tolist()):
+        if bad:
+            out.append(InconsistentSystem("linear slice is inconsistent"))
+        elif pt and abs(q) > tol:
+            out.append(NoRealSolution("fiber is a single inconsistent point"))
+        elif not pt and r2 < 0:
+            out.append(NoRealSolution(f"empty fiber sphere, rho^2 = {r2:.3e}"))
+        else:
+            try:
+                out.append(MotionSample(
+                    tuple(ei), tuple(ci[ki]), tuple(ri[ki]),
+                    leg_tolerance=tol, f0_tolerance=tol_f0))
+            except InconsistentSystem as exc:
+                out.append(exc)
+    return out
 
 
 def fibonacci_directions(count: int):
@@ -324,8 +428,10 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
     Directions whose fiber is empty are skipped; InconsistentSystem from any
     direction propagates, since it falsifies the motion itself.  A grid too
     sparse for count poses is doubled and sampled again; attempted counts
-    the directions of every pass.  count must be at least 1 (ValueError
-    before any sampling otherwise).
+    the directions of every pass.  Each pass samples its grid in one
+    sample_poses call and walks the outcomes in grid order up to the
+    count-th pose, so outcomes past it count for nothing.  count must be at
+    least 1 (ValueError before any sampling otherwise).
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -334,12 +440,14 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
     attempted = 0
     while True:
         samples = []
-        for d in fibonacci_directions(size):
+        for outcome in sample_poses(legs, list(fibonacci_directions(size)),
+                                    tol_leg, tol_f0):
             attempted += 1
-            try:
-                samples.append(sample_pose(legs, d, tol_leg, tol_f0))
-            except NoRealSolution:
+            if isinstance(outcome, NoRealSolution):
                 continue
+            if isinstance(outcome, Exception):
+                raise outcome
+            samples.append(outcome)
             if len(samples) == count:
                 break
         if len(samples) == count:
@@ -497,16 +605,17 @@ def arch_singularity_check(design: HexapodDesign, seed: int = 0,
     import numpy as np
     legs = float_legs(design)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    unit = []
     for _ in range(samples):
         e, f = random_pose(rng)
         rows = plucker_matrix(legs, e, f)
         norms = np.linalg.norm(rows, axis=1)
-        if np.min(norms) < 1e-12:
-            continue
-        sv = np.linalg.svd(rows / norms[:, None], compute_uv=False)
-        worst = max(worst, sv[-1] / sv[0])
-    return worst
+        if np.min(norms) >= 1e-12:
+            unit.append(rows / norms[:, None])
+    if not unit:
+        return 0.0
+    sv = np.linalg.svd(np.array(unit), compute_uv=False)
+    return max(0.0, *(sv[:, -1] / sv[:, 0]))
 
 
 # ----------------------------------------------------------------- trajectory
@@ -523,20 +632,19 @@ def trajectory(design: HexapodDesign, n1: int = 6, n2: int = 12) -> list:
     points whose fiber is empty are skipped.
     """
     legs = float_legs(design)
+    angles = [((i + 1) * (math.pi / 2) / (n1 + 1), 2 * math.pi * j / n2)
+              for i in range(n1) for j in range(n2)]
+    directions = [(math.sin(t1) * math.cos(t2), math.sin(t1) * math.sin(t2),
+                   math.cos(t1)) for t1, t2 in angles]
     rows = []
-    for i in range(n1):
-        t1 = (i + 1) * (math.pi / 2) / (n1 + 1)
-        for j in range(n2):
-            t2 = 2 * math.pi * j / n2
-            d = (math.sin(t1) * math.cos(t2), math.sin(t1) * math.sin(t2),
-                 math.cos(t1))
-            try:
-                s = sample_pose(legs, d)
-            except NoRealSolution:
-                continue
-            t = translation_numerator(s.e, s.f)
-            rows.append((t1, t2) + s.e[1:] + s.f[1:]
-                        + tuple(t) + tuple(s.residuals))
+    for (t1, t2), s in zip(angles, sample_poses(legs, directions)):
+        if isinstance(s, NoRealSolution):
+            continue
+        if isinstance(s, Exception):
+            raise s
+        t = translation_numerator(s.e, s.f)
+        rows.append((t1, t2) + s.e[1:] + s.f[1:]
+                    + tuple(t) + tuple(s.residuals))
     return rows
 
 

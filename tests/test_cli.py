@@ -324,6 +324,36 @@ def test_rejects_nonpositive_tolerance(tmp_path, capsys):
     assert json.loads(captured.err) == {"error": "tolerances must be positive"}
 
 
+def off_motion_file(tmp_path):
+    """The worked pentapod with r3^2 = 721/1000 in place of 18/25: no
+    self-motion, so its linear slices are inconsistent."""
+    d = worked_design()
+    radii = d.radii2[:2] + (Fraction(721, 1000),) + d.radii2[3:]
+    return write_design(tmp_path, PentapodDesign(d.base, d.platform, radii))
+
+
+def test_motion_off_motion_radius_is_an_inconsistent_slice(tmp_path, capsys):
+    code = main(["motion", off_motion_file(tmp_path), "--samples", "3",
+                 "--out", str(tmp_path / "m.csv")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (5, "")
+    assert json.loads(captured.err) == {"error": "linear slice is inconsistent"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--tol-leg", "--tol-f0"])
+def test_rejects_non_finite_tolerance(tmp_path, capsys, flag, value):
+    # nan passed the old "<= 0" gate and then every "> tol" test, so the
+    # design above got past its inconsistent slice to a later error
+    csv_path = tmp_path / "m.csv"
+    code = main(["motion", off_motion_file(tmp_path), f"{flag}={value}",
+                 "--samples", "3", "--out", str(csv_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert json.loads(captured.err) == {"error": "tolerances must be finite"}
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "{design}", "--tol-leg", "1e-9"],
     ["pipeline", "{design}", "--seed", "1"],

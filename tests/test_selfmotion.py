@@ -23,6 +23,7 @@ from duporcq.selfmotion import (
     TRAJECTORY_COLUMNS,
     ConstructionDegenerate,
     InconsistentSystem,
+    MotionSample,
     NoRealSolution,
     RankTooHigh,
     Unrealizable,
@@ -39,6 +40,7 @@ from duporcq.selfmotion import (
     pose_from_translation,
     residuals_at,
     sample_pose,
+    sample_poses,
     similarity_bond,
     sixth_radius,
     tangent_pair,
@@ -196,8 +198,7 @@ def test_sample_pose_wrong_radii_inconsistent():
 
 
 def _legs(M, m, r2):
-    return selfmotion.FloatLegs(M, m, r2,
-                                tuple(map(SphereConstraint, M, m, r2)))
+    return selfmotion.FloatLegs.of(M, m, r2)
 
 
 def _four_legs_through_a_pose(seed):
@@ -327,10 +328,72 @@ def test_sample_pose_matches_the_three_branch_sampler():
     assert outcomes == {"pose", "NoRealSolution", "InconsistentSystem"}
 
 
+def _slices_by_leg_rows(legs, directions):
+    """(A, b) of each direction's linear slice, built one leg at a time."""
+    for d in directions:
+        d = np.asarray(d, dtype=float)
+        e = np.concatenate([[0.0], d / np.linalg.norm(d)])
+        rows, consts = leg_rows(legs, e)
+        yield (np.vstack([e, rows[0] - rows[1:]]),
+               np.concatenate([[0.0], consts[1:] - consts[0]]))
+
+
+def test_sample_poses_matches_sample_pose(monkeypatch):
+    # the grid sampler hands lstsq bitwise the slices leg_rows builds one
+    # leg at a time, and gives each direction sample_pose's outcome, error
+    # text and, up to rounding, pose: on the Fibonacci grid and the three
+    # directions of tangent_pair
+    directions = list(fibonacci_directions(150)) + [
+        (0, 0, 1), (1e-4, 0, 1), (0, 1e-4, 1)]
+    outcomes = set()
+    real_lstsq = np.linalg.lstsq
+    for design in [worked_design(), worked_hexapod(),
+                   *_seeded_motion_designs(14, 8)]:
+        legs = float_legs(design)
+        slices = []
+
+        def recording(a, y, **kw):
+            slices.append((a.copy(), y.copy()))
+            return real_lstsq(a, y, **kw)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording)
+        batch = sample_poses(legs, directions)
+        monkeypatch.setattr(np.linalg, "lstsq", real_lstsq)
+        assert len(slices) == len(batch) == len(directions)
+        for (a, y), (A, b) in zip(slices, _slices_by_leg_rows(legs,
+                                                              directions)):
+            assert np.array_equal(a, A) and np.array_equal(y, b), design
+        bound = 1e-12 * (1.0 + float(np.max(np.abs(legs.r2))))
+        for d, got in zip(directions, batch):
+            try:
+                want = sample_pose(legs, d)
+            except (NoRealSolution, InconsistentSystem) as exc:
+                want = exc
+            assert type(got) is type(want), (design, d)
+            outcomes.add(type(got).__name__)
+            if isinstance(want, Exception):
+                assert str(got) == str(want), (design, d)
+                continue
+            assert got.e == want.e
+            for x, y in ((got.f, want.f), (got.residuals, want.residuals)):
+                assert np.max(np.abs(np.subtract(x, y))) <= bound, (design, d)
+    assert outcomes == {"MotionSample", "NoRealSolution", "InconsistentSystem"}
+
+
+def test_sample_poses_rejects_a_bad_grid():
+    legs = float_legs(worked_design())
+    assert sample_poses(legs, []) == sample_poses(legs, np.zeros((0, 3))) == []
+    for grid in ([(0.3, 0.5, 0.9), (0.0, 0.0, 0.0)], [(1.0, 2.0)],
+                 [(0.3, math.nan, 0.9)]):
+        with pytest.raises(ValueError, match="nonzero 3-vectors"):
+            sample_poses(legs, grid)
+
+
 def test_sample_pose_closes_each_candidate_once(monkeypatch):
-    # residuals_at runs once for each of the fiber's two candidates, at a
-    # kernel of dimension 1 and at the half-turn's dimension 2, and the
-    # chosen pose reuses its residuals
+    # the candidates close every leg in one residuals_at call: sample_pose's
+    # two at a kernel of dimension 1 and at the half-turn's dimension 2, and
+    # sample_poses' two per direction of the whole grid; the chosen pose
+    # reuses its residuals
     calls = []
     real = selfmotion.residuals_at
 
@@ -340,11 +403,19 @@ def test_sample_pose_closes_each_candidate_once(monkeypatch):
 
     monkeypatch.setattr(selfmotion, "residuals_at", counting)
     legs = float_legs(worked_hexapod())
-    for d in [(0.3, 0.5, 0.9), (0.0, 0.0, 1.0)]:
+    grid = [(0.3, 0.5, 0.9), (0.0, 0.0, 1.0)]
+    for d in grid:
         calls.clear()
         s = sample_pose(legs, d)
-        assert len(calls) == 2
-        assert any(np.array_equal(c[2], s.f) for c in calls)
+        [(_, e, f)] = calls
+        assert f.shape == (2, 4)
+        assert any(np.array_equal(c, s.f) for c in f)
+    calls.clear()
+    batch = sample_poses(legs, grid)
+    [(_, e, f)] = calls
+    assert f.shape == (2, 2, 4)
+    for s, cands in zip(batch, f):
+        assert any(np.array_equal(c, s.f) for c in cands)
 
 
 def test_fibonacci_directions_unit_hemisphere():
@@ -372,27 +443,73 @@ def test_verify_selfmotion_rejects_count_below_one(monkeypatch, count):
         raise AssertionError("sampled a pose")
 
     monkeypatch.setattr(selfmotion, "sample_pose", no_sampling)
+    monkeypatch.setattr(selfmotion, "sample_poses", no_sampling)
     with pytest.raises(ValueError, match="count must be at least 1"):
         verify_selfmotion(worked_design(), count=count)
 
 
+def _recording_sample_poses(monkeypatch, inject=None):
+    """Patch sample_poses to record each pass's outcomes, after replacing
+    the outcome at inject(outcomes) when inject is given."""
+    passes = []
+    real = selfmotion.sample_poses
+
+    def recording(*args):
+        out = real(*args)
+        if inject is not None:
+            out[inject(out)] = InconsistentSystem("injected")
+        passes.append(out)
+        return out
+
+    monkeypatch.setattr(selfmotion, "sample_poses", recording)
+    return passes
+
+
+def _walked(outcomes, count):
+    """Directions a pass walks: up to its count-th pose, else all."""
+    poses = [i for i, o in enumerate(outcomes) if isinstance(o, MotionSample)]
+    return poses[count - 1] + 1 if len(poses) >= count else len(outcomes)
+
+
 def test_verify_selfmotion_counts_every_pass(monkeypatch):
     # radii (20, 4) leave too few real fibers on the first grid of 20
-    # directions, so a second pass of 40 runs; attempted counts both (it
-    # used to count only the last pass).  tangent_pair makes 3 more calls
-    calls = []
+    # directions, so a second pass of 40 runs; each pass is one
+    # sample_poses call, and attempted counts the directions both walked
+    # (it used to count only the last pass).  tangent_pair makes 3
+    # sample_pose calls
+    passes = _recording_sample_poses(monkeypatch)
+    singles = []
     real = selfmotion.sample_pose
 
     def counting(*args):
-        calls.append(args[1])
+        singles.append(args[1])
         return real(*args)
 
     monkeypatch.setattr(selfmotion, "sample_pose", counting)
     design = build_motion_design(WORKED, 20, 4)
     rep = verify_selfmotion(design, count=10,
                             tol_f0=selfmotion.TOL_F0 * (1 + 658 / 25))
-    assert rep.attempted == len(calls) - 3
+    assert [len(p) for p in passes] == [20, 40]
+    assert rep.attempted == sum(_walked(p, 10) for p in passes)
     assert rep.attempted > 20
+    assert len(singles) == 3
+
+
+def test_verify_selfmotion_walks_each_pass_in_grid_order(monkeypatch):
+    # a pass's outcomes past its count-th pose count for nothing, as if
+    # the grid were sampled one direction at a time: an InconsistentSystem
+    # there is dropped, one before it propagates
+    design, count = worked_design(), 5
+    outcomes = sample_poses(float_legs(design),
+                            list(fibonacci_directions(2 * count)))
+    last = _walked(outcomes, count) - 1
+    assert last + 1 < len(outcomes)
+    _recording_sample_poses(monkeypatch, inject=lambda out: last + 1)
+    rep = verify_selfmotion(design, count=count)
+    assert (len(rep.samples), rep.attempted) == (count, last + 1)
+    _recording_sample_poses(monkeypatch, inject=lambda out: last)
+    with pytest.raises(InconsistentSystem, match="injected"):
+        verify_selfmotion(design, count=count)
 
 
 def test_tangent_pair_independent():
