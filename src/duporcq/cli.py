@@ -45,6 +45,7 @@ from .selfmotion import (
     TOL_F0,
     TOL_LEG,
     ConstructionDegenerate,
+    FloatOverflow,
     InconsistentSystem,
     NoRealSolution,
     Unrealizable,
@@ -62,7 +63,8 @@ EXIT_INCONSISTENT = 5
 
 # each typed failure with its exit code; main takes the first match
 EXIT_CODES = {
-    SchemaError: EXIT_SCHEMA, Unrealizable: EXIT_UNREALIZABLE,
+    SchemaError: EXIT_SCHEMA, FloatOverflow: EXIT_SCHEMA,
+    Unrealizable: EXIT_UNREALIZABLE,
     InconsistentSystem: EXIT_INCONSISTENT, NoRealSolution: EXIT_INCONSISTENT,
     DegenerateBase: EXIT_DEGENERATE, DegeneratePlatform: EXIT_DEGENERATE,
     NotDuporcq: EXIT_DEGENERATE, InvariantViolation: EXIT_DEGENERATE,
@@ -214,8 +216,11 @@ def cmd_motion(args):
             "motion sampling needs the identity kappa_2 platform")
     r1sq = design.radii2[0] if args.r1sq is None else _rational(args.r1sq)
     r2sq = design.radii2[1] if args.r2sq is None else _rational(args.r2sq)
-    motion_radii(params, r1sq, r2sq)    # realizability gate for (r1^2, r2^2)
-    radii = (r1sq, r2sq) + tuple(design.radii2[2:])
+    # motion_radii gates (r1^2, r2^2) and solves the radii with a motion;
+    # an override samples those, a file without one its own radii
+    radii = motion_radii(params, r1sq, r2sq).as_tuple()
+    if args.r1sq is None and args.r2sq is None:
+        radii = design.radii2
     moving = PentapodDesign(design.base, design.platform, radii)
     if sixth is not None:
         moving = HexapodDesign(moving, sixth[0], sixth[1])
@@ -452,6 +457,8 @@ def main(argv=None) -> int:
                 raise SchemaError("tolerances must be positive")
         if getattr(args, "samples", 1) <= 0:
             raise SchemaError("--samples must be positive")
+        if getattr(args, "seed", 0) < 0:
+            raise SchemaError("--seed must be non-negative")
         code, payload = args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

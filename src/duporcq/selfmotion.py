@@ -10,15 +10,15 @@ kernel coordinates: the translation fiber, generically two points.  The
 sampler solves the slice by lstsq, takes its kernel from an SVD and returns
 the least-norm point of the fiber that closes every leg.  A design carries
 such a motion exactly when its squared radii satisfy the linear relation
-G = 0 produced by derive_G.  sample_pose samples one direction;
-sample_poses a whole grid at once, in one sphere_linear call, one stacked
-SVD and one residuals_at call, with lstsq still run per direction.
-verify_selfmotion and trajectory sample their grids with it.
+G = 0 produced by derive_G.  sample_pose, the one sampler, takes a whole
+grid of directions through one sphere_linear call, one stacked SVD and one
+residuals_at call (lstsq still runs per direction); verify_selfmotion,
+tangent_pair and trajectory each sample their directions in one call.
 
 The float path has no leg model of its own: each public call reads its
-design once into a FloatLegs, whose float SphereConstraints, one per leg
-or one stacked over the legs, study.sphere_linear splits into rows, and
-poses act through study.rotation_numerator and translation_numerator.
+design once into a FloatLegs, whose float SphereConstraint stacked over
+the legs study.sphere_linear splits into rows, and poses act through
+study.rotation_numerator and translation_numerator.
 
 numpy is imported inside the functions that use it, so importing this
 module, as the CLI does for every subcommand, does not load it.
@@ -71,6 +71,10 @@ class Unrealizable(ValueError):
 
 class InconsistentSystem(ArithmeticError):
     """Leg equations fail to close within tolerance; not a motion design."""
+
+
+class FloatOverflow(ValueError):
+    """An exact design value has no finite float."""
 
 
 class NoRealSolution(ArithmeticError):
@@ -160,46 +164,37 @@ def design_legs(design):
 
 
 class FloatLegs(NamedTuple):
-    """One design's float legs: arrays M, m (one row per leg) and r2, the
-    legs as SphereConstraints of floats, and the same legs as one stacked
-    SphereConstraint whose entries are (L,) columns."""
+    """One design's float legs: arrays M, m (one row per leg) and r2, and
+    the legs as one stacked SphereConstraint whose entries are (L,)
+    columns."""
     M: np.ndarray
     m: np.ndarray
     r2: np.ndarray
-    spheres: tuple
     stacked: SphereConstraint
 
     @classmethod
     def of(cls, M, m, r2) -> "FloatLegs":
-        spheres = tuple(map(SphereConstraint, M.tolist(), m.tolist(),
-                            r2.tolist()))
-        return cls(M, m, r2, spheres,
-                   SphereConstraint(tuple(M.T), tuple(m.T), r2))
+        return cls(M, m, r2, SphereConstraint(tuple(M.T), tuple(m.T), r2))
 
 
 def float_legs(design) -> FloatLegs:
-    """FloatLegs of design_legs(design)."""
+    """FloatLegs of design_legs(design); FloatOverflow when a coordinate or
+    squared radius has no finite float."""
     import numpy as np
     base, plat, radii = design_legs(design)
-    return FloatLegs.of(
-        np.array([[float(p.x), float(p.y), 0.0] for p in base]),
-        np.array([[float(p.x), float(p.y), 0.0] for p in plat]),
-        np.array([float(r) for r in radii]))
+    try:
+        return FloatLegs.of(
+            np.array([[float(p.x), float(p.y), 0.0] for p in base]),
+            np.array([[float(p.x), float(p.y), 0.0] for p in plat]),
+            np.array([float(r) for r in radii]))
+    except OverflowError as exc:
+        raise FloatOverflow(f"value has no finite float: {exc}") from exc
 
 
 def sixth_radius(design: HexapodDesign) -> Fraction:
     """Sixth squared leg length, read off at the half-turn reference pose."""
     p = design.m6.scale(-1) - design.M6
     return p.x * p.x + p.y * p.y
-
-
-def leg_rows(legs: FloatLegs, e):
-    """Rows L_i and constants c_i of the legs at a unit-norm e, split by
-    study.sphere_linear: Q_i(f) = 4|f|^2 + L_i.f + c_i."""
-    import numpy as np
-    e = [float(v) for v in e]
-    rows, consts = zip(*sphere_linear(e, legs.spheres))
-    return np.array(rows), np.array(consts)
 
 
 def _move(m, e, f) -> np.ndarray:
@@ -237,11 +232,15 @@ class MotionSample:
                 f"|f0| = {abs(self.f[0]):.3e} over {self.f0_tolerance:.3e}")
 
 
-def sample_pose(legs: FloatLegs, direction, tol_leg: float = TOL_LEG,
-                tol_f0: float = TOL_F0) -> MotionSample:
-    """Least-norm motion pose over a rotation direction (e1, e2, e3).
+def sample_pose(legs: FloatLegs, directions, tol_leg: float = TOL_LEG,
+                tol_f0: float = TOL_F0) -> list:
+    """Least-norm motion poses over a grid of rotation directions (e1, e2,
+    e3), shape (B, 3): a list, in grid order, of each direction's
+    MotionSample or the InconsistentSystem or NoRealSolution that rejects
+    it.  ValueError, before any sampling, unless every direction is a
+    nonzero 3-vector.
 
-    lstsq gives the least-norm solution fp of the linear slice
+    lstsq gives the least-norm solution fp of each direction's linear slice
     {S = 0, Q1 - Qi = 0 for every other leg}, and an SVD its rank and the
     orthonormal rows K of its kernel.  A design carrying the motion leaves
     the slice rank-deficient with a consistent right side;
@@ -252,71 +251,9 @@ def sample_pose(legs: FloatLegs, direction, tol_leg: float = TOL_LEG,
     full-rank slice whose point fp misses Q1 = 0).  The candidates are the
     sphere's two points on the line through its center and s = 0 (fp alone
     at full rank).  The rank cutoff can leave a candidate off some leg, so
-    the candidates close every leg in one residuals_at call; the least-norm
-    one within tolerance is returned, else the closest miss, which
+    the candidates close every leg, all in one residuals_at call; the
+    least-norm one within tolerance is kept, else the closest miss, which
     MotionSample rejects.
-    """
-    import numpy as np
-    d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d) if d.shape == (3,) else 0.0
-    if not norm > 0:
-        raise ValueError("direction must be a nonzero 3-vector")
-    e = np.concatenate([[0.0], d / norm])
-    rows, consts = leg_rows(legs, e)
-    A = np.vstack([e, rows[0] - rows[1:]])
-    b = np.concatenate([[0.0], consts[1:] - consts[0]])
-    # not from the SVD's factors, Vt[:r].T @ ((U[:, :r].T @ b) / sv[:r]):
-    # at the nearly rank-deficient tangent directions that point rounds
-    # about twice as far as lstsq's, and |f0| there sits near TOL_F0
-    fp, *_ = np.linalg.lstsq(A, b, rcond=None)
-    tol = tol_leg * (1.0 + float(np.max(np.abs(legs.r2))))
-    if np.linalg.norm(A @ fp - b) > tol:
-        raise InconsistentSystem("linear slice is inconsistent")
-    _, sv, Vt = np.linalg.svd(A)
-    K = Vt[int((sv > 1e-9 * sv[0]).sum()):]
-    q1 = 4.0 * fp @ fp + rows[0] @ fp + consts[0]
-    if not len(K):
-        if abs(q1) > tol:
-            raise NoRealSolution("fiber is a single inconsistent point")
-        candidates = np.array([fp])
-    else:
-        center = -K @ (8.0 * fp + rows[0]) / 8.0
-        rho2 = center @ center - q1 / 4.0
-        if rho2 < 0:
-            raise NoRealSolution(f"empty fiber sphere, rho^2 = {rho2:.3e}")
-        nc, rho = math.sqrt(center @ center), math.sqrt(rho2)
-        if nc > 1e-300:
-            ends = (center * (1.0 - rho / nc), center * (1.0 + rho / nc))
-        else:       # centered at s = 0: any axis through it
-            axis = np.eye(len(K))[0]
-            ends = (rho * axis, -rho * axis)
-        candidates = np.array([fp + s @ K for s in ends])
-    res = residuals_at(legs, e, candidates)
-    worst = np.abs(res).max(axis=1)
-    good = [k for k, w in enumerate(worst) if w <= tol]
-    k = (min(good, key=lambda k: candidates[k] @ candidates[k]) if good
-         else int(np.argmin(worst)))
-    return MotionSample(tuple(e.tolist()), tuple(candidates[k].tolist()),
-                        tuple(res[k].tolist()), leg_tolerance=tol,
-                        f0_tolerance=tol_f0)
-
-
-def sample_poses(legs: FloatLegs, directions, tol_leg: float = TOL_LEG,
-                 tol_f0: float = TOL_F0) -> list:
-    """sample_pose over a grid of directions, shape (B, 3), in one pass: a
-    list, in grid order, of each direction's MotionSample or the exception
-    sample_pose raises for it.  ValueError, before any sampling, unless
-    every direction is a nonzero 3-vector.
-
-    The grid goes through one sphere_linear call on legs.stacked, one
-    stacked SVD, the fiber formula and the root choice on arrays, and one
-    residuals_at call for every candidate; only lstsq runs per direction.
-    Each element goes through the IEEE operations of sample_pose, so the
-    slices and least-norm points are bitwise those of sample_pose; the
-    products with the kernel may round differently in the last bits.  For a
-    single direction sample_pose is the cheaper call: the batch's few
-    hundred small-array numpy operations cost more than one direction's
-    scalar work.
     """
     import numpy as np
     if not len(directions):
@@ -331,6 +268,9 @@ def sample_poses(legs: FloatLegs, directions, tol_leg: float = TOL_LEG,
     A = np.concatenate([e[:, None], rows[:, :1] - rows[:, 1:]], axis=1)
     b = np.concatenate([np.zeros((len(d), 1)), consts[:, 1:] - consts[:, :1]],
                        axis=1)
+    # not from the SVD's factors, Vt[:r].T @ ((U[:, :r].T @ b) / sv[:r]):
+    # at the nearly rank-deficient tangent directions that point rounds
+    # about twice as far as lstsq's, and |f0| there sits near TOL_F0
     fp = np.array([np.linalg.lstsq(a, y, rcond=None)[0]
                    for a, y in zip(A, b)])
     tol = tol_leg * (1.0 + float(np.max(np.abs(legs.r2))))
@@ -409,13 +349,13 @@ def tangent_pair(legs: FloatLegs, tol_leg: float = TOL_LEG,
     """Two independent motion tangents at the half-turn reference pose."""
     import numpy as np
     h = 1e-4        # direction step of the difference quotients
-    ref = sample_pose(legs, (0, 0, 1), tol_leg, tol_f0)
-    p0 = np.array(ref.e + ref.f)
-    tangents = []
-    for u in ((h, 0, 1), (0, h, 1)):
-        s = sample_pose(legs, u, tol_leg, tol_f0)
-        tangents.append((np.array(s.e + s.f) - p0) / h)
-    t1, t2 = tangents
+    poses = sample_pose(legs, [(0, 0, 1), (h, 0, 1), (0, h, 1)], tol_leg,
+                        tol_f0)
+    for s in poses:
+        if isinstance(s, Exception):
+            raise s
+    p0, p1, p2 = (np.array(s.e + s.f) for s in poses)
+    t1, t2 = (p1 - p0) / h, (p2 - p0) / h
     cosang = abs(t1 @ t2) / (np.linalg.norm(t1) * np.linalg.norm(t2))
     angle = math.acos(min(1.0, max(-1.0, cosang)))
     return (tuple(t1), tuple(t2)), angle
@@ -429,7 +369,7 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
     direction propagates, since it falsifies the motion itself.  A grid too
     sparse for count poses is doubled and sampled again; attempted counts
     the directions of every pass.  Each pass samples its grid in one
-    sample_poses call and walks the outcomes in grid order up to the
+    sample_pose call and walks the outcomes in grid order up to the
     count-th pose, so outcomes past it count for nothing.  count must be at
     least 1 (ValueError before any sampling otherwise).
     """
@@ -440,8 +380,8 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
     attempted = 0
     while True:
         samples = []
-        for outcome in sample_poses(legs, list(fibonacci_directions(size)),
-                                    tol_leg, tol_f0):
+        for outcome in sample_pose(legs, list(fibonacci_directions(size)),
+                                   tol_leg, tol_f0):
             attempted += 1
             if isinstance(outcome, NoRealSolution):
                 continue
@@ -637,7 +577,7 @@ def trajectory(design: HexapodDesign, n1: int = 6, n2: int = 12) -> list:
     directions = [(math.sin(t1) * math.cos(t2), math.sin(t1) * math.sin(t2),
                    math.cos(t1)) for t1, t2 in angles]
     rows = []
-    for (t1, t2), s in zip(angles, sample_poses(legs, directions)):
+    for (t1, t2), s in zip(angles, sample_pose(legs, directions)):
         if isinstance(s, NoRealSolution):
             continue
         if isinstance(s, Exception):

@@ -291,11 +291,6 @@ class CanonicalDesign(BaseQuantities):
         return legs, w3
 
 
-def S_poly() -> MPoly:
-    g = GENS
-    return sum(g[e] * g[f] for e, f in zip(E_VARS, F_VARS))
-
-
 def N_poly() -> MPoly:
     return sum(GENS[v] * GENS[v] for v in E_VARS)
 

@@ -131,10 +131,30 @@ def test_motion_deterministic(tmp_path, capsys):
 
 
 def test_motion_perturbed_radius_inconsistent(tmp_path, capsys):
-    code, _ = run_cli(capsys, "motion", worked_file(tmp_path),
-                      "--r2sq", "17", "--samples", "3",
+    # the file's (r1^2, r2^2) pass the gate, but its r3^2 is off G = 0
+    d = worked_design()
+    path = write_design(tmp_path, PentapodDesign(d.base, d.platform,
+                                                 (1, 18, 1, 1, 18)))
+    code, _ = run_cli(capsys, "motion", path, "--samples", "3",
                       "--out", str(tmp_path / "x.csv"))
     assert code == 5
+
+
+@pytest.mark.parametrize("flag, value, radii", [
+    ("--r1sq", "2", ["2", "18", "48/25", "2", "18"]),
+    ("--r2sq", "17", ["1", "17", "23/25", "1", "17"]),
+])
+def test_motion_radius_override_samples_the_moving_radii(tmp_path, capsys,
+                                                         flag, value, radii):
+    # an override samples the radii motion_radii solves for, not the file's
+    # r3^2..r5^2 next to the new pair (that design has no motion and
+    # exited 5 on its inconsistent slice)
+    code, out = run_cli(capsys, "motion", worked_file(tmp_path, False),
+                        flag, value, "--samples", "5",
+                        "--out", str(tmp_path / "x.csv"))
+    assert code == 0
+    assert out["radii2"] == radii
+    assert out["samples"] == 5
 
 
 def test_motion_unrealizable_radii(tmp_path, capsys):
@@ -372,6 +392,41 @@ def test_rejects_nonpositive_samples(tmp_path, capsys):
     code, _ = run_cli(capsys, "classify", worked_file(tmp_path),
                       "--samples", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["classify", "hexapod-check"])
+def test_rejects_negative_seed(tmp_path, capsys, command):
+    # numpy's default_rng raised a bare ValueError (exit 1) on hexapod-check
+    code = main([command, worked_file(tmp_path), "--seed", "-1",
+                 "--samples", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert json.loads(captured.err) == {
+        "error": "--seed must be non-negative"}
+
+
+def huge_radius_file(tmp_path):
+    """The worked pentapod with r3^2 = 10^400, which has no finite float."""
+    d = worked_design()
+    radii = d.radii2[:2] + (Fraction(10) ** 400,) + d.radii2[3:]
+    return write_design(tmp_path, PentapodDesign(d.base, d.platform, radii),
+                        name="huge.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["motion", "{huge}"],
+    ["hexapod-check", "{huge}"],
+    ["motion", "{worked}", "--r1sq", "1e400"],
+])
+def test_radius_without_a_float_is_a_schema_error(argv, tmp_path, capsys):
+    # float() of the exact radius raised OverflowError (exit 1)
+    files = {"huge": huge_radius_file(tmp_path),
+             "worked": worked_file(tmp_path)}
+    code = main([a.format(**files) for a in argv]
+                + ["--samples", "3", "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "no finite float" in json.loads(captured.err)["error"]
 
 
 # ---------------------------------------------------------------------- parser

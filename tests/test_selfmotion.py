@@ -35,12 +35,10 @@ from duporcq.selfmotion import (
     fibonacci_directions,
     float_legs,
     g_coefficients,
-    leg_rows,
     motion_radii,
     pose_from_translation,
     residuals_at,
     sample_pose,
-    sample_poses,
     similarity_bond,
     sixth_radius,
     tangent_pair,
@@ -49,7 +47,14 @@ from duporcq.selfmotion import (
     verify_selfmotion,
     write_trajectory,
 )
-from duporcq.study import F_VARS, GENS, SphereConstraint, StudyPose, sphere_condition
+from duporcq.study import (
+    F_VARS,
+    GENS,
+    SphereConstraint,
+    StudyPose,
+    sphere_condition,
+    sphere_linear,
+)
 
 WORKED = BaseParams(0, 1, 2, 3)
 
@@ -150,12 +155,23 @@ UNIT_E = [
 ]
 
 
+def _leg_rows(legs, e):
+    """Rows L_i and constants c_i of the legs at a unit-norm e, split one
+    leg at a time by study.sphere_linear: Q_i(f) = 4|f|^2 + L_i.f + c_i."""
+    e = [float(v) for v in e]
+    spheres = list(map(SphereConstraint, legs.M.tolist(), legs.m.tolist(),
+                       legs.r2.tolist()))
+    rows, consts = zip(*sphere_linear(e, spheres))
+    return np.array(rows), np.array(consts)
+
+
 @pytest.mark.parametrize("e", UNIT_E)
 def test_float_leg_rows_match_exact_sphere_condition(e):
-    # the rows and constants sample_pose solves with are float() of the
-    # exact sphere condition's f-coefficients
+    # the float rows and constants of the legs, which the grid sampler's
+    # slices equal bitwise, are float() of the exact sphere condition's
+    # f-coefficients
     hexapod = worked_hexapod()
-    rows, consts = leg_rows(float_legs(hexapod), [float(v) for v in e])
+    rows, consts = _leg_rows(float_legs(hexapod), e)
     pose = StudyPose(e, tuple(GENS[v] for v in F_VARS))
     zero_f = {v: 0 for v in F_VARS}
     zero = 0 * GENS["e0"]
@@ -170,7 +186,7 @@ def test_float_leg_rows_match_exact_sphere_condition(e):
         assert abs(consts[i] - float(q.evaluate(zero_f).scalar())) <= 1e-12
 
 def test_reference_pose_is_exact_zero():
-    s = sample_pose(float_legs(worked_design()), (0.0, 0.0, 1.0))
+    [s] = sample_pose(float_legs(worked_design()), [(0.0, 0.0, 1.0)])
     assert s.f == (0.0, 0.0, 0.0, 0.0)
     assert max(abs(r) for r in s.residuals) == 0.0
 
@@ -180,21 +196,21 @@ def test_sample_pose_on_symmetry_plane():
     # full-system solve must still close every leg
     d = worked_design()
     t1 = math.pi / 10
-    s = sample_pose(float_legs(d), (math.sin(t1), 0.0, math.cos(t1)))
+    [s] = sample_pose(float_legs(d), [(math.sin(t1), 0.0, math.cos(t1))])
     assert max(abs(r) for r in s.residuals) <= 1e-12
     assert abs(s.f[0]) <= 1e-14
 
 
 def test_sample_pose_rejects_zero_direction():
     with pytest.raises(ValueError):
-        sample_pose(float_legs(worked_design()), (0.0, 0.0, 0.0))
+        sample_pose(float_legs(worked_design()), [(0.0, 0.0, 0.0)])
 
 
 def test_sample_pose_wrong_radii_inconsistent():
     d = worked_design()
     bad = PentapodDesign(d.base, d.platform, (1, 18, 1, 1, 18))
-    with pytest.raises(InconsistentSystem):
-        sample_pose(float_legs(bad), (0.3, 0.5, 0.9))
+    [s] = sample_pose(float_legs(bad), [(0.3, 0.5, 0.9)])
+    assert isinstance(s, InconsistentSystem)
 
 
 def _legs(M, m, r2):
@@ -220,12 +236,13 @@ def test_sample_pose_full_rank_slice_is_a_point_fiber():
     # four legs leave no kernel: the fiber is the slice's one point, a pose
     # when it closes leg 1 and empty otherwise
     legs, d, f = _four_legs_through_a_pose(3)
-    s = sample_pose(legs, d)
+    [s] = sample_pose(legs, [d])
     assert np.allclose(s.f, f, rtol=0, atol=1e-12)
     assert max(abs(r) for r in s.residuals) <= 1e-12
     longer = _legs(legs.M, legs.m, legs.r2 + [1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(NoRealSolution, match="single inconsistent point"):
-        sample_pose(longer, d)
+    [s] = sample_pose(longer, [d])
+    assert isinstance(s, NoRealSolution)
+    assert str(s) == "fiber is a single inconsistent point"
 
 
 def _three_branch_sample_pose(legs, direction, tol_leg, tol_f0):
@@ -234,7 +251,7 @@ def _three_branch_sample_pose(legs, direction, tol_leg, tol_f0):
     of dimension 1 and the nearest circle point for dimension 2 or more."""
     d = np.asarray(direction, dtype=float)
     e = np.concatenate([[0.0], d / np.linalg.norm(d)])
-    rows, consts = leg_rows(legs, e)
+    rows, consts = _leg_rows(legs, e)
     A = np.vstack([e, rows[0] - rows[1:]])
     b = np.concatenate([[0.0], consts[1:] - consts[0]])
     fp, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -282,6 +299,49 @@ def _three_branch_sample_pose(legs, direction, tol_leg, tol_f0):
         leg_tolerance=tol_leg * scale, f0_tolerance=tol_f0)
 
 
+def _scalar_sample_pose(legs, direction, tol_leg=selfmotion.TOL_LEG,
+                        tol_f0=selfmotion.TOL_F0):
+    """The one-direction sampler the grid sampler replaced: the same fiber
+    formula and root choice, on one slice built leg by leg, raising its
+    rejection."""
+    d = np.asarray(direction, dtype=float)
+    e = np.concatenate([[0.0], d / np.linalg.norm(d)])
+    rows, consts = _leg_rows(legs, e)
+    A = np.vstack([e, rows[0] - rows[1:]])
+    b = np.concatenate([[0.0], consts[1:] - consts[0]])
+    fp, *_ = np.linalg.lstsq(A, b, rcond=None)
+    tol = tol_leg * (1.0 + float(np.max(np.abs(legs.r2))))
+    if np.linalg.norm(A @ fp - b) > tol:
+        raise InconsistentSystem("linear slice is inconsistent")
+    _, sv, Vt = np.linalg.svd(A)
+    K = Vt[int((sv > 1e-9 * sv[0]).sum()):]
+    q1 = 4.0 * fp @ fp + rows[0] @ fp + consts[0]
+    if not len(K):
+        if abs(q1) > tol:
+            raise NoRealSolution("fiber is a single inconsistent point")
+        candidates = np.array([fp])
+    else:
+        center = -K @ (8.0 * fp + rows[0]) / 8.0
+        rho2 = center @ center - q1 / 4.0
+        if rho2 < 0:
+            raise NoRealSolution(f"empty fiber sphere, rho^2 = {rho2:.3e}")
+        nc, rho = math.sqrt(center @ center), math.sqrt(rho2)
+        if nc > 1e-300:
+            ends = (center * (1.0 - rho / nc), center * (1.0 + rho / nc))
+        else:
+            axis = np.eye(len(K))[0]
+            ends = (rho * axis, -rho * axis)
+        candidates = np.array([fp + s @ K for s in ends])
+    res = residuals_at(legs, e, candidates)
+    worst = np.abs(res).max(axis=1)
+    good = [k for k, w in enumerate(worst) if w <= tol]
+    k = (min(good, key=lambda k: candidates[k] @ candidates[k]) if good
+         else int(np.argmin(worst)))
+    return MotionSample(tuple(e.tolist()), tuple(candidates[k].tolist()),
+                        tuple(res[k].tolist()), leg_tolerance=tol,
+                        f0_tolerance=tol_f0)
+
+
 def _outcome(sampler, *args):
     try:
         return "pose", sampler(*args)
@@ -302,27 +362,31 @@ def _seeded_motion_designs(seed, count):
     return designs
 
 
+# the Fibonacci grid and the three directions of tangent_pair
+ORACLE_DIRECTIONS = list(fibonacci_directions(150)) + [
+    (0, 0, 1), (1e-4, 0, 1), (0, 1e-4, 1)]
+
+
 def test_sample_pose_matches_the_three_branch_sampler():
     # one sphere formula and one root choice give the outcome and the pose
     # of the former sampler on every direction, at the default tolerances:
     # the grid and the tangent directions (kernel dimension 1), whose
     # nearly rank-deficient slices leave |f0| at rounding level near
     # TOL_F0, and the half-turn (dimension 2)
-    directions = list(fibonacci_directions(150)) + [
-        (0, 0, 1), (1e-4, 0, 1), (0, 1e-4, 1)]
     outcomes = set()
     for design in [worked_design(), worked_hexapod(),
                    *_seeded_motion_designs(14, 8)]:
         legs = float_legs(design)
         scale = 1.0 + float(np.max(np.abs(legs.r2)))
-        for d in directions:
-            new, s = _outcome(sample_pose, legs, d, selfmotion.TOL_LEG,
-                              selfmotion.TOL_F0)
+        for d, s in zip(ORACLE_DIRECTIONS,
+                        sample_pose(legs, ORACLE_DIRECTIONS)):
+            new = ("pose" if isinstance(s, MotionSample)
+                   else type(s).__name__)
             old, t = _outcome(_three_branch_sample_pose, legs, d,
                               selfmotion.TOL_LEG, selfmotion.TOL_F0)
             assert new == old, (design, d)
             outcomes.add(new)
-            if s is not None:
+            if t is not None:
                 gap = np.max(np.abs(np.subtract(s.e + s.f, t.e + t.f)))
                 assert gap <= 1e-9 * scale, (design, d)
     assert outcomes == {"pose", "NoRealSolution", "InconsistentSystem"}
@@ -333,18 +397,15 @@ def _slices_by_leg_rows(legs, directions):
     for d in directions:
         d = np.asarray(d, dtype=float)
         e = np.concatenate([[0.0], d / np.linalg.norm(d)])
-        rows, consts = leg_rows(legs, e)
+        rows, consts = _leg_rows(legs, e)
         yield (np.vstack([e, rows[0] - rows[1:]]),
                np.concatenate([[0.0], consts[1:] - consts[0]]))
 
 
-def test_sample_poses_matches_sample_pose(monkeypatch):
-    # the grid sampler hands lstsq bitwise the slices leg_rows builds one
-    # leg at a time, and gives each direction sample_pose's outcome, error
-    # text and, up to rounding, pose: on the Fibonacci grid and the three
-    # directions of tangent_pair
-    directions = list(fibonacci_directions(150)) + [
-        (0, 0, 1), (1e-4, 0, 1), (0, 1e-4, 1)]
+def test_sample_pose_matches_the_scalar_sampler(monkeypatch):
+    # the grid sampler hands lstsq bitwise the slices the legs give one at
+    # a time, and gives each direction the outcome, error text and, up to
+    # rounding, pose of the one-direction sampler it replaced
     outcomes = set()
     real_lstsq = np.linalg.lstsq
     for design in [worked_design(), worked_hexapod(),
@@ -357,16 +418,16 @@ def test_sample_poses_matches_sample_pose(monkeypatch):
             return real_lstsq(a, y, **kw)
 
         monkeypatch.setattr(np.linalg, "lstsq", recording)
-        batch = sample_poses(legs, directions)
+        batch = sample_pose(legs, ORACLE_DIRECTIONS)
         monkeypatch.setattr(np.linalg, "lstsq", real_lstsq)
-        assert len(slices) == len(batch) == len(directions)
-        for (a, y), (A, b) in zip(slices, _slices_by_leg_rows(legs,
-                                                              directions)):
+        assert len(slices) == len(batch) == len(ORACLE_DIRECTIONS)
+        for (a, y), (A, b) in zip(slices, _slices_by_leg_rows(
+                legs, ORACLE_DIRECTIONS)):
             assert np.array_equal(a, A) and np.array_equal(y, b), design
         bound = 1e-12 * (1.0 + float(np.max(np.abs(legs.r2))))
-        for d, got in zip(directions, batch):
+        for d, got in zip(ORACLE_DIRECTIONS, batch):
             try:
-                want = sample_pose(legs, d)
+                want = _scalar_sample_pose(legs, d)
             except (NoRealSolution, InconsistentSystem) as exc:
                 want = exc
             assert type(got) is type(want), (design, d)
@@ -380,20 +441,20 @@ def test_sample_poses_matches_sample_pose(monkeypatch):
     assert outcomes == {"MotionSample", "NoRealSolution", "InconsistentSystem"}
 
 
-def test_sample_poses_rejects_a_bad_grid():
+def test_sample_pose_rejects_a_bad_grid():
+    # a single direction not wrapped in a grid is a bad grid too
     legs = float_legs(worked_design())
-    assert sample_poses(legs, []) == sample_poses(legs, np.zeros((0, 3))) == []
+    assert sample_pose(legs, []) == sample_pose(legs, np.zeros((0, 3))) == []
     for grid in ([(0.3, 0.5, 0.9), (0.0, 0.0, 0.0)], [(1.0, 2.0)],
-                 [(0.3, math.nan, 0.9)]):
+                 [(0.3, math.nan, 0.9)], (0.3, 0.5, 0.9)):
         with pytest.raises(ValueError, match="nonzero 3-vectors"):
-            sample_poses(legs, grid)
+            sample_pose(legs, grid)
 
 
 def test_sample_pose_closes_each_candidate_once(monkeypatch):
-    # the candidates close every leg in one residuals_at call: sample_pose's
-    # two at a kernel of dimension 1 and at the half-turn's dimension 2, and
-    # sample_poses' two per direction of the whole grid; the chosen pose
-    # reuses its residuals
+    # the candidates close every leg in one residuals_at call, two per
+    # direction of the whole grid: at a kernel of dimension 1 and at the
+    # half-turn's dimension 2; the chosen pose reuses its residuals
     calls = []
     real = selfmotion.residuals_at
 
@@ -403,15 +464,7 @@ def test_sample_pose_closes_each_candidate_once(monkeypatch):
 
     monkeypatch.setattr(selfmotion, "residuals_at", counting)
     legs = float_legs(worked_hexapod())
-    grid = [(0.3, 0.5, 0.9), (0.0, 0.0, 1.0)]
-    for d in grid:
-        calls.clear()
-        s = sample_pose(legs, d)
-        [(_, e, f)] = calls
-        assert f.shape == (2, 4)
-        assert any(np.array_equal(c, s.f) for c in f)
-    calls.clear()
-    batch = sample_poses(legs, grid)
+    batch = sample_pose(legs, [(0.3, 0.5, 0.9), (0.0, 0.0, 1.0)])
     [(_, e, f)] = calls
     assert f.shape == (2, 2, 4)
     for s, cands in zip(batch, f):
@@ -443,26 +496,26 @@ def test_verify_selfmotion_rejects_count_below_one(monkeypatch, count):
         raise AssertionError("sampled a pose")
 
     monkeypatch.setattr(selfmotion, "sample_pose", no_sampling)
-    monkeypatch.setattr(selfmotion, "sample_poses", no_sampling)
     with pytest.raises(ValueError, match="count must be at least 1"):
         verify_selfmotion(worked_design(), count=count)
 
 
-def _recording_sample_poses(monkeypatch, inject=None):
-    """Patch sample_poses to record each pass's outcomes, after replacing
-    the outcome at inject(outcomes) when inject is given."""
-    passes = []
-    real = selfmotion.sample_poses
+def _recording_sample_pose(monkeypatch, inject=None):
+    """Patch sample_pose to record each call's outcomes, after replacing
+    the outcome at inject(outcomes) of the first call when inject is
+    given."""
+    calls = []
+    real = selfmotion.sample_pose
 
     def recording(*args):
         out = real(*args)
-        if inject is not None:
+        if inject is not None and not calls:
             out[inject(out)] = InconsistentSystem("injected")
-        passes.append(out)
+        calls.append(out)
         return out
 
-    monkeypatch.setattr(selfmotion, "sample_poses", recording)
-    return passes
+    monkeypatch.setattr(selfmotion, "sample_pose", recording)
+    return calls
 
 
 def _walked(outcomes, count):
@@ -474,25 +527,18 @@ def _walked(outcomes, count):
 def test_verify_selfmotion_counts_every_pass(monkeypatch):
     # radii (20, 4) leave too few real fibers on the first grid of 20
     # directions, so a second pass of 40 runs; each pass is one
-    # sample_poses call, and attempted counts the directions both walked
-    # (it used to count only the last pass).  tangent_pair makes 3
-    # sample_pose calls
-    passes = _recording_sample_poses(monkeypatch)
-    singles = []
-    real = selfmotion.sample_pose
-
-    def counting(*args):
-        singles.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(selfmotion, "sample_pose", counting)
+    # sample_pose call, and attempted counts the directions both walked
+    # (it used to count only the last pass).  tangent_pair samples its
+    # three directions in one more call
+    calls = _recording_sample_pose(monkeypatch)
     design = build_motion_design(WORKED, 20, 4)
     rep = verify_selfmotion(design, count=10,
                             tol_f0=selfmotion.TOL_F0 * (1 + 658 / 25))
+    *passes, tangent = calls
     assert [len(p) for p in passes] == [20, 40]
+    assert len(tangent) == 3
     assert rep.attempted == sum(_walked(p, 10) for p in passes)
     assert rep.attempted > 20
-    assert len(singles) == 3
 
 
 def test_verify_selfmotion_walks_each_pass_in_grid_order(monkeypatch):
@@ -500,16 +546,36 @@ def test_verify_selfmotion_walks_each_pass_in_grid_order(monkeypatch):
     # the grid were sampled one direction at a time: an InconsistentSystem
     # there is dropped, one before it propagates
     design, count = worked_design(), 5
-    outcomes = sample_poses(float_legs(design),
-                            list(fibonacci_directions(2 * count)))
+    outcomes = sample_pose(float_legs(design),
+                           list(fibonacci_directions(2 * count)))
     last = _walked(outcomes, count) - 1
     assert last + 1 < len(outcomes)
-    _recording_sample_poses(monkeypatch, inject=lambda out: last + 1)
+    _recording_sample_pose(monkeypatch, inject=lambda out: last + 1)
     rep = verify_selfmotion(design, count=count)
     assert (len(rep.samples), rep.attempted) == (count, last + 1)
-    _recording_sample_poses(monkeypatch, inject=lambda out: last)
+    _recording_sample_pose(monkeypatch, inject=lambda out: last)
     with pytest.raises(InconsistentSystem, match="injected"):
         verify_selfmotion(design, count=count)
+
+
+def test_tangent_pair_samples_its_three_directions_at_once(monkeypatch):
+    # one sample_pose call on (0,0,1), (h,0,1), (0,h,1); the first
+    # rejection in that order is raised
+    calls = []
+    legs = float_legs(worked_design())
+    real = selfmotion.sample_pose
+
+    def rejecting(legs, grid, *tols):
+        calls.append(grid)
+        out = real(legs, grid, *tols)
+        out[1] = NoRealSolution("second")
+        out[2] = InconsistentSystem("third")
+        return out
+
+    monkeypatch.setattr(selfmotion, "sample_pose", rejecting)
+    with pytest.raises(NoRealSolution, match="second"):
+        tangent_pair(legs)
+    assert calls == [[(0, 0, 1), (1e-4, 0, 1), (0, 1e-4, 1)]]
 
 
 def test_tangent_pair_independent():

@@ -20,6 +20,7 @@ from duporcq.study import (
     STUDY_VARS,
     AnsatzSolvable,
     CanonicalDesign,
+    E_VARS,
     ExceptionalPose,
     F_VARS,
     InvariantViolation,
@@ -30,7 +31,6 @@ from duporcq.study import (
     StudyViolation,
     N_poly,
     RADII_SYMBOLS,
-    S_poly,
     _normalize_quadric,
     apply_pose,
     chain_vanishes_at,
@@ -271,10 +271,11 @@ def test_leg_split_matches_the_assembled_leg_differences(name):
     for i, d in deltas.items():
         assert delta(design, i) == d
     units = [tuple(int(j == k) for j in range(4)) for k in range(4)]
+    study_s = sum(GENS[e] * GENS[f] for e, f in zip(E_VARS, F_VARS))
     extracted = tuple(
         tuple(c.get(u, poly(0)) for u in units)
         for c in (rp.coefficients(F_VARS) for rp in
-                  [S_poly()] + [deltas[i] for i in (2, 3, 4, 5)]))
+                  [study_s] + [deltas[i] for i in (2, 3, 4, 5)]))
     assert f_coefficient_matrix(design) == extracted
     B4, B5, V = design.B4, design.B5, design.V
     U1, U2, U3 = design.U1, design.U2, design.U3

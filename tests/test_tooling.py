@@ -4,6 +4,7 @@ import argparse
 import ast
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import duporcq
 import duporcq.cli
+from duporcq.geometry import design_to_dict, worked_design
 
 PACKAGE = Path(duporcq.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -109,20 +111,31 @@ def test_cli_subcommands_accept_only_what_they_read():
         assert accepted == read, name
 
 
-def test_bench_tracer_installs():
+def test_bench_tracer_installs(tmp_path, capsys):
     # the traced benchmark wraps package functions by name; renaming or
-    # removing one of them must fail here, not only in a benchmark run
+    # removing one of them must fail here, not only in a benchmark run.
+    # A motion op under the tracer books its sampling to sample_pose, the
+    # benchmark's motion span, and prints what it prints untraced
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(design_to_dict(worked_design())))
+    argv = ["motion", str(path), "--samples", "10",
+            "--out", str(tmp_path / "motion.csv")]
+    assert duporcq.cli.main(argv) == 0
+    untraced = capsys.readouterr().out
     original = duporcq.cli.main
     tracer = spans.Tracer()
     tracer.install()
     try:
         assert duporcq.cli.main is not original
+        assert duporcq.cli.main(argv) == 0
     finally:
         tracer.uninstall()
     assert duporcq.cli.main is original
+    assert capsys.readouterr().out == untraced
+    assert tracer.calls("selfmotion.sample_pose") > 0
 
 
 def test_scripts_run(tmp_path):
