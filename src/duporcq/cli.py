@@ -100,6 +100,17 @@ def _rational(text: str) -> Fraction:
         raise SchemaError(f"bad rational {text!r}: {exc}") from exc
 
 
+def _radius(text: str) -> Fraction:
+    """A squared radius given on the command line; it is sampled as a
+    float, so one with no finite float is refused here."""
+    value = _rational(text)
+    try:
+        float(value)
+    except OverflowError as exc:
+        raise FloatOverflow(f"{text!r} has no finite float: {exc}") from exc
+    return value
+
+
 def _rational_tuple(text: str, n: int, what: str) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
@@ -214,13 +225,18 @@ def cmd_motion(args):
     if tuple(design.platform) != tuple(expected):
         raise DegeneratePlatform(
             "motion sampling needs the identity kappa_2 platform")
-    r1sq = design.radii2[0] if args.r1sq is None else _rational(args.r1sq)
-    r2sq = design.radii2[1] if args.r2sq is None else _rational(args.r2sq)
+    r1sq = design.radii2[0] if args.r1sq is None else _radius(args.r1sq)
+    r2sq = design.radii2[1] if args.r2sq is None else _radius(args.r2sq)
     # motion_radii gates (r1^2, r2^2) and solves the radii with a motion;
     # an override samples those, a file without one its own radii
     radii = motion_radii(params, r1sq, r2sq).as_tuple()
     if args.r1sq is None and args.r2sq is None:
         radii = design.radii2
+    elif sixth is not None:
+        # sixth_radius reads the sixth leg off the half-turn pose, which
+        # closes it only at the file's radii
+        raise SchemaError("--r1sq/--r2sq apply to pentapod files only: the "
+                          "sixth leg's squared radius is fixed by the file")
     moving = PentapodDesign(design.base, design.platform, radii)
     if sixth is not None:
         moving = HexapodDesign(moving, sixth[0], sixth[1])

@@ -10,10 +10,15 @@ kernel coordinates: the translation fiber, generically two points.  The
 sampler solves the slice by lstsq, takes its kernel from an SVD and returns
 the least-norm point of the fiber that closes every leg.  A design carries
 such a motion exactly when its squared radii satisfy the linear relation
-G = 0 produced by derive_G.  sample_pose, the one sampler, takes a whole
-grid of directions through one sphere_linear call, one stacked SVD and one
-residuals_at call (lstsq still runs per direction); verify_selfmotion,
-tangent_pair and trajectory each sample their directions in one call.
+G = 0.  build_G derives G once over the base ring Q[A4, B4, A5, B5] (identity
+mu); derive_G builds it on its first call, keeps it for the process and
+evaluates it at each numeric base, so motion_radii computes no K_e.
+sample_pose, the one sampler, takes a whole grid of directions through one
+sphere_linear call, one stacked SVD and one residuals_at call (lstsq still
+runs per direction); trajectory and tangent_pair each sample their
+directions in one call, and verify_selfmotion samples its first grid and
+tangent_pair's three directions in one call, so a motion op whose first
+grid holds enough poses makes one sampler call.
 
 The float path has no leg model of its own: each public call reads its
 design once into a FloatLegs, whose float SphereConstraint stacked over
@@ -91,18 +96,36 @@ class ConstructionDegenerate(ValueError):
 
 # --------------------------------------------------------------- radii relation
 
-def derive_G(params: BaseParams) -> MPoly:
-    """The radii constraint: K_e restricted to e0 = 0 splits off the factor
-    e1^2 + e2^2 + e3^2; the quotient G is linear in the squared radii."""
-    design = CanonicalDesign.from_params(params)
-    ke = compute_Ke(design)
-    restricted = ke.poly.evaluate({"e0": 0})
+def build_G() -> MPoly:
+    """The radii constraint over the base ring Q[A4, B4, A5, B5], identity
+    mu: K_e restricted to e0 = 0 splits off the factor e1^2 + e2^2 + e3^2;
+    the quotient G is linear in the squared radii."""
     g = GENS
+    mu = AffineMap2.identity()
+    design = CanonicalDesign(g["A4"], g["B4"], g["A5"], g["B5"],
+                             mu.mu1, mu.mu2, mu.mu3,
+                             tuple(g[r] for r in RADII_SYMBOLS))
+    restricted = compute_Ke(design).poly.evaluate({"e0": 0})
     e123 = g["e1"] * g["e1"] + g["e2"] * g["e2"] + g["e3"] * g["e3"]
     quotient = restricted.exact_div(e123)
     if any(quotient.degree_in(v) for v in ("e0", "e1", "e2", "e3")):
         raise InvariantViolation("K_e(e0=0) / (e1^2+e2^2+e3^2) is not e-free")
     return quotient
+
+
+# build_G()'s polynomial, built on the first derive_G call; it depends on
+# no design, so one build serves every base of the process
+_ring_G = None
+
+
+def derive_G(params: BaseParams) -> MPoly:
+    """G at a numeric base: build_G()'s polynomial evaluated at (A4, B4,
+    A5, B5), which leaves a polynomial in the squared radii."""
+    global _ring_G
+    if _ring_G is None:
+        _ring_G = build_G()
+    return _ring_G.evaluate({"A4": params.A4, "B4": params.B4,
+                             "A5": params.A5, "B5": params.B5})
 
 
 def g_coefficients(gpoly: MPoly) -> tuple:
@@ -344,21 +367,29 @@ class MotionReport:
     tangent_angle: float
 
 
-def tangent_pair(legs: FloatLegs, tol_leg: float = TOL_LEG,
-                 tol_f0: float = TOL_F0):
-    """Two independent motion tangents at the half-turn reference pose."""
+TANGENT_STEP = 1e-4     # direction step of tangent_pair's difference quotients
+TANGENT_DIRECTIONS = ((0, 0, 1), (TANGENT_STEP, 0, 1), (0, TANGENT_STEP, 1))
+
+
+def _tangents(poses):
+    """Two motion tangents, as difference quotients, and the angle between
+    them, from the outcomes at TANGENT_DIRECTIONS; the first rejection in
+    that order is raised."""
     import numpy as np
-    h = 1e-4        # direction step of the difference quotients
-    poses = sample_pose(legs, [(0, 0, 1), (h, 0, 1), (0, h, 1)], tol_leg,
-                        tol_f0)
     for s in poses:
         if isinstance(s, Exception):
             raise s
     p0, p1, p2 = (np.array(s.e + s.f) for s in poses)
-    t1, t2 = (p1 - p0) / h, (p2 - p0) / h
+    t1, t2 = (p1 - p0) / TANGENT_STEP, (p2 - p0) / TANGENT_STEP
     cosang = abs(t1 @ t2) / (np.linalg.norm(t1) * np.linalg.norm(t2))
     angle = math.acos(min(1.0, max(-1.0, cosang)))
     return (tuple(t1), tuple(t2)), angle
+
+
+def tangent_pair(legs: FloatLegs, tol_leg: float = TOL_LEG,
+                 tol_f0: float = TOL_F0):
+    """Two independent motion tangents at the half-turn reference pose."""
+    return _tangents(sample_pose(legs, TANGENT_DIRECTIONS, tol_leg, tol_f0))
 
 
 def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
@@ -370,18 +401,24 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
     sparse for count poses is doubled and sampled again; attempted counts
     the directions of every pass.  Each pass samples its grid in one
     sample_pose call and walks the outcomes in grid order up to the
-    count-th pose, so outcomes past it count for nothing.  count must be at
-    least 1 (ValueError before any sampling otherwise).
+    count-th pose, so outcomes past it count for nothing.  The first pass
+    samples tangent_pair's three directions in the same call; their
+    rejection is raised after the walk, as a later tangent_pair call
+    would.  count must be at least 1 (ValueError before any sampling
+    otherwise).
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     legs = float_legs(design)
     size = 2 * count
+    outcomes = sample_pose(
+        legs, list(fibonacci_directions(size)) + list(TANGENT_DIRECTIONS),
+        tol_leg, tol_f0)
+    outcomes, at_half_turn = outcomes[:size], outcomes[size:]
     attempted = 0
     while True:
         samples = []
-        for outcome in sample_pose(legs, list(fibonacci_directions(size)),
-                                   tol_leg, tol_f0):
+        for outcome in outcomes:
             attempted += 1
             if isinstance(outcome, NoRealSolution):
                 continue
@@ -396,7 +433,9 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
             raise NoRealSolution(
                 f"only {len(samples)} of {count} directions admit real poses")
         size *= 2
-    tangents, angle = tangent_pair(legs, tol_leg, tol_f0)
+        outcomes = sample_pose(legs, list(fibonacci_directions(size)),
+                               tol_leg, tol_f0)
+    tangents, angle = _tangents(at_half_turn)
     return MotionReport(
         tuple(samples), attempted,
         max(max(abs(r) for r in s.residuals) for s in samples),

@@ -157,6 +157,20 @@ def test_motion_radius_override_samples_the_moving_radii(tmp_path, capsys,
     assert out["samples"] == 5
 
 
+@pytest.mark.parametrize("flag, value", [("--r1sq", "2"), ("--r2sq", "17")])
+def test_motion_radius_override_on_a_hexapod_file_is_refused(
+        tmp_path, capsys, flag, value):
+    # the sixth leg's squared radius is read off the file's geometry at the
+    # half-turn pose, which closes it only at the file's radii; sampling the
+    # override exited 5 "linear slice is inconsistent"
+    code = main(["motion", worked_file(tmp_path), flag, value,
+                 "--samples", "3", "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "sixth leg" in json.loads(captured.err)["error"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_motion_unrealizable_radii(tmp_path, capsys):
     code, _ = run_cli(capsys, "motion", worked_file(tmp_path),
                       "--r2sq", "100", "--samples", "3",

@@ -28,6 +28,7 @@ from duporcq.selfmotion import (
     RankTooHigh,
     Unrealizable,
     arch_singularity_check,
+    build_G,
     build_motion_design,
     circle_translations,
     derive_G,
@@ -50,8 +51,11 @@ from duporcq.selfmotion import (
 from duporcq.study import (
     F_VARS,
     GENS,
+    RADII_SYMBOLS,
+    CanonicalDesign,
     SphereConstraint,
     StudyPose,
+    compute_Ke,
     sphere_condition,
     sphere_linear,
 )
@@ -98,13 +102,76 @@ def test_g3_closed_form_random_bases():
         assert g[3] == (p.B4 - p.B5) ** 2 * p.U2 ** 2 * p.U3
 
 
+def _ring_design() -> CanonicalDesign:
+    """The canonical design over Q[A4, B4, A5, B5, r1sq..r5sq], identity
+    mu."""
+    g = GENS
+    return CanonicalDesign(g["A4"], g["B4"], g["A5"], g["B5"], 1, 0, 1,
+                           tuple(g[r] for r in RADII_SYMBOLS))
+
+
+def _derive_G_at(params: BaseParams):
+    """Oracle: G derived at one numeric base, from that base's own K_e."""
+    g = GENS
+    ke = compute_Ke(CanonicalDesign.from_params(params))
+    e123 = g["e1"] * g["e1"] + g["e2"] * g["e2"] + g["e3"] * g["e3"]
+    return ke.poly.evaluate({"e0": 0}).exact_div(e123)
+
+
+def test_radii_relation_holds_over_the_base_ring():
+    # the paper's radii relation as a polynomial identity in A4, B4, A5,
+    # B5 and the squared radii: K_e(e0 = 0) = (e1^2 + e2^2 + e3^2) * G,
+    # with G linear in the squared radii and its r3sq coefficient
+    # (B4 - B5)^2 * U2^2 * U3
+    g = GENS
+    design = _ring_design()
+    G = build_G()
+    e123 = g["e1"] * g["e1"] + g["e2"] * g["e2"] + g["e3"] * g["e3"]
+    assert compute_Ke(design).poly.evaluate({"e0": 0}) == e123 * G
+    coeffs = G.coefficients(RADII_SYMBOLS)
+    assert all(sum(k) <= 1 for k in coeffs)
+    U2, U3 = design.U2, design.U3
+    assert coeffs[(0, 0, 1, 0, 0)] == \
+        (g["B4"] - g["B5"]) ** 2 * U2 ** 2 * U3
+
+
+def test_derive_G_matches_the_per_base_derivation():
+    # the ring G evaluated at a base equals G derived from that base's own
+    # K_e, over seeded rational bases (non-integer entries among them)
+    rng = random.Random(17)
+    bases = [WORKED] + [random_base(rng) for _ in range(35)]
+    assert sum(any(v.denominator > 1 for v in (p.A4, p.B4, p.A5, p.B5))
+               for p in bases) >= 10
+    for p in bases:
+        assert derive_G(p) == _derive_G_at(p), p
+
+
 def test_derive_G_e_free_quotient_is_typed(monkeypatch):
+    # build_G makes the check; derive_G calls it once per process, so the
+    # builder is called here directly
     g = GENS
     e123 = g["e1"] * g["e1"] + g["e2"] * g["e2"] + g["e3"] * g["e3"]
     monkeypatch.setattr("duporcq.selfmotion.compute_Ke",
                         lambda design: SimpleNamespace(poly=e123 * g["e1"]))
     with pytest.raises(InvariantViolation, match="e-free"):
-        derive_G(WORKED)
+        build_G()
+
+
+def test_derive_G_builds_the_ring_G_once(monkeypatch):
+    # the holder is filled on the first derive_G call and read after it
+    monkeypatch.setattr(selfmotion, "_ring_G", None)
+    builds = []
+    real = selfmotion.build_G
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(selfmotion, "build_G", counting)
+    derive_G(WORKED)
+    assert selfmotion._ring_G is not None
+    derive_G(BaseParams(Fraction(1, 3), -2, Fraction(5, 2), 7))
+    assert len(builds) == 1
 
 
 def test_motion_radii_zero_r3_coefficient_is_typed(monkeypatch):
@@ -501,17 +568,18 @@ def test_verify_selfmotion_rejects_count_below_one(monkeypatch, count):
 
 
 def _recording_sample_pose(monkeypatch, inject=None):
-    """Patch sample_pose to record each call's outcomes, after replacing
-    the outcome at inject(outcomes) of the first call when inject is
-    given."""
+    """Patch sample_pose to record each call's (grid, outcomes), after
+    replacing outcomes of the first call when inject is given: inject(out)
+    maps positions to the exceptions put there."""
     calls = []
     real = selfmotion.sample_pose
 
-    def recording(*args):
-        out = real(*args)
+    def recording(legs, grid, *tols):
+        out = real(legs, grid, *tols)
         if inject is not None and not calls:
-            out[inject(out)] = InconsistentSystem("injected")
-        calls.append(out)
+            for i, exc in inject(out).items():
+                out[i] = exc
+        calls.append((list(grid), out))
         return out
 
     monkeypatch.setattr(selfmotion, "sample_pose", recording)
@@ -526,18 +594,20 @@ def _walked(outcomes, count):
 
 def test_verify_selfmotion_counts_every_pass(monkeypatch):
     # radii (20, 4) leave too few real fibers on the first grid of 20
-    # directions, so a second pass of 40 runs; each pass is one
-    # sample_pose call, and attempted counts the directions both walked
-    # (it used to count only the last pass).  tangent_pair samples its
-    # three directions in one more call
+    # directions, so a second pass of 40 runs.  The first pass is one
+    # sample_pose call on its grid and then tangent_pair's three
+    # directions; the doubled pass samples its grid alone.  attempted
+    # counts the grid directions both passes walked (it used to count
+    # only the last pass), never the tangent directions
     calls = _recording_sample_pose(monkeypatch)
     design = build_motion_design(WORKED, 20, 4)
     rep = verify_selfmotion(design, count=10,
                             tol_f0=selfmotion.TOL_F0 * (1 + 658 / 25))
-    *passes, tangent = calls
-    assert [len(p) for p in passes] == [20, 40]
-    assert len(tangent) == 3
-    assert rep.attempted == sum(_walked(p, 10) for p in passes)
+    (first, out1), (second, out2) = calls
+    assert first == (list(fibonacci_directions(20))
+                     + list(selfmotion.TANGENT_DIRECTIONS))
+    assert second == list(fibonacci_directions(40))
+    assert rep.attempted == _walked(out1[:20], 10) + _walked(out2, 10)
     assert rep.attempted > 20
 
 
@@ -550,32 +620,50 @@ def test_verify_selfmotion_walks_each_pass_in_grid_order(monkeypatch):
                            list(fibonacci_directions(2 * count)))
     last = _walked(outcomes, count) - 1
     assert last + 1 < len(outcomes)
-    _recording_sample_pose(monkeypatch, inject=lambda out: last + 1)
+    injected = InconsistentSystem("injected")
+    _recording_sample_pose(monkeypatch, inject=lambda out: {last + 1: injected})
     rep = verify_selfmotion(design, count=count)
     assert (len(rep.samples), rep.attempted) == (count, last + 1)
-    _recording_sample_pose(monkeypatch, inject=lambda out: last)
+    _recording_sample_pose(monkeypatch, inject=lambda out: {last: injected})
     with pytest.raises(InconsistentSystem, match="injected"):
         verify_selfmotion(design, count=count)
 
 
+def _reject_tangents(out):
+    """The last two outcomes, tangent_pair's steps when the grid ends with
+    its three directions, as rejections."""
+    return {len(out) - 2: NoRealSolution("second"),
+            len(out) - 1: InconsistentSystem("third")}
+
+
 def test_tangent_pair_samples_its_three_directions_at_once(monkeypatch):
-    # one sample_pose call on (0,0,1), (h,0,1), (0,h,1); the first
-    # rejection in that order is raised
-    calls = []
-    legs = float_legs(worked_design())
-    real = selfmotion.sample_pose
-
-    def rejecting(legs, grid, *tols):
-        calls.append(grid)
-        out = real(legs, grid, *tols)
-        out[1] = NoRealSolution("second")
-        out[2] = InconsistentSystem("third")
-        return out
-
-    monkeypatch.setattr(selfmotion, "sample_pose", rejecting)
+    # tangent_pair: one sample_pose call on (0,0,1), (h,0,1), (0,h,1), and
+    # the first rejection in that order is raised.  verify_selfmotion reads
+    # the same three outcomes from its first pass's call, and raises their
+    # first rejection after the walk
+    calls = _recording_sample_pose(monkeypatch, inject=_reject_tangents)
     with pytest.raises(NoRealSolution, match="second"):
-        tangent_pair(legs)
-    assert calls == [[(0, 0, 1), (1e-4, 0, 1), (0, 1e-4, 1)]]
+        tangent_pair(float_legs(worked_design()))
+    assert [grid for grid, _ in calls] == [
+        [(0, 0, 1), (1e-4, 0, 1), (0, 1e-4, 1)]]
+    calls = _recording_sample_pose(monkeypatch, inject=_reject_tangents)
+    with pytest.raises(NoRealSolution, match="second"):
+        verify_selfmotion(worked_design(), count=5)
+    [(grid, _)] = calls
+    assert grid == (list(fibonacci_directions(10))
+                    + [(0, 0, 1), (1e-4, 0, 1), (0, 1e-4, 1)])
+
+
+def test_verify_selfmotion_raises_a_grid_rejection_first(monkeypatch):
+    # an InconsistentSystem the walk reaches propagates before a rejection
+    # at the tangent directions sampled in the same call, as it did when
+    # tangent_pair sampled them after the walk
+    def inject(out):
+        return {0: InconsistentSystem("grid"), **_reject_tangents(out)}
+
+    _recording_sample_pose(monkeypatch, inject=inject)
+    with pytest.raises(InconsistentSystem, match="grid"):
+        verify_selfmotion(worked_design(), count=5)
 
 
 def test_tangent_pair_independent():

@@ -92,6 +92,19 @@ def test_cli_import_does_not_load_numpy():
     assert done.stdout.strip() == "False True"
 
 
+def test_cli_import_does_not_build_the_ring_G():
+    # selfmotion builds G over the base ring on the first derive_G call,
+    # so importing the CLI, which every subcommand does, pays no ring build
+    env = _package_env()
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import duporcq.cli, duporcq.selfmotion as s; "
+         "print(s._ring_G is None)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"
+
+
 def test_cli_subcommands_accept_only_what_they_read():
     # each subcommand's parser accepts exactly the attributes its function
     # reads from the parsed namespace, and --out also where main writes
