@@ -22,13 +22,10 @@ from .geometry import (
     InvariantViolation,
     NotDuporcq,
     PentapodDesign,
-    PlanarPoint,
     SchemaError,
-    build_platform,
-    canonical_base,
-    collinear,
-    cross,
+    affine_match,
     duporcq_hexapod,
+    kappa2_mu,
     load_design,
     reconstruct_candidates,
 )
@@ -50,6 +47,7 @@ from .selfmotion import (
     NoRealSolution,
     Unrealizable,
     arch_singularity_check,
+    finite_floats,
     motion_radii,
     sixth_radius,
     verify_selfmotion,
@@ -104,10 +102,7 @@ def _radius(text: str) -> Fraction:
     """A squared radius given on the command line; it is sampled as a
     float, so one with no finite float is refused here."""
     value = _rational(text)
-    try:
-        float(value)
-    except OverflowError as exc:
-        raise FloatOverflow(f"{text!r} has no finite float: {exc}") from exc
+    finite_floats([value])
     return value
 
 
@@ -116,64 +111,6 @@ def _rational_tuple(text: str, n: int, what: str) -> tuple:
     if len(parts) != n:
         raise SchemaError(f"{what} needs {n} comma-separated rationals")
     return tuple(_rational(p) for p in parts)
-
-
-def _params_from_base(base) -> BaseParams:
-    """Recover (A4,B4,A5,B5) from a canonical-form base point tuple."""
-    M1, M2, M3, M4, M5 = base
-    if M1 != PlanarPoint(0, 0) or M2 != PlanarPoint(1, 0) or M3.y != 0:
-        raise DegenerateBase(
-            "base not in canonical form M1=(0,0), M2=(1,0), M3 on the x-axis")
-    params = BaseParams(M4.x, M4.y, M5.x, M5.y)
-    if tuple(base) != canonical_base(params)[0]:
-        raise DegenerateBase("M3 is not the diagonal point of M4, M5")
-    return params
-
-
-def _affine_match(src, dst) -> bool:
-    """True when an affine plane map sends src[i] -> dst[i] for all i."""
-    pivot = None
-    for j in range(1, 5):
-        for k in range(j + 1, 5):
-            if not collinear(src[0], src[j], src[k]):
-                pivot = (j, k)
-                break
-        if pivot:
-            break
-    if pivot is None:
-        return False
-    j, k = pivot
-    u1, u2 = src[j] - src[0], src[k] - src[0]
-    v1, v2 = dst[j] - dst[0], dst[k] - dst[0]
-    det = cross(u1, u2)
-    a = (v1.x * u2.y - v2.x * u1.y) / det
-    b = (v2.x * u1.x - v1.x * u2.x) / det
-    c = (v1.y * u2.y - v2.y * u1.y) / det
-    d = (v2.y * u1.x - v1.y * u2.x) / det
-    p0, q0 = src[0], dst[0]
-    for s, t in zip(src, dst):
-        w = s - p0
-        if PlanarPoint(q0.x + a * w.x + b * w.y,
-                       q0.y + c * w.x + d * w.y) != t:
-            return False
-    return True
-
-
-def _mu_from_platform(params: BaseParams, platform) -> AffineMap2:
-    """The normalization (mu1, mu2, mu3) of a kappa_2 platform, if any."""
-    m1, _, _, m4, m5 = platform
-    if m4 != PlanarPoint(0, 0) or m5.y != 0:
-        raise DegeneratePlatform(
-            "platform not normalized: expected m4=(0,0) and m5 on the x-axis")
-    mu1 = m5.x
-    mu3 = m1.y / params.B4
-    try:
-        mu = AffineMap2(mu1, (m1.x - mu1 * params.A4) / params.B4, mu3)
-    except ValueError as exc:
-        raise DegeneratePlatform(str(exc)) from exc
-    if tuple(build_platform(params, 2, mu)) != tuple(platform):
-        raise DegeneratePlatform("platform is not a kappa_2 image of the base")
-    return mu
 
 
 def _float_cell(v) -> str:
@@ -192,14 +129,14 @@ def _write_csv(path: str, header, rows) -> None:
 
 def cmd_classify(args):
     design, _ = load_design(args.input)
-    params = _params_from_base(design.base)
+    params = BaseParams.from_points(design.base)
     candidates = reconstruct_candidates(params)
     report = candidate_report(params, candidates, seed=args.seed,
                               samples=args.samples)
     accepted = [c.tag for c in candidates if report[c.tag]["accepted"]]
     match = None
     for cand in sorted(candidates, key=lambda c: c.tag not in accepted):
-        if _affine_match(cand.platform, design.platform):
+        if affine_match(cand.platform, design.platform):
             match = cand
             break
     if match is None:
@@ -220,9 +157,8 @@ def cmd_classify(args):
 
 def cmd_motion(args):
     design, sixth = load_design(args.input)
-    params = _params_from_base(design.base)
-    expected = build_platform(params, 2, AffineMap2.identity())
-    if tuple(design.platform) != tuple(expected):
+    params = BaseParams.from_points(design.base)
+    if kappa2_mu(params, design.platform) != AffineMap2.identity():
         raise DegeneratePlatform(
             "motion sampling needs the identity kappa_2 platform")
     r1sq = design.radii2[0] if args.r1sq is None else _radius(args.r1sq)
@@ -265,30 +201,31 @@ def cmd_motion(args):
 
 
 def cmd_pipeline(args):
-    if args.params is not None:
+    if args.input is not None:
+        if (args.params, args.mu, args.radii) != (None, None, None):
+            raise SchemaError("pipeline takes a design file or --params "
+                              "(with --mu, --radii), not both")
+        design, _ = load_design(args.input)
+        params = BaseParams.from_points(design.base)
+        mu = kappa2_mu(params, design.platform)
+        radii = design.radii2
+    elif args.params is not None:
         params = BaseParams(*_rational_tuple(args.params, 4, "--params"))
-        mu_vals = (_rational_tuple(args.mu, 3, "--mu")
-                   if args.mu else (1, 0, 1))
+        mu = _rational_tuple(args.mu, 3, "--mu") if args.mu else (1, 0, 1)
         radii = (_rational_tuple(args.radii, 5, "--radii")
                  if args.radii else (1, 1, 1, 1, 1))
-    elif args.input:
-        design, _ = load_design(args.input)
-        params = _params_from_base(design.base)
-        mu = _mu_from_platform(params, design.platform)
-        mu_vals = (mu.mu1, mu.mu2, mu.mu3)
-        radii = design.radii2
+        try:
+            mu = AffineMap2(*mu)
+        except ValueError as exc:
+            raise DegeneratePlatform(str(exc)) from exc
     else:
         raise SchemaError("pipeline needs a design file or --params")
-    try:
-        mu = AffineMap2(*mu_vals)
-    except ValueError as exc:
-        raise DegeneratePlatform(str(exc)) from exc
     canonical = CanonicalDesign.from_params(params, mu=mu, radii=radii)
     payload = pipeline_report(canonical)
     payload["params"] = {
         "A4": str(params.A4), "B4": str(params.B4),
         "A5": str(params.A5), "B5": str(params.B5),
-        "mu": [str(v) for v in mu_vals],
+        "mu": [str(mu.mu1), str(mu.mu2), str(mu.mu3)],
         "radii2": [str(Fraction(r)) for r in radii],
     }
     return 0, payload
@@ -352,8 +289,8 @@ def cmd_svg(args):
     pts = list(design.base) + list(design.platform)
     if sixth is not None:
         pts += list(sixth)
-    xs = [float(p.x) for p in pts]
-    ys = [float(p.y) for p in pts]
+    coords = finite_floats(c for p in pts for c in p)
+    xs, ys = coords[0::2], coords[1::2]
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1.0)
     pad = 0.35 * span
@@ -369,7 +306,7 @@ def cmd_svg(args):
              f'<rect width="{width}" height="{height}" fill="white"/>']
     base = design.base
     for name, u in special_directions(base):
-        ux, uy = float(u.x), float(u.y)
+        ux, uy = finite_floats(u)
         nn = max(abs(ux), abs(uy))
         color, line_tag = DIRECTION_STYLE[name]
         anchor = base[DIRECTION_ANCHOR[name]]

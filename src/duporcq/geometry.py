@@ -14,13 +14,17 @@ values are
 U1=0 iff M3 coincides with M1 or M2; U2=0 iff M1M5 is parallel to M2M4
 (the quadrilateral vertex M1M5∩M2M4 escapes to infinity); U3=0 iff
 M1M4 is parallel to M2M5.
+
+This module is the one home of that frame: BaseParams builds its five
+points once, BaseParams.from_points and kappa2_mu invert the base and the
+kappa_2 platform, and affine_match compares a platform with a candidate.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -154,10 +158,14 @@ class BaseQuantities:
 
 @dataclass(frozen=True)
 class BaseParams(BaseQuantities):
+    """(A4, B4, A5, B5) of a canonical base; points holds its five points
+    M1..M5, built once when the parameters pass the U checks."""
+
     A4: Fraction
     B4: Fraction
     A5: Fraction
     B5: Fraction
+    points: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, A4, B4, A5, B5):
         object.__setattr__(self, "A4", _fr(A4))
@@ -172,6 +180,23 @@ class BaseParams(BaseQuantities):
             raise DegenerateBase(
                 f"U1,U2,U3 = {self.U1},{self.U2},{self.U3} (zero value signals "
                 "a coincident vertex or a quadrilateral vertex at infinity)")
+        object.__setattr__(self, "points", (
+            PlanarPoint(0, 0), PlanarPoint(1, 0),
+            PlanarPoint(self.V / (self.B4 - self.B5), 0),
+            PlanarPoint(self.A4, self.B4), PlanarPoint(self.A5, self.B5)))
+
+    @classmethod
+    def from_points(cls, base) -> "BaseParams":
+        """The parameters of a canonical-form base point tuple."""
+        M1, M2, M3, M4, M5 = base
+        if M1 != PlanarPoint(0, 0) or M2 != PlanarPoint(1, 0) or M3.y != 0:
+            raise DegenerateBase(
+                "base not in canonical form M1=(0,0), M2=(1,0), M3 on the "
+                "x-axis")
+        params = cls(M4.x, M4.y, M5.x, M5.y)
+        if tuple(base) != params.points:
+            raise DegenerateBase("M3 is not the diagonal point of M4, M5")
+        return params
 
 
 @dataclass(frozen=True)
@@ -228,19 +253,6 @@ class HexapodDesign:
     m6: PlanarPoint
 
 
-def canonical_base(params: BaseParams):
-    """Five base points plus the nondegeneracy values (U1, U2, U3)."""
-    M3x = params.V / (params.B4 - params.B5)
-    pts = (
-        PlanarPoint(0, 0),
-        PlanarPoint(1, 0),
-        PlanarPoint(M3x, 0),
-        PlanarPoint(params.A4, params.B4),
-        PlanarPoint(params.A5, params.B5),
-    )
-    return pts, params.U1, params.U2, params.U3
-
-
 def sixth_vertex(params: BaseParams) -> PlanarPoint:
     """Quadrilateral vertex M1M5 ∩ M2M4 completing the canonical base."""
     return PlanarPoint(params.B4 * params.A5 / params.U2,
@@ -256,8 +268,7 @@ def build_platform(base: BaseParams, kappa: int, A: AffineMap2):
     """
     if kappa not in (2, 3):
         raise ValueError("kappa must be 2 or 3")
-    M, _, _, _ = canonical_base(base)
-    M1, M2, _, M4, M5 = M
+    M1, M2, _, M4, M5 = base.points
     if kappa == 2:
         m1, m2, m4, m5 = A.apply(M4), A.apply(M5), A.apply(M1), A.apply(M2)
         m3 = intersect_lines(m1, m5 - m1, m2, m4 - m2)
@@ -278,6 +289,23 @@ def build_platform(base: BaseParams, kappa: int, A: AffineMap2):
     if not ok:
         raise InvariantViolation(f"kappa_{kappa} m3 is off its carrier lines")
     return platform
+
+
+def kappa2_mu(base: BaseParams, platform) -> AffineMap2:
+    """The normalization mu of a kappa_2 platform: the one with
+    build_platform(base, 2, mu) == platform; DegeneratePlatform if none."""
+    m1, _, _, m4, m5 = platform
+    if m4 != PlanarPoint(0, 0) or m5.y != 0:
+        raise DegeneratePlatform(
+            "platform not normalized: expected m4=(0,0) and m5 on the x-axis")
+    mu1 = m5.x
+    try:
+        mu = AffineMap2(mu1, (m1.x - mu1 * base.A4) / base.B4, m1.y / base.B4)
+    except ValueError as exc:
+        raise DegeneratePlatform(str(exc)) from exc
+    if build_platform(base, 2, mu) != tuple(platform):
+        raise DegeneratePlatform("platform is not a kappa_2 image of the base")
+    return mu
 
 
 def platform_m3_closed_form(base: BaseParams, A: AffineMap2) -> PlanarPoint:
@@ -367,8 +395,7 @@ def reconstruct_candidates(base: BaseParams) -> list:
     The free anchor choices are pinned: slots 1a/1b/2a anchor m1:=M1, m4:=M4;
     slots 2bi/2bii anchor m1:=M4, m4:=M1; slot 3 anchors m1:=M5, m5:=M1.
     """
-    M, _, _, _ = canonical_base(base)
-    M1, M2, _, M4, M5 = M
+    M1, M2, _, M4, M5 = base.points
     d12, d15, d24, d25, d45 = M2 - M1, M5 - M1, M4 - M2, M5 - M2, M5 - M4
     d14 = M4 - M1
 
@@ -424,6 +451,35 @@ def reconstruct_candidates(base: BaseParams) -> list:
         if cand.platform[2] is None or any(p is None for p in cand.platform):
             raise DegeneratePlatform(f"candidate {cand.tag} degenerates")
     return out
+
+
+def affine_match(src, dst) -> bool:
+    """True when an affine plane map sends src[i] -> dst[i] for all i."""
+    pivot = None
+    for j in range(1, 5):
+        for k in range(j + 1, 5):
+            if not collinear(src[0], src[j], src[k]):
+                pivot = (j, k)
+                break
+        if pivot:
+            break
+    if pivot is None:
+        return False
+    j, k = pivot
+    u1, u2 = src[j] - src[0], src[k] - src[0]
+    v1, v2 = dst[j] - dst[0], dst[k] - dst[0]
+    det = cross(u1, u2)
+    a = (v1.x * u2.y - v2.x * u1.y) / det
+    b = (v2.x * u1.x - v1.x * u2.x) / det
+    c = (v1.y * u2.y - v2.y * u1.y) / det
+    d = (v2.y * u1.x - v1.y * u2.x) / det
+    p0, q0 = src[0], dst[0]
+    for s, t in zip(src, dst):
+        w = s - p0
+        if PlanarPoint(q0.x + a * w.x + b * w.y,
+                       q0.y + c * w.x + d * w.y) != t:
+            return False
+    return True
 
 
 # ------------------------------------------------------------------ JSON I/O
@@ -504,8 +560,7 @@ WORKED_PARAMS = BaseParams(0, 1, 2, 3)
 def worked_design() -> PentapodDesign:
     """The Duporcq design used throughout: base (0,1,2,3), kappa_2 platform
     under the identity normalization, leg radii admitting a self-motion."""
-    base, _, _, _ = canonical_base(WORKED_PARAMS)
     platform = build_platform(WORKED_PARAMS, 2, AffineMap2.identity())
     radii = (Fraction(1), Fraction(18), Fraction(18, 25),
              Fraction(1), Fraction(18))
-    return PentapodDesign(base, platform, radii)
+    return PentapodDesign(WORKED_PARAMS.points, platform, radii)

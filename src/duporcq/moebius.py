@@ -63,7 +63,6 @@ from .exactpoly import (
 from .geometry import (
     BaseParams,
     InvariantViolation,
-    canonical_base,
     cleared,
     collinear,
     common_denominator,
@@ -351,7 +350,7 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
     Only the six special directions, which come first, feed the membership
     fields, so a rejected candidate is not pictured at random directions
     past its first failure."""
-    pts, _, _, _ = canonical_base(base)
+    pts = base.points
     directions = [(name, ConicDirection.from_direction(u))
                   for name, u in special_directions(pts)]
     seen = {primitive_key(c.c1, c.c2) for _, c in directions}

@@ -15,10 +15,10 @@ mu); derive_G builds it on its first call, keeps it for the process and
 evaluates it at each numeric base, so motion_radii computes no K_e.
 sample_pose, the one sampler, takes a whole grid of directions through one
 sphere_linear call, one stacked SVD and one residuals_at call (lstsq still
-runs per direction); trajectory and tangent_pair each sample their
-directions in one call, and verify_selfmotion samples its first grid and
-tangent_pair's three directions in one call, so a motion op whose first
-grid holds enough poses makes one sampler call.
+runs per direction); trajectory samples its directions in one call, and
+verify_selfmotion samples its first grid and the three tangent directions
+at the half-turn in one call, so a motion op whose first grid holds enough
+poses makes one sampler call.
 
 The float path has no leg model of its own: each public call reads its
 design once into a FloatLegs, whose float SphereConstraint stacked over
@@ -47,7 +47,6 @@ from .geometry import (
     PentapodDesign,
     PlanarPoint,
     build_platform,
-    canonical_base,
     cleared,
     collinear,
     cross,
@@ -168,9 +167,8 @@ def motion_radii(params: BaseParams, r1sq, r2sq) -> RadiiSolution:
 def build_motion_design(params: BaseParams, r1sq, r2sq) -> PentapodDesign:
     """Concrete pentapod with the kappa_2 identity platform and motion radii."""
     radii = motion_radii(params, r1sq, r2sq)
-    base, _, _, _ = canonical_base(params)
     platform = build_platform(params, 2, AffineMap2.identity())
-    return PentapodDesign(base, platform, radii.as_tuple())
+    return PentapodDesign(params.points, platform, radii.as_tuple())
 
 
 # ------------------------------------------------------------------ numeric legs
@@ -200,18 +198,23 @@ class FloatLegs(NamedTuple):
         return cls(M, m, r2, SphereConstraint(tuple(M.T), tuple(m.T), r2))
 
 
-def float_legs(design) -> FloatLegs:
-    """FloatLegs of design_legs(design); FloatOverflow when a coordinate or
-    squared radius has no finite float."""
-    import numpy as np
-    base, plat, radii = design_legs(design)
+def finite_floats(values) -> list:
+    """float(v) of each exact value; FloatOverflow when one has no finite
+    float."""
     try:
-        return FloatLegs.of(
-            np.array([[float(p.x), float(p.y), 0.0] for p in base]),
-            np.array([[float(p.x), float(p.y), 0.0] for p in plat]),
-            np.array([float(r) for r in radii]))
+        return [float(v) for v in values]
     except OverflowError as exc:
         raise FloatOverflow(f"value has no finite float: {exc}") from exc
+
+
+def float_legs(design) -> FloatLegs:
+    """FloatLegs of design_legs(design), read through finite_floats."""
+    import numpy as np
+    base, plat, radii = design_legs(design)
+    return FloatLegs.of(
+        np.array([finite_floats((p.x, p.y, 0)) for p in base]),
+        np.array([finite_floats((p.x, p.y, 0)) for p in plat]),
+        np.array(finite_floats(radii)))
 
 
 def sixth_radius(design: HexapodDesign) -> Fraction:
@@ -367,7 +370,7 @@ class MotionReport:
     tangent_angle: float
 
 
-TANGENT_STEP = 1e-4     # direction step of tangent_pair's difference quotients
+TANGENT_STEP = 1e-4     # direction step of the tangents' difference quotients
 TANGENT_DIRECTIONS = ((0, 0, 1), (TANGENT_STEP, 0, 1), (0, TANGENT_STEP, 1))
 
 
@@ -386,12 +389,6 @@ def _tangents(poses):
     return (tuple(t1), tuple(t2)), angle
 
 
-def tangent_pair(legs: FloatLegs, tol_leg: float = TOL_LEG,
-                 tol_f0: float = TOL_F0):
-    """Two independent motion tangents at the half-turn reference pose."""
-    return _tangents(sample_pose(legs, TANGENT_DIRECTIONS, tol_leg, tol_f0))
-
-
 def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
                       tol_f0: float = TOL_F0) -> MotionReport:
     """Sample the motion over a direction grid and collect the evidence.
@@ -402,10 +399,10 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
     the directions of every pass.  Each pass samples its grid in one
     sample_pose call and walks the outcomes in grid order up to the
     count-th pose, so outcomes past it count for nothing.  The first pass
-    samples tangent_pair's three directions in the same call; their
-    rejection is raised after the walk, as a later tangent_pair call
-    would.  count must be at least 1 (ValueError before any sampling
-    otherwise).
+    samples the three TANGENT_DIRECTIONS in the same call for the two
+    tangents at the half-turn; the first of their rejections is raised
+    after the walk.  count must be at least 1 (ValueError before any
+    sampling otherwise).
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")

@@ -52,8 +52,8 @@ from .exactpoly import (
     proportional,
     resultant,
 )
-from .geometry import (AffineMap2, BaseParams, BaseQuantities,
-                       InvariantViolation)
+from .geometry import (WORKED_PARAMS, AffineMap2, BaseParams,
+                       BaseQuantities, InvariantViolation)
 
 STUDY_VARS = ("e0", "e1", "e2", "e3", "f0", "f1", "f2", "f3",
               "A4", "B4", "A5", "B5", "mu1", "mu2", "mu3",
@@ -263,7 +263,7 @@ class CanonicalDesign(BaseQuantities):
 
     @classmethod
     def worked(cls, radii=None) -> "CanonicalDesign":
-        return cls.from_params(BaseParams(0, 1, 2, 3), radii=radii)
+        return cls.from_params(WORKED_PARAMS, radii=radii)
 
     @property
     def AB(self) -> tuple:

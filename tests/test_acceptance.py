@@ -19,7 +19,6 @@ from duporcq.geometry import (
     BaseParams,
     HexapodDesign,
     PlanarPoint,
-    canonical_base,
     collinear,
     cross,
     duporcq_hexapod,
@@ -144,7 +143,7 @@ PICTURE_LINES = {
 
 
 def test_04_picture_line_assignments_exact():
-    pts, _, _, _ = canonical_base(WORKED)
+    pts = WORKED.points
     for name, u in special_directions(pts):
         expected_pair, extended = PICTURE_LINES[name]
         c = ConicDirection.from_direction(u)

@@ -9,8 +9,10 @@ import pytest
 from duporcq import cli, study
 from duporcq.cli import main
 from duporcq.geometry import (
+    AffineMap2,
     PentapodDesign,
     PlanarPoint,
+    build_platform,
     design_to_dict,
     duporcq_hexapod,
     reconstruct_candidates,
@@ -205,6 +207,19 @@ def test_motion_needs_identity_platform(tmp_path, capsys):
     assert code == 3
 
 
+def test_motion_needs_the_identity_mu(tmp_path, capsys):
+    # a kappa_2 platform under another normalization mu is refused by name
+    d = worked_design()
+    platform = build_platform(WORKED_PARAMS, 2, AffineMap2(2, 0, 1))
+    path = write_design(tmp_path, PentapodDesign(d.base, platform, d.radii2))
+    code = main(["motion", path, "--samples", "3",
+                 "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert json.loads(captured.err) == {
+        "error": "motion sampling needs the identity kappa_2 platform"}
+
+
 # -------------------------------------------------------------------- pipeline
 
 def test_pipeline_worked_file(tmp_path, capsys):
@@ -242,6 +257,22 @@ def test_pipeline_degenerate_base(capsys):
 
 def test_pipeline_without_input(capsys):
     assert run_cli(capsys, "pipeline")[0] == 2
+
+
+@pytest.mark.parametrize("options", [
+    ["--mu", "3/2,1/5,-2", "--radii", "1,2,3,4,5"],
+    ["--params", "0,1,2,3"],
+])
+def test_pipeline_refuses_a_file_with_params_options(tmp_path, capsys,
+                                                     options):
+    # the file's report was printed with --mu and --radii ignored, and the
+    # --params report with the file ignored, both with exit 0
+    code = main(["pipeline", worked_file(tmp_path), *options])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert json.loads(captured.err) == {
+        "error": "pipeline takes a design file or --params (with --mu, "
+                 "--radii), not both"}
 
 
 def test_pipeline_invariant_violation_exits_3(monkeypatch, capsys):
@@ -346,6 +377,20 @@ def test_svg_deterministic(tmp_path, capsys):
         assert color in text
     for label in ("L45", "L12", "L15", "L14", "L25", "L24", "M6", "m6"):
         assert label in text
+
+
+def test_svg_coordinate_without_a_float_is_a_schema_error(tmp_path, capsys):
+    # float() of the exact coordinate raised OverflowError (exit 1)
+    d = design_to_dict(worked_design())
+    d["base"][3][0] = "1e400"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "x.svg"
+    code = main(["svg", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "no finite float" in json.loads(captured.err)["error"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------- config

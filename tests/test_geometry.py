@@ -19,7 +19,6 @@ from duporcq.geometry import (
     PlanarPoint,
     SchemaError,
     build_platform,
-    canonical_base,
     collinear,
     cross,
     design_from_dict,
@@ -48,13 +47,12 @@ rational = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 # ------------------------------------------------------------ canonical base
 
 def test_canonical_base_worked():
-    pts, U1, U2, U3 = canonical_base(WORKED)
-    assert pts == (P(0, 0), P(1, 0), P(-1, 0), P(0, 1), P(2, 3))
-    assert (U1, U2, U3) == (-16, 5, 1)
+    assert WORKED.points == (P(0, 0), P(1, 0), P(-1, 0), P(0, 1), P(2, 3))
+    assert (WORKED.U1, WORKED.U2, WORKED.U3) == (-16, 5, 1)
 
 
 def test_base_triples_collinear():
-    pts, _, _, _ = canonical_base(WORKED)
+    pts = WORKED.points
     assert collinear(pts[0], pts[1], pts[2])
     assert collinear(pts[2], pts[3], pts[4])
 
@@ -178,7 +176,7 @@ def test_m3_closed_form_matches_intersection(A4, B4, A5, B5, mu1, mu2, mu3):
 # ------------------------------------------------------------------ tv_ratio
 
 def test_tv_ratio_worked():
-    pts, _, _, _ = canonical_base(WORKED)
+    pts = WORKED.points
     assert tv_ratio(pts[0], pts[1], pts[2]) == -1
 
 
@@ -232,7 +230,7 @@ def test_hexapod_vertex_sets_match():
 
 
 def test_duporcq_hexapod_kappa3():
-    base, _, _, _ = canonical_base(WORKED)
+    base = WORKED.points
     plat = build_platform(WORKED, 3, AffineMap2.identity())
     design = PentapodDesign(base, plat, (1, 1, 1, 1, 1))
     hexa = duporcq_hexapod(design)
@@ -241,7 +239,7 @@ def test_duporcq_hexapod_kappa3():
 
 
 def test_duporcq_hexapod_rejects_scaled_platform():
-    base, _, _, _ = canonical_base(WORKED)
+    base = WORKED.points
     plat = build_platform(WORKED, 2, AffineMap2(2, 0, 1))
     design = PentapodDesign(base, plat, (1, 1, 1, 1, 1))
     with pytest.raises(NotDuporcq):

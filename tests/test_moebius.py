@@ -14,7 +14,6 @@ from duporcq.geometry import (
     BaseParams,
     InvariantViolation,
     PlanarPoint,
-    canonical_base,
     reconstruct_candidates,
 )
 from duporcq.moebius import (
@@ -47,7 +46,7 @@ from duporcq.moebius import (
 )
 
 WORKED = BaseParams(0, 1, 2, 3)
-PTS = canonical_base(WORKED)[0]
+PTS = WORKED.points
 C_IZ = ConicDirection(1, I, 0)
 
 
@@ -263,7 +262,7 @@ def test_candidate_report_takes_each_picture_once(monkeypatch):
         calls.clear()
         report = candidate_report(base, reconstruct_candidates(base),
                                   seed=seed, samples=20)
-        pts = canonical_base(base)[0]
+        pts = base.points
         names = [n for n, _ in special_directions(pts)]
         seen = {_projective(ConicDirection.from_direction(u))
                 for _, u in special_directions(pts)}
@@ -289,7 +288,7 @@ def _fraction_report(base, candidates, seed, samples, seen):
     Fraction directions, each picture through picture and _membership;
     seen counts the extended special pictures and the random-direction
     comparisons of accepted candidates that it made."""
-    pts = canonical_base(base)[0]
+    pts = base.points
     # the Fraction (u2 : -u1) of each special direction, and c(t) with c3
     directions = [(name, ConicDirection(u.y, -u.x))
                   for name, u in special_directions(pts)]
@@ -345,7 +344,7 @@ def test_candidate_report_matches_fraction_pictures():
     designs = [(WORKED, reconstruct_candidates(WORKED), random.Random(9))]
     designs += [_seeded_base(seed) for seed in range(4)]
     for k, (base, cands, rng) in enumerate(designs):
-        pts = canonical_base(base)[0]
+        pts = base.points
         dens.add(max(v.denominator for p in pts for v in p))
         moved = []
         for cand in cands:
@@ -423,7 +422,7 @@ def test_membership_report_matches_fraction_pictures():
     tuples = [PTS]
     for seed in range(5):
         base, cands, _ = _seeded_base(seed)
-        tuples.append(canonical_base(base)[0])
+        tuples.append(base.points)
         for cand in cands:
             a, b, c, d = (_fraction(rng, 7) for _ in range(4))
             if a * d == b * c:
@@ -511,7 +510,7 @@ def _profile_cases():
     cases = [PTS]
     for seed in range(4):
         base, cands, _ = _seeded_base(seed)
-        cases.append(canonical_base(base)[0])
+        cases.append(base.points)
         cases += [cand.platform for cand in cands]
     half = Fraction(1, 2)
     cases += [
@@ -632,7 +631,7 @@ def test_picture_is_projective_in_points_and_direction(A4, B4, A5, B5, k, tx,
         params = BaseParams(A4, B4, A5, B5)
     except Exception:
         assume(False)
-    pts = canonical_base(params)[0]
+    pts = params.points
     moved = tuple(IntPoint(k * p.x + tx, k * p.y + ty)
                   for p in integral_points(pts))
     directions = [ConicDirection(c1, c2)]
@@ -652,8 +651,8 @@ def test_picture_is_projective_in_points_and_direction(A4, B4, A5, B5, k, tx,
 
 
 def test_int_points_and_direction_give_int_pictures():
-    pts = integral_points(canonical_base(BaseParams(Fraction(1, 3), 2,
-                                                    Fraction(-3, 2), 5))[0])
+    pts = integral_points(BaseParams(Fraction(1, 3), 2,
+                                     Fraction(-3, 2), 5).points)
     assert all(type(v) is int for p in pts for v in p)
     p = picture(pts, ConicDirection(3, -7))
     assert not p.extended
@@ -668,7 +667,7 @@ def test_single_pair_membership(A4, B4, A5, B5):
         params = BaseParams(A4, B4, A5, B5)
     except Exception:
         assume(False)
-    pts = canonical_base(params)[0]
+    pts = params.points
     for (i, j) in ((1, 4), (1, 5), (2, 4), (2, 5)):
         u = pts[j - 1] - pts[i - 1]
         c = ConicDirection.from_direction(u)

@@ -42,7 +42,6 @@ from duporcq.selfmotion import (
     sample_pose,
     similarity_bond,
     sixth_radius,
-    tangent_pair,
     trajectory,
     translational_submotion,
     verify_selfmotion,
@@ -429,7 +428,7 @@ def _seeded_motion_designs(seed, count):
     return designs
 
 
-# the Fibonacci grid and the three directions of tangent_pair
+# the Fibonacci grid and the three tangent directions
 ORACLE_DIRECTIONS = list(fibonacci_directions(150)) + [
     (0, 0, 1), (1e-4, 0, 1), (0, 1e-4, 1)]
 
@@ -595,7 +594,7 @@ def _walked(outcomes, count):
 def test_verify_selfmotion_counts_every_pass(monkeypatch):
     # radii (20, 4) leave too few real fibers on the first grid of 20
     # directions, so a second pass of 40 runs.  The first pass is one
-    # sample_pose call on its grid and then tangent_pair's three
+    # sample_pose call on its grid and then the three tangent
     # directions; the doubled pass samples its grid alone.  attempted
     # counts the grid directions both passes walked (it used to count
     # only the last pass), never the tangent directions
@@ -630,22 +629,17 @@ def test_verify_selfmotion_walks_each_pass_in_grid_order(monkeypatch):
 
 
 def _reject_tangents(out):
-    """The last two outcomes, tangent_pair's steps when the grid ends with
-    its three directions, as rejections."""
+    """The last two outcomes, the tangent steps when the grid ends with the
+    three tangent directions, as rejections."""
     return {len(out) - 2: NoRealSolution("second"),
             len(out) - 1: InconsistentSystem("third")}
 
 
-def test_tangent_pair_samples_its_three_directions_at_once(monkeypatch):
-    # tangent_pair: one sample_pose call on (0,0,1), (h,0,1), (0,h,1), and
-    # the first rejection in that order is raised.  verify_selfmotion reads
-    # the same three outcomes from its first pass's call, and raises their
-    # first rejection after the walk
-    calls = _recording_sample_pose(monkeypatch, inject=_reject_tangents)
-    with pytest.raises(NoRealSolution, match="second"):
-        tangent_pair(float_legs(worked_design()))
-    assert [grid for grid, _ in calls] == [
-        [(0, 0, 1), (1e-4, 0, 1), (0, 1e-4, 1)]]
+def test_verify_selfmotion_samples_the_tangent_directions_with_its_grid(
+        monkeypatch):
+    # the first pass's one sample_pose call ends with (0,0,1), (h,0,1),
+    # (0,h,1), and the first rejection among those three, in that order,
+    # is raised after the walk
     calls = _recording_sample_pose(monkeypatch, inject=_reject_tangents)
     with pytest.raises(NoRealSolution, match="second"):
         verify_selfmotion(worked_design(), count=5)
@@ -657,7 +651,7 @@ def test_tangent_pair_samples_its_three_directions_at_once(monkeypatch):
 def test_verify_selfmotion_raises_a_grid_rejection_first(monkeypatch):
     # an InconsistentSystem the walk reaches propagates before a rejection
     # at the tangent directions sampled in the same call, as it did when
-    # tangent_pair sampled them after the walk
+    # the tangents were sampled after the walk
     def inject(out):
         return {0: InconsistentSystem("grid"), **_reject_tangents(out)}
 
@@ -666,10 +660,11 @@ def test_verify_selfmotion_raises_a_grid_rejection_first(monkeypatch):
         verify_selfmotion(worked_design(), count=5)
 
 
-def test_tangent_pair_independent():
-    tangents, angle = tangent_pair(float_legs(worked_design()))
-    t1, t2 = (np.array(t) for t in tangents)
-    assert np.linalg.norm(np.cross(t1[:3], t2[:3])) > 1e-3 or angle > 1e-3
+def test_verify_selfmotion_tangents_independent():
+    rep = verify_selfmotion(worked_design(), count=5)
+    t1, t2 = (np.array(t) for t in rep.tangents)
+    assert (np.linalg.norm(np.cross(t1[:3], t2[:3])) > 1e-3
+            or rep.tangent_angle > 1e-3)
 
 
 # --------------------------------------------------------- translational circle

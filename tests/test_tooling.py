@@ -127,28 +127,42 @@ def test_cli_subcommands_accept_only_what_they_read():
 def test_bench_tracer_installs(tmp_path, capsys):
     # the traced benchmark wraps package functions by name; renaming or
     # removing one of them must fail here, not only in a benchmark run.
-    # A motion op under the tracer books its sampling to sample_pose, the
-    # benchmark's motion span, and prints what it prints untraced
+    # One op of each benchmarked subcommand prints under the tracer what
+    # it prints untraced (the tracer's hooks read the wrapped functions'
+    # arguments), and the motion and classify ops book their work to the
+    # sample_pose and candidate_report spans
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     path = tmp_path / "design.json"
     path.write_text(json.dumps(design_to_dict(worked_design())))
-    argv = ["motion", str(path), "--samples", "10",
-            "--out", str(tmp_path / "motion.csv")]
-    assert duporcq.cli.main(argv) == 0
-    untraced = capsys.readouterr().out
+    ops = [["motion", str(path), "--samples", "10",
+            "--out", str(tmp_path / "motion.csv")],
+           ["classify", str(path), "--samples", "10"],
+           ["profile", str(path), "--samples", "3"],
+           ["pipeline", "--params", "0,1,2,3"],
+           ["hexapod-check", str(path), "--samples", "10"]]
+
+    def run_all():
+        out = []
+        for argv in ops:
+            assert duporcq.cli.main(argv) == 0, argv
+            out.append(capsys.readouterr().out)
+        return out
+
+    untraced = run_all()
     original = duporcq.cli.main
     tracer = spans.Tracer()
     tracer.install()
     try:
         assert duporcq.cli.main is not original
-        assert duporcq.cli.main(argv) == 0
+        traced = run_all()
     finally:
         tracer.uninstall()
     assert duporcq.cli.main is original
-    assert capsys.readouterr().out == untraced
+    assert traced == untraced
     assert tracer.calls("selfmotion.sample_pose") > 0
+    assert tracer.calls("moebius.candidate_report") > 0
 
 
 def test_scripts_run(tmp_path):
