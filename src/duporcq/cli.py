@@ -293,6 +293,11 @@ def cmd_svg(args):
     xs, ys = coords[0::2], coords[1::2]
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1.0)
+    # the direction lines reach 3 spans past a point and the frame is 1.7
+    # spans wide, so every float below stays under this bound
+    if not math.isfinite(max(map(abs, coords)) + 5 * span):
+        raise FloatOverflow(f"the drawing's frame has no finite float "
+                            f"(span {span:.3g})")
     pad = 0.35 * span
     width, height = 640, 640
 

@@ -660,18 +660,6 @@ def generators(names):
     return [MPoly.variable(names, n) for n in names]
 
 
-def derivative(p: MPoly, var: str) -> MPoly:
-    """Partial derivative of p in var."""
-    off = _offset(p.vars, var)
-    one = 1 << off
-    out = {}
-    for exp, v in p._prim.items():
-        k = (exp >> off) & _FIELD
-        if k:
-            out[exp - one] = v * k
-    return _normal(p.vars, out, p._content)
-
-
 def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
     """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b in var, over
     the integers: of the P's of a and b, so up to a rational factor, which

@@ -33,7 +33,8 @@ the ten e_i e_j coefficients, which e0e3_ratio and the tangency ansatz read.
 rank_drop_T checks each of the five 4x4 minors against the epsilon closed
 form by its coefficient keys and cross-multiplication, takes the closed
 form's coefficients from the epsilons, and normalizes only the closed form.
-pipeline_report concludes from the chain's gcd, checked against F2.
+pipeline_report concludes from the chain's gcd, checked against F2; the
+chain's match with F1^2 * F2^2 comes from exact divisions (factor_powers).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .exactpoly import (
     MPoly,
     NotDivisible,
     ZeroDegree,
-    derivative,
     det,
     gcd,
     proportional,
@@ -648,23 +648,61 @@ def _res_or_zero(p: MPoly, qp: MPoly, var: str) -> MPoly:
     return resultant(p, qp, var)
 
 
-def radical_part(p: MPoly, variables=("e1", "e2")) -> MPoly:
-    """Product of the distinct irreducible factors, monic; repeated factors
-    and extraneous powers drop out."""
-    if p.is_zero() or p.degree() == 0:
-        return p
-    g = p
-    for v in variables:
-        g = gcd(g, derivative(p, v))
-    return p.exact_div(g).monic()
+def _divide_out(p: MPoly, f: MPoly) -> tuple:
+    """The largest k with f^k | p, and p / f^k."""
+    k = 0
+    while True:
+        try:
+            p = p.exact_div(f)
+        except NotDivisible:
+            return k, p
+        k += 1
+
+
+def factor_powers(p: MPoly, factors) -> tuple:
+    """For each factor f, the largest k with f^k | p, found by repeated
+    exact_div of p itself, so a factor that two of them share counts
+    towards both powers; and the cofactor, p with each factor in turn
+    divided out as often as it still goes."""
+    if p.is_zero() or any(f.degree() <= 0 for f in factors):
+        raise ValueError("factor_powers needs p != 0 and nonconstant factors")
+    powers, rest = [], p
+    for f in factors:
+        k, q = _divide_out(p, f)
+        powers.append(k)
+        # the first factor's quotient is already its share of the cofactor
+        rest = q if rest is p else _divide_out(rest, f)[1]
+    return tuple(powers), rest
+
+
+def _factor_match(g: MPoly, f1: MPoly, f2: MPoly) -> bool:
+    """Whether a nonzero chain gcd g is F1^2 * F2^2 up to a unit and extra
+    powers of shared factors: F1^2 and F2^2 divide g, and every factor of
+    the cofactor factor_powers leaves that involves e1 or e2 divides F1 * F2.
+    That is, the cofactor's primitive part over (e1, e2) divides
+    (F1 * F2)^k, k its degree in them; its content divides each of its
+    coefficients c, so this holds iff the cofactor divides c * (F1 * F2)^k.
+    """
+    powers, rest = factor_powers(g, (f1, f2))
+    if min(powers) < 2:
+        return False
+    coeffs = rest.coefficients(("e1", "e2"))
+    c = min(coeffs.values(), key=lambda a: a.term_count)
+    try:
+        (c * (f1 * f2) ** max(map(sum, coeffs))).exact_div(rest)
+    except NotDivisible:
+        return False
+    return True
 
 
 def resultant_chain(ke: QuadricForm, t: QuadricForm, design: CanonicalDesign) -> ChainResult:
     """Eliminate e0 pairwise among {K_e, T, N}, then e3, then take the gcd.
 
     For generic parameter values the gcd equals F1^2 * F2^2 up to a unit and
-    extraneous powers of shared factors, so the match is tested on radicals;
-    at mu = identity F2 vanishes identically and so does the gcd.
+    extraneous powers of shared factors.  The match is a divisibility test
+    (_factor_match): F1^2 and F2^2 divide the gcd, and every other factor
+    of it that involves e1 or e2 divides F1 * F2.  At mu = identity F2
+    vanishes identically and so does the gcd.
     """
     res_e0, res_e3 = _eliminate(ke.poly, t.poly, N_poly())
     # smallest operands first: the gcd of the two smaller ones bounds the
@@ -676,7 +714,7 @@ def resultant_chain(ke: QuadricForm, t: QuadricForm, design: CanonicalDesign) ->
     if g.is_zero() or expected.is_zero():
         match = g.is_zero() and expected.is_zero()
     else:
-        match = radical_part(g) == radical_part(expected)
+        match = _factor_match(g, f1, f2)
     return ChainResult(res_e0, res_e3, g, match, expected)
 
 

@@ -393,6 +393,22 @@ def test_svg_coordinate_without_a_float_is_a_schema_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_svg_span_without_a_float_frame_is_a_schema_error(tmp_path, capsys):
+    # each coordinate has a float, but the frame built from their span
+    # overflowed and the drawing got nan and inf coordinates (exit 0)
+    d = design_to_dict(worked_design())
+    d["base"][3][0] = "1.5e308"
+    d["base"][4][0] = "-1e307"
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "x.svg"
+    code = main(["svg", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "no finite float" in json.loads(captured.err)["error"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------- config
 
 def test_rejects_nonpositive_tolerance(tmp_path, capsys):

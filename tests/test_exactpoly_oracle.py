@@ -20,7 +20,6 @@ from duporcq.exactpoly import (
     EXPONENT_LIMIT,
     MPoly,
     NotDivisible,
-    derivative,
     det,
     gcd,
     proportional,
@@ -99,13 +98,6 @@ def test_mul_near_the_field_limit_matches_sympy(p, q):
     pq = p * q
     assert same(pq, sympy.expand(to_sympy(p) * to_sympy(q)))
     assert pq.exact_div(q) == p
-
-
-@settings(max_examples=30, deadline=None)
-@given(polys(max_exp=EXPONENT_LIMIT - 1), st.sampled_from(VARS))
-def test_derivative_matches_sympy(p, var):
-    assert same(derivative(p, var),
-                sympy.diff(to_sympy(p), SYMS[VARS.index(var)]))
 
 
 def _assert_gcd_up_to_unit(g: MPoly, p: MPoly, q: MPoly):

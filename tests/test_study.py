@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from duporcq import study
 from duporcq.cli import main
 from duporcq.exactpoly import MPoly, ZeroDegree, det, gcd
-from duporcq.geometry import BaseParams
+from duporcq.geometry import (BaseParams, design_to_dict, duporcq_hexapod,
+                              worked_design)
 from duporcq.study import (
     GENS,
     STUDY_VARS,
@@ -31,6 +32,8 @@ from duporcq.study import (
     StudyViolation,
     N_poly,
     RADII_SYMBOLS,
+    _eliminate,
+    _factor_match,
     _normalize_quadric,
     apply_pose,
     chain_vanishes_at,
@@ -45,6 +48,8 @@ from duporcq.study import (
     f1_f2,
     f_coefficient_matrix,
     f_matrix_at,
+    factor_powers,
+    leg_split,
     pipeline_report,
     poly,
     rank_drop_T,
@@ -663,6 +668,7 @@ def test_chain_with_symbolic_r1sq_matches_F1F2():
     assert not chain.gcd.is_zero()
     assert chain.gcd.degree_in("r1sq") == 0
     assert chain.factor_match, chain.gcd.to_str()
+    assert chain.factor_match == radical_match(chain)
 
 
 @pytest.mark.parametrize("mu, conclusion", [
@@ -670,17 +676,173 @@ def test_chain_with_symbolic_r1sq_matches_F1F2():
      "no two-parameter self-motion"),
     (None, "two-parameter self-motion (platform map is the identity)")],
     ids=["generic-mu", "identity-mu"])
-def test_pipeline_over_the_radii_ring(mu, conclusion):
+def test_pipeline_over_the_radii_ring(monkeypatch, mu, conclusion):
     # all five squared radii stay symbolic, so the chain's gcd is taken over
     # the radii ring and the conclusion holds for every choice of radii
     design = CanonicalDesign.from_params(
         BaseParams(Fraction(1, 3), Fraction(-2), Fraction(5, 2), Fraction(7)),
         mu=mu)
     assert all(isinstance(r, MPoly) for r in design.radii)
+    chains = _record_chains(monkeypatch)
     report = pipeline_report(design)
     assert report["conclusion"] == conclusion
     assert report["chain"]["factors"]["match"] is True
     assert not any(r in report["chain"]["gcd"] for r in RADII_SYMBOLS)
+    [chain] = chains
+    assert chain.factor_match == radical_match(chain)
+
+
+# -------------------------------------- factor_match against a radical oracle
+
+def _derivative(p: MPoly, var: str) -> MPoly:
+    i = p.vars.index(var)
+    return MPoly.from_exponents(p.vars, {
+        exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+        for exps, c in p.monomials() if exps[i]})
+
+
+def radical_part(p: MPoly, variables=("e1", "e2")) -> MPoly:
+    """Product of the distinct irreducible factors of p that involve the
+    variables, monic: p over gcd(p, dp/dv for v in variables)."""
+    if p.is_zero() or p.degree() == 0:
+        return p
+    g = p
+    for v in variables:
+        g = gcd(g, _derivative(p, v))
+    return p.exact_div(g).monic()
+
+
+def radical_match(chain) -> bool:
+    """The looser claim: the gcd and F1^2 * F2^2 have equal radicals."""
+    g, expected = chain.gcd, chain.expected
+    if g.is_zero() or expected.is_zero():
+        return g.is_zero() and expected.is_zero()
+    return radical_part(g) == radical_part(expected)
+
+
+def _record_chains(monkeypatch) -> list:
+    chains, real = [], study.resultant_chain
+
+    def recording(ke, t, design):
+        chains.append(real(ke, t, design))
+        return chains[-1]
+
+    monkeypatch.setattr(study, "resultant_chain", recording)
+    return chains
+
+
+def test_factor_match_agrees_with_the_radical_oracle_on_draws():
+    # every fifth draw has mu1 = 1 or mu3 = -1, where F2 splits off e1 or
+    # e2 and the gcd has e-degree 10 instead of 8 (more draws hit mu3 = -1
+    # by chance, and one has degree 12)
+    rng = random.Random(53)
+    degrees = []
+    while len(degrees) < 100:
+        mu1, mu2, mu3 = random_mu(rng)
+        if len(degrees) % 10 == 0:
+            mu1 = Fraction(1)
+        elif len(degrees) % 10 == 5:
+            mu3 = Fraction(-1)
+        if mu2 == 0 and mu3 == -mu1:
+            continue  # the chain stops with ZeroDegree there (known defect)
+        design = CanonicalDesign.from_params(
+            random_base(rng), mu=(mu1, mu2, mu3),
+            radii=tuple(random_fraction(rng, 1, 6, 4) for _ in range(5)))
+        chain = resultant_chain(compute_Ke(design), rank_drop_T(design).T,
+                                design)
+        assert chain.factor_match == radical_match(chain), design
+        degrees.append(chain.gcd.degree())
+    assert degrees.count(10) >= 20 and degrees.count(8) >= 60
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "{worked}"],
+    ["pipeline", "--params", "1/3,-2,5/2,7", "--mu", "3/2,1/5,-2",
+     "--radii", "1,2,3,4,5"]], ids=["pipeline", "pipeline_generic"])
+def test_factor_match_agrees_with_the_radical_oracle_on_the_goldens(
+        monkeypatch, tmp_path, capsys, argv):
+    design = worked_design()
+    worked = tmp_path / "worked.json"
+    worked.write_text(json.dumps(design_to_dict(design,
+                                                duporcq_hexapod(design))))
+    chains = _record_chains(monkeypatch)
+    assert main([a.format(worked=worked) for a in argv]) == 0
+    capsys.readouterr()
+    [chain] = chains
+    assert chain.factor_match is True
+    assert chain.factor_match == radical_match(chain)
+
+
+def test_factor_powers_divides_each_factor_out_of_p_itself():
+    x, y = GENS["e1"], GENS["e2"]
+    assert factor_powers(x ** 3 * y ** 2 * (x + y), (x, y)) == ((3, 2), x + y)
+    # x is shared: its power counts towards both factors, and the cofactor
+    # is what dividing x*y once and then x as often as it goes leaves
+    assert factor_powers(x ** 3 * y * (x - y), (x * y, x)) == ((1, 3), x - y)
+    assert factor_powers(poly(5), (x,)) == ((0,), poly(5))
+    for p, factors in ((poly(0), (x,)), (x, (poly(2),))):
+        with pytest.raises(ValueError):
+            factor_powers(p, factors)
+
+
+def test_factor_match_is_a_divisibility_test():
+    e1, e2, a4 = GENS["e1"], GENS["e2"], GENS["A4"]
+    base = BaseParams(Fraction(1, 3), Fraction(-2), Fraction(5, 2), Fraction(7))
+    f1, f2 = f1_f2(CanonicalDesign.from_params(
+        base, mu=(Fraction(3, 2), Fraction(1, 5), Fraction(-2))))
+    square = f1 ** 2 * f2 ** 2
+    assert _factor_match(square, f1, f2)
+    assert _factor_match(square * f1 * f2 ** 3, f1, f2)
+    assert _factor_match(square * (3 + a4), f1, f2)  # e-free content
+    # equal radicals, but F1^2 does not divide: the stricter claim fails
+    assert not _factor_match(f1 * f2 ** 2, f1, f2)
+    assert not _factor_match(square * (e1 + 5 * e2), f1, f2)
+    # with mu1 = 1, F2 = e1 * L: a cofactor built from e1 and L matches,
+    # also under a content over (e1, e2)
+    f1, f2 = f1_f2(CanonicalDesign.from_params(
+        base, mu=(Fraction(1), Fraction(1, 5), Fraction(-2))))
+    lin = f2.exact_div(e1)
+    assert lin.degree() == 1
+    square = f1 ** 2 * f2 ** 2
+    assert _factor_match(square * e1 ** 3, f1, f2)
+    assert _factor_match(square * a4 * (1 + a4) * lin ** 2, f1, f2)
+    assert not _factor_match(square * a4 * e1 * (e1 + e2), f1, f2)
+
+
+def test_chain_match_takes_no_gcd_but_the_fold(monkeypatch):
+    # the chain's only gcds fold its three polynomials; the match with
+    # F1^2 * F2^2 comes from exact divisions
+    design = _generic_design(random.Random(43))
+    ke, t = compute_Ke(design), rank_drop_T(design).T
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(study, "gcd", counting)
+    chain = resultant_chain(ke, t, design)
+    assert chain.factor_match and not chain.gcd.is_zero()
+    assert len(calls) == 2
+
+
+def test_chain_polynomials_over_the_A4_ring_carry_F1_and_F2_squared():
+    # the divisibility half of the chain identity with A4 symbolic: F1 and
+    # F2 each divide S_TN, S_KeN and S_KeT to power exactly 2 over Q[A4]
+    # (that the cofactors share no factor with F1 * F2 is not shown here)
+    design = dataclasses.replace(CanonicalDesign.from_params(
+        BaseParams(Fraction(1, 3), Fraction(-2), Fraction(5, 2), Fraction(7)),
+        mu=(Fraction(3, 2), Fraction(1, 5), Fraction(-2)),
+        radii=tuple(Fraction(k) for k in range(1, 6))), A4=GENS["A4"])
+    split = leg_split(design)
+    _, res_e3 = _eliminate(compute_Ke(design, split=split).poly,
+                           rank_drop_T(design, split=split).T.poly, N_poly())
+    f1, f2 = f1_f2(design)
+    assert f1.degree_in("A4") > 0
+    assert {k: s.term_count for k, s in res_e3.items()} == {
+        "S_TN": 677, "S_KeN": 171, "S_KeT": 337}
+    for s in res_e3.values():
+        assert factor_powers(s, (f1, f2))[0] == (2, 2)
 
 
 def test_chain_locus_samples():
