@@ -30,11 +30,15 @@ Every coefficient read goes through MPoly.coefficients, the kernel's one
 extraction routine.  A QuadricForm checks that it is f-free and of degree 2
 in e with one coefficients pass over F_VARS and one over E_VARS, and keeps
 the ten e_i e_j coefficients, which e0e3_ratio and the tangency ansatz read.
-rank_drop_T checks each of the five 4x4 minors against the epsilon closed
-form by its coefficient keys and cross-multiplication, takes the closed
-form's coefficients from the epsilons, and normalizes only the closed form.
-pipeline_report concludes from the chain's gcd, checked against F2; the
-chain's match with F1^2 * F2^2 comes from exact divisions (factor_powers).
+rank_drop_T takes the five 4x4 minors from one memo (maximal_minors of the
+transposed matrix), checks each against the epsilon closed form by its
+coefficient keys and cross-multiplication, takes the closed form's
+coefficients from the epsilons, and normalizes only the closed form.
+resultant_chain takes its gcd over the cofactors of F1^2 * F2^2 when that
+product divides all three chain polynomials, and over the polynomials
+themselves otherwise.  pipeline_report concludes from the chain's gcd,
+checked against F2; the chain's match with F1^2 * F2^2 comes from exact
+divisions (factor_powers).
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ from .exactpoly import (
     MPoly,
     NotDivisible,
     ZeroDegree,
-    det,
     gcd,
+    maximal_minors,
     proportional,
     resultant,
 )
@@ -430,21 +434,20 @@ def f_coefficient_matrix(design: CanonicalDesign, *, split=None) -> tuple:
 def rank_drop_T(design: CanonicalDesign, *, split=None) -> RankDropResult:
     """T from the 4x4 minors of the f-coefficient matrix of (S, Delta_2..5).
 
-    The minor dropping the S row vanishes identically; each other minor
-    over N is an e-quadric proportional to epsilon_quadric(epsilons), which
-    _normalize_quadric then turns into T.  The closed form's coefficients
-    are the epsilons themselves, on the EPS_AT slots and zero elsewhere.
-    No gcd is taken of a minor.  split is the design's leg_split when the
-    caller has it.
+    The minor without row r is the transpose's maximal minor without column
+    r, so all five come from one maximal_minors memo.  The minor dropping
+    the S row vanishes identically; each other minor over N is an e-quadric
+    proportional to epsilon_quadric(epsilons), which _normalize_quadric then
+    turns into T.  The closed form's coefficients are the epsilons
+    themselves, on the EPS_AT slots and zero elsewhere.  No gcd is taken of
+    a minor.  split is the design's leg_split when the caller has it.
     """
     mat = f_coefficient_matrix(design, split=split)
     n = N_poly()
     eps = epsilons(design)
     want = [poly(eps[EPS_AT[pair]]) if pair in EPS_AT else poly(0)
             for pair in E_PAIRS.values()]
-    for drop in range(5):
-        rows = [list(mat[r]) for r in range(5) if r != drop]
-        minor = det(rows)
+    for drop, minor in enumerate(maximal_minors(zip(*mat))):
         if drop == 0:
             if not minor.is_zero():
                 raise InvariantViolation("minor without the S row must vanish")
@@ -640,6 +643,8 @@ class ChainResult:
     gcd: MPoly
     factor_match: bool
     expected: MPoly
+    f1: MPoly
+    f2: MPoly
 
 
 def _res_or_zero(p: MPoly, qp: MPoly, var: str) -> MPoly:
@@ -703,19 +708,31 @@ def resultant_chain(ke: QuadricForm, t: QuadricForm, design: CanonicalDesign) ->
     (_factor_match): F1^2 and F2^2 divide the gcd, and every other factor
     of it that involves e1 or e2 divides F1 * F2.  At mu = identity F2
     vanishes identically and so does the gcd.
+
+    The gcd is computed, never assumed: with E = F1^2 * F2^2 when it is
+    nonzero and divides all three chain polynomials S_i exactly, else
+    E = 1, it is E * gcd(S_i / E) made monic, which is gcd(S_i) since
+    gcd(E * C_i) = E * gcd(C_i) up to a unit.  The cofactors S_i / E have
+    e-degree 8 less than the S_i, which is where the saving is.
     """
     res_e0, res_e3 = _eliminate(ke.poly, t.poly, N_poly())
-    # smallest operands first: the gcd of the two smaller ones bounds the
-    # largest one's part in the remainder sequence
-    a, b, c = sorted(res_e3.values(), key=lambda p: p.term_count)
-    g = gcd(gcd(a, b), c)
     f1, f2 = f1_f2(design)
     expected = f1 * f1 * f2 * f2
+    e, parts = MPoly.const(STUDY_VARS, 1), list(res_e3.values())
+    if not expected.is_zero():
+        try:
+            e, parts = expected, [s.exact_div(expected) for s in parts]
+        except NotDivisible:
+            pass  # e and parts stay 1 and the S_i
+    # smallest operands first: the gcd of the two smaller ones bounds the
+    # largest one's part in the remainder sequence
+    a, b, c = sorted(parts, key=lambda p: p.term_count)
+    g = (e * gcd(gcd(a, b), c)).monic()
     if g.is_zero() or expected.is_zero():
         match = g.is_zero() and expected.is_zero()
     else:
         match = _factor_match(g, f1, f2)
-    return ChainResult(res_e0, res_e3, g, match, expected)
+    return ChainResult(res_e0, res_e3, g, match, expected, f1, f2)
 
 
 def _eliminate(kp: MPoly, tp: MPoly, n: MPoly):
@@ -761,8 +778,8 @@ def pipeline_report(design: CanonicalDesign) -> dict:
     ke = compute_Ke(design, split=split)
     ratio = e0e3_ratio(ke, design)
     td = rank_drop_T(design, split=split)
-    f1, f2 = f1_f2(design)
     chain = resultant_chain(ke, td.T, design)
+    f1, f2 = chain.f1, chain.f2
     try:
         rep = tangency_ansatz(ke)
         ansatz = {

@@ -276,15 +276,15 @@ def test_pipeline_refuses_a_file_with_params_options(tmp_path, capsys,
 
 
 def test_pipeline_invariant_violation_exits_3(monkeypatch, capsys):
-    real = study.det
-    drops = iter(range(5))
+    real = study.maximal_minors
 
     def perturbed(rows):
         # break the first check: the minor without the S row must vanish
-        minor = real(rows)
-        return minor + study.GENS["e0"] if next(drops) == 0 else minor
+        minors = real(rows)
+        minors[0] = minors[0] + study.GENS["e0"]
+        return minors
 
-    monkeypatch.setattr(study, "det", perturbed)
+    monkeypatch.setattr(study, "maximal_minors", perturbed)
     code = main(["pipeline", "--params", "1/3,-2,5/2,7",
                  "--mu", "3/2,1/5,-2", "--radii", "1,2,3,4,5"])
     captured = capsys.readouterr()

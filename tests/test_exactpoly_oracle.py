@@ -1,8 +1,9 @@
 """Differential tests of the exact kernel against sympy as an independent oracle.
 
 Random small polynomials in three variables go through MPoly's product,
-exact division, gcd, resultant and determinant and through sympy's, and the
-results are compared exactly (gcd up to a constant factor).  The gcd is
+exact division, gcd, resultant, determinant and maximal minors and through
+sympy's, and the results are compared exactly (gcd up to a constant
+factor).  The gcd is
 also drawn over random variable subsets and with single-term operands, the
 inputs of its monomial shortcut and absent-variable split.  Coefficients are
 Fractions, the kernel's domain.  proportional is checked against sympy's
@@ -10,6 +11,7 @@ rational-function ratios, and MPoly.coefficients against sympy's Poly over
 a subset of the variables.
 """
 
+import random
 from fractions import Fraction
 from math import prod
 
@@ -22,6 +24,7 @@ from duporcq.exactpoly import (
     NotDivisible,
     det,
     gcd,
+    maximal_minors,
     proportional,
     resultant,
 )
@@ -183,6 +186,48 @@ def test_det_matches_sympy(rows):
     expected = sympy.Matrix([[to_sympy(e) for e in row] for row in rows]).det(
         method="berkowitz")
     assert same(det(rows), sympy.expand(expected))
+
+
+def _seeded_wide(rng, k, zero_column):
+    """A k x (k + 1) matrix with about one entry in three zero, and with
+    zero_column one column of zeros."""
+    zero = MPoly.zero(VARS)
+
+    def entry():
+        if rng.random() < 1 / 3:
+            return zero
+        return MPoly.from_exponents(VARS, {
+            tuple(rng.randint(0, 2) for _ in VARS):
+                Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 2))})
+
+    rows = [[entry() for _ in range(k + 1)] for _ in range(k)]
+    if zero_column:
+        dead = rng.randrange(k + 1)
+        for row in rows:
+            row[dead] = zero
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_maximal_minors_match_sympy(seed):
+    k = 1 + seed % 5
+    rows = _seeded_wide(random.Random(seed), k, zero_column=seed % 2 == 0)
+    minors = maximal_minors(rows)
+    assert len(minors) == k + 1
+    for j, minor in enumerate(minors):
+        sub = [row[:j] + row[j + 1:] for row in rows]
+        expected = sympy.Matrix([[to_sympy(e) for e in row] for row in sub]
+                                ).det(method="berkowitz")
+        assert same(minor, sympy.expand(expected))
+        assert minor == det(sub)
+
+
+def test_maximal_minors_need_one_column_more_than_rows():
+    x = MPoly.variable(VARS, "x")
+    for rows in ([], [[x]], [[x, x], [x, x]], [[x, x, x], [x, x]]):
+        with pytest.raises(ValueError):
+            maximal_minors(rows)
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from duporcq import study
 from duporcq.cli import main
-from duporcq.exactpoly import MPoly, ZeroDegree, det, gcd
+from duporcq.exactpoly import (MPoly, NotDivisible, ZeroDegree, det, gcd,
+                               maximal_minors)
 from duporcq.geometry import (BaseParams, design_to_dict, duporcq_hexapod,
                               worked_design)
 from duporcq.study import (
@@ -523,13 +524,12 @@ def test_rank_drop_T_takes_no_gcd_of_a_minor(monkeypatch):
     assert foreign == []
 
 
-def _perturbed_det(kind):
-    """det for rank_drop_T's five calls (drop = 0..4), one check broken."""
+def _perturbed_minors(kind):
+    """maximal_minors for rank_drop_T's one call: the five minors, entry
+    drop the minor without row drop, one check broken."""
     n, e0 = N_poly(), GENS["e0"]
-    drops = iter(range(5))
 
-    def fake(rows):
-        drop, minor = next(drops), det(rows)
+    def perturb(drop, minor):
         if kind == "S-free" and drop == 0:
             return minor + e0 * e0
         if kind == "not-N" and drop == 1:
@@ -545,6 +545,10 @@ def _perturbed_det(kind):
             return minor + n * e0 ** 3
         return minor
 
+    def fake(rows):
+        return [perturb(drop, minor)
+                for drop, minor in enumerate(maximal_minors(rows))]
+
     return fake
 
 
@@ -553,7 +557,8 @@ def _perturbed_det(kind):
     ("disagree", "disagree"), ("closed-form", "closed form"),
     ("parameter-term", "closed form"), ("e-cubic-term", "closed form")])
 def test_rank_drop_checks_are_typed(monkeypatch, kind, message):
-    monkeypatch.setattr("duporcq.study.det", _perturbed_det(kind))
+    monkeypatch.setattr("duporcq.study.maximal_minors",
+                        _perturbed_minors(kind))
     with pytest.raises(InvariantViolation, match=message):
         rank_drop_T(_generic_design(random.Random(43)))
 
@@ -669,6 +674,7 @@ def test_chain_with_symbolic_r1sq_matches_F1F2():
     assert chain.gcd.degree_in("r1sq") == 0
     assert chain.factor_match, chain.gcd.to_str()
     assert chain.factor_match == radical_match(chain)
+    assert chain.gcd == fold_gcd(chain)
 
 
 @pytest.mark.parametrize("mu, conclusion", [
@@ -690,6 +696,7 @@ def test_pipeline_over_the_radii_ring(monkeypatch, mu, conclusion):
     assert not any(r in report["chain"]["gcd"] for r in RADII_SYMBOLS)
     [chain] = chains
     assert chain.factor_match == radical_match(chain)
+    assert chain.gcd == fold_gcd(chain)
 
 
 # -------------------------------------- factor_match against a radical oracle
@@ -718,6 +725,13 @@ def radical_match(chain) -> bool:
     if g.is_zero() or expected.is_zero():
         return g.is_zero() and expected.is_zero()
     return radical_part(g) == radical_part(expected)
+
+
+def fold_gcd(chain) -> MPoly:
+    """The chain gcd folded over the full polynomials S_TN, S_KeN and
+    S_KeT, smallest first, with no cofactor step: resultant_chain's oracle."""
+    a, b, c = sorted(chain.res_e3.values(), key=lambda p: p.term_count)
+    return gcd(gcd(a, b), c)
 
 
 def _record_chains(monkeypatch) -> list:
@@ -751,6 +765,7 @@ def test_factor_match_agrees_with_the_radical_oracle_on_draws():
         chain = resultant_chain(compute_Ke(design), rank_drop_T(design).T,
                                 design)
         assert chain.factor_match == radical_match(chain), design
+        assert chain.gcd == fold_gcd(chain), design
         degrees.append(chain.gcd.degree())
     assert degrees.count(10) >= 20 and degrees.count(8) >= 60
 
@@ -771,6 +786,7 @@ def test_factor_match_agrees_with_the_radical_oracle_on_the_goldens(
     [chain] = chains
     assert chain.factor_match is True
     assert chain.factor_match == radical_match(chain)
+    assert chain.gcd == fold_gcd(chain)
 
 
 def test_factor_powers_divides_each_factor_out_of_p_itself():
@@ -826,14 +842,65 @@ def test_chain_match_takes_no_gcd_but_the_fold(monkeypatch):
     assert len(calls) == 2
 
 
-def test_chain_polynomials_over_the_A4_ring_carry_F1_and_F2_squared():
-    # the divisibility half of the chain identity with A4 symbolic: F1 and
-    # F2 each divide S_TN, S_KeN and S_KeT to power exactly 2 over Q[A4]
-    # (that the cofactors share no factor with F1 * F2 is not shown here)
-    design = dataclasses.replace(CanonicalDesign.from_params(
+def test_chain_gcd_equals_the_fold_on_draws():
+    # one draw in four has the identity mu (F1^2 * F2^2 = 0, so the gcd runs
+    # over the full polynomials), one in four mu3 = -1 (e-degree 10)
+    rng = random.Random(59)
+    degrees = []
+    while len(degrees) < 16:
+        mu = random_mu(rng)
+        if len(degrees) % 4 == 0:
+            mu = None
+        elif len(degrees) % 4 == 1:
+            mu = mu[:2] + (Fraction(-1),)
+        design = CanonicalDesign.from_params(
+            random_base(rng), mu=mu,
+            radii=tuple(random_fraction(rng, 1, 6, 4) for _ in range(5)))
+        try:
+            chain = resultant_chain(compute_Ke(design),
+                                    rank_drop_T(design).T, design)
+        except ZeroDegree:
+            # an operand constant in e0 or e3 (known defect: on mu2 = 0,
+            # mu3 = -mu1, and on mu = (-1, 0, -1), where T is e0-free)
+            continue
+        assert chain.gcd == fold_gcd(chain), design
+        assert chain.factor_match
+        degrees.append(chain.gcd.degree() if chain.gcd else None)
+    assert degrees.count(None) == 4 and 10 in degrees and 8 in degrees
+
+
+def test_chain_gcd_without_the_cofactor_step_when_F2_is_wrong(monkeypatch):
+    # a wrong F2 does not divide the chain polynomials, so E = 1: the gcd
+    # is still the fold's, and the match fails
+    real = study.f1_f2
+
+    def wrong(design):
+        f1, f2 = real(design)
+        return f1, f2 + GENS["e1"] * GENS["e1"]
+
+    monkeypatch.setattr(study, "f1_f2", wrong)
+    design = _generic_design(random.Random(43))
+    chain = resultant_chain(compute_Ke(design), rank_drop_T(design).T, design)
+    with pytest.raises(NotDivisible):
+        for s in chain.res_e3.values():
+            s.exact_div(chain.expected)
+    assert not chain.expected.is_zero()
+    assert chain.gcd == fold_gcd(chain)
+    assert not chain.gcd.is_zero()
+    assert chain.factor_match is False
+
+
+def _A4_ring_design():
+    return dataclasses.replace(CanonicalDesign.from_params(
         BaseParams(Fraction(1, 3), Fraction(-2), Fraction(5, 2), Fraction(7)),
         mu=(Fraction(3, 2), Fraction(1, 5), Fraction(-2)),
         radii=tuple(Fraction(k) for k in range(1, 6))), A4=GENS["A4"])
+
+
+def test_chain_polynomials_over_the_A4_ring_carry_F1_and_F2_squared():
+    # the divisibility half of the chain identity with A4 symbolic: F1 and
+    # F2 each divide S_TN, S_KeN and S_KeT to power exactly 2 over Q[A4]
+    design = _A4_ring_design()
     split = leg_split(design)
     _, res_e3 = _eliminate(compute_Ke(design, split=split).poly,
                            rank_drop_T(design, split=split).T.poly, N_poly())
@@ -843,6 +910,22 @@ def test_chain_polynomials_over_the_A4_ring_carry_F1_and_F2_squared():
         "S_TN": 677, "S_KeN": 171, "S_KeT": 337}
     for s in res_e3.values():
         assert factor_powers(s, (f1, f2))[0] == (2, 2)
+
+
+def test_chain_identity_over_the_A4_ring():
+    # the whole identity with A4 symbolic: the computed gcd is F1^2 * F2^2
+    # times a factor free of e, a unit over Q(A4); the gcd of the cofactors
+    # S_i / (F1^2 * F2^2) takes well under a second, where the fold over
+    # the S_i themselves ran past 150 s
+    design = _A4_ring_design()
+    split = leg_split(design)
+    chain = resultant_chain(compute_Ke(design, split=split),
+                            rank_drop_T(design, split=split).T, design)
+    assert chain.factor_match
+    unit = chain.gcd.exact_div(chain.expected)
+    assert not unit.is_zero()
+    assert all(unit.degree_in(v) == 0 for v in E_VARS)
+    assert unit.degree_in("A4") > 0
 
 
 def test_chain_locus_samples():
