@@ -46,6 +46,8 @@ Pinned conventions:
     after two exact reductions on the variables the operands use: a
     single-term operand gives the monomial of least exponents, and variables
     only one operand uses are split off through its coefficients in them;
+    a content's fold over the coefficients stops once it is a nonzero
+    constant, since its gcd with any later coefficient is 1;
   * det and maximal_minors share one division-free Laplace expansion
     (_laplace) with sub-minors memoized by column set: det is its full
     minor, O(2^n * n) products for an n x n matrix, the largest the package
@@ -688,9 +690,14 @@ def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
 
 
 def _content(p: MPoly, var: str) -> MPoly:
+    """The gcd of p's coefficients in var, folded in ascending powers.  Once
+    the running gcd is a nonzero constant, its gcd with any later nonzero
+    coefficient is 1, so the fold stops there."""
     c = MPoly.zero(p.vars)
     for b in _buckets(p._prim, _offset(p.vars, var)):
         if b:
+            if len(c._prim) == 1 and 0 in c._prim:
+                return MPoly(p.vars, _ONE, {0: 1})
             c = _gcd_impl(c, _normal(p.vars, b, p._content))
     return c
 

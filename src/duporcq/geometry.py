@@ -85,9 +85,6 @@ class PlanarPoint:
         s = _fr(s)
         return PlanarPoint(self.x * s, self.y * s)
 
-    def as3(self) -> tuple:
-        return (self.x, self.y, Fraction(0))
-
     def __iter__(self):
         return iter((self.x, self.y))
 

@@ -31,10 +31,15 @@ random_directions takes t = n/d as (2nd : d^2 - n^2); zero patterns and
 proportionality, hence the report, come out as on the Fractions.  The
 picture functions compute in the type they are given, ints included (an
 extended picture's multiples lam may be Fractions).  membership_report
-prints phi, whose values depend on the representative, so it keeps the
-direction it is given and pictures integral_points: every D_ij, lam and
-nonvanishing value is linear in the points, so each printed phi is the
-integer tuple's divided by den^5, den the tuple's common denominator.
+prints phi, whose values depend on the representative, so it undoes both
+scalings: it pictures integral_points at the primitive integer
+(c1 : c2) = e * (u2 : -u1) of from_direction.  Every D_ij, lam and
+nonvanishing value is linear in the points, which scales each phi by den^5
+(den the tuple's common denominator); a nonvanishing value is linear and lam
+inversely linear in the direction, so a component with m vanishing factors
+scales by e^(5 - 2m), m being DelPezzoPoint.lam_power (0 for a plain
+picture).  Each printed phi is the integer picture's divided by
+den^5 * e^(5 - 2m).
 
 profile takes the common factor of the six phi(t) from the parallel classes
 of the segments M_iM_j, not from gcds; ProfileCurve checks it with gcds.
@@ -122,6 +127,12 @@ def integral_points(points) -> tuple:
     return tuple(IntPoint(*xy[k:k + 2]) for k in range(0, len(xy), 2))
 
 
+def _den5(points) -> int:
+    """den^5, den the common denominator of the tuple's coordinates: the
+    factor by which integral_points scales each phi."""
+    return common_denominator([v for p in points for v in (p.x, p.y)]) ** 5
+
+
 @dataclass(frozen=True)
 class ConicDirection:
     """Point (c1 : c2 : c3) of the conic; c3 may stay implicit for planar use.
@@ -175,10 +186,12 @@ def _as_uv(u) -> tuple:
 @dataclass(frozen=True)
 class DelPezzoPoint:
     """Six picture components; extended marks a picture that extended_del_pezzo
-    computed at a collapsing direction."""
+    computed at a collapsing direction, and lam_power is the least number of
+    vanishing factors in a component there (0 for a plain picture)."""
 
     phi: tuple
     extended: bool = field(default=False, compare=False)
+    lam_power: int = field(default=0, compare=False)
 
     def __post_init__(self):
         phi = tuple(map(_scalar, self.phi))
@@ -280,7 +293,7 @@ def extended_del_pezzo(points, direction) -> DelPezzoPoint:
             continue
         out.append(math.prod(lam[pair] if pair in lam else val[pair]
                              for pair in factors))
-    return DelPezzoPoint(tuple(out), extended=True)
+    return DelPezzoPoint(tuple(out), extended=True, lam_power=m)
 
 
 def picture(points, c: ConicDirection) -> DelPezzoPoint:
@@ -388,20 +401,28 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
 
 def membership_report(points, directions) -> list:
     """JSON-ready membership summary for a list of (name, planar direction);
-    pictures integral_points and prints each phi / den^5, the given tuple's
-    phi (see the module docstring)."""
-    scale = common_denominator([v for p in points for v in (p.x, p.y)]) ** 5
+    pictures integral_points at the primitive integer direction and prints
+    each phi / (den^5 * e^(5 - 2m)), the given tuple's phi at (u2 : -u1)
+    (see the module docstring)."""
+    den5 = _den5(points)
     ints = integral_points(points)
     out = []
     for name, u in directions:
         u1, u2 = _as_uv(u)
-        p = picture(ints, ConicDirection(u2, -u1))
+        c = ConicDirection.from_direction((u1, u2))
+        p = picture(ints, c)
+        # (c1, c2) = e * (u2, -u1)
+        e = (Fraction(c.c1 * u2.denominator, u2.numerator) if u2
+             else Fraction(c.c2 * u1.denominator, -u1.numerator))
+        s = e ** (5 - 2 * p.lam_power)
+        n, d = s.numerator * den5, s.denominator    # den^5 * e^(5 - 2m) = n/d
         out.append({
             "direction": name,
             "vector": [str(u1), str(u2)],
             "extended": p.extended,
             "membership": _membership(p),
-            "phi": [str(Fraction(v, scale)) for v in p.phi],
+            "phi": [str(Fraction(v.numerator * d, v.denominator * n))
+                    if v else "0" for v in p.phi],
         })
     return out
 
@@ -436,13 +457,19 @@ def profile(points) -> ProfileCurve:
     makes its result.  A lone nonzero phi_k is its own gcd, as gcd's fold
     leaves it.  A coincident pair gives D_ij = 0, and every phi_k with that
     factor stays 0.
+
+    The phi_k are built from integral_points, which scales each of them by
+    den^5 (den the tuple's common denominator) and leaves the monic common
+    factor as it is; the den^5 comes off the components at the end, or off
+    the removed factor where that is a lone nonzero phi_k.
     """
     (t,) = generators(("t",))
     one = MPoly.const(("t",), 1)
-    z = [2 * t * p.x + (one - t * t) * p.y for p in points]
+    ints = integral_points(points)
+    c1, c2 = 2 * t, one - t * t
+    z = [c1 * p.x + c2 * p.y for p in ints]
     dd = {(i, j): z[i - 1] - z[j - 1] for (i, j) in PAIRS}
     phis = [math.prod(dd[pair] for pair in factors) for factors in PHI_FACTORS]
-    ints = integral_points(points)
     key = {}        # the parallel class of each nonzero difference
     for (i, j) in PAIRS:
         p, q = ints[i - 1], ints[j - 1]
@@ -452,14 +479,19 @@ def profile(points) -> ProfileCurve:
               for factors in PHI_FACTORS if all(pair in key for pair in factors)]
     if not counts:
         raise AllZero("degenerate tuple: identically zero profile")
+    den5 = _den5(points)
     if len(counts) == 1:
-        removed = next(p for p in phis if not p.is_zero())
+        # the lone phi_k is printed as the removed factor, so the den^5
+        # comes off it
+        divisor = next(p for p in phis if not p.is_zero())
+        removed = divisor * Fraction(1, den5)
     else:
         rep = {k: dd[pair] for pair, k in key.items()}
         removed = math.prod((rep[k] ** m
                              for k, m in reduce(and_, counts).items()),
                             start=one).monic()
-    components = tuple(p.exact_div(removed) if not p.is_zero() else p
+        divisor = removed * den5    # takes the den^5 off each component
+    components = tuple(p.exact_div(divisor) if not p.is_zero() else p
                        for p in phis)
     return ProfileCurve(components, removed)
 

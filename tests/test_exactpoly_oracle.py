@@ -5,7 +5,9 @@ exact division, gcd, resultant, determinant and maximal minors and through
 sympy's, and the results are compared exactly (gcd up to a constant
 factor).  The gcd is
 also drawn over random variable subsets and with single-term operands, the
-inputs of its monomial shortcut and absent-variable split.  Coefficients are
+inputs of its monomial shortcut and absent-variable split, and on seeded
+operands with a constant coefficient in the main variable, where a content
+fold stops early.  Coefficients are
 Fractions, the kernel's domain.  proportional is checked against sympy's
 rational-function ratios, and MPoly.coefficients against sympy's Poly over
 a subset of the variables.
@@ -18,6 +20,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from duporcq import exactpoly
 from duporcq.exactpoly import (
     EXPONENT_LIMIT,
     MPoly,
@@ -133,6 +136,47 @@ def test_gcd_with_a_single_term_matches_sympy(u, m, n):
     p, q = m * u, m * n
     _assert_gcd_up_to_unit(gcd(p, q), p, q)
     _assert_gcd_up_to_unit(gcd(q, p), q, p)
+
+
+def _seeded_constant_coefficient(rng, names):
+    """A polynomial in names whose coefficient of x^0 is a nonzero constant
+    and which has terms of positive degree in x."""
+    def coeff():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+    terms = {(0,) * len(VARS): coeff()}
+    for _ in range(rng.randint(1, 3)):
+        terms[tuple(rng.randint(1, 3) if v == "x" else
+                    rng.randint(0, 2) if v in names else 0
+                    for v in VARS)] = coeff()
+    return MPoly.from_exponents(VARS, terms)
+
+
+def _full_content(p: MPoly, var: str) -> MPoly:
+    """The content of p in var folded over every coefficient, in ascending
+    powers, without the stop at a nonzero constant."""
+    c = MPoly.zero(p.vars)
+    for _, coeff in sorted(p.coefficients((var,)).items()):
+        c = exactpoly._gcd_impl(c, coeff)
+    return c
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_gcd_with_a_constant_coefficient_matches_sympy(seed):
+    # the content fold in the main variable x stops at the constant x^0
+    # coefficient, and returns what the full fold returns
+    rng = random.Random(seed)
+    names = ("x",) if seed % 2 else VARS     # univariate, then multivariate
+    g, u, v = (_seeded_constant_coefficient(rng, names) for _ in range(3))
+    p, q = g * u, g * v
+    for r in (p, q):
+        coeffs = r.coefficients(("x",))
+        assert coeffs[(0,)].degree() == 0 and len(coeffs) > 1
+        for var in VARS:
+            assert exactpoly._content(r, var) == _full_content(r, var)
+    mine = gcd(p, q)
+    _assert_gcd_up_to_unit(mine, p, q)
+    assert mine.leading_coefficient() == 1
 
 
 @settings(max_examples=30, deadline=None)

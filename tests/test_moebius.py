@@ -171,6 +171,28 @@ def test_picture_marks_extended_pictures():
     assert not picture(PTS, C_IZ).extended
 
 
+def test_lam_power_is_the_least_vanishing_multiplicity():
+    # 0 on plain pictures; on extended ones the least number of vanishing
+    # D_ij among the factors of a component, counted at the direction
+    seen = Counter()
+    tuples = [PTS] + [_seeded_base(seed)[0].points for seed in range(4)]
+    for pts in tuples:
+        for name, u in special_directions(pts):
+            c = ConicDirection.from_direction(u)
+            p = picture(pts, c)
+            vanishing = {pair for pair in PAIRS if not dij(pts, c, *pair)}
+            least = min(sum(pair in vanishing for pair in factors)
+                        for factors in PHI_FACTORS)
+            assert p.lam_power == (least if p.extended else 0), name
+            seen[p.extended, p.lam_power] += 1
+    assert set(seen) == {(False, 0), (True, 1)}
+    assert picture(PTS, C_IZ).lam_power == 0
+    # lam_power takes no part in equality, as extended does not
+    p = picture(PTS, ConicDirection.from_direction((1, 0)))
+    assert p.extended and p.lam_power == 1
+    assert p == DelPezzoPoint(p.phi) == dataclasses.replace(p, lam_power=3)
+
+
 def test_picture_propagates_allzero_for_complex_c():
     # all six phi vanish at c = (0 : i), and a complex c has no planar
     # direction to extend along
@@ -397,12 +419,14 @@ def test_membership_report_shape():
     assert len(d24["phi"]) == 6
 
 
-def _fraction_membership_report(points, directions):
-    """membership_report pictured on the given Fraction tuple itself."""
+def _fraction_membership_report(points, directions, lam_powers):
+    """membership_report pictured on the given Fraction tuple itself, at the
+    Fraction direction (u2 : -u1); counts each picture's lam_power."""
     out = []
     for name, u in directions:
         u1, u2 = moebius._as_uv(u)
         p = picture(points, ConicDirection(u2, -u1))
+        lam_powers[p.lam_power] += 1
         out.append({
             "direction": name,
             "vector": [str(u1), str(u2)],
@@ -416,8 +440,11 @@ def _fraction_membership_report(points, directions):
 def test_membership_report_matches_fraction_pictures():
     # seeded bases (extended at d123 and d345) and their candidate platforms
     # under affine maps with denominators, at the special directions and at
-    # Fraction directions off them
-    dens, extended = set(), Counter()
+    # Fraction directions off them; membership_report pictures at the
+    # primitive integer direction e * (u2, -u1), so a vector with a
+    # denominator gives e != 1, and an extended picture scales by e^3
+    dens, extended, lam_powers = set(), Counter(), Counter()
+    scaled_extended = 0
     rng = random.Random(17)
     tuples = [PTS]
     for seed in range(5):
@@ -436,11 +463,15 @@ def test_membership_report_matches_fraction_pictures():
         dens.add(max(v.denominator for p in pts for v in p))
         directions = special_directions(pts)
         directions += [("r", (_fraction(rng) or 1, _fraction(rng, 4)))]
-        want = _fraction_membership_report(pts, directions)
+        want = _fraction_membership_report(pts, directions, lam_powers)
         assert membership_report(pts, directions) == want
         extended.update(e["direction"] for e in want if e["extended"])
+        scaled_extended += sum(e["extended"] and "/" in "".join(e["vector"])
+                               for e in want)
     assert dens - {1}
     assert extended["d123"] and extended["d345"]
+    assert scaled_extended
+    assert set(lam_powers) == {0, 1}
 
 
 # ------------------------------------------------------------------- profile
@@ -540,6 +571,47 @@ def test_profile_matches_gcd_route():
         assert _parallel_class_profile(pts) == want, pts
         results[want is AllZero] += 1
     assert results[True] == 2 and results[False] > 30
+
+
+def _fraction_lone_profile(points):
+    """profile built on the Fraction tuple itself, for a tuple with one
+    nonzero phi_k: that phi_k is the removed factor, its component is 1;
+    (component strings, removed factor string)."""
+    (t,) = generators(("t",))
+    one = MPoly.const(("t",), 1)
+    z = [2 * t * p.x + (one - t * t) * p.y for p in points]
+    phis = [math.prod(z[i - 1] - z[j - 1] for (i, j) in factors)
+            for factors in PHI_FACTORS]
+    (removed,) = [p for p in phis if not p.is_zero()]
+    return ([(p.exact_div(removed) if not p.is_zero() else p).to_str()
+             for p in phis], removed.to_str())
+
+
+def test_profile_lone_phi_carries_the_tuple_scale():
+    # two coincident pairs leave one nonzero phi_k, the gcd of the fold;
+    # profile builds it on integral_points, so the den^5 that the integer
+    # tuple's phi_k carries comes off the removed factor, not the components
+    rng = random.Random(23)
+    lone = Counter()
+    for a, b, c, d, e in ((1, 2, 3, 4, 5), (1, 2, 4, 5, 3), (1, 5, 2, 3, 4),
+                          (1, 5, 3, 4, 2), (2, 3, 4, 5, 1)):
+        for _ in range(3):
+            # every coordinate has a denominator in 2..6
+            P, Q, R = (PlanarPoint(*(rng.randint(-9, 9)
+                                     + Fraction(1, rng.randint(2, 6))
+                                     for _ in range(2)))
+                       for _ in range(3))
+            pts = [None] * 5
+            pts[a - 1] = pts[b - 1] = P
+            pts[c - 1] = pts[d - 1] = Q
+            pts[e - 1] = R
+            want = _fraction_lone_profile(pts)
+            curve = profile(pts)
+            assert ([comp.to_str() for comp in curve.components],
+                    curve.removed.to_str()) == want, pts
+            assert curve.removed != profile(integral_points(pts)).removed
+            lone[[comp.to_str() for comp in curve.components].index("1")] += 1
+    assert set(lone) == {1, 2, 3, 4, 5}
 
 
 def test_profile_makes_only_the_invariant_gcds(monkeypatch):

@@ -242,7 +242,8 @@ def test_float_leg_rows_match_exact_sphere_condition(e):
     zero_f = {v: 0 for v in F_VARS}
     zero = 0 * GENS["e0"]
     for i, (M, m, r2) in enumerate(zip(*design_legs(hexapod))):
-        q = sphere_condition(pose, SphereConstraint(M.as3(), m.as3(), r2))
+        q = sphere_condition(pose, SphereConstraint((M.x, M.y, 0),
+                                                    (m.x, m.y, 0), r2))
         coeffs = q.coefficients(F_VARS)
         for k in range(4):
             unit = tuple(int(j == k) for j in range(4))
