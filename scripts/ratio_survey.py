@@ -53,7 +53,8 @@ def survey_row(design, mu):
     ratio = e0e3_ratio(ke, design)
     td = rank_drop_T(design)
     _, f2 = f1_f2(design)
-    radii = tuple(random_fraction(random.Random(0), 1, 6, 4) for _ in range(5))
+    radii_rng = random.Random(0)
+    radii = tuple(random_fraction(radii_rng, 1, 6, 4) for _ in range(5))
     numeric = CanonicalDesign(design.A4, design.B4, design.A5, design.B5,
                               design.mu1, design.mu2, design.mu3, radii)
     chain = resultant_chain(compute_Ke(numeric), rank_drop_T(numeric).T, numeric)

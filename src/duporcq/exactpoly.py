@@ -1,14 +1,13 @@
 """Exact arithmetic kernel: sparse multivariate polynomials over the
-rationals, and Gaussian rational scalars.
+rationals.
 
 Every symbolic claim in this package reduces to arithmetic in this module.
-A polynomial coefficient is a real rational and nothing else: const,
+A polynomial coefficient is a rational and nothing else: const,
 from_exponents, scalar products, evaluate and the scalar operands of + and -
-take ints, Fractions and GaussRationals with a zero imaginary part, and raise
-TypeError for a GaussRational whose imaginary part is nonzero.  GaussRational
-(a pair of Fractions) is a scalar type, used for values whose imaginary part
-is nonzero; its arithmetic returns a Fraction whenever the result is real,
-and as_coeff brings ints and real GaussRationals to Fractions.
+take ints and Fractions, and raise TypeError for any other scalar.
+GaussRational (a pair of Fractions, a + b*i) is a scalar type that no
+polynomial takes, not even with a zero imaginary part; its arithmetic
+returns a Fraction whenever the result is real.
 
 A polynomial is stored as content * P (see MPoly): one Fraction, and a
 primitive integer polynomial P with a positive leading coefficient, a
@@ -47,7 +46,8 @@ Pinned conventions:
     single-term operand gives the monomial of least exponents, and variables
     only one operand uses are split off through its coefficients in them;
     a content's fold over the coefficients stops once it is a nonzero
-    constant, since its gcd with any later coefficient is 1;
+    constant, since its gcd with any later coefficient is 1, and the gcd
+    makes no division by the constant 1;
   * det and maximal_minors share one division-free Laplace expansion
     (_laplace) with sub-minors memoized by column set: det is its full
     minor, O(2^n * n) products for an n x n matrix, the largest the package
@@ -117,8 +117,6 @@ class GaussRational:
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __add__(self, other):
-        if isinstance(other, MPoly):
-            return NotImplemented
         other = as_gauss(other)
         return _gauss(self.re + other.re, self.im + other.im)
 
@@ -128,8 +126,6 @@ class GaussRational:
         return _gauss(-self.re, -self.im)
 
     def __sub__(self, other):
-        if isinstance(other, MPoly):
-            return NotImplemented
         return self + (-as_gauss(other))
 
     def __rsub__(self, other):
@@ -138,8 +134,6 @@ class GaussRational:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return _gauss(self.re * other, self.im * other)
-        if isinstance(other, MPoly):
-            return NotImplemented
         other = as_gauss(other)
         return _gauss(
             self.re * other.re - self.im * other.im,
@@ -195,7 +189,7 @@ class GaussRational:
 
 
 def _gauss(re: Fraction, im: Fraction):
-    """re + im*i in the coefficient domain: a Fraction when im == 0."""
+    """re + im*i, as a Fraction when im == 0."""
     return GaussRational(re, im) if im else re
 
 
@@ -205,19 +199,6 @@ def as_gauss(x) -> GaussRational:
     if isinstance(x, (int, Fraction)):
         return GaussRational(x)
     raise TypeError(f"cannot coerce {x!r} to GaussRational")
-
-
-def as_coeff(x):
-    """An exact scalar: ints and real GaussRationals become Fractions; a
-    GaussRational with nonzero im stays as it is, which only a scalar, never
-    a polynomial coefficient, may be."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, GaussRational):
-        return x if x.im else x.re
-    raise TypeError(f"not an exact scalar: {x!r}")
 
 
 I = GaussRational(0, 1)
@@ -268,11 +249,13 @@ def _overflow(exp: int, vars: tuple) -> ExponentOverflow:
 
 
 def _real(x) -> Fraction:
-    """x as a real rational coefficient; TypeError for a non-real value."""
-    c = as_coeff(x)
-    if isinstance(c, GaussRational):
-        raise TypeError(f"polynomial coefficients are real: {x!r}")
-    return c
+    """An int or Fraction as a Fraction coefficient; TypeError for anything
+    else, a GaussRational included."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"polynomial coefficients are rational: {x!r}")
 
 
 def _primitive(ints: dict) -> tuple:
@@ -345,7 +328,7 @@ def _buckets(prim: dict, off: int) -> list:
 
 
 class MPoly:
-    """Sparse multivariate polynomial with real rational coefficients.
+    """Sparse multivariate polynomial with rational coefficients.
 
     The value is content * P: content is one Fraction that carries the sign
     and the denominator, and P maps packed exponents to nonzero ints, is
@@ -702,6 +685,13 @@ def _content(p: MPoly, var: str) -> MPoly:
     return c
 
 
+def _div(p: MPoly, d: MPoly) -> MPoly:
+    """p.exact_div(d), with no division when d is the constant 1."""
+    if d._content == 1 and d._prim == {0: 1}:
+        return p
+    return p.exact_div(d)
+
+
 def _support(p: MPoly) -> int:
     """The fields of the variables that occur in p, as a mask."""
     used = reduce(or_, p._prim, 0)
@@ -761,8 +751,7 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
     if da < db:
         a, b, da, db = q, p, db, da
     ca, cb = _content(a, main), _content(b, main)
-    a = a.exact_div(ca)
-    b = b.exact_div(cb)
+    a, b = _div(a, ca), _div(b, cb)
     one = MPoly.const(p.vars, 1)
     g = h = one
     while True:
@@ -775,7 +764,7 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
             b, db = one, 0
             break
         beta = g * h ** d
-        a, b = b, r.exact_div(beta)
+        a, b = b, _div(r, beta)
         da, db = db, dr
         top = da << off
         g = _normal(p.vars, {e - top: v for e, v in a._prim.items()
@@ -783,8 +772,8 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
         if d == 1:
             h = g
         elif d > 1:
-            h = (g ** d).exact_div(h ** (d - 1))
-    b = b.exact_div(_content(b, main)) if db > 0 else one
+            h = _div(g ** d, h ** (d - 1))
+    b = _div(b, _content(b, main)) if db > 0 else one
     return _gcd_impl(ca, cb) * b
 
 

@@ -1,19 +1,20 @@
 """Photogrammetric pictures of planar 5-tuples under isotropic projections.
 
 A direction of projection is a point c on the conic x^2+y^2+z^2=0.  A planar
-point M projects to the complex value z = M.x*c1 + M.y*c2; the pairwise
-differences D_ij = z_i - z_j assemble into six quintic products phi_0..phi_5
-whose projective class is a Moebius invariant of the five projected values.
-The vanishing pattern of the phi tuple decides membership in the ten lines
-L_ij, which is what the reconstruction filter consumes.
+picture reads only (c1 : c2), so ConicDirection is that rational pair.  A
+planar point M projects to z = M.x*c1 + M.y*c2; the pairwise differences
+D_ij = z_i - z_j assemble into six quintic products phi_0..phi_5 whose
+projective class is a Moebius invariant of the five projected values.  The
+vanishing pattern of the phi tuple decides membership in the ten lines L_ij,
+which is what the reconstruction filter consumes.
 
 For a direction along which a collinear triple projects to one point, all six
 phi vanish; the extended picture divides out the common linear factor of the
-six binary forms in (c1, c2) and evaluates the quotient.  For a rational
-direction this is exact, and it agrees projectively with parametrizing the
-conic by c(t) = (2t : 1-t^2 : i(1+t^2)) and cancelling the polynomial gcd
-in t, without ever leaving the rationals (the t of a special direction is
-usually irrational even when the direction itself is rational).
+six binary forms in (c1, c2) and evaluates the quotient.  This is exact, and
+it agrees projectively with parametrizing the conic by
+c(t) = (2t : 1-t^2 : i(1+t^2)) and cancelling the polynomial gcd in t,
+without ever leaving the rationals (the t of a special direction is usually
+irrational even when the direction itself is rational).
 
 picture is the one place that falls back from the plain to the extended
 picture; same_picture, candidate_report and membership_report all go through
@@ -56,15 +57,7 @@ from functools import reduce
 from operator import and_
 from typing import NamedTuple
 
-from .exactpoly import (
-    GaussRational,
-    I,
-    MPoly,
-    as_coeff,
-    gcd,
-    generators,
-    proportional,
-)
+from .exactpoly import MPoly, gcd, generators, proportional
 from .geometry import (
     BaseParams,
     InvariantViolation,
@@ -106,12 +99,6 @@ class NotCollinearDirection(ValueError):
 _REAL = (int, Fraction)
 
 
-def _scalar(x):
-    """An exact scalar as given: ints and Fractions stay what they are, a
-    real GaussRational becomes its Fraction, a complex one stays."""
-    return x if isinstance(x, _REAL) else as_coeff(x)
-
-
 class IntPoint(NamedTuple):
     """A planar point with int coordinates, the integer representative of a
     PlanarPoint in a tuple that integral_points scaled."""
@@ -135,31 +122,21 @@ def _den5(points) -> int:
 
 @dataclass(frozen=True)
 class ConicDirection:
-    """Point (c1 : c2 : c3) of the conic; c3 may stay implicit for planar use.
+    """Planar part (c1 : c2) of a point c of the conic x^2+y^2+z^2=0.
 
-    Coordinates are exact scalars kept as given: ints, Fractions, and
-    GaussRationals only where the imaginary part is nonzero.
+    A planar picture reads c1 and c2 only, so c3 = +-i*sqrt(c1^2 + c2^2)
+    stays implicit.  The coordinates are ints or Fractions, kept as given.
     """
 
-    c1: int | Fraction | GaussRational
-    c2: int | Fraction | GaussRational
-    c3: int | Fraction | GaussRational | None = None
+    c1: int | Fraction
+    c2: int | Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "c1", _scalar(self.c1))
-        object.__setattr__(self, "c2", _scalar(self.c2))
-        if self.c3 is not None:
-            c3 = _scalar(self.c3)
-            object.__setattr__(self, "c3", c3)
-            if self.c1 ** 2 + self.c2 ** 2 + c3 ** 2:
-                raise ValueError("c must satisfy c1^2+c2^2+c3^2 = 0")
+        for v in (self.c1, self.c2):
+            if not isinstance(v, _REAL):
+                raise TypeError(f"direction coordinates are rational: {v!r}")
         if not self.c1 and not self.c2:
             raise ValueError("c1 = c2 = 0 projects every planar point to 0")
-
-    @classmethod
-    def from_t(cls, t) -> "ConicDirection":
-        t = as_coeff(t)
-        return cls(2 * t, 1 - t * t, I * (1 + t * t))
 
     @classmethod
     def from_direction(cls, u) -> "ConicDirection":
@@ -168,10 +145,6 @@ class ConicDirection:
         n1, n2 = cleared(_as_uv(u))
         g = math.gcd(n1, n2)
         return cls(n2 // g, -n1 // g)
-
-    def is_real(self) -> bool:
-        """Whether c1 and c2 are real, i.e. c has a planar direction."""
-        return isinstance(self.c1, _REAL) and isinstance(self.c2, _REAL)
 
 
 def _as_uv(u) -> tuple:
@@ -194,7 +167,7 @@ class DelPezzoPoint:
     lam_power: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        phi = tuple(map(_scalar, self.phi))
+        phi = tuple(self.phi)
         if len(phi) != 6:
             raise ValueError("need six components")
         if not any(phi):
@@ -223,7 +196,7 @@ def dij(points, c: ConicDirection, i: int, j: int):
 
 def phi_from_projections(z) -> tuple:
     """Six picture components from five already-projected values, in
-    their own exact type (int, Fraction or GaussRational)."""
+    their own exact type."""
     d = [z[i - 1] - z[j - 1] for (i, j) in PAIRS]
     return tuple(d[a] * d[b] * d[c] * d[e] * d[f]
                  for a, b, c, e, f in _PHI_SLOTS)
@@ -297,16 +270,11 @@ def extended_del_pezzo(points, direction) -> DelPezzoPoint:
 
 
 def picture(points, c: ConicDirection) -> DelPezzoPoint:
-    """Plain picture, falling back to the extended one at special directions.
-
-    The only place the fallback happens.  A complex c admits no extension,
-    so AllZero propagates there.
-    """
+    """Plain picture, falling back to the extended one at special
+    directions; the only place the fallback happens."""
     try:
         return del_pezzo(points, c)
     except AllZero:
-        if not c.is_real():
-            raise
         return extended_del_pezzo(points, (-c.c2, c.c1))
 
 
@@ -506,5 +474,8 @@ def profile_rows(curve: ProfileCurve, ts) -> list:
 
 
 def cross_ratio(a, b, c, d):
-    a, b, c, d = (as_coeff(v) for v in (a, b, c, d))
+    """(a - c)(b - d) / ((b - c)(a - d)) in the exact type given, ints taken
+    as Fractions."""
+    a, b, c, d = (Fraction(v) if isinstance(v, int) else v
+                  for v in (a, b, c, d))
     return ((a - c) * (b - d)) / ((b - c) * (a - d))

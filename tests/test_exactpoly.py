@@ -74,14 +74,6 @@ def test_evaluate_full_scalar():
     assert p.evaluate({"x": 1, "y": 0, "a": 0, "b": 0}).scalar() == GaussRational(1)
 
 
-def test_evaluate_gaussian():
-    # a Gaussian value with zero imaginary part is a rational value
-    p = X ** 2 + 1
-    assert p.evaluate({"x": GaussRational(2)}).scalar() == Fraction(5)
-    with pytest.raises(TypeError):
-        p.evaluate({"x": I})
-
-
 # ----------------------------------------------------------------- resultant
 
 def test_resultant_sign_convention():
@@ -203,8 +195,15 @@ def test_polynomial_product_makes_no_content_gcd(monkeypatch):
     lambda: X + I,
     lambda: I - X,
     lambda: X.exact_div(I),
+    # a GaussRational is no coefficient, even with a zero imaginary part
+    lambda: MPoly.const(VARS, GaussRational(2)),
+    lambda: MPoly.from_exponents(VARS, {(1, 0, 0, 0): GaussRational(2)}),
+    lambda: X * GaussRational(2),
+    lambda: X + GaussRational(2),
+    lambda: (X ** 2 + 1).evaluate({"x": GaussRational(2)}),
 ], ids=["const", "from_exponents", "mul", "rmul", "evaluate", "add",
-        "rsub", "exact_div"])
+        "rsub", "exact_div", "real-const", "real-from_exponents", "real-mul",
+        "real-add", "real-evaluate"])
 def test_non_real_coefficients_raise_type_error(make):
     with pytest.raises(TypeError):
         make()
@@ -440,8 +439,6 @@ def test_real_inputs_keep_fraction_coefficients(p, q):
 def test_real_gaussian_results_become_fractions():
     assert isinstance((1 + I) * (1 - I), Fraction)
     assert isinstance(GaussRational(3) / GaussRational(0, 1) * I, Fraction)
-    assert MPoly.const(VARS, GaussRational(2)).scalar() == 2
-    assert _real_terms(MPoly.const(VARS, GaussRational(2)))
     assert hash(GaussRational(Fraction(3, 2))) == hash(Fraction(3, 2))
 
 

@@ -162,9 +162,11 @@ def _full_content(p: MPoly, var: str) -> MPoly:
 
 
 @pytest.mark.parametrize("seed", range(16))
-def test_gcd_with_a_constant_coefficient_matches_sympy(seed):
+def test_gcd_with_a_constant_coefficient_matches_sympy(seed, monkeypatch):
     # the content fold in the main variable x stops at the constant x^0
-    # coefficient, and returns what the full fold returns
+    # coefficient, and returns what the full fold returns; the gcd makes
+    # no division by the constant 1, neither by a content nor in the
+    # remainder sequence
     rng = random.Random(seed)
     names = ("x",) if seed % 2 else VARS     # univariate, then multivariate
     g, u, v = (_seeded_constant_coefficient(rng, names) for _ in range(3))
@@ -174,7 +176,17 @@ def test_gcd_with_a_constant_coefficient_matches_sympy(seed):
         assert coeffs[(0,)].degree() == 0 and len(coeffs) > 1
         for var in VARS:
             assert exactpoly._content(r, var) == _full_content(r, var)
+    divisors = []
+    real = MPoly.exact_div
+
+    def recording(self, divisor):
+        divisors.append(divisor)
+        return real(self, divisor)
+
+    monkeypatch.setattr(MPoly, "exact_div", recording)
     mine = gcd(p, q)
+    monkeypatch.undo()
+    assert MPoly.const(VARS, 1) not in divisors
     _assert_gcd_up_to_unit(mine, p, q)
     assert mine.leading_coefficient() == 1
 

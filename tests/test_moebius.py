@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from duporcq import moebius
-from duporcq.exactpoly import GaussRational, I, MPoly, as_gauss, gcd, generators
+from duporcq.exactpoly import GaussRational, I, MPoly, gcd, generators
 from duporcq.geometry import (
     BaseParams,
     InvariantViolation,
@@ -47,11 +47,18 @@ from duporcq.moebius import (
 
 WORKED = BaseParams(0, 1, 2, 3)
 PTS = WORKED.points
-C_IZ = ConicDirection(1, I, 0)
+# a generic direction: no segment of the worked base is orthogonal to it
+C_GEN = ConicDirection(1, 5)
 
 
-def G(re, im=0):
-    return GaussRational(re, im)
+def _conic_t(t):
+    """The planar part (2t : 1 - t^2) of c(t) = (2t : 1 - t^2 : i(1 + t^2))."""
+    return ConicDirection(2 * t, 1 - t * t)
+
+
+def _isotropic(points):
+    """z = x + i*y, each point projected along c = (1 : i : 0)."""
+    return [GaussRational(p.x, p.y) for p in points]
 
 
 # ----------------------------------------------------------------- structure
@@ -77,16 +84,17 @@ def test_support_sizes():
 # ---------------------------------------------------------------- projection
 
 def test_projection_golden():
-    assert [str(v) for v in project(PTS, C_IZ)] == ["0", "1", "-1", "i", "2+3i"]
+    assert [str(v) for v in project(PTS, C_GEN)] == ["0", "1", "-1", "5", "17"]
 
 
 def test_dij_golden():
-    assert dij(PTS, C_IZ, 1, 2) == G(-1)
+    assert dij(PTS, C_GEN, 1, 2) == -1
+    assert dij(PTS, C_GEN, 5, 4) == 12
 
 
 def test_dij_rejects_equal_indices():
     with pytest.raises(ValueError):
-        dij(PTS, C_IZ, 2, 2)
+        dij(PTS, C_GEN, 2, 2)
 
 
 def test_dij_vanishes_along_segment():
@@ -95,16 +103,15 @@ def test_dij_vanishes_along_segment():
 
 
 def test_conic_direction_invariant():
-    ConicDirection.from_t(Fraction(1, 2))   # c.c = 0 holds by construction
+    # a rational pair (c1 : c2); c3 stays implicit
+    assert [f.name for f in dataclasses.fields(ConicDirection)] == ["c1", "c2"]
+    c = ConicDirection(Fraction(1, 2), -3)    # kept as given
+    assert (c.c1, c.c2) == (Fraction(1, 2), -3) and type(c.c2) is int
     with pytest.raises(ValueError):
-        ConicDirection(1, 2, 3)
-    with pytest.raises(ValueError):
-        ConicDirection(0, 0, None)
-
-
-def test_from_t_satisfies_conic():
-    c = ConicDirection.from_t(Fraction(3, 7))
-    assert c.c1 ** 2 + c.c2 ** 2 + c.c3 ** 2 == G(0)
+        ConicDirection(0, 0)
+    for c1, c2 in ((1, I), (GaussRational(1), 2), (1.0, 2), ("1", 2)):
+        with pytest.raises(TypeError):
+            ConicDirection(c1, c2)
 
 
 # ----------------------------------------------------------------- pictures
@@ -168,7 +175,7 @@ def test_picture_auto_extends():
 
 def test_picture_marks_extended_pictures():
     assert picture(PTS, ConicDirection.from_direction((1, 0))).extended
-    assert not picture(PTS, C_IZ).extended
+    assert not picture(PTS, C_GEN).extended
 
 
 def test_lam_power_is_the_least_vanishing_multiplicity():
@@ -186,42 +193,28 @@ def test_lam_power_is_the_least_vanishing_multiplicity():
             assert p.lam_power == (least if p.extended else 0), name
             seen[p.extended, p.lam_power] += 1
     assert set(seen) == {(False, 0), (True, 1)}
-    assert picture(PTS, C_IZ).lam_power == 0
+    assert picture(PTS, C_GEN).lam_power == 0
     # lam_power takes no part in equality, as extended does not
     p = picture(PTS, ConicDirection.from_direction((1, 0)))
     assert p.extended and p.lam_power == 1
     assert p == DelPezzoPoint(p.phi) == dataclasses.replace(p, lam_power=3)
 
 
-def test_picture_propagates_allzero_for_complex_c():
-    # all six phi vanish at c = (0 : i), and a complex c has no planar
-    # direction to extend along
-    with pytest.raises(AllZero):
-        picture(PTS, ConicDirection(0, I))
-
-
 # -------------------------------------------------------------- same_picture
 
 def test_same_picture_self():
-    assert same_picture(PTS, PTS, C_IZ)
+    assert same_picture(PTS, PTS, C_GEN)
 
 
 def test_same_picture_base_vs_duporcq_platform():
     rec2 = {c.tag: c for c in reconstruct_candidates(WORKED)}["2bi"].platform
-    assert same_picture(PTS, rec2, C_IZ)
+    assert same_picture(PTS, rec2, C_GEN)
 
 
 def test_same_picture_rejects_2bii_at_orange():
     cand = {c.tag: c for c in reconstruct_candidates(WORKED)}["2bii"].platform
     c = ConicDirection.from_direction((-1, 1))   # along M2M4
     assert not same_picture(PTS, cand, c)
-
-
-def test_same_picture_propagates_allzero_for_complex_c():
-    # c = (0 : i) kills every pair with dy = 0, hence every phi, and a
-    # complex component ratio admits no rational extension direction
-    with pytest.raises(AllZero):
-        same_picture(PTS, PTS, ConicDirection(0, G(0, 1)))
 
 
 # -------------------------------------------------------------- reconstruction
@@ -311,10 +304,10 @@ def _fraction_report(base, candidates, seed, samples, seen):
     seen counts the extended special pictures and the random-direction
     comparisons of accepted candidates that it made."""
     pts = base.points
-    # the Fraction (u2 : -u1) of each special direction, and c(t) with c3
+    # the Fraction (u2 : -u1) of each special direction, and c(t)
     directions = [(name, ConicDirection(u.y, -u.x))
                   for name, u in special_directions(pts)]
-    directions += [(name, ConicDirection.from_t(Fraction(name[2:])))
+    directions += [(name, _conic_t(Fraction(name[2:])))
                    for name, _ in random_directions(seed, samples)]
     report = {}
     for cand in candidates:
@@ -391,23 +384,14 @@ def test_candidate_report_matches_fraction_pictures():
 
 
 def test_real_directions_give_fraction_pictures():
-    directions = [ConicDirection.from_t(Fraction(2, 3)),
+    directions = [_conic_t(Fraction(2, 3)),
                   ConicDirection.from_direction((1, 2))]
     directions += [ConicDirection.from_direction(u)
                    for _, u in special_directions(PTS)]
     for c in directions:
-        assert c.is_real()
         assert all(isinstance(v, Fraction) for v in picture(PTS, c).phi)
-    assert isinstance(ConicDirection.from_t(Fraction(2, 3)).c3, GaussRational)
     for comp in profile(PTS).components:
         assert all(isinstance(v, Fraction) for v in comp.terms.values())
-
-
-def test_complex_direction_keeps_gaussian_values():
-    assert not C_IZ.is_real()
-    phi = del_pezzo(PTS, C_IZ).phi
-    assert any(isinstance(v, GaussRational) for v in phi)
-    assert not any(isinstance(v, GaussRational) and not v.im for v in phi)
 
 
 def test_membership_report_shape():
@@ -493,8 +477,8 @@ def test_profile_generic_degree_ten():
 def test_profile_matches_pointwise_picture():
     curve = profile(PTS)
     for t in (Fraction(1), Fraction(2, 3), Fraction(-5, 4)):
-        vals = [c.evaluate({"t": as_gauss(t)}).scalar() for c in curve.components]
-        direct = picture(PTS, ConicDirection.from_t(t))
+        vals = [c.evaluate({"t": t}).scalar() for c in curve.components]
+        direct = picture(PTS, _conic_t(t))
         assert DelPezzoPoint(tuple(vals)).proportional(direct)
 
 
@@ -632,22 +616,25 @@ def test_profile_makes_only_the_invariant_gcds(monkeypatch):
 # ----------------------------------------------------------------- invariance
 
 def test_cross_ratio_oracle():
-    z = project(PTS, C_IZ)
+    # along the isotropic direction (1 : i) a point projects to x + i*y
+    z = _isotropic(PTS)
     assert cross_ratio(z[0], z[1], z[2], z[3]) == GaussRational(Fraction(1, 2), Fraction(1, 2))
     rec2 = {c.tag: c for c in reconstruct_candidates(WORKED)}["2bi"].platform
-    w = project(rec2, C_IZ)
+    w = _isotropic(rec2)
     assert cross_ratio(w[0], w[1], w[2], w[3]) == GaussRational(Fraction(1, 2), Fraction(1, 2))
+    # ints are taken as Fractions
+    assert cross_ratio(0, 1, 2, 3) == Fraction(4, 3)
 
 
 def test_same_picture_implies_equal_cross_ratios():
     rec2 = {c.tag: c for c in reconstruct_candidates(WORKED)}["2bi"].platform
-    z = project(PTS, C_IZ)
-    w = project(rec2, C_IZ)
-    assert same_picture(PTS, rec2, C_IZ)
-    for idx in ((0, 1, 2, 3), (0, 1, 2, 4), (1, 2, 3, 4), (0, 2, 3, 4)):
-        a = cross_ratio(*(z[k] for k in idx))
-        b = cross_ratio(*(w[k] for k in idx))
-        assert a == b, idx
+    assert same_picture(PTS, rec2, C_GEN)
+    for zs, ws in ((_isotropic(PTS), _isotropic(rec2)),
+                   (project(PTS, C_GEN), project(rec2, C_GEN))):
+        for idx in ((0, 1, 2, 3), (0, 1, 2, 4), (1, 2, 3, 4), (0, 2, 3, 4)):
+            a = cross_ratio(*(zs[k] for k in idx))
+            b = cross_ratio(*(ws[k] for k in idx))
+            assert a == b, idx
 
 
 small_gauss = st.builds(
@@ -675,8 +662,8 @@ def test_moebius_invariance_of_pictures(zs, a, b, c, d):
 @settings(max_examples=40, deadline=None)
 def test_scaling_invariance_of_c(t, s):
     assume(s != 0)
-    c = ConicDirection.from_t(t)
-    scaled = ConicDirection(c.c1 * GaussRational(s), c.c2 * GaussRational(s))
+    c = _conic_t(t)
+    scaled = ConicDirection(c.c1 * s, c.c2 * s)
     try:
         p = del_pezzo(PTS, c)
     except AllZero:

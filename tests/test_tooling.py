@@ -62,6 +62,24 @@ def test_only_the_kernel_reads_polynomial_terms():
     assert found == []
 
 
+def test_only_the_kernel_names_the_gaussian_scalar():
+    # directions and polynomial coefficients are rational, so no module but
+    # exactpoly, which defines them, names GaussRational, I or as_gauss
+    gaussian = {"GaussRational", "I", "as_gauss"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "exactpoly.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id in gaussian)
+                  or (isinstance(node, ast.Attribute)
+                      and node.attr in gaussian)
+                  or (isinstance(node, ast.ImportFrom)
+                      and any(a.name in gaussian for a in node.names))]
+    assert found == []
+
+
 def test_selfmotion_keeps_no_cache():
     # each public call of selfmotion builds its float legs once and passes
     # them down; a functools cache would hash the design on every pose and
