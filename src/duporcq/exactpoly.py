@@ -9,16 +9,19 @@ GaussRational (a pair of Fractions, a + b*i) is a scalar type that no
 polynomial takes, not even with a zero imaginary part; its arithmetic
 returns a Fraction whenever the result is real.
 
-A polynomial is stored as content * P (see MPoly): one Fraction, and a
-primitive integer polynomial P with a positive leading coefficient, a
-canonical form.  Gauss's lemma (a product of primitive polynomials is
-primitive) lets a product skip the gcd over its coefficients that Fraction
-arithmetic would take term by term; a sum takes one gcd over its integer
-coefficients, and exact division divides integers.  Polynomials are sparse
-over a fixed ordered variable tuple.  The canonical term order is
-lexicographic on exponent tuples with the first variable most significant;
-serialization, leading coefficients, and gcd normalization all refer to
-that order.
+A polynomial is stored as content * P (see MPoly): the content is a
+reduced pair of ints, a numerator that carries the sign over a positive
+denominator, and P is a primitive integer polynomial with a positive leading
+coefficient, a canonical form.  No Fraction is stored; one is built only
+where the API hands a coefficient out.  Gauss's lemma (a product of
+primitive polynomials is primitive) lets a product skip the gcd over its
+coefficients that Fraction arithmetic would take term by term, and its two
+contents cross-reduce with at most two int gcds; a sum takes one gcd over
+its integer coefficients, and exact division divides integers.  Polynomials
+are sparse over a fixed ordered variable tuple.  The canonical term order
+is lexicographic on exponent tuples with the first variable most
+significant; serialization, leading coefficients, and gcd normalization all
+refer to that order.
 
 An exponent tuple is stored packed into one int (Monagan and Pearce's
 packed exponent vectors): variable i of n owns the 16-bit field at bit
@@ -248,14 +251,26 @@ def _overflow(exp: int, vars: tuple) -> ExponentOverflow:
                             f"reaches {EXPONENT_LIMIT}")
 
 
-def _real(x) -> Fraction:
-    """An int or Fraction as a Fraction coefficient; TypeError for anything
-    else, a GaussRational included."""
-    if isinstance(x, Fraction):
+def _real(x):
+    """An int or Fraction coefficient, unchanged (both have .numerator and
+    .denominator); TypeError for anything else, a GaussRational included."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"polynomial coefficients are rational: {x!r}")
+
+
+def _qmul(na: int, da: int, nb: int, db: int) -> tuple:
+    """The reduced pair of na/da * nb/db for reduced pairs, cross-reduced as
+    Fraction multiplication does; a denominator of 1 needs no gcd."""
+    if db != 1:
+        g = _igcd(na, db)
+        if g != 1:
+            na, db = na // g, db // g
+    if da != 1:
+        g = _igcd(nb, da)
+        if g != 1:
+            nb, da = nb // g, da // g
+    return na * nb, da * db
 
 
 def _primitive(ints: dict) -> tuple:
@@ -269,15 +284,15 @@ def _primitive(ints: dict) -> tuple:
     return ints, g
 
 
-def _normal(vars, ints: dict, content: Fraction) -> "MPoly":
-    """content * ints in the canonical form of MPoly; ints holds nonzero
-    ints, content is nonzero unless ints is empty."""
+def _normal(vars, ints: dict, num: int, den: int) -> "MPoly":
+    """num/den * ints in the canonical form of MPoly; ints holds nonzero
+    ints, num/den is a reduced pair, nonzero unless ints is empty."""
     if not ints:
-        return MPoly(vars, _ZERO, ints)
+        return MPoly(vars, 0, 1, ints)
     ints, g = _primitive(ints)
     if g != 1:
-        content = Fraction(content.numerator * g, content.denominator)
-    return MPoly(vars, content, ints)
+        num, den = _qmul(num, den, g, 1)
+    return MPoly(vars, num, den, ints)
 
 
 # integer polynomials: {packed exponent: nonzero int} dicts, the P of MPoly
@@ -330,17 +345,20 @@ def _buckets(prim: dict, off: int) -> list:
 class MPoly:
     """Sparse multivariate polynomial with rational coefficients.
 
-    The value is content * P: content is one Fraction that carries the sign
-    and the denominator, and P maps packed exponents to nonzero ints, is
-    primitive (the gcd of its coefficients is 1) and has a positive leading
-    coefficient (at the largest packed exponent).  The zero polynomial has
-    content 0 and no terms.  The form is canonical, so equality compares
-    content and P.  By Gauss's lemma a product of primitive polynomials is
-    primitive, and its leading coefficient is the product of theirs, so
-    __mul__ multiplies ints and one pair of contents with no gcd; scalar
-    products, negation and monic touch only the content; sums, differences,
+    The value is num/den * P.  The content num/den is two ints, coprime,
+    with den > 0 and the sign on num; P maps packed exponents to nonzero
+    ints, is primitive (the gcd of its coefficients is 1) and has a positive
+    leading coefficient (at the largest packed exponent).  The zero
+    polynomial is 0/1 with no terms.  The form is canonical, so equality
+    compares num, den and P.  By Gauss's lemma a product of primitive
+    polynomials is primitive, and its leading coefficient is the product of
+    theirs, so __mul__ multiplies ints, and cross-reduces the two contents
+    with at most two int gcds and none over P; scalar products, negation,
+    exact_div's content and monic touch only the pair; sums, differences,
     evaluate and the coefficients cut out of P (see coefficients) take one
-    gcd over their integer coefficients.
+    gcd over their integer coefficients.  A Fraction is built only where a
+    coefficient is handed out: scalar, leading_coefficient, terms,
+    monomials and to_str.
 
     A packed exponent is one int with a 16-bit field per variable, the
     first variable in the most significant field, and the top bit of each
@@ -353,27 +371,30 @@ class MPoly:
     all operations return fresh instances, which may share P.
     """
 
-    __slots__ = ("vars", "_content", "_prim")
+    __slots__ = ("vars", "_num", "_den", "_prim")
 
-    def __init__(self, vars, content: Fraction, prim: dict):
-        # stored as given: callers pass the canonical pair (see _normal)
+    def __init__(self, vars, num: int, den: int, prim: dict):
+        # stored as given: callers pass the canonical form (see _normal)
         self.vars = tuple(vars)
-        self._content = content
+        self._num = num
+        self._den = den
         self._prim = prim
 
     @classmethod
     def zero(cls, vars) -> "MPoly":
-        return cls(vars, _ZERO, {})
+        return cls(vars, 0, 1, {})
 
     @classmethod
     def const(cls, vars, c) -> "MPoly":
         c = _real(c)
-        return cls(vars, c, {0: 1}) if c else cls(vars, _ZERO, {})
+        if not c:
+            return cls(vars, 0, 1, {})
+        return cls(vars, c.numerator, c.denominator, {0: 1})
 
     @classmethod
     def variable(cls, vars, name) -> "MPoly":
         vars = tuple(vars)
-        return cls(vars, _ONE, {1 << _offset(vars, name): 1})
+        return cls(vars, 1, 1, {1 << _offset(vars, name): 1})
 
     @classmethod
     def from_exponents(cls, vars, terms: dict) -> "MPoly":
@@ -387,20 +408,20 @@ class MPoly:
                 packed[_pack(exps, len(vars))] = c
         den = lcm(*(c.denominator for c in packed.values()))
         return _normal(vars, {e: c.numerator * (den // c.denominator)
-                              for e, c in packed.items()}, Fraction(1, den))
+                              for e, c in packed.items()}, 1, den)
 
     @property
     def terms(self) -> dict:
         """{packed exponent: Fraction coefficient}, built on each read."""
-        c = self._content
-        return {e: c * v for e, v in self._prim.items()}
+        num, den = self._num, self._den
+        return {e: Fraction(num * v, den) for e, v in self._prim.items()}
 
     def monomials(self):
         """The (exponent tuple, coefficient) pairs of the terms."""
         n = len(self.vars)
-        c = self._content
+        num, den = self._num, self._den
         for exp, v in self._prim.items():
-            yield _unpack(exp, n), c * v
+            yield _unpack(exp, n), Fraction(num * v, den)
 
     def is_zero(self) -> bool:
         return not self._prim
@@ -418,8 +439,8 @@ class MPoly:
                 other = self.const(self.vars, other)
             except TypeError:
                 return NotImplemented
-        return (self.vars == other.vars and self._content == other._content
-                and self._prim == other._prim)
+        return (self.vars == other.vars and self._num == other._num
+                and self._den == other._den and self._prim == other._prim)
 
     def _coerce(self, other) -> "MPoly":
         if isinstance(other, MPoly):
@@ -436,17 +457,16 @@ class MPoly:
             return other if sign > 0 else -other
         # over the rational gcd g = gcd(na, nb) / lcm(da, db) of the
         # contents, both scale factors are ints; the content of the sum is
-        # g * h / d for the gcd h of its ints, built as one Fraction
-        ca, cb = self._content, other._content
-        na, da = ca.numerator, ca.denominator
-        nb, db = cb.numerator, cb.denominator
+        # g * h / d for the gcd h of its ints, and g is coprime to d (a
+        # prime of g divides na and nb, so neither da nor db)
+        na, da, nb, db = self._num, self._den, other._num, other._den
         g, d = _igcd(na, nb), lcm(da, db)
         out = _icomb(self._prim, na // g * (d // da),
                      other._prim, sign * nb // g * (d // db))
         if not out:
-            return MPoly(self.vars, _ZERO, out)
+            return MPoly(self.vars, 0, 1, out)
         out, h = _primitive(out)
-        return MPoly(self.vars, Fraction(g * h, d), out)
+        return MPoly(self.vars, *_qmul(h, 1, g, d), out)
 
     def __add__(self, other):
         return self._plus(self._coerce(other), 1)
@@ -454,7 +474,7 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, -self._content, self._prim)
+        return MPoly(self.vars, -self._num, self._den, self._prim)
 
     def __sub__(self, other):
         return self._plus(self._coerce(other), -1)
@@ -466,14 +486,15 @@ class MPoly:
         if not isinstance(other, MPoly):
             c = _real(other)
             if not c or not self._prim:
-                return MPoly(self.vars, _ZERO, {})
-            return MPoly(self.vars, self._content * c, self._prim)
+                return MPoly(self.vars, 0, 1, {})
+            return MPoly(self.vars, *_qmul(self._num, self._den, c.numerator,
+                                           c.denominator), self._prim)
         if other.vars is not self.vars and other.vars != self.vars:
             raise ValueError("variable tuples differ")
         if not self._prim or not other._prim:
-            return MPoly(self.vars, _ZERO, {})
-        ca, cb = self._content, other._content
-        return MPoly(self.vars, cb if ca == 1 else ca if cb == 1 else ca * cb,
+            return MPoly(self.vars, 0, 1, {})
+        return MPoly(self.vars, *_qmul(self._num, self._den,
+                                       other._num, other._den),
                      _imul(self._prim, other._prim, self.vars))
 
     __rmul__ = __mul__
@@ -499,7 +520,7 @@ class MPoly:
         stay integers.
         """
         fields = []
-        content = self._content
+        scale_den = 1
         for name, val in assignment.items():
             val = _real(val)
             off = _offset(self.vars, name)
@@ -507,7 +528,7 @@ class MPoly:
             t = max(ks, default=0)
             num, den = val.numerator, val.denominator
             fields.append((off, {k: num ** k * den ** (t - k) for k in ks}))
-            content = content / den ** t
+            scale_den *= den ** t
         out: dict = {}
         get = out.get
         for exp, v in self._prim.items():
@@ -518,13 +539,14 @@ class MPoly:
             out[exp] = get(exp, 0) + v
         if 0 in out.values():
             out = {e: v for e, v in out.items() if v}
-        return _normal(self.vars, out, content)
+        return _normal(self.vars, out,
+                       *_qmul(self._num, self._den, 1, scale_den))
 
     def scalar(self) -> Fraction:
         if not self._prim:
-            return _ZERO
+            return Fraction(0)
         if len(self._prim) == 1 and 0 in self._prim:
-            return self._content
+            return Fraction(self._num, self._den)
         raise ValueError("polynomial is not constant")
 
     def degree(self) -> int:
@@ -551,13 +573,12 @@ class MPoly:
                 for mono, c in groups.items()}
 
     def leading_coefficient(self) -> Fraction:
-        return self._content * self._prim[max(self._prim)]
+        return Fraction(self._num * self._prim[max(self._prim)], self._den)
 
     def monic(self) -> "MPoly":
         if not self._prim:
             return self
-        return MPoly(self.vars, Fraction(1, self._prim[max(self._prim)]),
-                     self._prim)
+        return MPoly(self.vars, 1, self._prim[max(self._prim)], self._prim)
 
     def exact_div(self, divisor: "MPoly") -> "MPoly":
         """Exact division; raises NotDivisible if self is not a multiple.
@@ -607,7 +628,11 @@ class MPoly:
                         rem[exp] = s
                     else:
                         del rem[exp]
-        return MPoly(self.vars, self._content / divisor._content, q)
+        # times the divisor's reciprocal, its sign moved onto the numerator
+        nb, db = divisor._num, divisor._den
+        if nb < 0:
+            nb, db = -nb, -db
+        return MPoly(self.vars, *_qmul(self._num, self._den, db, nb), q)
 
     def to_str(self) -> str:
         if not self._prim:
@@ -615,7 +640,7 @@ class MPoly:
         n = len(self.vars)
         parts = []
         for exp in sorted(self._prim, reverse=True):
-            c = self._content * self._prim[exp]
+            c = Fraction(self._num * self._prim[exp], self._den)
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
                 for v, k in zip(self.vars, _unpack(exp, n)) if k
@@ -636,10 +661,6 @@ class MPoly:
     def __repr__(self):
         s = self.to_str()
         return s if len(s) <= 120 else f"<MPoly {len(self._prim)} terms, deg {self.degree()}>"
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def generators(names):
@@ -669,7 +690,7 @@ def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
                     r[k - n + j] = _icomb(r[k - n + j], 1,
                                           _imul(top, lb[j], a.vars), -1)
     return _normal(a.vars, {exp + (k << off): v for k, c in enumerate(r)
-                            for exp, v in c.items()}, _ONE)
+                            for exp, v in c.items()}, 1, 1)
 
 
 def _content(p: MPoly, var: str) -> MPoly:
@@ -680,14 +701,14 @@ def _content(p: MPoly, var: str) -> MPoly:
     for b in _buckets(p._prim, _offset(p.vars, var)):
         if b:
             if len(c._prim) == 1 and 0 in c._prim:
-                return MPoly(p.vars, _ONE, {0: 1})
-            c = _gcd_impl(c, _normal(p.vars, b, p._content))
+                return MPoly(p.vars, 1, 1, {0: 1})
+            c = _gcd_impl(c, _normal(p.vars, b, p._num, p._den))
     return c
 
 
 def _div(p: MPoly, d: MPoly) -> MPoly:
     """p.exact_div(d), with no division when d is the constant 1."""
-    if d._content == 1 and d._prim == {0: 1}:
+    if d._num == 1 and d._den == 1 and d._prim == {0: 1}:
         return p
     return p.exact_div(d)
 
@@ -706,7 +727,7 @@ def _coefficients_in(p: MPoly, fields: int) -> dict:
     for exp, v in p._prim.items():
         mono = exp & fields
         groups.setdefault(mono, {})[exp - mono] = v
-    return {mono: _normal(p.vars, t, p._content)
+    return {mono: _normal(p.vars, t, p._num, p._den)
             for mono, t in groups.items()}
 
 
@@ -729,7 +750,7 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
         return p
     if len(p._prim) == 1 or len(q._prim) == 1:
         mono = _least_exponents(chain(p._prim, q._prim), len(p.vars))
-        return MPoly(p.vars, _ONE, {mono: 1})
+        return MPoly(p.vars, 1, 1, {mono: 1})
     used_p, used_q = _support(p), _support(q)
     if used_p != used_q:
         extra = used_q & ~used_p
@@ -768,7 +789,7 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
         da, db = db, dr
         top = da << off
         g = _normal(p.vars, {e - top: v for e, v in a._prim.items()
-                             if e & field == top}, a._content)
+                             if e & field == top}, a._num, a._den)
         if d == 1:
             h = g
         elif d > 1:

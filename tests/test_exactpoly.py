@@ -163,11 +163,22 @@ def test_det_and_resultant_make_no_division(monkeypatch):
     assert calls == []
 
 
+def _content_pair(x):
+    if isinstance(x, MPoly):
+        return x._num, x._den
+    return x.numerator, x.denominator
+
+
 def test_polynomial_product_makes_no_content_gcd(monkeypatch):
-    # Gauss's lemma: a product of primitive polynomials is primitive, so
-    # MPoly * MPoly multiplies the contents and never takes a gcd over terms
+    # Gauss's lemma: a product of primitive polynomials is primitive, so a
+    # product takes no gcd over its terms; its two contents cross-reduce as
+    # Fraction multiplication does, with at most two int gcds, each of one
+    # content's numerator and the other's denominator
     p = 3 * X ** 2 - Fraction(2, 5) * X * Y + 7 * A
     q = Fraction(4, 9) * A * X - 6 * B + 1
+    s = Fraction(-15, 4)
+    pairs = [(p, q), (q, p), (p, p * q), (-p, q), (q, -q), (p, s), (s, p),
+             (q, 7), (Fraction(9, 2) * p, Fraction(5, 3) * q)]
     calls = []
     real = exactpoly._igcd
 
@@ -175,13 +186,23 @@ def test_polynomial_product_makes_no_content_gcd(monkeypatch):
         calls.append(args)
         return real(*args)
 
+    def no_term_gcd(*args):
+        raise AssertionError("a product took a gcd over its terms")
+
     monkeypatch.setattr(exactpoly, "_igcd", counting)
-    pq = p * q
-    assert pq * p == p * (q * p) and (-p) * pq == -(pq * p)
-    assert calls == []
-    # the counter sees the one gcd a sum takes
+    # the counter sees the one gcd a sum takes over its ints
     p + q
     assert calls
+    monkeypatch.setattr(exactpoly, "_primitive", no_term_gcd)
+    monkeypatch.setattr(exactpoly, "_normal", no_term_gcd)
+    for a, b in pairs:
+        calls.clear()
+        a * b
+        (na, da), (nb, db) = _content_pair(a), _content_pair(b)
+        assert len(calls) <= 2
+        assert all(c in ((na, db), (nb, da)) for c in calls)
+    pq = p * q
+    assert pq * p == p * (q * p) and (-p) * pq == -(pq * p)
 
 
 # ------------------------------------------------------------ domain and form
@@ -210,12 +231,13 @@ def test_non_real_coefficients_raise_type_error(make):
 
 
 def _assert_canonical(p: MPoly):
-    c, prim = p._content, p._prim
-    assert isinstance(c, Fraction)
+    num, den, prim = p._num, p._den, p._prim
+    assert type(num) is int and type(den) is int
+    assert den > 0 and igcd(num, den) == 1
     if not prim:
-        assert c == 0
+        assert (num, den) == (0, 1)
         return
-    assert c and all(type(v) is int and v for v in prim.values())
+    assert num and all(type(v) is int and v for v in prim.values())
     assert igcd(*prim.values()) == 1 and prim[max(prim)] > 0
 
 
@@ -241,10 +263,101 @@ def test_equal_polynomials_have_one_canonical_form(p, q, r, s):
         forms.append((a * p).exact_div(p))
     for f in forms:
         _assert_canonical(f)
-        assert (f.vars, f._content, f._prim) == (a.vars, a._content, a._prim)
+        assert ((f.vars, f._num, f._den, f._prim)
+                == (a.vars, a._num, a._den, a._prim))
     _assert_canonical(a.monic())
     if a:
         assert a.monic().leading_coefficient() == 1
+
+
+# the Fraction oracle: polynomials as {exponent tuple: Fraction} dicts,
+# multiplied, added and evaluated term by term
+
+def _oracle_clean(d: dict) -> dict:
+    return {e: c for e, c in d.items() if c}
+
+
+def _oracle_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _oracle_clean(out)
+
+
+def _oracle_comb(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _oracle_clean(out)
+
+
+def _oracle_evaluate(a: dict, values: dict) -> dict:
+    out: dict = {}
+    for e, c in a.items():
+        e = list(e)
+        for i, v in values.items():
+            c, e[i] = c * v ** e[i], 0
+        out[tuple(e)] = out.get(tuple(e), 0) + c
+    return _oracle_clean(out)
+
+
+def _terms_by_tuple(p: MPoly) -> dict:
+    terms = p.terms
+    assert all(type(c) is Fraction for c in terms.values())
+    return {exactpoly._unpack(e, len(VARS)): c for e, c in terms.items()}
+
+
+oracle_coeff = st.one_of(wide_frac, st.integers(-10 ** 6, 10 ** 6))
+oracle_terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(VARS)),
+                               oracle_coeff, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_terms, oracle_terms, oracle_coeff, oracle_coeff, oracle_coeff)
+def test_arithmetic_matches_the_fraction_oracle(pt, qt, s, u, w):
+    p, q = MPoly.from_exponents(VARS, pt), MPoly.from_exponents(VARS, qt)
+    po = _oracle_clean({e: Fraction(c) for e, c in pt.items()})
+    qo = _oracle_clean({e: Fraction(c) for e, c in qt.items()})
+    assert _terms_by_tuple(p) == po and _terms_by_tuple(q) == qo
+    assert _terms_by_tuple(p * q) == _oracle_mul(po, qo)
+    scaled = _oracle_clean({e: c * s for e, c in po.items()})
+    assert _terms_by_tuple(p * s) == scaled == _terms_by_tuple(s * p)
+    assert _terms_by_tuple(p + q) == _oracle_comb(po, qo, 1)
+    assert _terms_by_tuple(p - q) == _oracle_comb(po, qo, -1)
+    assert _terms_by_tuple(-p) == {e: -c for e, c in po.items()}
+    if q:
+        # q's content takes either sign here
+        for d in (q, -q):
+            quotient = (p * d).exact_div(d)
+            _assert_canonical(quotient)
+            assert _terms_by_tuple(quotient) == po
+    values = {VARS.index("x"): u, VARS.index("b"): w}
+    assert (_terms_by_tuple(p.evaluate({"x": u, "b": w}))
+            == _oracle_evaluate(po, values))
+    if p:
+        lc = po[max(po)]
+        assert (_terms_by_tuple(p.monic())
+                == {e: c / lc for e, c in po.items()})
+        assert p.leading_coefficient() == lc
+    for f in (p * q, p * s, p + q, -p, p.monic()):
+        _assert_canonical(f)
+
+
+def test_handed_out_coefficients_are_fractions():
+    # the content is a pair of ints, but what the API hands out is a
+    # Fraction, integral values included
+    for v in (3, Fraction(6, 2), 0, -7):
+        c = MPoly.const(VARS, v)
+        assert type(c.scalar()) is Fraction and c.scalar() == v
+    p = 3 * X ** 2 - 6 * Y + 2
+    assert type(p.leading_coefficient()) is Fraction
+    assert p.leading_coefficient() == 3
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert all(type(c) is Fraction for _, c in p.monomials())
+    assert sorted(c for _, c in p.monomials()) == [-6, 2, 3]
+    assert type(p.monic().leading_coefficient()) is Fraction
 
 
 # ------------------------------------------------------------------ equality

@@ -47,15 +47,16 @@ def test_package_has_no_assert_statements():
 
 
 def test_only_the_kernel_reads_polynomial_terms():
-    # MPoly stores a content and a dict of packed exponents to ints, a
-    # layout private to exactpoly; other modules go through its methods.
+    # MPoly stores a content as a numerator and denominator pair and a dict
+    # of packed exponents to ints, a layout private to exactpoly; other
+    # modules go through its methods.
     # MPoly.terms rebuilds Fraction coefficients on every read, so it is
     # left to tests and the benchmark, and exactpoly does not read it either
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         banned = {"terms"}
         if path.name != "exactpoly.py":
-            banned |= {"_content", "_prim"}
+            banned |= {"_num", "_den", "_prim"}
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in banned]
