@@ -6,7 +6,8 @@ quadric, the rank-drop epsilon coefficients, whether F2 vanishes, and whether
 the resultant chain's common factor matches F1^2 * F2^2: F1^2 and F2^2 divide
 it, and every other factor involving e1 or e2 divides F1 * F2.
 The identity platform map is surveyed separately since the ratio is then a
-parameter-independent constant.
+parameter-independent constant.  The script exits 1 with a message if any
+row disagrees: a ratio off its closed form, or a chain that does not match.
 
 Usage:
     python scripts/ratio_survey.py --draws 8 --seed 2
@@ -14,6 +15,7 @@ Usage:
 
 import argparse
 import random
+import sys
 from fractions import Fraction
 
 from duporcq.geometry import BaseParams
@@ -73,6 +75,7 @@ def main():
     ap.add_argument("--seed", type=int, default=2)
     args = ap.parse_args()
     rng = random.Random(args.seed)
+    failed = []
 
     print("identity platform map (ratio must be the constant -8):")
     for k in range(args.draws):
@@ -81,7 +84,8 @@ def main():
         ratio = e0e3_ratio(compute_Ke(design), design)
         print(f"  draw {k}: base=({base.A4},{base.B4},{base.A5},{base.B5})"
               f"  ratio={ratio}")
-        assert ratio == -8
+        if ratio != -8:
+            failed.append(f"identity draw {k}: ratio {ratio}")
 
     print("general platform map (ratio follows -4*(mu1+mu3)):")
     for k in range(args.draws):
@@ -93,6 +97,12 @@ def main():
         print(f"  draw {k}: mu=({mu[0]},{mu[1]},{mu[2]})  ratio={row['ratio']}"
               f"  [{ok}]  F2=0: {row['f2_zero']}  chain: {row['chain_match']}")
         print(f"           eps: {row['eps']}")
+        if ok != "ok" or not row["chain_match"]:
+            failed.append(f"general draw {k}: ratio {ok}, "
+                          f"chain {row['chain_match']}")
+
+    if failed:
+        sys.exit("survey mismatch: " + "; ".join(failed))
 
 
 if __name__ == "__main__":

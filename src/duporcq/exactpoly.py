@@ -41,16 +41,18 @@ Pinned conventions:
     coefficient} for the monomials that occur;
   * resultant(p, q, x) is the Sylvester determinant with p's coefficient rows
     first, so resultant(x - a, x - b, x) == a - b;
-  * gcd output is normalized to leading coefficient 1 (0 when both inputs 0);
-  * multivariate gcd runs by recursive content/primitive-part reduction with a
+  * gcd(p, q, *more) is the one gcd, normalized to leading coefficient 1
+    (0 when all operands are 0); it and every gcd of several polynomials in
+    the kernel run one fold, which takes the operands in the order given
+    and returns 1 at the first nonzero constant, reading none after it;
+  * a gcd of two runs by recursive content/primitive-part reduction with a
     subresultant polynomial remainder sequence in the main variable, over
     the integers (each polynomial in it is an integer P times its content),
     after two exact reductions on the variables the operands use: a
     single-term operand gives the monomial of least exponents, and variables
     only one operand uses are split off through its coefficients in them;
-    a content's fold over the coefficients stops once it is a nonzero
-    constant, since its gcd with any later coefficient is 1, and the gcd
-    makes no division by the constant 1;
+    a content folds the coefficients in ascending powers, and the gcd makes
+    no division by the constant 1;
   * det and maximal_minors share one division-free Laplace expansion
     (_laplace) with sub-minors memoized by column set: det is its full
     minor, O(2^n * n) products for an n x n matrix, the largest the package
@@ -693,17 +695,21 @@ def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
                             for exp, v in c.items()}, 1, 1)
 
 
+def _fold(ops) -> MPoly:
+    """The gcd of the polynomials ops, up to a unit, folded in the order
+    given; 1 at the first nonzero constant, and no later operand is read."""
+    g = None
+    for p in ops:
+        g = p if g is None else _gcd_impl(g, p)
+        if len(g._prim) == 1 and 0 in g._prim:
+            return MPoly(g.vars, 1, 1, {0: 1})
+    return g
+
+
 def _content(p: MPoly, var: str) -> MPoly:
-    """The gcd of p's coefficients in var, folded in ascending powers.  Once
-    the running gcd is a nonzero constant, its gcd with any later nonzero
-    coefficient is 1, so the fold stops there."""
-    c = MPoly.zero(p.vars)
-    for b in _buckets(p._prim, _offset(p.vars, var)):
-        if b:
-            if len(c._prim) == 1 and 0 in c._prim:
-                return MPoly(p.vars, 1, 1, {0: 1})
-            c = _gcd_impl(c, _normal(p.vars, b, p._num, p._den))
-    return c
+    """The gcd of p's coefficients in var, folded in ascending powers."""
+    return _fold(_normal(p.vars, b, p._num, p._den)
+                 for b in _buckets(p._prim, _offset(p.vars, var)) if b)
 
 
 def _div(p: MPoly, d: MPoly) -> MPoly:
@@ -756,13 +762,8 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
         extra = used_q & ~used_p
         if not extra:
             p, q, extra = q, p, used_p & ~used_q
-        g = p
-        for c in sorted(_coefficients_in(q, extra).values(),
-                        key=lambda c: len(c._prim)):
-            g = _gcd_impl(g, c)
-            if g.degree() == 0:
-                break
-        return g
+        return _fold(chain((p,), sorted(_coefficients_in(q, extra).values(),
+                                        key=lambda c: len(c._prim))))
     # the most significant variable p uses
     main = p.vars[len(p.vars) - 1 - (used_p.bit_length() - 1) // _W]
     off = _offset(p.vars, main)
@@ -798,18 +799,21 @@ def _gcd_impl(p: MPoly, q: MPoly) -> MPoly:
     return _gcd_impl(ca, cb) * b
 
 
-def gcd(p: MPoly, q: MPoly) -> MPoly:
-    """GCD normalized to leading coefficient 1 (canonical order); gcd(0,0)=0.
+def gcd(p: MPoly, q: MPoly, *more: MPoly) -> MPoly:
+    """The gcd of two or more polynomials over one variable tuple, monic in
+    the canonical order; 0 when all are 0.
 
-    Two reductions come before the subresultant remainder sequence, both
-    exact.  If p or q is a single term, every divisor of it is a monomial,
-    so the gcd is the monomial of the least exponents over both operands'
+    The operands are folded in the order given, and the fold returns 1 at
+    the first nonzero constant without reading the rest.  Two exact
+    reductions come before each pairwise subresultant remainder sequence.
+    If one operand is a single term, every divisor of it is a monomial, so
+    the gcd is the monomial of the least exponents over both operands'
     terms.  If q uses variables X that p lacks, a common factor divides p
     and so is free of X; an X-free polynomial divides q iff it divides each
-    coefficient of q as a polynomial in X, so gcd(p, q) is the gcd of p and
-    those coefficients, folded smallest first until it is a constant.
+    coefficient of q as a polynomial in X, so the gcd is that of p and
+    those coefficients, folded smallest first.
     """
-    return _gcd_impl(p, q).monic()
+    return _fold([p] + [p._coerce(x) for x in (q, *more)]).monic()
 
 
 def _laplace(m: list):
@@ -888,6 +892,7 @@ def proportional(a, b) -> bool:
 
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     """Sylvester resultant eliminating var; p's coefficient rows first."""
+    q = p._coerce(q)
     m, n = p.degree_in(var), q.degree_in(var)
     if m == 0 or n == 0:
         raise ZeroDegree(f"input constant in {var}")

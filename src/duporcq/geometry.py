@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 class DegenerateBase(ValueError):
@@ -136,19 +137,19 @@ def intersect_lines(p: PlanarPoint, du: PlanarPoint,
 class BaseQuantities:
     """V, U1, U2, U3 of the canonical base from A4, B4, A5, B5 attributes."""
 
-    @property
+    @cached_property
     def V(self):
         return self.B4 * self.A5 - self.A4 * self.B5
 
-    @property
+    @cached_property
     def U1(self):
         return (self.B4 - self.B5) * self.V * (self.V - self.B4 + self.B5)
 
-    @property
+    @cached_property
     def U2(self):
         return self.V + self.B5
 
-    @property
+    @cached_property
     def U3(self):
         return self.V - self.B4
 

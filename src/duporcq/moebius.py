@@ -43,7 +43,8 @@ picture).  Each printed phi is the integer picture's divided by
 den^5 * e^(5 - 2m).
 
 profile takes the common factor of the six phi(t) from the parallel classes
-of the segments M_iM_j, not from gcds; ProfileCurve checks it with gcds.
+of the segments M_iM_j, not from gcds; ProfileCurve checks it with one gcd
+of the six components, which stops at the first constant.
 """
 
 from __future__ import annotations
@@ -403,10 +404,7 @@ class ProfileCurve:
     removed: MPoly
 
     def __post_init__(self):
-        g = None
-        for comp in self.components:
-            g = comp if g is None else gcd(g, comp)
-        if g is None or g.degree() != 0:
+        if gcd(*self.components).degree() != 0:
             raise InvariantViolation("profile components share a factor")
 
 

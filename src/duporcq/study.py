@@ -5,8 +5,9 @@ the tangency ansatz, and the resultant chain.
 
 A pose is (e0:e1:e2:e3:f0:f1:f2:f3) subject to S = sum(e_i f_i) = 0; it is a
 displacement iff N = sum(e_i^2) != 0.  All symbolic work happens in one ring
-whose variables are listed in STUDY_VARS; design quantities may be exact
-rationals or polynomials in the parameter symbols interchangeably.
+whose variables are listed in STUDY_VARS; a design quantity is an exact
+rational or a polynomial in the parameter symbols, and enters each formula
+as it is, never lifted (MPoly arithmetic takes rationals on either side).
 
 The canonical design under study is
     M1=(0,0,0)  M2=(1,0,0)  M3=(V/(B4-B5),0,0)  M4=(A4,B4,0)  M5=(A5,B5,0)
@@ -34,11 +35,11 @@ rank_drop_T takes the five 4x4 minors from one memo (maximal_minors of the
 transposed matrix), checks each against the epsilon closed form by its
 coefficient keys and cross-multiplication, takes the closed form's
 coefficients from the epsilons, and normalizes only the closed form.
-resultant_chain takes its gcd over the cofactors of F1^2 * F2^2 when that
-product divides all three chain polynomials, and over the polynomials
-themselves otherwise.  pipeline_report concludes from the chain's gcd,
-checked against F2; the chain's match with F1^2 * F2^2 comes from exact
-divisions (factor_powers).
+resultant_chain takes one gcd, smallest first, of the cofactors of F1^2 *
+F2^2 when that product divides all three chain polynomials, else of the
+polynomials themselves; the largest is skipped if the first two are coprime.
+pipeline_report concludes from the chain's gcd, checked against F2; the
+chain's match with F1^2 * F2^2 comes from exact divisions (factor_powers).
 """
 
 from __future__ import annotations
@@ -89,12 +90,6 @@ class AnsatzSolvable(ArithmeticError):
         super().__init__(f"ansatz solvable in branch {branch}: {witness}")
         self.branch = branch
         self.witness = witness
-
-
-def poly(x) -> MPoly:
-    if isinstance(x, MPoly):
-        return x
-    return MPoly.const(STUDY_VARS, x)
 
 
 def study_defect(e, f):
@@ -279,18 +274,17 @@ class CanonicalDesign(BaseQuantities):
         A4, B4, A5, B5 = self.A4, self.B4, self.A5, self.B5
         mu1, mu2, mu3 = self.mu1, self.mu2, self.mu3
         r = self.radii
-        zero = 0 * A4 if isinstance(A4, MPoly) else Fraction(0)
         w3 = (B4 - B5) * self.U2
         legs = {
-            1: SphereConstraint((zero, zero, zero),
-                                (mu1 * A4 + mu2 * B4, mu3 * B4, zero), r[0]),
-            2: SphereConstraint((zero + 1, zero, zero),
-                                (mu1 * A5 + mu2 * B5, mu3 * B5, zero), r[1]),
-            3: SphereConstraint((self.V * self.U2, zero, zero),
+            1: SphereConstraint((0, 0, 0),
+                                (mu1 * A4 + mu2 * B4, mu3 * B4, 0), r[0]),
+            2: SphereConstraint((1, 0, 0),
+                                (mu1 * A5 + mu2 * B5, mu3 * B5, 0), r[1]),
+            3: SphereConstraint((self.V * self.U2, 0, 0),
                                 (B4 * (A5 * mu1 + B5 * mu2) * (B4 - B5),
-                                 B4 * B5 * mu3 * (B4 - B5), zero), r[2]),
-            4: SphereConstraint((A4, B4, zero), (zero, zero, zero), r[3]),
-            5: SphereConstraint((A5, B5, zero), (mu1 + zero, zero, zero), r[4]),
+                                 B4 * B5 * mu3 * (B4 - B5), 0), r[2]),
+            4: SphereConstraint((A4, B4, 0), (0, 0, 0), r[3]),
+            5: SphereConstraint((A5, B5, 0), (mu1, 0, 0), r[4]),
         }
         return legs, w3
 
@@ -385,8 +379,7 @@ def compute_Ke(design: CanonicalDesign, *, split=None) -> QuadricForm:
         split = leg_split(design)
     B4, B5 = design.B4, design.B5
     V, U1, U2, U3 = design.V, design.U1, design.U2, design.U3
-    weights = (poly(B4 * B5 * V * (B4 - B5) * U2), poly(U3),
-               poly(B5 * U1 * U2), -poly(B4 * U1 * U2))
+    weights = (B4 * B5 * V * (B4 - B5) * U2, U3, B5 * U1 * U2, -B4 * U1 * U2)
     parts = [split[i] for i in (2, 3, 4, 5)]
     for k, fv in enumerate(F_VARS):
         if not sum(w * row[k] for w, (row, _) in zip(weights, parts)).is_zero():
@@ -396,8 +389,8 @@ def compute_Ke(design: CanonicalDesign, *, split=None) -> QuadricForm:
 
 def e0e3_ratio(ke: QuadricForm, design: CanonicalDesign):
     """coeff(e0 e3) divided by B4*B5*U1*U2; parameter independent."""
-    denom = poly(design.B4 * design.B5 * design.U1 * design.U2)
-    ratio = ke.coeff(0, 3).exact_div(denom)
+    ratio = ke.coeff(0, 3).exact_div(
+        design.B4 * design.B5 * design.U1 * design.U2)
     return ratio.scalar() if ratio.degree() <= 0 else ratio
 
 
@@ -410,11 +403,11 @@ def _normalize_quadric(p: MPoly) -> MPoly:
     coeffs = p.coefficients(E_VARS)
     if not coeffs:
         return p
-    g = None
-    for exps in sorted(coeffs, reverse=True):
-        g = coeffs[exps] if g is None else gcd(g, coeffs[exps])
-    first = coeffs[max(coeffs)].exact_div(g)
-    return p.exact_div(g) * (1 / first.leading_coefficient())
+    # the leading zero lets a lone nonzero coefficient be its own gcd
+    g = gcd(MPoly.zero(p.vars),
+            *(coeffs[k] for k in sorted(coeffs, reverse=True)))
+    # g is monic, so dividing by it keeps each leading coefficient
+    return p.exact_div(g) * (1 / coeffs[max(coeffs)].leading_coefficient())
 
 
 @dataclass(frozen=True)
@@ -445,7 +438,7 @@ def rank_drop_T(design: CanonicalDesign, *, split=None) -> RankDropResult:
     mat = f_coefficient_matrix(design, split=split)
     n = N_poly()
     eps = epsilons(design)
-    want = [poly(eps[EPS_AT[pair]]) if pair in EPS_AT else poly(0)
+    want = [eps[EPS_AT[pair]] if pair in EPS_AT else 0
             for pair in E_PAIRS.values()]
     for drop, minor in enumerate(maximal_minors(zip(*mat))):
         if drop == 0:
@@ -484,7 +477,7 @@ EPS_AT = {(0, 1): "eps01", (0, 2): "eps02", (1, 3): "eps13", (2, 3): "eps23"}
 
 
 def epsilon_quadric(eps: dict) -> MPoly:
-    return sum(poly(eps[name]) * GENS[f"e{i}"] * GENS[f"e{j}"]
+    return sum(eps[name] * GENS[f"e{i}"] * GENS[f"e{j}"]
                for (i, j), name in EPS_AT.items())
 
 
@@ -522,11 +515,11 @@ def f1_f2(design: CanonicalDesign):
     mu1, mu2, mu3 = design.mu1, design.mu2, design.mu3
     g = GENS
     e1, e2 = g["e1"], g["e2"]
-    f1 = (poly(B * B * mu2 - A * B * (mu1 + mu3)) * (e2 * e2 - e1 * e1)
-          + poly(2 * A * A * mu1 - 2 * B * B * mu3 - 2 * A * B * mu2) * e1 * e2)
-    f2 = (poly((1 + mu1) * (mu3 - 1)) * e1 * e1
-          + poly((1 + mu3) * (mu1 - 1)) * e2 * e2
-          - poly(2 * mu2) * e1 * e2)
+    f1 = ((B * B * mu2 - A * B * (mu1 + mu3)) * (e2 * e2 - e1 * e1)
+          + (2 * A * A * mu1 - 2 * B * B * mu3 - 2 * A * B * mu2) * e1 * e2)
+    f2 = ((1 + mu1) * (mu3 - 1) * e1 * e1
+          + (1 + mu3) * (mu1 - 1) * e2 * e2
+          - 2 * mu2 * e1 * e2)
     return f1, f2
 
 
@@ -534,8 +527,8 @@ def f1_degeneracy_certificate() -> MPoly:
     """Eliminating mu2 from the two F1 coefficients leaves a polynomial whose
     real zeros force A = B = 0; returned for inspection."""
     d = CanonicalDesign.symbolic()
-    A, B = map(poly, d.AB)
-    mu1, mu2, mu3 = poly(d.mu1), poly(d.mu2), poly(d.mu3)
+    A, B = d.AB
+    mu1, mu2, mu3 = d.mu1, d.mu2, d.mu3
     ca = B * B * mu2 - A * B * (mu1 + mu3)
     cb = 2 * A * A * mu1 - 2 * B * B * mu3 - 2 * A * B * mu2
     return resultant(ca, cb, "mu2")
@@ -612,12 +605,12 @@ def _ansatz_branch(ke: QuadricForm, active, partner) -> BranchReport:
     nu = {p1: Fraction(0), p2: Fraction(0),
           a1: forced[f"nu{a1}"], a2: forced[f"nu{a2}"]}
     # fix signs so the cross equation holds: q_a1a2 = -2 nu_a1 nu_a2
-    if not (cross + poly(2 * nu[a1] * nu[a2])).is_zero():
+    if not (cross + 2 * nu[a1] * nu[a2]).is_zero():
         nu[a2] = -nu[a2]
     witness = {"nu": -q[(p1, p1)]}
     witness.update((f"nu{k}", nu[k]) for k in range(4))
-    lin = sum(poly(nu[k]) * GENS[f"e{k}"] for k in active)
-    if (ke.poly + poly(witness["nu"]) * N_poly() + lin * lin).is_zero():
+    lin = sum(nu[k] * GENS[f"e{k}"] for k in active)
+    if (ke.poly + witness["nu"] * N_poly() + lin * lin).is_zero():
         raise AnsatzSolvable(name, witness)
     return BranchReport(name, forced, {}, True)
 
@@ -718,16 +711,15 @@ def resultant_chain(ke: QuadricForm, t: QuadricForm, design: CanonicalDesign) ->
     res_e0, res_e3 = _eliminate(ke.poly, t.poly, N_poly())
     f1, f2 = f1_f2(design)
     expected = f1 * f1 * f2 * f2
-    e, parts = MPoly.const(STUDY_VARS, 1), list(res_e3.values())
+    e, parts = 1, list(res_e3.values())
     if not expected.is_zero():
         try:
             e, parts = expected, [s.exact_div(expected) for s in parts]
         except NotDivisible:
             pass  # e and parts stay 1 and the S_i
     # smallest operands first: the gcd of the two smaller ones bounds the
-    # largest one's part in the remainder sequence
-    a, b, c = sorted(parts, key=lambda p: p.term_count)
-    g = (e * gcd(gcd(a, b), c)).monic()
+    # largest one's part in the remainder sequence, and skips it when 1
+    g = (e * gcd(*sorted(parts, key=lambda p: p.term_count))).monic()
     if g.is_zero() or expected.is_zero():
         match = g.is_zero() and expected.is_zero()
     else:

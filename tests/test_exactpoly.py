@@ -1,6 +1,8 @@
 """Exact polynomial kernel tests: arithmetic, resultant convention, gcd."""
 
+import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd as igcd
 
 import pytest
@@ -90,6 +92,12 @@ def test_resultant_zero_degree_error():
         resultant(X - A, Y + 1, "x")
 
 
+def test_resultant_rejects_operands_over_other_variables():
+    (u,) = generators(("u",))
+    with pytest.raises(ValueError, match="variable tuples differ"):
+        resultant(X ** 2 + 1, u + 1, "x")
+
+
 def test_resultant_common_root():
     p = (X - A) * (X - B)
     q = (X - A) * (X + 1)
@@ -121,6 +129,60 @@ def test_gcd_multivariate():
 def test_gcd_coprime():
     g = gcd(X + 1, Y + 1)
     assert g == C(1)
+
+
+def _seeded_poly(rng):
+    """A nonzero polynomial in x, y, a of up to four terms."""
+    return MPoly.from_exponents(VARS, {
+        (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), 0):
+        Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        for _ in range(rng.randint(1, 4))})
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_nary_gcd_equals_the_pairwise_fold(seed):
+    # multiples of one common factor, with a zero (seed 1 mod 3) or a
+    # nonzero constant (seed 2 mod 3) at a seeded place
+    rng = random.Random(seed)
+    g = _seeded_poly(rng)
+    ops = [g * _seeded_poly(rng) for _ in range(rng.randint(2, 4))]
+    if seed % 3:
+        extra = (MPoly.zero(VARS) if seed % 3 == 1
+                 else C(Fraction(rng.randint(1, 5), rng.randint(1, 3))))
+        ops.insert(rng.randint(0, len(ops)), extra)
+    assert gcd(*ops) == reduce(gcd, ops)
+
+
+def test_nary_gcd_reads_no_operand_after_the_first_constant(monkeypatch):
+    calls = []
+    real = exactpoly._gcd_impl
+
+    def counting(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(exactpoly, "_gcd_impl", counting)
+    late = (X + A) * (Y - B)
+    assert gcd(X * Y + 1, C(2), late) == C(1)
+    assert len(calls) == 1
+    calls.clear()
+    assert gcd(MPoly.zero(VARS), C(3), late) == C(1)
+    assert len(calls) == 1
+    # the running gcd Y + 2 meets X + Y + 5 and becomes constant
+    calls.clear()
+    ops = ((X - 1) * (Y + 2), (X + 3) * (Y + 2), X + Y + 5, late)
+    assert gcd(*ops) == C(1)
+    touched = [q for _, q in calls if any(q is op for op in ops)]
+    assert touched == list(ops[1:3])
+    assert not any(late is p or late is q for p, q in calls)
+
+
+def test_gcd_rejects_operands_over_other_variables():
+    (u,) = generators(("u",))
+    with pytest.raises(ValueError, match="variable tuples differ"):
+        gcd((X + 1) * (X + 2), (u + 1) * (u + 3))
+    with pytest.raises(ValueError, match="variable tuples differ"):
+        gcd(X + 1, X + 1, u + 1)
 
 
 def test_exact_div_roundtrip():

@@ -138,6 +138,16 @@ def test_gcd_with_a_single_term_matches_sympy(u, m, n):
     _assert_gcd_up_to_unit(gcd(q, p), q, p)
 
 
+@settings(max_examples=30, deadline=None)
+@given(polys(), st.lists(polys(subset=True), min_size=2, max_size=4))
+def test_nary_gcd_matches_sympy_gcd_list(g, us):
+    ops = [g * u for u in us]
+    mine = gcd(*ops)
+    ratio = sympy.cancel(to_sympy(mine)
+                         / sympy.gcd_list([to_sympy(p) for p in ops]))
+    assert ratio != 0 and not ratio.free_symbols
+
+
 def _seeded_constant_coefficient(rng, names):
     """A polynomial in names whose coefficient of x^0 is a nonzero constant
     and which has terms of positive degree in x."""

@@ -599,18 +599,18 @@ def test_profile_lone_phi_carries_the_tuple_scale():
 
 
 def test_profile_makes_only_the_invariant_gcds(monkeypatch):
-    # the removed factor comes from the parallel classes; the five gcds of
-    # ProfileCurve's check over six components are the only ones
+    # the removed factor comes from the parallel classes; ProfileCurve's
+    # check, one gcd of the six components, is the only gcd
     calls = []
     real = moebius.gcd
 
-    def counting(p, q):
-        calls.append((p, q))
-        return real(p, q)
+    def counting(*ops):
+        calls.append(ops)
+        return real(*ops)
 
     monkeypatch.setattr(moebius, "gcd", counting)
-    profile(PTS)
-    assert len(calls) == 5
+    curve = profile(PTS)
+    assert calls == [curve.components] and len(curve.components) == 6
 
 
 # ----------------------------------------------------------------- invariance

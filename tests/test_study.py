@@ -52,7 +52,6 @@ from duporcq.study import (
     factor_powers,
     leg_split,
     pipeline_report,
-    poly,
     rank_drop_T,
     resultant_chain,
     sphere_condition,
@@ -205,7 +204,7 @@ def test_identical_legs_cancel():
     pose = StudyPose.symbolic()
     leg = SphereConstraint((2, 3, 0), (1, -1, 0), 7)
     d = sphere_condition(pose, leg) - sphere_condition(pose, leg)
-    assert poly(d).is_zero()
+    assert d.is_zero()
 
 
 def test_delta_linear_in_f():
@@ -251,8 +250,8 @@ def _assembled_delta(design, i):
     pose = StudyPose.symbolic()
     legs, w3 = design.legs()
     s = w3 * w3 if i == 3 else 1
-    return poly(s * sphere_condition(pose, legs[1])
-                - sphere_condition(pose, legs[i], w3 if i == 3 else 1))
+    return (s * sphere_condition(pose, legs[1])
+            - sphere_condition(pose, legs[i], w3 if i == 3 else 1))
 
 
 def _split_design(name):
@@ -279,16 +278,16 @@ def test_leg_split_matches_the_assembled_leg_differences(name):
     units = [tuple(int(j == k) for j in range(4)) for k in range(4)]
     study_s = sum(GENS[e] * GENS[f] for e, f in zip(E_VARS, F_VARS))
     extracted = tuple(
-        tuple(c.get(u, poly(0)) for u in units)
+        tuple(c.get(u, MPoly.zero(STUDY_VARS)) for u in units)
         for c in (rp.coefficients(F_VARS) for rp in
                   [study_s] + [deltas[i] for i in (2, 3, 4, 5)]))
     assert f_coefficient_matrix(design) == extracted
     B4, B5, V = design.B4, design.B5, design.V
     U1, U2, U3 = design.U1, design.U2, design.U3
-    ke = (poly(B4 * B5 * V * (B4 - B5) * U2) * deltas[2]
-          + poly(U3) * deltas[3]
-          + poly(B5 * U1 * U2) * deltas[4]
-          - poly(B4 * U1 * U2) * deltas[5])
+    ke = (B4 * B5 * V * (B4 - B5) * U2 * deltas[2]
+          + U3 * deltas[3]
+          + B5 * U1 * U2 * deltas[4]
+          - B4 * U1 * U2 * deltas[5])
     assert compute_Ke(design).poly == ke
     if name == "symbolic":
         assert ke.term_count == 1356
@@ -389,7 +388,7 @@ def test_Ke_symbolic_term_count_and_ratio():
     ke = compute_Ke(design)
     assert ke.poly.term_count == 1356
     ratio = e0e3_ratio(ke, design)
-    assert poly(ratio) == -4 * (poly(GENS["mu1"]) + poly(GENS["mu3"]))
+    assert ratio == -4 * (GENS["mu1"] + GENS["mu3"])
 
 
 def test_quadric_form_rejects_f_terms():
@@ -406,7 +405,8 @@ def test_quadric_form_keeps_its_ten_coefficients():
         for j in range(4):
             assert ke.coeff(i, j) is ke.coeffs[min(i, j), max(i, j)]
     assert sum((c * GENS[f"e{i}"] * GENS[f"e{j}"]
-                for (i, j), c in ke.coeffs.items()), poly(0)) == ke.poly
+                for (i, j), c in ke.coeffs.items()),
+               MPoly.zero(STUDY_VARS)) == ke.poly
 
 
 def test_quadric_form_rejects_inhomogeneous():
@@ -505,23 +505,22 @@ def test_T_symbolic_is_the_normalized_closed_form():
 
 
 def test_rank_drop_T_takes_no_gcd_of_a_minor(monkeypatch):
-    # gcd only ever sees the closed form's coefficients and their gcds;
+    # the one gcd sees only the closed form's coefficients (after a zero);
     # the minors are compared by cross-multiplication
     design = dataclasses.replace(
         _generic_design(random.Random(43)), A4=GENS["A4"], B4=GENS["B4"])
     closed = QuadricForm(epsilon_quadric(epsilons(design)))
     allowed = [c for c in closed.coeffs.values() if not c.is_zero()]
-    foreign = []
+    calls = []
 
-    def counting(p, q):
-        out = gcd(p, q)
-        foreign.extend(x for x in (p, q) if x not in allowed)
-        allowed.append(out)
-        return out
+    def counting(*ops):
+        calls.append(ops)
+        return gcd(*ops)
 
     monkeypatch.setattr(study, "gcd", counting)
     rank_drop_T(design)
-    assert foreign == []
+    assert len(calls) == 1
+    assert [x for x in calls[0] if x and x not in allowed] == []
 
 
 def _perturbed_minors(kind):
@@ -589,9 +588,9 @@ def test_F1_never_zero_on_valid_designs():
 
 def test_F1_degeneracy_certificate():
     cert = f1_degeneracy_certificate()
-    A = poly(GENS["A5"] - GENS["A4"] + 1)
-    B = poly(GENS["B4"] - GENS["B5"])
-    assert cert == -2 * poly(GENS["mu3"]) * B * B * (A * A + B * B)
+    A = GENS["A5"] - GENS["A4"] + 1
+    B = GENS["B4"] - GENS["B5"]
+    assert cert == -2 * GENS["mu3"] * B * B * (A * A + B * B)
 
 
 # ---------------------------------------------------------------------- ansatz
@@ -795,8 +794,10 @@ def test_factor_powers_divides_each_factor_out_of_p_itself():
     # x is shared: its power counts towards both factors, and the cofactor
     # is what dividing x*y once and then x as often as it goes leaves
     assert factor_powers(x ** 3 * y * (x - y), (x * y, x)) == ((1, 3), x - y)
-    assert factor_powers(poly(5), (x,)) == ((0,), poly(5))
-    for p, factors in ((poly(0), (x,)), (x, (poly(2),))):
+    five = MPoly.const(STUDY_VARS, 5)
+    assert factor_powers(five, (x,)) == ((0,), five)
+    for p, factors in ((MPoly.zero(STUDY_VARS), (x,)),
+                       (x, (MPoly.const(STUDY_VARS, 2),))):
         with pytest.raises(ValueError):
             factor_powers(p, factors)
 
@@ -826,20 +827,20 @@ def test_factor_match_is_a_divisibility_test():
 
 
 def test_chain_match_takes_no_gcd_but_the_fold(monkeypatch):
-    # the chain's only gcds fold its three polynomials; the match with
-    # F1^2 * F2^2 comes from exact divisions
+    # the chain's only gcd is one call over its three cofactors; the match
+    # with F1^2 * F2^2 comes from exact divisions
     design = _generic_design(random.Random(43))
     ke, t = compute_Ke(design), rank_drop_T(design).T
     calls = []
 
-    def counting(p, q):
-        calls.append((p, q))
-        return gcd(p, q)
+    def counting(*ops):
+        calls.append(ops)
+        return gcd(*ops)
 
     monkeypatch.setattr(study, "gcd", counting)
     chain = resultant_chain(ke, t, design)
     assert chain.factor_match and not chain.gcd.is_zero()
-    assert len(calls) == 2
+    assert [len(ops) for ops in calls] == [3]
 
 
 def test_chain_gcd_equals_the_fold_on_draws():

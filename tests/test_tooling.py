@@ -37,9 +37,10 @@ def _package_env() -> dict:
 
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so an invariant written as one
-    # silently stops being checked; the package raises typed exceptions
+    # silently stops being checked; the package raises typed exceptions,
+    # and the scripts exit 1 with a message
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
@@ -210,3 +211,17 @@ def test_trace_trajectory_rejects_an_empty_grid(tmp_path, grid):
     assert done.returncode == 2
     assert "--n1 and --n2 must be at least 1" in done.stderr
     assert not (tmp_path / "motion.csv").exists()
+
+
+def test_ratio_survey_exits_1_on_a_mismatch(monkeypatch):
+    # a row off its closed form fails the run, also under python -O
+    spec = importlib.util.spec_from_file_location(
+        "ratio_survey", SCRIPTS / "ratio_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    monkeypatch.setattr(survey, "e0e3_ratio", lambda ke, design: 0)
+    monkeypatch.setattr(sys, "argv", ["ratio_survey.py", "--draws", "1"])
+    with pytest.raises(SystemExit) as exc:
+        survey.main()
+    assert exc.value.code == ("survey mismatch: identity draw 0: ratio 0; "
+                              "general draw 0: ratio MISMATCH, chain True")
