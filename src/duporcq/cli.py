@@ -133,7 +133,7 @@ def cmd_classify(args):
     candidates = reconstruct_candidates(params)
     report = candidate_report(params, candidates, seed=args.seed,
                               samples=args.samples)
-    accepted = [c.tag for c in candidates if report[c.tag]["accepted"]]
+    accepted = [c.tag for c in candidates if report[c.tag] is None]
     match = None
     for cand in sorted(candidates, key=lambda c: c.tag not in accepted):
         if affine_match(cand.platform, design.platform):
@@ -149,8 +149,8 @@ def cmd_classify(args):
         "verdict": verdict,
         "matched_slot": match.tag if match else None,
         "accepted_slots": accepted,
-        "rejections": {tag: report[tag]["first_failure"]
-                       for tag in report if not report[tag]["accepted"]},
+        "rejections": {tag: failure for tag, failure in report.items()
+                       if failure is not None},
     }
     return 0, payload
 
@@ -185,7 +185,6 @@ def cmd_motion(args):
             for s in report.samples]
     out = args.out or "motion.csv"
     _write_csv(out, header, rows)
-    t1, t2 = report.tangents
     tangent_rank = 2 if report.tangent_angle > 1e-6 else 1
     payload = {
         "csv": out,

@@ -18,11 +18,13 @@ irrational even when the direction itself is rational).
 
 picture is the one place that falls back from the plain to the extended
 picture; same_picture, candidate_report and membership_report all go through
-it and read DelPezzoPoint.extended to tell which one they got.
-candidate_report takes each picture once per direction, compares them with
-DelPezzoPoint.proportional and reads the memberships off the same pictures;
-it skips a random direction that repeats an earlier one, found by its
-primitive integer (c1 : c2) in a set.
+it, and membership_report reads DelPezzoPoint.extended to tell which one it
+got.  candidate_report returns, for each candidate, the name of its first
+failing direction, or None when the slot is accepted.  It takes each base
+picture once per direction and compares with DelPezzoPoint.proportional; a
+candidate is pictured in direction order up to and including its first
+failure, and at no direction after it.  A random direction that repeats an
+earlier one, found by its primitive integer (c1 : c2) in a set, is skipped.
 
 A picture is a projective point, so candidate_report pictures integer
 representatives: scaling the points or (c1 : c2) scales every phi by one
@@ -324,14 +326,14 @@ def random_directions(seed: int, samples: int) -> list:
 
 def candidate_report(base: BaseParams, candidates, seed: int = 0,
                      samples: int = 20) -> dict:
-    """Per-candidate verdicts with the memberships that decide them; the
-    base pictures are taken once and shared by all candidates.
+    """{tag: name of the candidate's first failing direction, or None when
+    its slot is accepted}; the base pictures are taken once and shared by
+    all candidates.
 
     Every tuple is pictured through its integral_points and every direction
     is an integer (c1 : c2), so each plain picture is a product of ints.
-    Only the six special directions, which come first, feed the membership
-    fields, so a rejected candidate is not pictured at random directions
-    past its first failure."""
+    The six special directions come first, then the random ones, and a
+    candidate is pictured in that order up to its first failure."""
     pts = base.points
     directions = [(name, ConicDirection.from_direction(u))
                   for name, u in special_directions(pts)]
@@ -346,25 +348,9 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
     report = {}
     for cand in candidates:
         platform = integral_points(cand.platform)
-        entry = {"accepted": True, "first_failure": None, "directions": {}}
-        for name, c, base_p in base_pictures:
-            special = name.startswith("d")
-            if not special and not entry["accepted"]:
-                break
-            cand_p = picture(platform, c)
-            ok = base_p.proportional(cand_p)
-            if special:
-                entry["directions"][name] = {
-                    "match": ok,
-                    "base_membership": _membership(base_p),
-                    "base_extended": base_p.extended,
-                    "candidate_membership": _membership(cand_p),
-                    "candidate_extended": cand_p.extended,
-                }
-            if not ok and entry["accepted"]:
-                entry["accepted"] = False
-                entry["first_failure"] = name
-        report[cand.tag] = entry
+        report[cand.tag] = next(
+            (name for name, c, base_p in base_pictures
+             if not base_p.proportional(picture(platform, c))), None)
     return report
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactpoly import MPoly, NotDivisible
+from .exactpoly import MPoly
 from .geometry import (
     AffineMap2,
     BaseParams,

@@ -51,7 +51,6 @@ from fractions import Fraction
 from .exactpoly import (
     MPoly,
     NotDivisible,
-    ZeroDegree,
     gcd,
     maximal_minors,
     proportional,
@@ -525,13 +524,10 @@ def f1_f2(design: CanonicalDesign):
 
 def f1_degeneracy_certificate() -> MPoly:
     """Eliminating mu2 from the two F1 coefficients leaves a polynomial whose
-    real zeros force A = B = 0; returned for inspection."""
-    d = CanonicalDesign.symbolic()
-    A, B = d.AB
-    mu1, mu2, mu3 = d.mu1, d.mu2, d.mu3
-    ca = B * B * mu2 - A * B * (mu1 + mu3)
-    cb = 2 * A * A * mu1 - 2 * B * B * mu3 - 2 * A * B * mu2
-    return resultant(ca, cb, "mu2")
+    real zeros force A = B = 0; returned for inspection.  The coefficients
+    are F1's e2^2 and e1*e2 coefficients, read off f1_f2."""
+    c = f1_f2(CanonicalDesign.symbolic())[0].coefficients(("e1", "e2"))
+    return resultant(c[(0, 2)], c[(1, 1)], "mu2")
 
 
 # ------------------------------------------------------------- tangency ansatz

@@ -30,7 +30,9 @@ from duporcq.moebius import (
     candidate_report,
     del_pezzo,
     extended_del_pezzo,
+    integral_points,
     line_membership,
+    picture,
     special_directions,
 )
 from duporcq.selfmotion import (
@@ -159,20 +161,25 @@ def test_05_reconstruction_filter_exact():
     candidates = reconstruct_candidates(WORKED)
     report = candidate_report(WORKED, candidates, seed=0, samples=20)
     accepted = [tag for tag in ("1a", "1b", "2a", "2bi", "2bii", "3")
-                if report[tag]["accepted"]]
+                if report[tag] is None]
     assert accepted == ["1a", "2bi", "3"]
+    slots = {c.tag: c.platform for c in candidates}
+    directions = dict(special_directions(WORKED.points))
+
+    def along(points, name):
+        return picture(integral_points(points),
+                       ConicDirection.from_direction(directions[name]))
+
     # slots 1b and 2a carry the swapped carrier pattern: along the first
-    # triple's direction the base picture is on L45, theirs on L12
-    for tag in ("1b", "2a"):
-        entry = report[tag]["directions"]["d123"]
-        assert entry["base_membership"] == [[4, 5]]
-        assert entry["candidate_membership"] == [[1, 2]]
-        assert entry["match"] is False
-    # slot 2bii fails the orange direction: picture on L15 instead of L24
-    entry = report["2bii"]["directions"]["d24"]
-    assert entry["base_membership"] == [[2, 4]]
-    assert entry["candidate_membership"] == [[1, 5]]
-    assert entry["match"] is False
+    # triple's direction the base picture is on L45, theirs on L12; slot
+    # 2bii fails the orange direction: picture on L15 instead of L24
+    for tag, name, base_line, cand_line in (("1b", "d123", {4, 5}, {1, 2}),
+                                            ("2a", "d123", {4, 5}, {1, 2}),
+                                            ("2bii", "d24", {2, 4}, {1, 5})):
+        base_p, cand_p = along(WORKED.points, name), along(slots[tag], name)
+        assert line_membership(base_p) == {frozenset(base_line)}
+        assert line_membership(cand_p) == {frozenset(cand_line)}
+        assert not base_p.proportional(cand_p)
 
 
 def test_06_Ke_f_free_quadratic_with_constant_ratio():

@@ -250,6 +250,20 @@ def test_pipeline_generic_mu(capsys):
     assert out["chain"]["factors"]["match"] is True
 
 
+def test_pipeline_params_with_a_negative_first_value(capsys):
+    # argparse reads "-1/2,..." after a space as an option, so a negative
+    # first value is given in the --params= form
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--params", "-1/2,-2,1/2,3", "--mu", "2,1,3"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    code, out = run_cli(capsys, "pipeline", "--params=-1/2,-2,1/2,3",
+                        "--mu=2,1,3", "--radii=1,2,3,4,5")
+    assert code == 0
+    assert out["Ke"]["e0e3_ratio"] == "-20"
+    assert out["T"]["epsilons"]["eps01"] == "-45"
+
+
 def test_pipeline_degenerate_base(capsys):
     code, _ = run_cli(capsys, "pipeline", "--params", "0,2,3,2")
     assert code == 3

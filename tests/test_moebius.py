@@ -222,29 +222,40 @@ def test_same_picture_rejects_2bii_at_orange():
 def test_validate_candidates_accepts_exactly_123():
     cands = reconstruct_candidates(WORKED)
     report = candidate_report(WORKED, cands)
-    assert [c.tag for c in cands if report[c.tag]["accepted"]] == ["1a", "2bi", "3"]
+    assert [c.tag for c in cands if report[c.tag] is None] == ["1a", "2bi", "3"]
+
+
+def _picture_along(points, u):
+    """The picture of a tuple's integer representative along the planar
+    direction u, as candidate_report takes it."""
+    return picture(integral_points(points), ConicDirection.from_direction(u))
 
 
 def test_rejection_paths():
-    cands = reconstruct_candidates(WORKED)
-    rep = candidate_report(WORKED, cands)
-    # 1b and 2a fail with the triple-line memberships swapped
-    assert rep["1b"]["accepted"] is False
-    assert rep["1b"]["directions"]["d123"]["candidate_membership"] == [[1, 2]]
-    assert rep["1b"]["directions"]["d123"]["base_membership"] == [[4, 5]]
-    assert rep["2a"]["accepted"] is False
-    assert rep["2a"]["directions"]["d123"]["candidate_membership"] == [[1, 2]]
-    # 2bii fails with the fourth connecting line landing on L15
-    assert rep["2bii"]["accepted"] is False
-    assert rep["2bii"]["directions"]["d24"]["candidate_membership"] == [[1, 5]]
-    assert rep["2bii"]["directions"]["d24"]["base_membership"] == [[2, 4]]
+    cands = {c.tag: c for c in reconstruct_candidates(WORKED)}
+    rep = candidate_report(WORKED, cands.values())
+    assert all(rep[tag] is not None for tag in ("1b", "2a", "2bii"))
+    directions = dict(special_directions(PTS))
+    # 1b and 2a fail with the triple-line memberships swapped; 2bii fails
+    # with the fourth connecting line landing on L15
+    for tag, name, base_line, cand_line in (("1b", "d123", {4, 5}, {1, 2}),
+                                            ("2a", "d123", {4, 5}, {1, 2}),
+                                            ("2bii", "d24", {2, 4}, {1, 5})):
+        base_p = _picture_along(PTS, directions[name])
+        cand_p = _picture_along(cands[tag].platform, directions[name])
+        assert line_membership(base_p) == {frozenset(base_line)}
+        assert line_membership(cand_p) == {frozenset(cand_line)}
+        assert not base_p.proportional(cand_p)
 
 
 def test_accepted_match_at_all_special_directions():
-    rep = candidate_report(WORKED, reconstruct_candidates(WORKED))
+    cands = {c.tag: c for c in reconstruct_candidates(WORKED)}
+    rep = candidate_report(WORKED, cands.values())
     for tag in ("1a", "2bi", "3"):
-        assert rep[tag]["accepted"] is True
-        assert all(d["match"] for d in rep[tag]["directions"].values())
+        assert rep[tag] is None
+        for _, u in special_directions(PTS):
+            assert _picture_along(PTS, u).proportional(
+                _picture_along(cands[tag].platform, u))
 
 
 def _projective(c):
@@ -256,12 +267,11 @@ def _projective(c):
 
 def test_candidate_report_takes_each_picture_once(monkeypatch):
     # one del_pezzo call per (tuple, projective direction): the base picture
-    # is shared by all candidates, a candidate's picture serves both the
-    # match and the membership fields, and a random direction that repeats
-    # a special or an earlier random one is skipped (on the worked base,
+    # is shared by all candidates, and a random direction that repeats a
+    # special or an earlier random one is skipped (on the worked base,
     # seed 0 draws t = 0, which is d123's (0 : 1)); a rejected candidate is
-    # pictured at the six special directions and at none of the random ones
-    # past its failure
+    # pictured up to and including its first failing direction and at
+    # none after it
     calls = Counter()
     kept = []           # keeps each pictured tuple alive, so ids stay unique
     real = moebius.del_pezzo
@@ -288,21 +298,18 @@ def test_candidate_report_takes_each_picture_once(monkeypatch):
         if (base, seed) == (WORKED, 0):
             assert len(names) < 26
 
-        def taken(entry):
-            if entry["first_failure"] is None:
-                return len(names)
-            return max(6, names.index(entry["first_failure"]) + 1)
+        def taken(failure):
+            return len(names) if failure is None else names.index(failure) + 1
 
         assert set(calls.values()) == {1}
-        assert len(calls) == len(names) + sum(taken(e)
-                                              for e in report.values())
+        assert len(calls) == len(names) + sum(taken(f)
+                                              for f in report.values())
 
 
 def _fraction_report(base, candidates, seed, samples, seen):
     """candidate_report's contract computed on the Fraction tuples and
-    Fraction directions, each picture through picture and _membership;
-    seen counts the extended special pictures and the random-direction
-    comparisons of accepted candidates that it made."""
+    Fraction directions, each picture through picture; seen counts the
+    random directions at which a candidate matched."""
     pts = base.points
     # the Fraction (u2 : -u1) of each special direction, and c(t)
     directions = [(name, ConicDirection(u.y, -u.x))
@@ -311,29 +318,27 @@ def _fraction_report(base, candidates, seed, samples, seen):
                    for name, _ in random_directions(seed, samples)]
     report = {}
     for cand in candidates:
-        entry = {"accepted": True, "first_failure": None, "directions": {}}
+        report[cand.tag] = None
         for name, c in directions:
-            special = name.startswith("d")
-            if not special and not entry["accepted"]:
+            if not picture(pts, c).proportional(picture(cand.platform, c)):
+                report[cand.tag] = name
                 break
-            base_p, cand_p = picture(pts, c), picture(cand.platform, c)
-            ok = base_p.proportional(cand_p)
-            if special:
-                seen["extended"] += base_p.extended + cand_p.extended
-                entry["directions"][name] = {
-                    "match": ok,
-                    "base_membership": moebius._membership(base_p),
-                    "base_extended": base_p.extended,
-                    "candidate_membership": moebius._membership(cand_p),
-                    "candidate_extended": cand_p.extended,
-                }
-            elif ok:
-                seen["random_accepted"] += 1
-            if not ok and entry["accepted"]:
-                entry["accepted"] = False
-                entry["first_failure"] = name
-        report[cand.tag] = entry
+            seen["random_accepted"] += not name.startswith("d")
     return report
+
+
+def _special_pictures_agree(base, points, seen):
+    """At each special direction of base, the integer representative's
+    picture (as candidate_report takes it) has the Fraction picture's line
+    membership and extended flag, and is proportional to it; seen counts
+    the extended Fraction pictures."""
+    for _, u in special_directions(base.points):
+        whole = _picture_along(points, u)
+        exact = picture(points, ConicDirection(u.y, -u.x))
+        assert line_membership(whole) == line_membership(exact)
+        assert whole.extended == exact.extended
+        assert whole.proportional(exact)
+        seen["extended"] += exact.extended
 
 
 def _fraction(rng, den=5):
@@ -379,6 +384,8 @@ def test_candidate_report_matches_fraction_pictures():
         for group in (cands, moved):
             want = _fraction_report(base, group, k, 20, seen)
             assert candidate_report(base, group, seed=k, samples=20) == want
+            for points in [pts] + [cand.platform for cand in group]:
+                _special_pictures_agree(base, points, seen)
     assert dens - {1}
     assert seen["extended"] and seen["random_accepted"]
 

@@ -47,6 +47,62 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _read_names(tree) -> set:
+    """Every name the tree loads, a string annotation's names included."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        note = (getattr(node, "annotation", None)
+                or getattr(node, "returns", None))
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            read |= _read_names(ast.parse(note.value, mode="eval"))
+    return read
+
+
+def _unread_names(tree) -> list:
+    """(line, name) of each module-level import and each function-local
+    assignment that nothing reads; names starting with _ are exempt."""
+    read = _read_names(tree)
+    found = [(node.lineno, alias.asname or alias.name.split(".")[0])
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    found = [(line, name) for line, name in found if name not in read]
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        # a nested function is its own scope, but its reads of this
+        # function's names count
+        nested = {id(node) for inner in ast.walk(fn) if inner is not fn
+                  and isinstance(inner, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef, ast.Lambda))
+                  for node in ast.walk(inner)}
+        shared = {name for node in ast.walk(fn)
+                  if isinstance(node, (ast.Global, ast.Nonlocal))
+                  for name in node.names}
+        fn_read = _read_names(fn)
+        found += [(node.lineno, node.id) for node in ast.walk(fn)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)
+                  and id(node) not in nested
+                  and node.id not in fn_read | shared]
+    return sorted((line, name) for line, name in set(found)
+                  if not name.startswith("_"))
+
+
+def test_package_has_no_unread_names():
+    # an import nothing reads, or a local assigned and never read, is dead
+    # code; a name starting with _ marks one that is meant to go unread
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {name}"
+                  for line, name in _unread_names(tree)]
+    assert found == []
+
+
 def test_only_the_kernel_reads_polynomial_terms():
     # MPoly stores a content as a numerator and denominator pair and a dict
     # of packed exponents to ints, a layout private to exactpoly; other
