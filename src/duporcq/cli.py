@@ -165,14 +165,9 @@ def cmd_motion(args):
     r2sq = design.radii2[1] if args.r2sq is None else _radius(args.r2sq)
     # motion_radii gates (r1^2, r2^2) and solves the radii with a motion;
     # an override samples those, a file without one its own radii
-    radii = motion_radii(params, r1sq, r2sq).as_tuple()
+    radii = motion_radii(params, r1sq, r2sq)
     if args.r1sq is None and args.r2sq is None:
         radii = design.radii2
-    elif sixth is not None:
-        # sixth_radius reads the sixth leg off the half-turn pose, which
-        # closes it only at the file's radii
-        raise SchemaError("--r1sq/--r2sq apply to pentapod files only: the "
-                          "sixth leg's squared radius is fixed by the file")
     moving = PentapodDesign(design.base, design.platform, radii)
     if sixth is not None:
         moving = HexapodDesign(moving, sixth[0], sixth[1])

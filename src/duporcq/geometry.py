@@ -251,12 +251,6 @@ class HexapodDesign:
     m6: PlanarPoint
 
 
-def sixth_vertex(params: BaseParams) -> PlanarPoint:
-    """Quadrilateral vertex M1M5 ∩ M2M4 completing the canonical base."""
-    return PlanarPoint(params.B4 * params.A5 / params.U2,
-                       params.B4 * params.B5 / params.U2)
-
-
 def build_platform(base: BaseParams, kappa: int, A: AffineMap2):
     """Platform anchors of the kappa_2 / kappa_3 correspondence.
 
@@ -375,15 +369,11 @@ def duporcq_hexapod(design: PentapodDesign) -> HexapodDesign:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One slot of the reconstruction case tree.
-
-    closure_ok records the case's parallelism closure; acceptance is decided
-    later by the picture filter, so a rejection here is data, not an error.
-    """
+    """One slot of the reconstruction case tree; the picture filter
+    (moebius.candidate_report) decides whether it is accepted."""
 
     tag: str
     platform: tuple
-    closure_ok: bool
     case: int
 
 
@@ -397,9 +387,6 @@ def reconstruct_candidates(base: BaseParams) -> list:
     d12, d15, d24, d25, d45 = M2 - M1, M5 - M1, M4 - M2, M5 - M2, M5 - M4
     d14 = M4 - M1
 
-    def parallel(u, v):
-        return cross(u, v) == 0
-
     out = []
 
     # case 1: platform triples mirror the base split {m1,m2,m3},{m3,m4,m5}
@@ -407,43 +394,37 @@ def reconstruct_candidates(base: BaseParams) -> list:
     m2 = intersect_lines(m1, d12, m4, d24)
     m5 = intersect_lines(m4, d45, m1, d15)
     m3 = intersect_lines(m1, m2 - m1, m4, m5 - m4)
-    out.append(Candidate("1a", (m1, m2, m3, m4, m5),
-                         parallel(m5 - m2, d25), 1))
+    out.append(Candidate("1a", (m1, m2, m3, m4, m5), 1))
 
     m2 = intersect_lines(m1, d45, m4, d24)
     m5 = intersect_lines(m4, d12, m1, d15)
     m3 = intersect_lines(m1, m2 - m1, m4, m5 - m4)
-    out.append(Candidate("1b", (m1, m2, m3, m4, m5),
-                         parallel(m5 - m2, d25), 1))
+    out.append(Candidate("1b", (m1, m2, m3, m4, m5), 1))
 
     # case 2(a): same anchor parallels as 1a but the case-2 m3
     m2 = intersect_lines(m1, d12, m4, d24)
     m5 = intersect_lines(m4, d45, m1, d15)
     m3 = intersect_lines(m1, m5 - m1, m2, m4 - m2)
-    out.append(Candidate("2a", (m1, m2, m3, m4, m5),
-                         parallel(m5 - m2, d25), 2))
+    out.append(Candidate("2a", (m1, m2, m3, m4, m5), 2))
 
     # case 2(b): anchors swapped to m1:=M4, m4:=M1
     m1, m4 = M4, M1
     m2 = intersect_lines(m1, d45, m4, d15)
     m5 = intersect_lines(m4, d12, m1, d24)
     m3 = intersect_lines(m1, m5 - m1, m2, m4 - m2)
-    out.append(Candidate("2bi", (m1, m2, m3, m4, m5),
-                         parallel(m5 - m2, d25), 2))
+    out.append(Candidate("2bi", (m1, m2, m3, m4, m5), 2))
 
     m2 = intersect_lines(m1, d45, m4, d24)
     m5 = intersect_lines(m4, d12, m1, d15)
     m3 = intersect_lines(m1, m5 - m1, m2, m4 - m2)
-    out.append(Candidate("2bii", (m1, m2, m3, m4, m5),
-                         parallel(m5 - m2, d25), 2))
+    out.append(Candidate("2bii", (m1, m2, m3, m4, m5), 2))
 
     # case 3: the 4<->5 swap of 2(b)i, anchors m1:=M5, m5:=M1
     m1, m5 = M5, M1
     m2 = intersect_lines(m1, d45, m5, d14)
     m4 = intersect_lines(m5, d12, m1, d25)
     m3 = intersect_lines(m1, m4 - m1, m2, m5 - m2)
-    out.append(Candidate("3", (m1, m2, m3, m4, m5),
-                         parallel(m4 - m2, d24), 3))
+    out.append(Candidate("3", (m1, m2, m3, m4, m5), 3))
 
     for cand in out:
         if cand.platform[2] is None or any(p is None for p in cand.platform):

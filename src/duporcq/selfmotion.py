@@ -3,6 +3,10 @@ a numeric pose sampler on the motion, the translational circle at the
 half-turn, similarity bonds, and the architectural-singularity test for the
 hexapod extension.
 
+Legs at opposite vertices of the congruent quadrilaterals share a length:
+motion_radii copies r1^2, r2^2 onto legs 4, 5, and the hexapod's sixth leg
+takes r3^2 (sixth_radius), so the hexapod carries its pentapod's motion.
+
 The motion lives on e0 = 0: for each rotation direction (0:e1:e2:e3) the
 Study condition and the differences of the leg conditions cut a linear slice
 of translations f, and leg 1 cuts that slice in a sphere around a center in
@@ -135,20 +139,9 @@ def g_coefficients(gpoly: MPoly) -> tuple:
                  for key in keys)
 
 
-@dataclass(frozen=True)
-class RadiiSolution:
-    r1sq: Fraction
-    r2sq: Fraction
-    r3sq: Fraction
-    r4sq: Fraction
-    r5sq: Fraction
-
-    def as_tuple(self) -> tuple:
-        return (self.r1sq, self.r2sq, self.r3sq, self.r4sq, self.r5sq)
-
-
-def motion_radii(params: BaseParams, r1sq, r2sq) -> RadiiSolution:
-    """Radii with a self-motion: legs 4,5 copy legs 1,2 and G = 0 fixes leg 3."""
+def motion_radii(params: BaseParams, r1sq, r2sq) -> tuple:
+    """Squared radii (r1^2, r2^2, r3^2, r1^2, r2^2) with a self-motion:
+    legs 4,5 copy legs 1,2 and G = 0 fixes leg 3."""
     r1sq, r2sq = Fraction(r1sq), Fraction(r2sq)
     if r1sq <= 0 or r2sq <= 0:
         raise Unrealizable("squared radii must be positive")
@@ -161,14 +154,14 @@ def motion_radii(params: BaseParams, r1sq, r2sq) -> RadiiSolution:
     r3sq = -b / a
     if r3sq < 0:
         raise Unrealizable(f"forced r3^2 = {r3sq} < 0")
-    return RadiiSolution(r1sq, r2sq, r3sq, r1sq, r2sq)
+    return (r1sq, r2sq, r3sq, r1sq, r2sq)
 
 
 def build_motion_design(params: BaseParams, r1sq, r2sq) -> PentapodDesign:
     """Concrete pentapod with the kappa_2 identity platform and motion radii."""
-    radii = motion_radii(params, r1sq, r2sq)
     platform = build_platform(params, 2, AffineMap2.identity())
-    return PentapodDesign(params.points, platform, radii.as_tuple())
+    return PentapodDesign(params.points, platform,
+                          motion_radii(params, r1sq, r2sq))
 
 
 # ------------------------------------------------------------------ numeric legs
@@ -218,9 +211,11 @@ def float_legs(design) -> FloatLegs:
 
 
 def sixth_radius(design: HexapodDesign) -> Fraction:
-    """Sixth squared leg length, read off at the half-turn reference pose."""
-    p = design.m6.scale(-1) - design.M6
-    return p.x * p.x + p.y * p.y
+    """Sixth squared leg length: r3^2, read off no pose.  Legs paired by
+    the congruence of the two complete quadrilaterals have equal lengths,
+    as motion_radii copies r1^2, r2^2 onto legs 4, 5, and
+    geometry.OPPOSITE pairs 6 with 3 in both cases."""
+    return design.pentapod.radii2[2]
 
 
 def _move(m, e, f) -> np.ndarray:

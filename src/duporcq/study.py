@@ -56,8 +56,8 @@ from .exactpoly import (
     proportional,
     resultant,
 )
-from .geometry import (WORKED_PARAMS, AffineMap2, BaseParams,
-                       BaseQuantities, InvariantViolation)
+from .geometry import (AffineMap2, BaseParams, BaseQuantities,
+                       InvariantViolation)
 
 STUDY_VARS = ("e0", "e1", "e2", "e3", "f0", "f1", "f2", "f3",
               "A4", "B4", "A5", "B5", "mu1", "mu2", "mu3",
@@ -258,10 +258,6 @@ class CanonicalDesign(BaseQuantities):
             radii = tuple(GENS[r] for r in RADII_SYMBOLS)
         return cls(base.A4, base.B4, base.A5, base.B5,
                    mu[0], mu[1], mu[2], tuple(radii))
-
-    @classmethod
-    def worked(cls, radii=None) -> "CanonicalDesign":
-        return cls.from_params(WORKED_PARAMS, radii=radii)
 
     @property
     def AB(self) -> tuple:

@@ -19,6 +19,7 @@ from duporcq.geometry import (
     worked_design,
     WORKED_PARAMS,
 )
+from duporcq.selfmotion import TOL_LEG, motion_radii
 
 
 def write_design(tmp_path, design, hexapod=None, name="design.json"):
@@ -160,17 +161,24 @@ def test_motion_radius_override_samples_the_moving_radii(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("flag, value", [("--r1sq", "2"), ("--r2sq", "17")])
-def test_motion_radius_override_on_a_hexapod_file_is_refused(
+def test_motion_radius_override_on_a_hexapod_file_samples_six_legs(
         tmp_path, capsys, flag, value):
-    # the sixth leg's squared radius is read off the file's geometry at the
-    # half-turn pose, which closes it only at the file's radii; sampling the
-    # override exited 5 "linear slice is inconsistent"
-    code = main(["motion", worked_file(tmp_path), flag, value,
-                 "--samples", "3", "--out", str(tmp_path / "x.csv")])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert "sixth leg" in json.loads(captured.err)["error"]
-    assert not (tmp_path / "x.csv").exists()
+    # the sixth leg takes r3^2, which motion_radii solves for, so an
+    # override moves the hexapod too: its six legs close at the solved radii
+    csv_path = tmp_path / "x.csv"
+    code, out = run_cli(capsys, "motion", worked_file(tmp_path), flag, value,
+                        "--samples", "5", "--out", str(csv_path))
+    assert code == 0
+    r1sq, r2sq = ((Fraction(value), 18) if flag == "--r1sq"
+                  else (1, Fraction(value)))
+    radii = motion_radii(WORKED_PARAMS, r1sq, r2sq)
+    assert out["radii2"] == [str(r) for r in radii]
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == out["samples"] == 5
+    tol = TOL_LEG * (1 + max(radii))
+    assert all(abs(float(row[f"res{i}"])) <= tol
+               for row in rows for i in range(1, 7))
 
 
 def test_motion_unrealizable_radii(tmp_path, capsys):

@@ -29,7 +29,6 @@ from duporcq.geometry import (
     load_design,
     platform_m3_closed_form,
     reconstruct_candidates,
-    sixth_vertex,
     tv_ratio,
     worked_design,
 )
@@ -94,7 +93,11 @@ def test_u_values_encode_geometry(A4, B4, A5, B5):
 
 
 def test_sixth_vertex_worked():
-    assert sixth_vertex(WORKED) == P(Fraction(2, 5), Fraction(3, 5))
+    # the quadrilateral vertex M1M5 ∩ M2M4 completing the canonical base is
+    # the hexapod's M6 and the closed-form m3 under the identity mu
+    M6 = P(Fraction(2, 5), Fraction(3, 5))
+    assert duporcq_hexapod(worked_design()).M6 == M6
+    assert platform_m3_closed_form(WORKED, AffineMap2.identity()) == M6
 
 
 # ------------------------------------------------------------------ affine
@@ -170,7 +173,8 @@ def test_m3_closed_form_matches_intersection(A4, B4, A5, B5, mu1, mu2, mu3):
         return
     assert plat[2] == platform_m3_closed_form(params, A)
     # m3 is the image of the base quadrilateral vertex
-    assert plat[2] == A.apply(sixth_vertex(params))
+    assert plat[2] == A.apply(
+        platform_m3_closed_form(params, AffineMap2.identity()))
 
 
 # ------------------------------------------------------------------ tv_ratio
@@ -275,7 +279,6 @@ def test_reconstruct_candidates_worked():
     for c in cands:
         expect = tuple(P(x, y) for x, y in FROZEN_CANDIDATES[c.tag])
         assert c.platform == expect, c.tag
-        assert c.closure_ok, c.tag
 
 
 def test_candidate_cases():
@@ -302,6 +305,7 @@ def test_candidates_collinearity_pattern(A4, B4, A5, B5):
         cands = reconstruct_candidates(params)
     except Exception:
         return
+    M1, M2, _, M4, M5 = params.points
     for c in cands:
         m1, m2, m3, m4, m5 = c.platform
         if c.case == 1:
@@ -310,6 +314,12 @@ def test_candidates_collinearity_pattern(A4, B4, A5, B5):
             assert collinear(m1, m3, m5) and collinear(m2, m3, m4)
         else:
             assert collinear(m1, m3, m4) and collinear(m2, m3, m5)
+        # the case's parallelism closure: m5 - m2 runs along M5 - M2, and
+        # along M4 - M2 for slot 3's m4 - m2
+        if c.tag == "3":
+            assert cross(m4 - m2, M4 - M2) == 0, c.tag
+        else:
+            assert cross(m5 - m2, M5 - M2) == 0, c.tag
 
 
 # ------------------------------------------------------------------ JSON I/O

@@ -2,6 +2,7 @@
 translational circle, the similarity bond, and the hexapod extension."""
 
 import csv
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,14 +11,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from duporcq import selfmotion
+from duporcq import cli, selfmotion
 from duporcq.geometry import (
+    AffineMap2,
     BaseParams,
+    DegeneratePlatform,
     HexapodDesign,
     InvariantViolation,
     PentapodDesign,
     PlanarPoint,
+    build_platform,
     collinear,
+    design_to_dict,
+    duporcq_hexapod,
 )
 from duporcq.selfmotion import (
     TRAJECTORY_COLUMNS,
@@ -181,13 +187,12 @@ def test_motion_radii_zero_r3_coefficient_is_typed(monkeypatch):
 
 
 def test_motion_radii_worked():
-    sol = motion_radii(WORKED, 1, 18)
-    assert sol.as_tuple() == (1, 18, Fraction(18, 25), 1, 18)
+    assert motion_radii(WORKED, 1, 18) == (1, 18, Fraction(18, 25), 1, 18)
 
 
 def test_motion_radii_copies_first_pair():
-    sol = motion_radii(WORKED, Fraction(5, 2), 7)
-    assert sol.r4sq == sol.r1sq and sol.r5sq == sol.r2sq
+    r1sq, r2sq, _, r4sq, r5sq = motion_radii(WORKED, Fraction(5, 2), 7)
+    assert (r4sq, r5sq) == (r1sq, r2sq) == (Fraction(5, 2), 7)
 
 
 def test_motion_radii_unrealizable():
@@ -776,6 +781,87 @@ def test_hexapod_motion_closes_sixth_leg():
     rep = verify_selfmotion(worked_hexapod(), count=30)
     assert len(rep.samples) == 30
     assert rep.max_residual <= 1e-12
+
+
+def _swap_4_5(design: PentapodDesign) -> PentapodDesign:
+    """design with its base points, platform points and radii 4 and 5
+    exchanged."""
+    return PentapodDesign(*(seq[:3] + (seq[4], seq[3]) for seq in (
+        design.base, design.platform, design.radii2)))
+
+
+def _seeded_duporcq_designs(seed, count):
+    """(case, design) of count motion pentapods on seeded canonical bases,
+    alternating the cases.  A rec3 design is _swap_4_5 of the kappa_2
+    motion design of the base with (A4, B4) and (A5, B5) exchanged."""
+    rng = random.Random(seed)
+    designs = []
+    while len(designs) < count:
+        base = random_base(rng)
+        r1sq, r2sq = rng.randint(1, 40), rng.randint(1, 40)
+        case = 2 + len(designs) % 2
+        swapped = BaseParams(base.A5, base.B5, base.A4, base.B4)
+        try:
+            design = build_motion_design(base if case == 2 else swapped,
+                                         r1sq, r2sq)
+        except (Unrealizable, DegeneratePlatform):
+            continue
+        if case == 3:
+            design = _swap_4_5(design)
+            assert design.base == base.points
+            assert design.platform == build_platform(
+                base, 3, AffineMap2.identity())
+        designs.append((case, design))
+    return designs
+
+
+def test_sixth_leg_closes_along_the_pentapod_motion(tmp_path, capsys):
+    # leg 6 takes r3^2 (sixth_radius), and on seeded bases of both cases it
+    # closes at each pose its pentapod samples at the |f0| bound scaled like
+    # the leg tolerance; hexapod-check at that bound exits 0 and finds the
+    # hexapod architecturally singular.  Pentapods that do not sample there
+    # are the |f0|, empty-circle and no-real-pose defects of the motion
+    # sampler
+    checked = {2: 0, 3: 0}
+    for case, design in _seeded_duporcq_designs(0, 40):
+        scale = 1.0 + float(max(design.radii2))
+        try:
+            report = verify_selfmotion(design, count=10,
+                                       tol_f0=selfmotion.TOL_F0 * scale)
+        except (InconsistentSystem, NoRealSolution):
+            continue
+        hexapod = duporcq_hexapod(design)
+        legs = float_legs(hexapod)
+        for s in report.samples:
+            residual = residuals_at(legs, s.e, s.f)[5]
+            assert abs(residual) <= selfmotion.TOL_LEG * scale
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(design_to_dict(design, hexapod)))
+        code = cli.main(["hexapod-check", str(path), "--samples", "10",
+                         "--tol-f0", repr(selfmotion.TOL_F0 * scale)])
+        captured = capsys.readouterr()
+        assert code == 0, (case, design, captured.err)
+        assert json.loads(captured.out)["architecturally_singular"] is True
+        checked[case] += 1
+    assert checked[2] >= 10 and checked[3] >= 10
+
+
+@pytest.mark.xfail(raises=InconsistentSystem, strict=True,
+                   reason="|f0| at the tangent directions near the half turn")
+def test_rec3_hexapod_tangent_f0_within_the_scaled_bound():
+    # a rec3 design (seed 1 of the generator above) whose pentapod samples
+    # at the scaled |f0| bound, 4.8e-11, while its hexapod does not: at the
+    # tangent direction (0, 1e-4, 1), which leaves the slice nearly rank
+    # deficient, |f0| rounds to 7.4e-11 with six legs and to 7.7e-12 with
+    # five; every leg closes there
+    design = _swap_4_5(build_motion_design(
+        BaseParams(Fraction(3, 2), 1, 5, Fraction(1, 2)), 31, 24))
+    tol_f0 = selfmotion.TOL_F0 * (1.0 + float(max(design.radii2)))
+    try:
+        verify_selfmotion(design, count=10, tol_f0=tol_f0)
+    except InconsistentSystem as exc:
+        raise AssertionError(f"the pentapod does not sample: {exc}")
+    verify_selfmotion(duporcq_hexapod(design), count=10, tol_f0=tol_f0)
 
 
 def test_float_legs_are_built_once_per_public_call(monkeypatch):

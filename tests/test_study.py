@@ -15,8 +15,8 @@ from duporcq import study
 from duporcq.cli import main
 from duporcq.exactpoly import (MPoly, NotDivisible, ZeroDegree, det, gcd,
                                maximal_minors)
-from duporcq.geometry import (BaseParams, design_to_dict, duporcq_hexapod,
-                              worked_design)
+from duporcq.geometry import (WORKED_PARAMS, BaseParams, design_to_dict,
+                              duporcq_hexapod, worked_design)
 from duporcq.study import (
     GENS,
     STUDY_VARS,
@@ -59,6 +59,7 @@ from duporcq.study import (
 )
 
 WORKED_RADII = (1, 18, Fraction(18, 25), 1, 18)
+WORKED = CanonicalDesign.from_params(WORKED_PARAMS, radii=WORKED_RADII)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -152,7 +153,7 @@ def test_sphere_matching_radius_at_identity():
 
 
 def test_worked_design_closes_at_half_turn():
-    design = CanonicalDesign.worked(radii=WORKED_RADII)
+    design = WORKED
     pose = StudyPose((0, 0, 0, 1), (0, 0, 0, 0))
     legs, w3 = design.legs()
     for i in (1, 2, 3, 4, 5):
@@ -218,7 +219,7 @@ def test_delta_linear_in_f():
 
 
 def test_delta_rejects_bad_index():
-    design = CanonicalDesign.worked(radii=WORKED_RADII)
+    design = WORKED
     with pytest.raises(ValueError):
         delta(design, 1)
 
@@ -236,7 +237,7 @@ def test_Ke_f_cancellation_is_a_typed_check(monkeypatch, capsys):
 
     monkeypatch.setattr(study, "sphere_linear", perturbed)
     with pytest.raises(NotFFree, match="f1"):
-        compute_Ke(CanonicalDesign.worked(radii=WORKED_RADII))
+        compute_Ke(WORKED)
     code = main(["pipeline", "--params", "1/3,-2,5/2,7",
                  "--mu", "3/2,1/5,-2", "--radii", "1,2,3,4,5"])
     captured = capsys.readouterr()
@@ -258,7 +259,7 @@ def _split_design(name):
     if name == "symbolic":
         return CanonicalDesign.symbolic()
     if name == "worked":
-        return CanonicalDesign.worked(radii=WORKED_RADII)
+        return WORKED
     rng = random.Random(61)
     for _ in range(int(name[-1])):
         _generic_design(rng)
@@ -340,7 +341,7 @@ def test_pipeline_cuts_each_quadric_once(monkeypatch):
 
     monkeypatch.setattr(MPoly, "coefficients", counting)
     monkeypatch.setattr(study, "resultant", counting_resultant)
-    pipeline_report(CanonicalDesign.worked(radii=WORKED_RADII))
+    pipeline_report(WORKED)
     assert len(resultants) == 4
     assert passes == {"duporcq.study": 2 * 2 + 4 + 1,
                       "duporcq.exactpoly": 2 * len(resultants)}
@@ -349,7 +350,7 @@ def test_pipeline_cuts_each_quadric_once(monkeypatch):
 # -------------------------------------------------------------------- K_e
 
 def test_Ke_is_f_free_and_quadratic():
-    design = CanonicalDesign.worked(radii=WORKED_RADII)
+    design = WORKED
     ke = compute_Ke(design)
     for fv in ("f0", "f1", "f2", "f3"):
         assert ke.poly.degree_in(fv) == 0
@@ -397,7 +398,7 @@ def test_quadric_form_rejects_f_terms():
 
 
 def test_quadric_form_keeps_its_ten_coefficients():
-    ke = compute_Ke(CanonicalDesign.worked(radii=WORKED_RADII))
+    ke = compute_Ke(WORKED)
     assert list(ke.coeffs) == [(i, j) for i in range(4) for j in range(i, 4)]
     assert not ke.coeff(0, 3).is_zero()
     assert ke.coeff(3, 0) == ke.coeff(0, 3)
@@ -420,7 +421,7 @@ def test_quadric_form_rejects_inhomogeneous():
 # ------------------------------------------------------------------- T quadric
 
 def test_T_worked_identity_map():
-    design = CanonicalDesign.worked(radii=WORKED_RADII)
+    design = WORKED
     td = rank_drop_T(design)
     g = GENS
     expect = g["e0"] * (-2 * g["e1"] + 3 * g["e2"])
@@ -565,7 +566,7 @@ def test_rank_drop_checks_are_typed(monkeypatch, kind, message):
 # -------------------------------------------------------------------- F1 and F2
 
 def test_F2_zero_iff_identity_map():
-    design = CanonicalDesign.worked(radii=WORKED_RADII)
+    design = WORKED
     _, f2 = f1_f2(design)
     assert f2.is_zero()
     rng = random.Random(23)
@@ -596,7 +597,7 @@ def test_F1_degeneracy_certificate():
 # ---------------------------------------------------------------------- ansatz
 
 def test_ansatz_forces_zero_on_worked_design():
-    design = CanonicalDesign.worked(radii=WORKED_RADII)
+    design = WORKED
     report = tangency_ansatz(compute_Ke(design))
     assert report.forces_all_zero()
     assert "q03" in report.branch_a.obstructions
@@ -653,7 +654,7 @@ def test_chain_matches_F1F2_on_draws():
 
 
 def test_chain_vanishes_identically_at_identity_map():
-    design = CanonicalDesign.worked(radii=WORKED_RADII)
+    design = WORKED
     ke = compute_Ke(design)
     td = rank_drop_T(design)
     chain = resultant_chain(ke, td.T, design)
@@ -991,7 +992,7 @@ def test_pipeline_report_solvable_ansatz(monkeypatch):
 
 @pytest.mark.parametrize("design, gcd_value", [
     (_generic_design(random.Random(43)), MPoly.zero(STUDY_VARS)),
-    (CanonicalDesign.worked(radii=WORKED_RADII), GENS["e1"])],
+    (WORKED, GENS["e1"])],
     ids=["generic-vanishing-gcd", "identity-nonzero-gcd"])
 def test_pipeline_conclusion_comes_from_the_chain(monkeypatch, design,
                                                   gcd_value):

@@ -103,6 +103,56 @@ def test_package_has_no_unread_names():
     assert found == []
 
 
+# the public library names that no module in src/, scripts/ or perfbench/
+# references: the paper oracles the tests check the package against, and
+# the exact leg model and kernel views the tests build their oracles from
+UNREFERENCED_PUBLIC_NAMES = {
+    "apply_pose", "build_motion_design", "circle_translations",
+    "cross_ratio", "dij", "exact_rank", "f1_degeneracy_certificate",
+    "f_matrix_at", "platform_m3_closed_form", "pose_from_translation",
+    "similarity_bond", "translational_submotion",
+    # acceptance test 08's claim at numeric points, until it states the
+    # generic one
+    "chain_vanishes_at",
+    "sphere_condition", "MPoly.from_exponents", "MPoly.monomials",
+}
+
+
+def test_public_names_are_referenced_or_listed():
+    # a public function, class or method that nothing in the package, the
+    # scripts or the benchmark refers to by name is library code only the
+    # tests call: delete it, or list it above as an oracle.  The list holds
+    # exactly those names, so it does not go stale.  The benchmark's span
+    # and counter names ("Class.method") count as references
+    refs = set()
+    sources = (sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+               + sorted(SPANS.parent.glob("*.py")))
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name.split(".")[-1])
+            elif (path == SPANS and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                refs.update(node.value.split("."))
+    public = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            public.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                public += [(f"{node.name}.{m.name}", m.name)
+                           for m in node.body
+                           if isinstance(m, ast.FunctionDef)]
+    unreferenced = {qualified for qualified, name in public
+                    if not name.startswith("_") and name not in refs}
+    assert unreferenced == UNREFERENCED_PUBLIC_NAMES
+
+
 def test_only_the_kernel_reads_polynomial_terms():
     # MPoly stores a content as a numerator and denominator pair and a dict
     # of packed exponents to ints, a layout private to exactpoly; other
