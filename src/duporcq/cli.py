@@ -26,8 +26,10 @@ from .geometry import (
     affine_match,
     duporcq_hexapod,
     kappa2_mu,
+    kappa2_twin,
     load_design,
     reconstruct_candidates,
+    swap_4_5,
 )
 from .moebius import (
     AllZero,
@@ -157,15 +159,18 @@ def cmd_classify(args):
 
 def cmd_motion(args):
     design, sixth = load_design(args.input)
-    params = BaseParams.from_points(design.base)
-    if kappa2_mu(params, design.platform) != AffineMap2.identity():
+    case, twin = kappa2_twin(design)
+    params = BaseParams.from_points(twin.base)
+    if kappa2_mu(params, twin.platform) != AffineMap2.identity():
         raise DegeneratePlatform(
             "motion sampling needs the identity kappa_2 platform")
     r1sq = design.radii2[0] if args.r1sq is None else _radius(args.r1sq)
     r2sq = design.radii2[1] if args.r2sq is None else _radius(args.r2sq)
-    # motion_radii gates (r1^2, r2^2) and solves the radii with a motion;
-    # an override samples those, a file without one its own radii
+    # motion_radii gates (r1^2, r2^2) and solves the twin's radii with a
+    # motion; an override samples them in file order, else the file's own
     radii = motion_radii(params, r1sq, r2sq)
+    if case == 3:
+        radii = swap_4_5(radii)
     if args.r1sq is None and args.r2sq is None:
         radii = design.radii2
     moving = PentapodDesign(design.base, design.platform, radii)
@@ -191,15 +196,19 @@ def cmd_motion(args):
         "tangent_angle": float(report.tangent_angle),
         "tangent_rank": tangent_rank,
     }
+    if case == 3:
+        payload["case"] = case
     return 0, payload
 
 
 def cmd_pipeline(args):
+    case = 2
     if args.input is not None:
         if (args.params, args.mu, args.radii) != (None, None, None):
             raise SchemaError("pipeline takes a design file or --params "
                               "(with --mu, --radii), not both")
         design, _ = load_design(args.input)
+        case, design = kappa2_twin(design)
         params = BaseParams.from_points(design.base)
         mu = kappa2_mu(params, design.platform)
         radii = design.radii2
@@ -222,6 +231,8 @@ def cmd_pipeline(args):
         "mu": [str(mu.mu1), str(mu.mu2), str(mu.mu3)],
         "radii2": [str(Fraction(r)) for r in radii],
     }
+    if case == 3:
+        payload["case"] = case
     return 0, payload
 
 

@@ -18,6 +18,9 @@ M1M4 is parallel to M2M5.
 This module is the one home of that frame: BaseParams builds its five
 points once, BaseParams.from_points and kappa2_mu invert the base and the
 kappa_2 platform, and affine_match compares a platform with a candidate.
+A kappa_3 design is read in the same frame: kappa2_twin relabels it to its
+kappa_2 twin by exchanging legs 4 and 5 (swap_4_5), so no kappa_3 formula
+is written out.
 """
 
 from __future__ import annotations
@@ -251,41 +254,26 @@ class HexapodDesign:
     m6: PlanarPoint
 
 
-def build_platform(base: BaseParams, kappa: int, A: AffineMap2):
-    """Platform anchors of the kappa_2 / kappa_3 correspondence.
-
-    kappa_2 sends M1->m4, M2->m5, M4->m1, M5->m2 (anchor images under A in
-    the normalized frame); kappa_3 swaps the roles of indices 4 and 5.  m3 is
-    the intersection of the two platform carrier lines of its case.
+def build_platform(base: BaseParams, A: AffineMap2):
+    """Platform anchors of the kappa_2 correspondence: M1->m4, M2->m5,
+    M4->m1, M5->m2 (anchor images under A in the normalized frame), and m3
+    the intersection of the carrier lines m1m5 and m2m4.  That is the image
+    of the quadrilateral vertex M1M5∩M2M4, which U2 != 0 keeps finite and
+    U1 != 0 off the anchors.  A kappa_3 platform is the kappa_2 platform of
+    its twin base, relabelled (kappa2_twin).
     """
-    if kappa not in (2, 3):
-        raise ValueError("kappa must be 2 or 3")
     M1, M2, _, M4, M5 = base.points
-    if kappa == 2:
-        m1, m2, m4, m5 = A.apply(M4), A.apply(M5), A.apply(M1), A.apply(M2)
-        m3 = intersect_lines(m1, m5 - m1, m2, m4 - m2)
-    else:
-        m1, m2, m4, m5 = A.apply(M5), A.apply(M4), A.apply(M2), A.apply(M1)
-        m3 = intersect_lines(m1, m4 - m1, m2, m5 - m2)
-    if m3 is None:
-        raise DegeneratePlatform("m3 at infinity")
-    anchors = (m1, m2, m4, m5)
-    if any(m3 == a for a in anchors):
-        raise DegeneratePlatform("m3 coincides with an anchor")
-    platform = (m1, m2, m3, m4, m5)
-    # collinearity constraints of the case must hold exactly
-    if kappa == 2:
-        ok = collinear(m1, m3, m5) and collinear(m2, m3, m4)
-    else:
-        ok = collinear(m1, m3, m4) and collinear(m2, m3, m5)
-    if not ok:
-        raise InvariantViolation(f"kappa_{kappa} m3 is off its carrier lines")
-    return platform
+    m1, m2, m4, m5 = A.apply(M4), A.apply(M5), A.apply(M1), A.apply(M2)
+    m3 = intersect_lines(m1, m5 - m1, m2, m4 - m2)
+    # the collinearity constraints must hold exactly
+    if not (collinear(m1, m3, m5) and collinear(m2, m3, m4)):
+        raise InvariantViolation("kappa_2 m3 is off its carrier lines")
+    return (m1, m2, m3, m4, m5)
 
 
 def kappa2_mu(base: BaseParams, platform) -> AffineMap2:
     """The normalization mu of a kappa_2 platform: the one with
-    build_platform(base, 2, mu) == platform; DegeneratePlatform if none."""
+    build_platform(base, mu) == platform; DegeneratePlatform if none."""
     m1, _, _, m4, m5 = platform
     if m4 != PlanarPoint(0, 0) or m5.y != 0:
         raise DegeneratePlatform(
@@ -295,9 +283,29 @@ def kappa2_mu(base: BaseParams, platform) -> AffineMap2:
         mu = AffineMap2(mu1, (m1.x - mu1 * base.A4) / base.B4, m1.y / base.B4)
     except ValueError as exc:
         raise DegeneratePlatform(str(exc)) from exc
-    if build_platform(base, 2, mu) != tuple(platform):
+    if build_platform(base, mu) != tuple(platform):
         raise DegeneratePlatform("platform is not a kappa_2 image of the base")
     return mu
+
+
+def swap_4_5(seq) -> tuple:
+    """seq with its entries 4 and 5 exchanged; an involution."""
+    return (*seq[:3], seq[4], seq[3])
+
+
+def kappa2_twin(design: PentapodDesign) -> tuple:
+    """(case, twin) of a Duporcq design: case 2 if {m1,m3,m5}, {m2,m3,m4}
+    are collinear, and the design is its own twin; case 3 if {m1,m3,m4},
+    {m2,m3,m5} are, and the twin has base points, platform points and
+    radii 4 and 5 exchanged: its canonical base has parameters (A5, B5,
+    A4, B4) and the same M3.  NotDuporcq for any other platform."""
+    m1, m2, m3, m4, m5 = design.platform
+    if collinear(m1, m3, m5) and collinear(m2, m3, m4):
+        return 2, design
+    if collinear(m1, m3, m4) and collinear(m2, m3, m5):
+        return 3, PentapodDesign(*map(swap_4_5, (
+            design.base, design.platform, design.radii2)))
+    raise NotDuporcq("platform has no case-2/case-3 collinearity pattern")
 
 
 def platform_m3_closed_form(base: BaseParams, A: AffineMap2) -> PlanarPoint:
@@ -319,51 +327,37 @@ def tv_ratio(X: PlanarPoint, Y: PlanarPoint, Z: PlanarPoint) -> Fraction:
     return w.x / d.x if d.x != 0 else w.y / d.y
 
 
-def _case_of_platform(platform) -> int | None:
-    """2 if {m1,m3,m5},{m2,m3,m4} are collinear, 3 if {m1,m3,m4},{m2,m3,m5}."""
-    m1, m2, m3, m4, m5 = platform
-    if collinear(m1, m3, m5) and collinear(m2, m3, m4):
-        return 2
-    if collinear(m1, m3, m4) and collinear(m2, m3, m5):
-        return 3
-    return None
-
-
-# leg i joins base vertex i to the platform image of its opposite vertex;
-# which base vertex is opposite depends on the platform collinearity case
-OPPOSITE = {2: {1: 4, 2: 5, 3: 6, 4: 1, 5: 2, 6: 3},
-            3: {1: 5, 2: 4, 3: 6, 4: 2, 5: 1, 6: 3}}
+# leg i joins base vertex i to the platform image of its opposite vertex,
+# in the kappa_2 frame
+OPPOSITE = {1: 4, 2: 5, 3: 6, 4: 1, 5: 2, 6: 3}
 
 
 def duporcq_hexapod(design: PentapodDesign) -> HexapodDesign:
     """Complete a Duporcq pentapod to its architecturally singular hexapod.
 
     M6 is the remaining vertex of the base quadrilateral, m6 the remaining
-    vertex of the platform quadrilateral; the two quadrilaterals must be
-    congruent under the case's opposite-vertex pairing (3<->6 always).
+    vertex of the platform quadrilateral; the two quadrilaterals of the
+    kappa_2 twin must be congruent under the OPPOSITE pairing.  Exchanging
+    legs 4 and 5 moves neither vertex, so the hexapod keeps the file's leg
+    order.
     """
-    M1, M2, M3, M4, M5 = design.base
-    if not (collinear(M1, M2, M3) and collinear(M3, M4, M5)):
+    if not (collinear(*design.base[:3]) and collinear(*design.base[2:])):
         raise NotDuporcq("base triples (1,2,3) and (3,4,5) not collinear")
-    case = _case_of_platform(design.platform)
-    if case is None:
-        raise NotDuporcq("platform has no case-2/case-3 collinearity pattern")
-    if case == 2:
-        M6 = intersect_lines(M1, M5 - M1, M2, M4 - M2)
-    else:
-        M6 = intersect_lines(M1, M4 - M1, M2, M5 - M2)
-    m1, m2, m3, m4, m5 = design.platform
+    _, twin = kappa2_twin(design)
+    M1, M2, M3, M4, M5 = twin.base
+    m1, m2, m3, m4, m5 = twin.platform
+    M6 = intersect_lines(M1, M5 - M1, M2, M4 - M2)
     m6 = intersect_lines(m1, m2 - m1, m4, m5 - m4)
     if M6 is None or m6 is None:
         raise NotDuporcq("completion vertex at infinity")
     Mpts = {1: M1, 2: M2, 3: M3, 4: M4, 5: M5, 6: M6}
     mpts = {1: m1, 2: m2, 3: m3, 4: m4, 5: m5, 6: m6}
-    opp = OPPOSITE[case]
     for i in range(1, 7):
         for j in range(i + 1, 7):
-            if dist2(Mpts[i], Mpts[j]) != dist2(mpts[opp[i]], mpts[opp[j]]):
-                raise NotDuporcq(
-                    f"edge M{i}M{j} not congruent to m{opp[i]}m{opp[j]}")
+            if dist2(Mpts[i], Mpts[j]) != dist2(mpts[OPPOSITE[i]],
+                                                mpts[OPPOSITE[j]]):
+                raise NotDuporcq(f"edge M{i}M{j} not congruent to "
+                                 f"m{OPPOSITE[i]}m{OPPOSITE[j]}")
     return HexapodDesign(design, M6, m6)
 
 
@@ -384,8 +378,7 @@ def reconstruct_candidates(base: BaseParams) -> list:
     slots 2bi/2bii anchor m1:=M4, m4:=M1; slot 3 anchors m1:=M5, m5:=M1.
     """
     M1, M2, _, M4, M5 = base.points
-    d12, d15, d24, d25, d45 = M2 - M1, M5 - M1, M4 - M2, M5 - M2, M5 - M4
-    d14 = M4 - M1
+    d12, d15, d24, d45 = M2 - M1, M5 - M1, M4 - M2, M5 - M4
 
     out = []
 
@@ -407,24 +400,20 @@ def reconstruct_candidates(base: BaseParams) -> list:
     m3 = intersect_lines(m1, m5 - m1, m2, m4 - m2)
     out.append(Candidate("2a", (m1, m2, m3, m4, m5), 2))
 
-    # case 2(b): anchors swapped to m1:=M4, m4:=M1
-    m1, m4 = M4, M1
-    m2 = intersect_lines(m1, d45, m4, d15)
-    m5 = intersect_lines(m4, d12, m1, d24)
-    m3 = intersect_lines(m1, m5 - m1, m2, m4 - m2)
-    out.append(Candidate("2bi", (m1, m2, m3, m4, m5), 2))
+    # case 2(b): anchors swapped to m1:=M4, m4:=M1; 2(b)i is the identity
+    # kappa_2 platform
+    identity = AffineMap2.identity()
+    out.append(Candidate("2bi", build_platform(base, identity), 2))
 
+    m1, m4 = M4, M1
     m2 = intersect_lines(m1, d45, m4, d24)
     m5 = intersect_lines(m4, d12, m1, d15)
     m3 = intersect_lines(m1, m5 - m1, m2, m4 - m2)
     out.append(Candidate("2bii", (m1, m2, m3, m4, m5), 2))
 
-    # case 3: the 4<->5 swap of 2(b)i, anchors m1:=M5, m5:=M1
-    m1, m5 = M5, M1
-    m2 = intersect_lines(m1, d45, m5, d14)
-    m4 = intersect_lines(m5, d12, m1, d25)
-    m3 = intersect_lines(m1, m4 - m1, m2, m5 - m2)
-    out.append(Candidate("3", (m1, m2, m3, m4, m5), 3))
+    # case 3: the twin base's 2(b)i, relabelled 4<->5 (kappa2_twin)
+    twin = BaseParams(base.A5, base.B5, base.A4, base.B4)
+    out.append(Candidate("3", swap_4_5(build_platform(twin, identity)), 3))
 
     for cand in out:
         if cand.platform[2] is None or any(p is None for p in cand.platform):
@@ -539,7 +528,7 @@ WORKED_PARAMS = BaseParams(0, 1, 2, 3)
 def worked_design() -> PentapodDesign:
     """The Duporcq design used throughout: base (0,1,2,3), kappa_2 platform
     under the identity normalization, leg radii admitting a self-motion."""
-    platform = build_platform(WORKED_PARAMS, 2, AffineMap2.identity())
+    platform = build_platform(WORKED_PARAMS, AffineMap2.identity())
     radii = (Fraction(1), Fraction(18), Fraction(18, 25),
              Fraction(1), Fraction(18))
     return PentapodDesign(WORKED_PARAMS.points, platform, radii)

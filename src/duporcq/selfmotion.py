@@ -159,7 +159,7 @@ def motion_radii(params: BaseParams, r1sq, r2sq) -> tuple:
 
 def build_motion_design(params: BaseParams, r1sq, r2sq) -> PentapodDesign:
     """Concrete pentapod with the kappa_2 identity platform and motion radii."""
-    platform = build_platform(params, 2, AffineMap2.identity())
+    platform = build_platform(params, AffineMap2.identity())
     return PentapodDesign(params.points, platform,
                           motion_radii(params, r1sq, r2sq))
 
@@ -213,8 +213,8 @@ def float_legs(design) -> FloatLegs:
 def sixth_radius(design: HexapodDesign) -> Fraction:
     """Sixth squared leg length: r3^2, read off no pose.  Legs paired by
     the congruence of the two complete quadrilaterals have equal lengths,
-    as motion_radii copies r1^2, r2^2 onto legs 4, 5, and
-    geometry.OPPOSITE pairs 6 with 3 in both cases."""
+    as motion_radii copies r1^2, r2^2 onto legs 4, 5; geometry.OPPOSITE
+    pairs 6 with 3, and a rec3 design's kappa_2 twin moves neither."""
     return design.pentapod.radii2[2]
 
 

@@ -218,7 +218,7 @@ def test_motion_needs_identity_platform(tmp_path, capsys):
 def test_motion_needs_the_identity_mu(tmp_path, capsys):
     # a kappa_2 platform under another normalization mu is refused by name
     d = worked_design()
-    platform = build_platform(WORKED_PARAMS, 2, AffineMap2(2, 0, 1))
+    platform = build_platform(WORKED_PARAMS, AffineMap2(2, 0, 1))
     path = write_design(tmp_path, PentapodDesign(d.base, platform, d.radii2))
     code = main(["motion", path, "--samples", "3",
                  "--out", str(tmp_path / "x.csv")])
@@ -226,6 +226,23 @@ def test_motion_needs_the_identity_mu(tmp_path, capsys):
     assert (code, captured.out) == (3, "")
     assert json.loads(captured.err) == {
         "error": "motion sampling needs the identity kappa_2 platform"}
+
+
+@pytest.mark.parametrize("command", ["motion", "pipeline"])
+def test_platform_outside_the_kappa2_frame_is_refused_by_name(
+        tmp_path, capsys, command):
+    # a platform of neither collinearity case has no kappa_2 twin, and a
+    # translated kappa_2 platform is not normalized in its frame
+    d = worked_design()
+    moved = tuple(p + PlanarPoint(1, 0) for p in d.platform)
+    for platform, error in ((d.base, "no case-2/case-3 collinearity"),
+                            (moved, "platform not normalized")):
+        path = write_design(tmp_path, PentapodDesign(d.base, platform,
+                                                     d.radii2))
+        code = main([command, path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert error in json.loads(captured.err)["error"]
 
 
 # -------------------------------------------------------------------- pipeline

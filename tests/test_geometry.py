@@ -11,6 +11,7 @@ from duporcq.geometry import (
     Candidate,
     CoincidentBase,
     DegenerateBase,
+    DegeneratePlatform,
     HexapodDesign,
     InvariantViolation,
     NotCollinear,
@@ -26,9 +27,11 @@ from duporcq.geometry import (
     dist2,
     duporcq_hexapod,
     intersect_lines,
+    kappa2_twin,
     load_design,
     platform_m3_closed_form,
     reconstruct_candidates,
+    swap_4_5,
     tv_ratio,
     worked_design,
 )
@@ -41,6 +44,19 @@ def P(x, y):
 
 
 rational = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+positive = st.fractions(min_value=Fraction(1, 4), max_value=4,
+                        max_denominator=4)
+
+
+def twin_base(base: BaseParams) -> BaseParams:
+    """The canonical base with (A4, B4) and (A5, B5) exchanged."""
+    return BaseParams(base.A5, base.B5, base.A4, base.B4)
+
+
+def kappa3_platform(base: BaseParams, A: AffineMap2) -> tuple:
+    """The kappa_3 platform of base: the kappa_2 platform of its twin base,
+    relabelled."""
+    return swap_4_5(build_platform(twin_base(base), A))
 
 
 # ------------------------------------------------------------ canonical base
@@ -121,43 +137,91 @@ def test_affine_map_apply():
 # ------------------------------------------------------------------ platform
 
 def test_build_platform_kappa2_identity():
-    plat = build_platform(WORKED, 2, AffineMap2.identity())
+    plat = build_platform(WORKED, AffineMap2.identity())
     assert plat == (P(0, 1), P(2, 3), P(Fraction(2, 5), Fraction(3, 5)),
                     P(0, 0), P(1, 0))
 
 
 def test_build_platform_kappa3_identity():
-    plat = build_platform(WORKED, 3, AffineMap2.identity())
+    plat = kappa3_platform(WORKED, AffineMap2.identity())
     assert plat == (P(2, 3), P(0, 1), P(0, -3), P(1, 0), P(0, 0))
+    assert plat == tuple(P(x, y) for x, y in FROZEN_CANDIDATES["3"])
 
 
 def test_platform_case_collinearities():
-    plat2 = build_platform(WORKED, 2, AffineMap2.identity())
+    plat2 = build_platform(WORKED, AffineMap2.identity())
     m1, m2, m3, m4, m5 = plat2
     assert collinear(m1, m3, m5) and collinear(m2, m3, m4)
-    plat3 = build_platform(WORKED, 3, AffineMap2.identity())
+    plat3 = kappa3_platform(WORKED, AffineMap2.identity())
     m1, m2, m3, m4, m5 = plat3
     assert collinear(m1, m3, m4) and collinear(m2, m3, m5)
 
 
 @pytest.mark.parametrize("kappa", [2, 3])
 def test_build_platform_collinearity_is_typed(monkeypatch, kappa):
-    # an m3 off both carrier lines must fail loudly, also under python -O
+    # an m3 off both carrier lines must fail loudly, also under python -O;
+    # the kappa_3 platform is built through its kappa_2 twin, so it must too
     monkeypatch.setattr("duporcq.geometry.intersect_lines",
                         lambda *args: P(7, 11))
+    build = build_platform if kappa == 2 else kappa3_platform
     with pytest.raises(InvariantViolation, match="carrier lines"):
-        build_platform(WORKED, kappa, AffineMap2.identity())
+        build(WORKED, AffineMap2.identity())
 
 
-def test_build_platform_bad_kappa():
-    with pytest.raises(ValueError):
-        build_platform(WORKED, 1, AffineMap2.identity())
+@given(A4=rational, B4=rational, A5=rational, B5=rational, mu1=positive,
+       mu2=rational, mu3=rational)
+@settings(max_examples=80, deadline=None)
+def test_kappa3_design_is_its_kappa2_twin_relabelled(A4, B4, A5, B5, mu1,
+                                                      mu2, mu3):
+    # the twin base is valid exactly when the base is, with the same M3,
+    # V' = -V, U1' = -U1, U2' = -U3 and U3' = -U2
+    try:
+        base = BaseParams(A4, B4, A5, B5)
+    except DegenerateBase:
+        with pytest.raises(DegenerateBase):
+            BaseParams(A5, B5, A4, B4)
+        return
+    twin = twin_base(base)
+    assert twin.points[2] == base.points[2]
+    assert (twin.V, twin.U1, twin.U2, twin.U3) == (
+        -base.V, -base.U1, -base.U3, -base.U2)
+    if mu3 == 0:
+        return
+    # the relabelled kappa_2 platform of the twin base is the kappa_3 image
+    # of the base: M5->m1, M4->m2, M2->m4, M1->m5 under A, and m3 on the
+    # carrier lines m1m4 and m2m5
+    A = AffineMap2(mu1, mu2, mu3)
+    M1, M2, _, M4, M5 = base.points
+    plat = kappa3_platform(base, A)
+    m1, m2, m3, m4, m5 = plat
+    assert (m1, m2, m4, m5) == tuple(A.apply(M) for M in (M5, M4, M2, M1))
+    assert collinear(m1, m3, m4) and collinear(m2, m3, m5)
+    # kappa2_twin reads that design as its twin, and the twin as itself
+    design = PentapodDesign(base.points, plat, (1, 2, 3, 4, 5))
+    twin_design = PentapodDesign(twin.points, build_platform(twin, A),
+                                 (1, 2, 3, 5, 4))
+    assert kappa2_twin(design) == (3, twin_design)
+    assert kappa2_twin(twin_design) == (2, twin_design)
+    # at the identity it is slot 3 of the base and the relabelled slot 2bi
+    # of the twin base
+    try:
+        slot3 = {c.tag: c.platform for c in reconstruct_candidates(base)}["3"]
+        twin_2bi = {c.tag: c.platform
+                    for c in reconstruct_candidates(twin)}["2bi"]
+    except DegeneratePlatform:
+        return
+    assert kappa3_platform(base, AffineMap2.identity()) == slot3 == \
+        swap_4_5(twin_2bi)
 
 
-@given(A4=rational, B4=rational, A5=rational, B5=rational,
-       mu1=st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4),
-       mu2=rational,
-       mu3=rational)
+def test_kappa2_twin_refuses_a_platform_of_neither_case():
+    design = worked_design()
+    with pytest.raises(NotDuporcq, match="collinearity pattern"):
+        kappa2_twin(PentapodDesign(design.base, design.base, design.radii2))
+
+
+@given(A4=rational, B4=rational, A5=rational, B5=rational, mu1=positive,
+       mu2=rational, mu3=rational)
 @settings(max_examples=80, deadline=None)
 def test_m3_closed_form_matches_intersection(A4, B4, A5, B5, mu1, mu2, mu3):
     if mu3 == 0:
@@ -168,7 +232,7 @@ def test_m3_closed_form_matches_intersection(A4, B4, A5, B5, mu1, mu2, mu3):
         return
     A = AffineMap2(mu1, mu2, mu3)
     try:
-        plat = build_platform(params, 2, A)
+        plat = build_platform(params, A)
     except Exception:
         return
     assert plat[2] == platform_m3_closed_form(params, A)
@@ -235,7 +299,7 @@ def test_hexapod_vertex_sets_match():
 
 def test_duporcq_hexapod_kappa3():
     base = WORKED.points
-    plat = build_platform(WORKED, 3, AffineMap2.identity())
+    plat = kappa3_platform(WORKED, AffineMap2.identity())
     design = PentapodDesign(base, plat, (1, 1, 1, 1, 1))
     hexa = duporcq_hexapod(design)
     assert hexa.M6 == P(0, -3)
@@ -244,7 +308,7 @@ def test_duporcq_hexapod_kappa3():
 
 def test_duporcq_hexapod_rejects_scaled_platform():
     base = WORKED.points
-    plat = build_platform(WORKED, 2, AffineMap2(2, 0, 1))
+    plat = build_platform(WORKED, AffineMap2(2, 0, 1))
     design = PentapodDesign(base, plat, (1, 1, 1, 1, 1))
     with pytest.raises(NotDuporcq):
         duporcq_hexapod(design)
@@ -289,9 +353,16 @@ def test_candidate_cases():
 
 
 def test_candidate_2bi_matches_kappa2_platform():
+    # slot 2bi is the kappa_2 anchor map M1->m4, M2->m5, M4->m1, M5->m2
+    # with the closed-form m3, and slot 3 the kappa_3 one, M5->m1, M4->m2,
+    # M2->m4, M1->m5, with the twin base's
     cands = {c.tag: c for c in reconstruct_candidates(WORKED)}
-    assert cands["2bi"].platform == build_platform(WORKED, 2, AffineMap2.identity())
-    assert cands["3"].platform == build_platform(WORKED, 3, AffineMap2.identity())
+    M1, M2, _, M4, M5 = WORKED.points
+    ident = AffineMap2.identity()
+    assert cands["2bi"].platform == (
+        M4, M5, platform_m3_closed_form(WORKED, ident), M1, M2)
+    assert cands["3"].platform == (
+        M5, M4, platform_m3_closed_form(twin_base(WORKED), ident), M2, M1)
 
 
 @given(A4=rational, B4=rational, A5=rational, B5=rational)

@@ -11,13 +11,22 @@ from pathlib import Path
 import pytest
 
 from duporcq.cli import main
-from duporcq.geometry import design_to_dict, duporcq_hexapod, worked_design
+from duporcq.geometry import (
+    PentapodDesign,
+    design_to_dict,
+    duporcq_hexapod,
+    swap_4_5,
+    worked_design,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
     "classify": ["classify", "{worked}"],
     "pipeline": ["pipeline", "{worked}"],
+    # the worked design with legs 4 and 5 exchanged: its kappa_2 twin's
+    # report, naming the case
+    "pipeline_rec3": ["pipeline", "{rec3}"],
     "profile": ["profile", "{worked}"],
     "pipeline_generic": ["pipeline", "--params", "1/3,-2,5/2,7",
                          "--mu", "3/2,1/5,-2", "--radii", "1,2,3,4,5"],
@@ -26,11 +35,14 @@ COMMANDS = {
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_golden(name, tmp_path, capsys):
-    design = worked_design()
-    worked = tmp_path / "worked.json"
-    worked.write_text(json.dumps(design_to_dict(design,
-                                                duporcq_hexapod(design))))
-    argv = [a.format(worked=worked) for a in COMMANDS[name]]
+    worked = worked_design()
+    designs = {"worked": worked, "rec3": PentapodDesign(*map(swap_4_5, (
+        worked.base, worked.platform, worked.radii2)))}
+    paths = {key: tmp_path / f"{key}.json" for key in designs}
+    for key, design in designs.items():
+        paths[key].write_text(json.dumps(design_to_dict(
+            design, duporcq_hexapod(design))))
+    argv = [a.format(**paths) for a in COMMANDS[name]]
     assert main(argv) == 0
     expected = (GOLDEN / f"{name}.stdout").read_text()
     assert capsys.readouterr().out == expected

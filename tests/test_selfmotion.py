@@ -13,17 +13,16 @@ import pytest
 
 from duporcq import cli, selfmotion
 from duporcq.geometry import (
-    AffineMap2,
     BaseParams,
-    DegeneratePlatform,
     HexapodDesign,
     InvariantViolation,
     PentapodDesign,
     PlanarPoint,
-    build_platform,
     collinear,
     design_to_dict,
     duporcq_hexapod,
+    kappa2_twin,
+    swap_4_5,
 )
 from duporcq.selfmotion import (
     TRAJECTORY_COLUMNS,
@@ -61,6 +60,7 @@ from duporcq.study import (
     SphereConstraint,
     StudyPose,
     compute_Ke,
+    pipeline_report,
     sphere_condition,
     sphere_linear,
 )
@@ -783,17 +783,16 @@ def test_hexapod_motion_closes_sixth_leg():
     assert rep.max_residual <= 1e-12
 
 
-def _swap_4_5(design: PentapodDesign) -> PentapodDesign:
-    """design with its base points, platform points and radii 4 and 5
-    exchanged."""
-    return PentapodDesign(*(seq[:3] + (seq[4], seq[3]) for seq in (
-        design.base, design.platform, design.radii2)))
+def _rec3(twin: PentapodDesign) -> PentapodDesign:
+    """The rec3 design whose kappa_2 twin is twin."""
+    return PentapodDesign(*map(swap_4_5, (
+        twin.base, twin.platform, twin.radii2)))
 
 
 def _seeded_duporcq_designs(seed, count):
     """(case, design) of count motion pentapods on seeded canonical bases,
-    alternating the cases.  A rec3 design is _swap_4_5 of the kappa_2
-    motion design of the base with (A4, B4) and (A5, B5) exchanged."""
+    alternating the cases.  A rec3 design's twin is the kappa_2 motion
+    design of the base with (A4, B4) and (A5, B5) exchanged."""
     rng = random.Random(seed)
     designs = []
     while len(designs) < count:
@@ -804,13 +803,12 @@ def _seeded_duporcq_designs(seed, count):
         try:
             design = build_motion_design(base if case == 2 else swapped,
                                          r1sq, r2sq)
-        except (Unrealizable, DegeneratePlatform):
+        except Unrealizable:
             continue
         if case == 3:
-            design = _swap_4_5(design)
+            twin, design = design, _rec3(design)
             assert design.base == base.points
-            assert design.platform == build_platform(
-                base, 3, AffineMap2.identity())
+            assert kappa2_twin(design) == (3, twin)
         designs.append((case, design))
     return designs
 
@@ -846,6 +844,54 @@ def test_sixth_leg_closes_along_the_pentapod_motion(tmp_path, capsys):
     assert checked[2] >= 10 and checked[3] >= 10
 
 
+def test_rec3_files_run_through_their_kappa2_twin(tmp_path, capsys):
+    # pipeline reports a rec3 file's kappa_2 twin and names the case;
+    # motion samples the file's own legs, an override solving their radii
+    # in file order (r1^2, r2^2, r3^2, r2^2, r1^2), and at the scaled |f0|
+    # bound it exits 0 wherever the pentapod samples
+    path, csv_path = tmp_path / "design.json", tmp_path / "motion.csv"
+    sampled = 0
+    for case, design in _seeded_duporcq_designs(2, 40):
+        if case == 2:
+            continue
+        _, twin = kappa2_twin(design)
+        path.write_text(json.dumps(design_to_dict(design)))
+        assert cli.main(["pipeline", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("case") == 3
+        assert report.pop("params")["radii2"] == [str(r)
+                                                  for r in twin.radii2]
+        expected = pipeline_report(CanonicalDesign.from_params(
+            BaseParams.from_points(twin.base), radii=twin.radii2))
+        assert report == json.loads(json.dumps(expected))
+        tol_f0 = selfmotion.TOL_F0 * (1.0 + float(max(design.radii2)))
+        try:
+            verify_selfmotion(design, count=10, tol_f0=tol_f0)
+        except (InconsistentSystem, NoRealSolution):
+            moves = False
+        else:
+            moves = True
+        code = cli.main(["motion", str(path), "--r1sq", str(design.radii2[0]),
+                         "--samples", "10", "--tol-f0", repr(tol_f0),
+                         "--out", str(csv_path)])
+        captured = capsys.readouterr()
+        assert code == (0 if moves else 5), captured.err
+        if not moves:
+            continue
+        r1sq, r2sq, r3sq = design.radii2[:3]
+        assert json.loads(captured.out)["radii2"] == [
+            str(r) for r in (r1sq, r2sq, r3sq, r2sq, r1sq)]
+        legs = float_legs(design)
+        with open(csv_path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                e, f = ([float(row[f"{k}{i}"]) for i in range(4)]
+                        for k in "ef")
+                assert [float(row[f"res{i}"]) for i in range(1, 6)] == \
+                    residuals_at(legs, e, f).tolist()
+        sampled += 1
+    assert sampled >= 10
+
+
 @pytest.mark.xfail(raises=InconsistentSystem, strict=True,
                    reason="|f0| at the tangent directions near the half turn")
 def test_rec3_hexapod_tangent_f0_within_the_scaled_bound():
@@ -854,7 +900,7 @@ def test_rec3_hexapod_tangent_f0_within_the_scaled_bound():
     # tangent direction (0, 1e-4, 1), which leaves the slice nearly rank
     # deficient, |f0| rounds to 7.4e-11 with six legs and to 7.7e-12 with
     # five; every leg closes there
-    design = _swap_4_5(build_motion_design(
+    design = _rec3(build_motion_design(
         BaseParams(Fraction(3, 2), 1, 5, Fraction(1, 2)), 31, 24))
     tol_f0 = selfmotion.TOL_F0 * (1.0 + float(max(design.radii2)))
     try:
