@@ -343,7 +343,7 @@ def duporcq_hexapod(design: PentapodDesign) -> HexapodDesign:
     """
     if not (collinear(*design.base[:3]) and collinear(*design.base[2:])):
         raise NotDuporcq("base triples (1,2,3) and (3,4,5) not collinear")
-    _, twin = kappa2_twin(design)
+    case, twin = kappa2_twin(design)
     M1, M2, M3, M4, M5 = twin.base
     m1, m2, m3, m4, m5 = twin.platform
     M6 = intersect_lines(M1, M5 - M1, M2, M4 - M2)
@@ -352,12 +352,15 @@ def duporcq_hexapod(design: PentapodDesign) -> HexapodDesign:
         raise NotDuporcq("completion vertex at infinity")
     Mpts = {1: M1, 2: M2, 3: M3, 4: M4, 5: M5, 6: M6}
     mpts = {1: m1, 2: m2, 3: m3, 4: m4, 5: m5, 6: m6}
+    # the twin's vertex k is the file's vertex label[k]
+    label = (0, 1, 2, 3, 5, 4, 6) if case == 3 else range(7)
     for i in range(1, 7):
         for j in range(i + 1, 7):
             if dist2(Mpts[i], Mpts[j]) != dist2(mpts[OPPOSITE[i]],
                                                 mpts[OPPOSITE[j]]):
-                raise NotDuporcq(f"edge M{i}M{j} not congruent to "
-                                 f"m{OPPOSITE[i]}m{OPPOSITE[j]}")
+                raise NotDuporcq(
+                    f"edge M{label[i]}M{label[j]} not congruent to "
+                    f"m{label[OPPOSITE[i]]}m{label[OPPOSITE[j]]}")
     return HexapodDesign(design, M6, m6)
 
 

@@ -10,16 +10,16 @@ takes r3^2 (sixth_radius), so the hexapod carries its pentapod's motion.
 The motion lives on e0 = 0: for each rotation direction (0:e1:e2:e3) the
 Study condition and the differences of the leg conditions cut a linear slice
 of translations f, and leg 1 cuts that slice in a sphere around a center in
-kernel coordinates: the translation fiber, generically two points.  The
-sampler solves the slice by lstsq, takes its kernel from an SVD and returns
-the least-norm point of the fiber that closes every leg.  A design carries
-such a motion exactly when its squared radii satisfy the linear relation
-G = 0.  build_G derives G once over the base ring Q[A4, B4, A5, B5] (identity
-mu); derive_G builds it on its first call, keeps it for the process and
-evaluates it at each numeric base, so motion_radii computes no K_e.
-sample_pose, the one sampler, takes a whole grid of directions through one
-sphere_linear call, one stacked SVD and one residuals_at call (lstsq still
-runs per direction); trajectory samples its directions in one call, and
+kernel coordinates: the translation fiber, generically two points.  One SVD
+of the slice gives its rank, its kernel and its least-norm point, and the
+sampler returns the least-norm point of the fiber that closes every leg.  A
+design carries such a motion exactly when its squared radii satisfy the
+linear relation G = 0.  build_G derives G once over the base ring
+Q[A4, B4, A5, B5] (identity mu); derive_G builds it on its first call, keeps
+it for the process and evaluates it at each numeric base, so motion_radii
+computes no K_e.  sample_pose, the one sampler, takes a whole grid of
+directions through one sphere_linear call, one stacked SVD and one
+residuals_at call; trajectory samples its directions in one call, and
 verify_selfmotion samples its first grid and the three tangent directions
 at the half-turn in one call, so a motion op whose first grid holds enough
 poses makes one sampler call.
@@ -261,10 +261,11 @@ def sample_pose(legs: FloatLegs, directions, tol_leg: float = TOL_LEG,
     it.  ValueError, before any sampling, unless every direction is a
     nonzero 3-vector.
 
-    lstsq gives the least-norm solution fp of each direction's linear slice
-    {S = 0, Q1 - Qi = 0 for every other leg}, and an SVD its rank and the
-    orthonormal rows K of its kernel.  A design carrying the motion leaves
-    the slice rank-deficient with a consistent right side;
+    One SVD of each direction's linear slice A f = b, {S = 0, Q1 - Qi = 0
+    for every other leg}, gives its rank, the orthonormal rows K of its
+    kernel and its pseudo-inverse pinv at that rank: the least-norm point is
+    fp = pinv b, refined once by fp += pinv (b - A fp).  A design carrying
+    the motion leaves the slice rank-deficient with a consistent right side;
     InconsistentSystem otherwise.  In kernel coordinates s, f = fp + s.K,
     leg 1 reads Q1 = 4|s - center|^2 - 4 rho^2 with center = -K(8 fp + L1)/8
     and rho^2 = |center|^2 - Q1(fp)/4: the fiber is a sphere of any kernel
@@ -289,16 +290,16 @@ def sample_pose(legs: FloatLegs, directions, tol_leg: float = TOL_LEG,
     A = np.concatenate([e[:, None], rows[:, :1] - rows[:, 1:]], axis=1)
     b = np.concatenate([np.zeros((len(d), 1)), consts[:, 1:] - consts[:, :1]],
                        axis=1)
-    # not from the SVD's factors, Vt[:r].T @ ((U[:, :r].T @ b) / sv[:r]):
-    # at the nearly rank-deficient tangent directions that point rounds
-    # about twice as far as lstsq's, and |f0| there sits near TOL_F0
-    fp = np.array([np.linalg.lstsq(a, y, rcond=None)[0]
-                   for a, y in zip(A, b)])
-    tol = tol_leg * (1.0 + float(np.max(np.abs(legs.r2))))
-    gap = (A @ fp[:, :, None])[:, :, 0] - b
-    inconsistent = np.sqrt(np.vecdot(gap, gap)) > tol
-    _, sv, Vt = np.linalg.svd(A)
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
     rank = (sv > 1e-9 * sv[:, :1]).sum(axis=1)
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv),
+                    where=np.arange(4) < rank[:, None])
+    pinv = Vt.mT @ (inv[:, :, None] * U.mT)
+    fp = np.matvec(pinv, b)
+    fp += np.matvec(pinv, b - np.matvec(A, fp))
+    tol = tol_leg * (1.0 + float(np.max(np.abs(legs.r2))))
+    gap = np.matvec(A, fp) - b
+    inconsistent = np.sqrt(np.vecdot(gap, gap)) > tol
     point = rank == 4
     q1 = np.vecdot(4.0 * fp, fp) + np.vecdot(rows[:, 0], fp) + consts[:, 0]
     # rows of Vt past the rank span K; the others get s = 0

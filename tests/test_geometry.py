@@ -314,6 +314,19 @@ def test_duporcq_hexapod_rejects_scaled_platform():
         duporcq_hexapod(design)
 
 
+def test_duporcq_hexapod_names_the_file_labels():
+    # a rec3 file is checked on its kappa_2 twin, and the refusal names the
+    # edges in the file's labels: legs 4 and 5 exchanged
+    plat = build_platform(WORKED, AffineMap2(2, 1, 3))
+    rec2 = PentapodDesign(WORKED.points, plat, (1, 1, 1, 1, 1))
+    rec3 = PentapodDesign(*map(swap_4_5, (rec2.base, rec2.platform,
+                                          rec2.radii2)))
+    for design, edge in ((rec2, "m4m5"), (rec3, "m5m4")):
+        with pytest.raises(NotDuporcq) as exc:
+            duporcq_hexapod(design)
+        assert str(exc.value) == f"edge M1M2 not congruent to {edge}"
+
+
 def test_duporcq_hexapod_rejects_noncollinear_base():
     design = PentapodDesign(
         (P(0, 0), P(1, 0), P(0, 5), P(0, 1), P(2, 3)),

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -439,23 +440,38 @@ ORACLE_DIRECTIONS = list(fibonacci_directions(150)) + [
     (0, 0, 1), (1e-4, 0, 1), (0, 1e-4, 1)]
 
 
+def _oracle_designs():
+    """The worked design and hexapod, seeded motion designs, and the worked
+    design with r3^2 raised by 1/10, 1e-6 and 1e-9, whose slices are
+    inconsistent."""
+    d = worked_design()
+    raised = [PentapodDesign(d.base, d.platform,
+                             (*d.radii2[:2], d.radii2[2] + step,
+                              *d.radii2[3:]))
+              for step in (Fraction(1, 10), Fraction(1, 10**6),
+                           Fraction(1, 10**9))]
+    return [d, worked_hexapod(), *_seeded_motion_designs(14, 8), *raised]
+
+
 def test_sample_pose_matches_the_three_branch_sampler():
     # one sphere formula and one root choice give the outcome and the pose
-    # of the former sampler on every direction, at the default tolerances:
-    # the grid and the tangent directions (kernel dimension 1), whose
-    # nearly rank-deficient slices leave |f0| at rounding level near
-    # TOL_F0, and the half-turn (dimension 2)
+    # of the former sampler on every direction: the grid and the tangent
+    # directions (kernel dimension 1) and the half-turn (dimension 2).
+    # The |f0| bound is scaled like the leg tolerance: at the nearly
+    # rank-deficient tangent slices |f0| is rounding, and at the unscaled
+    # TOL_F0 the outcomes there would only compare two roundings
     outcomes = set()
-    for design in [worked_design(), worked_hexapod(),
-                   *_seeded_motion_designs(14, 8)]:
+    for design in _oracle_designs():
         legs = float_legs(design)
         scale = 1.0 + float(np.max(np.abs(legs.r2)))
+        tol_f0 = selfmotion.TOL_F0 * scale
         for d, s in zip(ORACLE_DIRECTIONS,
-                        sample_pose(legs, ORACLE_DIRECTIONS)):
+                        sample_pose(legs, ORACLE_DIRECTIONS,
+                                    tol_f0=tol_f0)):
             new = ("pose" if isinstance(s, MotionSample)
                    else type(s).__name__)
             old, t = _outcome(_three_branch_sample_pose, legs, d,
-                              selfmotion.TOL_LEG, selfmotion.TOL_F0)
+                              selfmotion.TOL_LEG, tol_f0)
             assert new == old, (design, d)
             outcomes.add(new)
             if t is not None:
@@ -475,31 +491,32 @@ def _slices_by_leg_rows(legs, directions):
 
 
 def test_sample_pose_matches_the_scalar_sampler(monkeypatch):
-    # the grid sampler hands lstsq bitwise the slices the legs give one at
-    # a time, and gives each direction the outcome, error text and, up to
-    # rounding, pose of the one-direction sampler it replaced
+    # the grid sampler hands its one SVD bitwise the slices the legs give
+    # one at a time, and gives each direction the outcome, error text and,
+    # up to rounding, pose of the one-direction lstsq sampler it replaced,
+    # at the |f0| bound scaled like the leg tolerance
     outcomes = set()
-    real_lstsq = np.linalg.lstsq
-    for design in [worked_design(), worked_hexapod(),
-                   *_seeded_motion_designs(14, 8)]:
+    real_svd = np.linalg.svd
+    for design in _oracle_designs():
         legs = float_legs(design)
-        slices = []
+        factored = []
 
-        def recording(a, y, **kw):
-            slices.append((a.copy(), y.copy()))
-            return real_lstsq(a, y, **kw)
+        def recording(a, *args, **kw):
+            factored.append(a.copy())
+            return real_svd(a, *args, **kw)
 
-        monkeypatch.setattr(np.linalg, "lstsq", recording)
-        batch = sample_pose(legs, ORACLE_DIRECTIONS)
-        monkeypatch.setattr(np.linalg, "lstsq", real_lstsq)
-        assert len(slices) == len(batch) == len(ORACLE_DIRECTIONS)
-        for (a, y), (A, b) in zip(slices, _slices_by_leg_rows(
-                legs, ORACLE_DIRECTIONS)):
-            assert np.array_equal(a, A) and np.array_equal(y, b), design
         bound = 1e-12 * (1.0 + float(np.max(np.abs(legs.r2))))
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        batch = sample_pose(legs, ORACLE_DIRECTIONS, tol_f0=bound)
+        monkeypatch.setattr(np.linalg, "svd", real_svd)
+        [stacked] = factored
+        assert len(stacked) == len(batch) == len(ORACLE_DIRECTIONS)
+        for a, (A, _) in zip(stacked, _slices_by_leg_rows(
+                legs, ORACLE_DIRECTIONS)):
+            assert np.array_equal(a, A), design
         for d, got in zip(ORACLE_DIRECTIONS, batch):
             try:
-                want = _scalar_sample_pose(legs, d)
+                want = _scalar_sample_pose(legs, d, tol_f0=bound)
             except (NoRealSolution, InconsistentSystem) as exc:
                 want = exc
             assert type(got) is type(want), (design, d)
@@ -511,6 +528,40 @@ def test_sample_pose_matches_the_scalar_sampler(monkeypatch):
             for x, y in ((got.f, want.f), (got.residuals, want.residuals)):
                 assert np.max(np.abs(np.subtract(x, y))) <= bound, (design, d)
     assert outcomes == {"MotionSample", "NoRealSolution", "InconsistentSystem"}
+
+
+@pytest.mark.parametrize("size", [1, 23, 163])
+def test_sample_pose_factors_each_grid_once(monkeypatch, size):
+    # one SVD of the stacked slices gives every direction of the grid its
+    # rank, kernel and least-norm point, and no lstsq runs.  The zero
+    # singular values of the half-turn (kernel dimension 2) are not
+    # inverted, so no warning is raised there, nor at the nearly
+    # rank-deficient tangent directions.  The one-direction grid is a
+    # full-rank slice of four legs
+    calls = []
+    real_svd = np.linalg.svd
+
+    def recording(a, *args, **kw):
+        calls.append(a.shape)
+        return real_svd(a, *args, **kw)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("lstsq called")
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    if size == 1:
+        legs, d, _ = _four_legs_through_a_pose(3)
+        grid = [d]
+    else:
+        legs = float_legs(worked_hexapod())
+        grid = [*selfmotion.TANGENT_DIRECTIONS,
+                *fibonacci_directions(size - 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = sample_pose(legs, grid)
+    assert calls == [(size, len(legs.r2), 4)]
+    assert all(isinstance(s, MotionSample) for s in batch[:3])
 
 
 def test_sample_pose_rejects_a_bad_grid():
@@ -892,14 +943,12 @@ def test_rec3_files_run_through_their_kappa2_twin(tmp_path, capsys):
     assert sampled >= 10
 
 
-@pytest.mark.xfail(raises=InconsistentSystem, strict=True,
-                   reason="|f0| at the tangent directions near the half turn")
 def test_rec3_hexapod_tangent_f0_within_the_scaled_bound():
-    # a rec3 design (seed 1 of the generator above) whose pentapod samples
-    # at the scaled |f0| bound, 4.8e-11, while its hexapod does not: at the
-    # tangent direction (0, 1e-4, 1), which leaves the slice nearly rank
-    # deficient, |f0| rounds to 7.4e-11 with six legs and to 7.7e-12 with
-    # five; every leg closes there
+    # a rec3 design (seed 1 of the generator above) whose pentapod and
+    # hexapod both sample at the scaled |f0| bound, 4.8e-11: at the tangent
+    # direction (0, 1e-4, 1), which leaves the slice nearly rank deficient,
+    # |f0| rounds to 2.9e-11 with six legs and to 1.5e-11 with five.  A
+    # least-norm point from lstsq rounded it to 7.4e-11 with six legs
     design = _rec3(build_motion_design(
         BaseParams(Fraction(3, 2), 1, 5, Fraction(1, 2)), 31, 24))
     tol_f0 = selfmotion.TOL_F0 * (1.0 + float(max(design.radii2)))
@@ -908,6 +957,23 @@ def test_rec3_hexapod_tangent_f0_within_the_scaled_bound():
     except InconsistentSystem as exc:
         raise AssertionError(f"the pentapod does not sample: {exc}")
     verify_selfmotion(duporcq_hexapod(design), count=10, tol_f0=tol_f0)
+
+
+def test_hexapod_samples_wherever_its_pentapod_does():
+    # at the |f0| bound scaled like the leg tolerance, the Duporcq hexapod
+    # of every seeded design whose pentapod samples samples too, tangent
+    # directions included.  122 pentapods sample, as with a least-norm
+    # point from lstsq; without the refinement step design 82 does not
+    sampled = 0
+    for case, design in _seeded_duporcq_designs(5, 160):
+        tol_f0 = selfmotion.TOL_F0 * (1.0 + float(max(design.radii2)))
+        try:
+            verify_selfmotion(design, count=10, tol_f0=tol_f0)
+        except (InconsistentSystem, NoRealSolution):
+            continue
+        verify_selfmotion(duporcq_hexapod(design), count=10, tol_f0=tol_f0)
+        sampled += 1
+    assert sampled >= 122
 
 
 def test_float_legs_are_built_once_per_public_call(monkeypatch):
