@@ -17,11 +17,15 @@ where the API hands a coefficient out.  Gauss's lemma (a product of
 primitive polynomials is primitive) lets a product skip the gcd over its
 coefficients that Fraction arithmetic would take term by term, and its two
 contents cross-reduce with at most two int gcds; a sum takes one gcd over
-its integer coefficients, and exact division divides integers.  Polynomials
-are sparse over a fixed ordered variable tuple.  The canonical term order
-is lexicographic on exponent tuples with the first variable most
-significant; serialization, leading coefficients, and gcd normalization all
-refer to that order.
+its integer coefficients, and exact division divides integers.  A sum of
+products (a Laplace minor, a pseudo-remainder slot, dot) is not a chain of
+binary sums: the products' contents are scaled to one common content, and
+every product is multiplied into one integer accumulator (_imac, the
+kernel's one product loop), which checks the exponents and drops zeros
+once, before the sum's one gcd.  Polynomials are sparse over a fixed
+ordered variable tuple.  The canonical term order is lexicographic on
+exponent tuples with the first variable most significant; serialization,
+leading coefficients, and gcd normalization all refer to that order.
 
 An exponent tuple is stored packed into one int (Monagan and Pearce's
 packed exponent vectors): variable i of n owns the 16-bit field at bit
@@ -58,7 +62,10 @@ Pinned conventions:
     minor, O(2^n * n) products for an n x n matrix, the largest the package
     builds being the resultant chain's 8-row Sylvester matrix in e3;
     maximal_minors(rows) of a k x (k + 1) matrix is the list of its k + 1
-    maximal minors, entry j without column j, all from the one memo;
+    maximal minors, entry j without column j, all from the one memo; each
+    minor sums its signed cofactor products in one accumulator;
+  * dot(weights, polys) is the one weighted sum of polynomials, summed in
+    one accumulator like a minor;
   * to_str renders rationals as a/b, terms in descending canonical order
     (stable for golden-file tests);
   * proportional(a, b) is the one projective-equality test, for sequences
@@ -299,14 +306,22 @@ def _normal(vars, ints: dict, num: int, den: int) -> "MPoly":
 
 # integer polynomials: {packed exponent: nonzero int} dicts, the P of MPoly
 
-def _imul(a: dict, b: dict, vars: tuple) -> dict:
-    """The product of two integer polynomials."""
+def _imac(vars: tuple, prods) -> dict:
+    """The integer polynomial sum of k * a * b over the triples (k, a, b)
+    of prods, in one accumulator: the kernel's one product loop.  The
+    exponent check and the zero drop run once, on the whole sum."""
     out: dict = {}
     get = out.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            exp = e1 + e2
-            out[exp] = get(exp, 0) + c1 * c2
+    for k, a, b in prods:
+        # the shorter factor in the outer loop
+        if len(a) > len(b):
+            a, b = b, a
+        items = b.items()
+        for e1, c1 in a.items():
+            c1 *= k
+            for e2, c2 in items:
+                exp = e1 + e2
+                out[exp] = get(exp, 0) + c1 * c2
     # fields stay below 2**15, so a sum sets its own guard bit and never
     # carries; terms that cancelled are still keys here
     guard = _guard(len(vars))
@@ -315,6 +330,26 @@ def _imul(a: dict, b: dict, vars: tuple) -> dict:
     if 0 in out.values():
         out = {e: v for e, v in out.items() if v}
     return out
+
+
+def _sum_products(vars: tuple, prods: list) -> "MPoly":
+    """The sum of s * a * b over the triples (s, a, b) of prods, for signs s
+    of 1 or -1 and nonzero MPolys a, b.  The products' contents are scaled
+    to the common content g/d, g the gcd of their numerators and d the lcm
+    of their denominators, a coprime pair (a prime of g divides every
+    numerator, so no denominator), and summed in one _imac accumulator,
+    normalized once.  One product is canonical by Gauss's lemma."""
+    if not prods:
+        return MPoly(vars, 0, 1, {})
+    prods = [(*_qmul(s * a._num, a._den, b._num, b._den), a._prim, b._prim)
+             for s, a, b in prods]
+    if len(prods) == 1:
+        [(num, den, a, b)] = prods
+        return MPoly(vars, num, den, _imac(vars, [(1, a, b)]))
+    g = _igcd(*(num for num, _, _, _ in prods))
+    d = lcm(*(den for _, den, _, _ in prods))
+    return _normal(vars, _imac(vars, [(num // g * (d // den), a, b)
+                                      for num, den, a, b in prods]), g, d)
 
 
 def _icomb(a: dict, ka: int, b: dict, kb: int) -> dict:
@@ -497,7 +532,7 @@ class MPoly:
             return MPoly(self.vars, 0, 1, {})
         return MPoly(self.vars, *_qmul(self._num, self._den,
                                        other._num, other._den),
-                     _imul(self._prim, other._prim, self.vars))
+                     _imac(self.vars, [(1, self._prim, other._prim)]))
 
     __rmul__ = __mul__
 
@@ -683,14 +718,11 @@ def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
     lbn = lb[n]
     r = la
     for k in range(m, n - 1, -1):
-        # lbn * r[k] - r[k] * lbn cancels, so the top slot is dropped
+        # lbn * r[k] - r[k] * lbn cancels, so the top slot is dropped; slot
+        # i takes lbn * r[i] - r[k] * lb[j], j = i - (k - n), in one sum
         top = r[k]
-        r = [_imul(lbn, c, a.vars) if c else c for c in r[:k]]
-        if top:
-            for j in range(n):
-                if lb[j]:
-                    r[k - n + j] = _icomb(r[k - n + j], 1,
-                                          _imul(top, lb[j], a.vars), -1)
+        r = [_imac(a.vars, [(1, lbn, c), (-1, top, lb[j] if j >= 0 else {})])
+             for j, c in enumerate(r[:k], n - k)]
     return _normal(a.vars, {exp + (k << off): v for k, c in enumerate(r)
                             for exp, v in c.items()}, 1, 1)
 
@@ -822,7 +854,9 @@ def _laplace(m: list):
     to the ascending column tuple cols, expanded along the first of those
     rows.  Every sub-minor is computed once and memoized by its column set,
     so minors of m that share the rows below their first share their
-    sub-minors.  Zero entries and zero sub-minors are skipped."""
+    sub-minors.  Zero entries and zero sub-minors are skipped, and a
+    minor's signed cofactor products go into one _sum_products accumulator,
+    with one exponent check and one gcd per minor."""
     n = len(m)
     memo: dict = {}
 
@@ -832,14 +866,13 @@ def _laplace(m: list):
         out = memo.get(cols)
         if out is None:
             row = m[n - len(cols)]
-            out = MPoly.zero(row[0].vars)
+            prods = []
             for j, c in enumerate(cols):
                 if row[c]:
                     sub = minor(cols[:j] + cols[j + 1:])
                     if sub:
-                        t = row[c] * sub
-                        out = out - t if j & 1 else out + t
-            memo[cols] = out
+                        prods.append((-1 if j & 1 else 1, row[c], sub))
+            out = memo[cols] = _sum_products(row[0].vars, prods)
         return out
 
     return minor
@@ -854,6 +887,8 @@ def det(rows) -> MPoly:
     rows (the chain's resultants in e3 of two polynomials of degree at
     most 4).  Over the parameter ring this avoids the exact polynomial
     division at every step that fraction-free elimination would need.
+    Each minor sums its products in one integer accumulator, so no product
+    becomes an MPoly of its own.
     """
     m = [list(r) for r in rows]
     if not m:
@@ -876,6 +911,17 @@ def maximal_minors(rows) -> list:
         raise ValueError("maximal_minors needs a k x (k + 1) matrix, k >= 1")
     minor, cols = _laplace(m), tuple(range(k + 1))
     return [minor(cols[:j] + cols[j + 1:]) for j in range(k + 1)]
+
+
+def dot(weights, polys) -> MPoly:
+    """sum(w * x for w, x in zip(weights, polys)) over equally many weights
+    and polys, summed by _sum_products; polys are MPolys over one variable
+    tuple, and a weight is a rational or an MPoly over it."""
+    polys = list(polys)
+    ref = polys[0]
+    pairs = [(ref._coerce(w), ref._coerce(x))
+             for w, x in zip(weights, polys, strict=True)]
+    return _sum_products(ref.vars, [(1, w, x) for w, x in pairs if w and x])
 
 
 def proportional(a, b) -> bool:

@@ -22,7 +22,8 @@ rotation numerator and N once.  sphere_condition is built from it, and the
 float sampler in selfmotion evaluates it on floats.  leg_split runs it once
 per design over the five legs and forms each leg difference Delta_i as
 (f-row, constant); compute_Ke combines the constants after checking that the
-same combination of f-rows vanishes, f_coefficient_matrix stacks (e0..e3)
+same combination of f-rows vanishes, each combination one exactpoly.dot
+sum, f_coefficient_matrix stacks (e0..e3)
 over the rows, and pipeline_report hands one split to both.  delta is a
 view of the split.  The tangency ansatz runs one branch function twice, over
 mirrored index pairs.
@@ -51,6 +52,7 @@ from fractions import Fraction
 from .exactpoly import (
     MPoly,
     NotDivisible,
+    dot,
     gcd,
     maximal_minors,
     proportional,
@@ -377,9 +379,9 @@ def compute_Ke(design: CanonicalDesign, *, split=None) -> QuadricForm:
     weights = (B4 * B5 * V * (B4 - B5) * U2, U3, B5 * U1 * U2, -B4 * U1 * U2)
     parts = [split[i] for i in (2, 3, 4, 5)]
     for k, fv in enumerate(F_VARS):
-        if not sum(w * row[k] for w, (row, _) in zip(weights, parts)).is_zero():
+        if dot(weights, (row[k] for row, _ in parts)):
             raise NotFFree(f"{fv} survives the K_e combination")
-    return QuadricForm(sum(w * c for w, (_, c) in zip(weights, parts)))
+    return QuadricForm(dot(weights, (c for _, c in parts)))
 
 
 def e0e3_ratio(ke: QuadricForm, design: CanonicalDesign):

@@ -18,8 +18,10 @@ from duporcq.exactpoly import (
     NotDivisible,
     ZeroDegree,
     det,
+    dot,
     gcd,
     generators,
+    maximal_minors,
     proportional,
     resultant,
 )
@@ -225,6 +227,33 @@ def test_det_and_resultant_make_no_division(monkeypatch):
     assert calls == []
 
 
+def test_sums_of_products_make_no_binary_sum(monkeypatch):
+    # each Laplace minor, pseudo-remainder slot and dot sums its products in
+    # one integer accumulator, so none of them builds an MPoly sum
+    def no_sum(*args):
+        raise AssertionError("a sum of products went through a binary sum")
+
+    square = [[X + k, Y - j, A * B + k * j, X * Y + A + j, B - k * k * X]
+              for k, j in ((1, 2), (3, -1), (0, 5), (-2, 1), (4, 3))]
+    wide = [row[:4] + [A - row[0]] for row in square[:4]]
+    h = X * A - 2 * Y + B
+    p, q = h * (X ** 2 + Y * A - 1), h * (X * B + Y ** 2 + 3)
+    cubic = X ** 3 + A * X + B
+    monkeypatch.setattr(exactpoly, "_icomb", no_sum)
+    monkeypatch.setattr(MPoly, "_plus", no_sum)
+    d = det(square)
+    minors = maximal_minors(wide)
+    r = resultant(cubic, Y * X ** 2 * A, "x")
+    g = gcd(p, q)
+    s = dot([Fraction(3, 2), A, -1], [X, Y, B])
+    monkeypatch.undo()
+    assert not d.is_zero() and not r.is_zero()
+    assert minors == [det([row[:j] + row[j + 1:] for row in wide])
+                      for j in range(5)]
+    assert g == h.monic()
+    assert s == Fraction(3, 2) * X + A * Y - B
+
+
 def _content_pair(x):
     if isinstance(x, MPoly):
         return x._num, x._den
@@ -320,6 +349,7 @@ def test_equal_polynomials_have_one_canonical_form(p, q, r, s):
     a = (p + q) * r
     forms = [a, r * q + p * r, (p * s * r + s * q * r) * (1 / s),
              q * r - (-p) * r, MPoly.from_exponents(VARS, dict(a.monomials())),
+             det([[p, -q], [r, r]]), dot([p, r], [r, q]),
              a.evaluate({"b": 3}) + (a - a.evaluate({"b": 3}))]
     if p:
         forms.append((a * p).exact_div(p))
@@ -473,6 +503,15 @@ def test_power_reaches_the_field_limit():
     lambda: (B ** TOP + A) * (B + 1),
     lambda: (X + Y ** TOP) ** 2,
     lambda: 3 * (A * B) ** TOP * A,
+    # sums of products check the accumulated exponents: det through a
+    # minor's first and its second product, and with the two cancelling
+    lambda: det([[X ** TOP, Y], [Y, X]]),
+    lambda: det([[Y, X ** TOP], [X, Y]]),
+    lambda: det([[X ** TOP, X ** TOP], [X, X]]),
+    lambda: resultant(A ** TOP * X + 1, X - A, "x"),
+    # the first pseudo-remainder slot of the gcd takes A^TOP * A
+    lambda: gcd(X ** 2 + A, A ** TOP * X + 1),
+    lambda: dot([A ** TOP, 1], [A, X]),
 ])
 def test_exponent_overflow_raises(make):
     with pytest.raises(ExponentOverflow):

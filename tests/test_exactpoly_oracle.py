@@ -9,8 +9,10 @@ inputs of its monomial shortcut and absent-variable split, and on seeded
 operands with a constant coefficient in the main variable, where a content
 fold stops early.  Coefficients are
 Fractions, the kernel's domain.  proportional is checked against sympy's
-rational-function ratios, and MPoly.coefficients against sympy's Poly over
-a subset of the variables.
+rational-function ratios, MPoly.coefficients against sympy's Poly over
+a subset of the variables, and dot on operands whose contents differ in
+sign and denominator, with int, Fraction, zero and MPoly weights and with
+sums that cancel to zero or to one term.
 """
 
 import random
@@ -26,6 +28,7 @@ from duporcq.exactpoly import (
     MPoly,
     NotDivisible,
     det,
+    dot,
     gcd,
     maximal_minors,
     proportional,
@@ -349,3 +352,53 @@ def poly_vector_pairs(draw):
 def test_proportional_matches_sympy_on_polynomials(pair):
     a, b = pair
     assert proportional(a, b) == _sympy_proportional(a, b)
+
+
+# ------------------------------------------------------------------- dot
+
+weights = st.one_of(st.integers(-5, 5), small_frac, st.just(0),
+                    polys(max_terms=2))
+# a signed Fraction content with a denominator up to 12, so the contents of
+# a sum's products differ in sign and denominator
+contents = st.fractions(min_value=-6, max_value=6,
+                        max_denominator=12).filter(bool)
+
+
+def scalar_or_poly(w):
+    if isinstance(w, MPoly):
+        return to_sympy(w)
+    return sympy.Rational(w.numerator, w.denominator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(weights, polys(), contents), min_size=1,
+                max_size=5))
+def test_dot_matches_sympy(terms):
+    ws = [w for w, _, _ in terms]
+    xs = [c * p for _, p, c in terms]
+    mine = dot(ws, xs)
+    assert same(mine, sympy.expand(sum(scalar_or_poly(w) * to_sympy(x)
+                                       for w, x in zip(ws, xs))))
+    assert mine == sum((w * x for w, x in zip(ws, xs)), MPoly.zero(VARS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), polys(), contents, contents)
+def test_dot_cancelling_to_zero(p, q, a, b):
+    out = dot([a * q, -b, 0, Fraction(0)], [b * p, a * q * p, p, q])
+    assert out.is_zero() and (out._num, out._den) == (0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(max_terms=4), polys(max_terms=1), contents, contents)
+def test_dot_cancelling_to_one_term(p, m, a, b):
+    # a * (p + m) - b * (a / b) * p = a * m
+    out = dot([a, -b], [p + m, a / b * p])
+    assert out.term_count == 1 and out == a * m
+    assert same(out, scalar_or_poly(a) * to_sympy(m))
+
+
+def test_dot_needs_equally_many_weights_and_polys():
+    x = MPoly.variable(VARS, "x")
+    with pytest.raises(ValueError):
+        dot([1, 2], [x])
