@@ -45,6 +45,10 @@ Pinned conventions:
     coefficient} for the monomials that occur;
   * resultant(p, q, x) is the Sylvester determinant with p's coefficient rows
     first, so resultant(x - a, x - b, x) == a - b;
+  * resultant works in x^k for k the gcd of the exponents of x in p and q:
+    Res_x(P(x^k), Q(x^k)) = Res_y(P, Q)^k (Poisson's product formula, no
+    sign), so its one Sylvester matrix has (deg p + deg q) / k rows and its
+    determinant is raised to the k-th power;
   * gcd(p, q, *more) is the one gcd, normalized to leading coefficient 1
     (0 when all operands are 0); it and every gcd of several polynomials in
     the kernel run one fold, which takes the operands in the order given
@@ -60,7 +64,8 @@ Pinned conventions:
   * det and maximal_minors share one division-free Laplace expansion
     (_laplace) with sub-minors memoized by column set: det is its full
     minor, O(2^n * n) products for an n x n matrix, the largest the package
-    builds being the resultant chain's 8-row Sylvester matrix in e3;
+    builds being the resultant chain's 4-row Sylvester matrices in e0 (those
+    in e3 are built in e3^2 and have at most 3 rows);
     maximal_minors(rows) of a k x (k + 1) matrix is the list of its k + 1
     maximal minors, entry j without column j, all from the one memo; each
     minor sums its signed cofactor products in one accumulator;
@@ -539,15 +544,14 @@ class MPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        out = MPoly.const(self.vars, 1)
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             k >>= 1
             if k:
                 base = base * base
-        return out
+        return MPoly.const(self.vars, 1) if out is None else out
 
     def evaluate(self, assignment: dict) -> "MPoly":
         """Partial exact evaluation; bound variables get exponent 0.
@@ -883,10 +887,11 @@ def det(rows) -> MPoly:
     expansion: the full minor of _laplace's memo.
 
     The cost is O(2^n * n) polynomial products and no divisions, which
-    suits the sizes this package builds: Sylvester matrices of at most 8
-    rows (the chain's resultants in e3 of two polynomials of degree at
-    most 4).  Over the parameter ring this avoids the exact polynomial
-    division at every step that fraction-free elimination would need.
+    suits the sizes this package builds: Sylvester matrices of at most 4
+    rows (the chain's resultants in e0 of two quadrics; its resultants in
+    e3 are taken in e3^2, at most 3 rows).  Over the parameter ring this
+    avoids the exact polynomial division at every step that fraction-free
+    elimination would need.
     Each minor sums its products in one integer accumulator, so no product
     becomes an MPoly of its own.
     """
@@ -937,21 +942,31 @@ def proportional(a, b) -> bool:
 
 
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
-    """Sylvester resultant eliminating var; p's coefficient rows first."""
+    """Sylvester resultant eliminating var; p's coefficient rows first.
+
+    With k the gcd of the exponents of var that occur in p and q, both are
+    polynomials P(y), Q(y) in y = var^k, and Poisson's product formula
+    gives Res_var(P(var^k), Q(var^k)) = Res_y(P, Q)^k exactly: the
+    Sylvester matrix is built from every k-th coefficient, (m + n) / k rows
+    for degrees m and n, and its determinant is raised to the k-th power.
+    """
     q = p._coerce(q)
-    m, n = p.degree_in(var), q.degree_in(var)
+    pc, qc = p.coefficients((var,)), q.coefficients((var,))
+    m, n = max(pc, default=(0,))[0], max(qc, default=(0,))[0]
     if m == 0 or n == 0:
         raise ZeroDegree(f"input constant in {var}")
+    k = reduce(_igcd, (e for (e,) in chain(pc, qc)))
     zero = MPoly.zero(p.vars)
 
-    def descending(x, d):
-        c = x.coefficients((var,))
-        return [c.get((k,), zero) for k in range(d, -1, -1)]
+    def descending(c, d):
+        return [c.get((e,), zero) for e in range(d, -1, -k)]
 
-    pc, qc = descending(p, m), descending(q, n)
+    pr, qr = descending(pc, m), descending(qc, n)
+    m, n = m // k, n // k
     rows = []
     for i in range(n):
-        rows.append([zero] * i + pc + [zero] * (n - 1 - i))
+        rows.append([zero] * i + pr + [zero] * (n - 1 - i))
     for i in range(m):
-        rows.append([zero] * i + qc + [zero] * (m - 1 - i))
-    return det(rows)
+        rows.append([zero] * i + qr + [zero] * (m - 1 - i))
+    r = det(rows)
+    return r if k == 1 else r ** k

@@ -39,6 +39,12 @@ coefficients from the epsilons, and normalizes only the closed form.
 resultant_chain takes one gcd, smallest first, of the cofactors of F1^2 *
 F2^2 when that product divides all three chain polynomials, else of the
 polynomials themselves; the largest is skipped if the first two are coprime.
+K_e has only e0^2, e1^2, e2^2, e3^2, e0e3 and e1e2 terms and T only
+e0e1, e0e2, e1e3 and e2e3, so under (e0, e3) -> (-e0, -e3) K_e and N are
+even and T is odd, and the e0 resultants R_Ke, R_T and R_N are polynomials
+in e3^2.  The kernel's resultant finds that from the exponents and takes
+each e3 elimination in e3^2, so each chain polynomial is a square,
+S_i = s_i^2 with s_i the Sylvester determinant in e3^2.
 pipeline_report concludes from the chain's gcd, checked against F2; the
 chain's match with F1^2 * F2^2 comes from exact divisions (factor_powers).
 """

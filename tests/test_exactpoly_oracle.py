@@ -7,7 +7,9 @@ factor).  The gcd is
 also drawn over random variable subsets and with single-term operands, the
 inputs of its monomial shortcut and absent-variable split, and on seeded
 operands with a constant coefficient in the main variable, where a content
-fold stops early.  Coefficients are
+fold stops early.  The resultant is also drawn on operands that are
+polynomials in x^k, where the kernel builds its Sylvester matrix in x^k
+and raises the determinant to the k-th power.  Coefficients are
 Fractions, the kernel's domain.  proportional is checked against sympy's
 rational-function ratios, MPoly.coefficients against sympy's Poly over
 a subset of the variables, and dot on operands whose contents differ in
@@ -17,10 +19,10 @@ sums that cancel to zero or to one term.
 
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd as int_gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from duporcq import exactpoly
 from duporcq.exactpoly import (
@@ -211,6 +213,53 @@ def test_resultant_matches_sympy(p, q):
         return
     expected = sympy.resultant(to_sympy(p), to_sympy(q), SYMS[0])
     assert same(resultant(p, q, "x"), sympy.expand(expected))
+
+
+@st.composite
+def polys_in_x(draw, exps):
+    """A nonzero polynomial whose exponents of x are drawn from exps, so
+    for exps in k * N it is a polynomial in x^k over y and a."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        exp = (draw(st.sampled_from(exps)), draw(st.integers(0, 2)),
+               draw(st.integers(0, 1)))
+        terms[exp] = draw(real_coeff)
+    return MPoly.from_exponents(VARS, terms)
+
+
+# (exponents of x in p, in q): both in x^2 or x^3; gcds 4 and 6 that differ
+# but share 2; one operand in x^k and the other not; an operand whose only
+# other exponent is 0
+X_POWER_CASES = [((0, 2, 4), (2, 4)), ((0, 3, 6), (0, 3)),
+                 ((4, 8), (0, 6)), ((0, 6), (0, 4, 8)), ((0, 2, 4), (0, 1, 2)),
+                 ((0, 3), (0, 2, 3)), ((0, 6), (0, 3, 6))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(X_POWER_CASES).flatmap(
+    lambda ex: st.tuples(polys_in_x(ex[0]), polys_in_x(ex[1]))))
+def test_resultant_over_powers_of_x_matches_sympy(pair):
+    # Res_x(P(x^k), Q(x^k)) = Res_y(P, Q)^k for k the gcd of the exponents
+    # of x in p and q: the Sylvester matrix has (deg p + deg q) / k rows
+    p, q = pair
+    m, n = p.degree_in("x"), q.degree_in("x")
+    assume(m > 0 and n > 0)
+    k = int_gcd(*(e for x in (p, q) for (e,) in x.coefficients(("x",))))
+    sizes = []
+    real_det = exactpoly.det
+
+    def recording(rows):
+        sizes.append(len(rows))
+        return real_det(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactpoly, "det", recording)
+        r = resultant(p, q, "x")
+        swapped = resultant(q, p, "x")
+    assert sizes == [(m + n) // k] * 2
+    expected = sympy.resultant(to_sympy(p), to_sympy(q), SYMS[0])
+    assert same(r, sympy.expand(expected))
+    assert swapped == (-1) ** (m * n) * r
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duporcq import study
+from duporcq import exactpoly, study
 from duporcq.cli import main
 from duporcq.exactpoly import (MPoly, NotDivisible, ZeroDegree, det, gcd,
                                maximal_minors)
-from duporcq.geometry import (WORKED_PARAMS, BaseParams, design_to_dict,
-                              duporcq_hexapod, worked_design)
+from duporcq.geometry import (WORKED_PARAMS, AffineMap2, BaseParams,
+                              PentapodDesign, build_platform, design_to_dict,
+                              duporcq_hexapod, kappa2_mu, kappa2_twin,
+                              load_design, swap_4_5, worked_design)
 from duporcq.study import (
     GENS,
     STUDY_VARS,
@@ -928,6 +930,115 @@ def test_chain_identity_over_the_A4_ring():
     assert not unit.is_zero()
     assert all(unit.degree_in(v) == 0 for v in E_VARS)
     assert unit.degree_in("A4") > 0
+
+
+def _sylvester(p: MPoly, q: MPoly, var: str) -> list:
+    """The full Sylvester matrix of p and q in var, from every coefficient
+    of var, p's rows first."""
+    m, n = p.degree_in(var), q.degree_in(var)
+    zero = MPoly.zero(STUDY_VARS)
+    pc, qc = p.coefficients((var,)), q.coefficients((var,))
+    prow = [pc.get((e,), zero) for e in range(m, -1, -1)]
+    qrow = [qc.get((e,), zero) for e in range(n, -1, -1)]
+    return ([[zero] * i + prow + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + qrow + [zero] * (m - 1 - i) for i in range(m)])
+
+
+# each chain polynomial S_i and the two e0 resultants it eliminates e3 from
+E3_OPERANDS = {"S_TN": ("R_T", "R_N"), "S_KeN": ("R_Ke", "R_N"),
+               "S_KeT": ("R_Ke", "R_T")}
+
+
+@pytest.mark.parametrize("name", ["worked", "seed61-0"])
+def test_chain_eliminates_e3_through_its_square(name, monkeypatch):
+    # R_Ke, R_T and R_N are polynomials in e3^2, so each e3 resultant is a
+    # Sylvester determinant in e3^2 of at most 3 rows, squared, where the
+    # matrix in e3 has up to 6; that determinant squared is the full-size
+    # one (on WORKED, R_N vanishes and only S_KeT takes a resultant)
+    design = _split_design(name)
+    split = leg_split(design)
+    ke, t = compute_Ke(design, split=split), rank_drop_T(design, split=split).T
+    dets, calls = [], []
+    real_det, real_resultant = exactpoly.det, study.resultant
+
+    def recording_det(rows):
+        dets.append(len(rows))
+        return real_det(rows)
+
+    def recording_resultant(p, q, var):
+        start = len(dets)
+        out = real_resultant(p, q, var)
+        calls.append((var, dets[start:]))
+        return out
+
+    monkeypatch.setattr(exactpoly, "det", recording_det)
+    monkeypatch.setattr(study, "resultant", recording_resultant)
+    chain = resultant_chain(ke, t, design)
+    monkeypatch.undo()
+    e3 = iter([sizes for var, sizes in calls if var == "e3"])
+    full_sizes = []
+    for s, (a, b) in E3_OPERANDS.items():
+        ra, rb = chain.res_e0[a], chain.res_e0[b]
+        if ra.is_zero() or rb.is_zero():
+            assert chain.res_e3[s].is_zero()
+            continue
+        full = _sylvester(ra, rb, "e3")
+        full_sizes.append(len(full))
+        assert next(e3) == [len(full) // 2]
+        assert chain.res_e3[s] == det(full)
+    assert next(e3, None) is None
+    assert max(full_sizes) == 6
+
+
+def _rec3_file_twin(tmp_path) -> CanonicalDesign:
+    """The canonical kappa_2 twin of a rec3 design file, read as the
+    pipeline command reads it: a seeded generic kappa_2 design with legs 4
+    and 5 exchanged."""
+    rng = random.Random(43)
+    mu1, mu2, mu3 = random_mu(rng)
+    base, mu = random_base(rng), AffineMap2(abs(mu1), mu2, mu3)
+    radii = tuple(random_fraction(rng, 1, 6, 4) for _ in range(5))
+    path = tmp_path / "rec3.json"
+    path.write_text(json.dumps(design_to_dict(PentapodDesign(*map(swap_4_5, (
+        base.points, build_platform(base, mu), radii))))))
+    case, twin = kappa2_twin(load_design(str(path))[0])
+    assert case == 3
+    params = BaseParams.from_points(twin.base)
+    return CanonicalDesign.from_params(
+        params, mu=kappa2_mu(params, twin.platform), radii=twin.radii2)
+
+
+def test_Ke_and_T_terms_over_the_full_ring():
+    # K_e is even and T odd under (e0, e3) -> (-e0, -e3), as N is even
+    design = CanonicalDesign.symbolic()
+    ke = compute_Ke(design)
+    t = rank_drop_T(design).T
+    assert {k for k, c in ke.coeffs.items() if c} <= {
+        (0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2)}
+    assert {k for k, c in t.coeffs.items() if c} <= {
+        (0, 1), (0, 2), (1, 3), (2, 3)}
+
+
+@pytest.mark.parametrize("name", ["worked", "generic", "identity-mu", "rec3"])
+def test_e0_resultants_are_polynomials_in_e3_squared(name, tmp_path):
+    # from that symmetry each e0 resultant of two of K_e, T and N is even
+    # in e3, which is why the chain's e3 resultants run in e3^2; resultant
+    # finds that from the exponents, not from this
+    rng = random.Random(47)
+    design = {
+        "worked": lambda: WORKED,
+        "generic": lambda: _generic_design(rng),
+        "identity-mu": lambda: CanonicalDesign.from_params(
+            random_base(rng),
+            radii=tuple(random_fraction(rng, 1, 6, 4) for _ in range(5))),
+        "rec3": lambda: _rec3_file_twin(tmp_path),
+    }[name]()
+    split = leg_split(design)
+    res_e0, _ = _eliminate(compute_Ke(design, split=split).poly,
+                           rank_drop_T(design, split=split).T.poly, N_poly())
+    assert sum(r.degree_in("e3") > 0 for r in res_e0.values()) >= 2
+    for r in res_e0.values():
+        assert all(e % 2 == 0 for (e,) in r.coefficients(("e3",)))
 
 
 def test_chain_locus_samples():

@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from duporcq.geometry import design_to_dict, worked_design
 PACKAGE = Path(duporcq.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # each script with its smallest arguments and the files it writes
 SCRIPT_RUNS = {
@@ -303,6 +305,19 @@ def test_scripts_run(tmp_path):
         assert done.returncode == 0, f"{name}: {done.stderr}"
         for out in outputs:
             assert (tmp_path / out).stat().st_size > 0, f"{name}: {out}"
+
+
+def test_readme_example_prints_what_its_comment_says(tmp_path):
+    # the README's python example runs as it is written, and prints the
+    # text of its last line's trailing comment
+    [block] = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    expected = block.rstrip().splitlines()[-1].partition("  # ")[2]
+    assert expected
+    done = subprocess.run([sys.executable, "-c", block], cwd=tmp_path,
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected + "\n"
 
 
 @pytest.mark.parametrize("grid", [["--n1", "0"], ["--n2", "-1"]])
