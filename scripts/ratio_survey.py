@@ -3,8 +3,9 @@
 
 For each draw the script reports the e0*e3 coefficient ratio of the f-free
 quadric, the rank-drop epsilon coefficients, whether F2 vanishes, and whether
-the resultant chain's common factor matches F1^2 * F2^2: F1^2 and F2^2 divide
-it, and every other factor involving e1 or e2 divides F1 * F2.
+the resultant chain's common factor gcd(s_i), the square root of the paper's
+gcd(S_i), matches F1 * F2: F1 and F2 divide it, and every other factor
+involving e1 or e2 divides F1 * F2.
 The identity platform map is surveyed separately since the ratio is then a
 parameter-independent constant.  The script exits 1 with a message if any
 row disagrees: a ratio off its closed form, or a chain that does not match.

@@ -47,8 +47,8 @@ Pinned conventions:
     first, so resultant(x - a, x - b, x) == a - b;
   * resultant works in x^k for k the gcd of the exponents of x in p and q:
     Res_x(P(x^k), Q(x^k)) = Res_y(P, Q)^k (Poisson's product formula, no
-    sign), so its one Sylvester matrix has (deg p + deg q) / k rows and its
-    determinant is raised to the k-th power;
+    sign); deflate(p, x, k) maps x^k -> x, keeping P canonical, and the
+    Sylvester determinant of the deflated p and q is raised to the k-th power;
   * gcd(p, q, *more) is the one gcd, normalized to leading coefficient 1
     (0 when all operands are 0); it and every gcd of several polynomials in
     the kernel run one fold, which takes the operands in the order given
@@ -941,32 +941,39 @@ def proportional(a, b) -> bool:
     return all(x * rb == y * ra for x, y in zip(a, b) if x)
 
 
+def deflate(p: MPoly, var: str, k: int) -> MPoly:
+    """p with var^k -> var; ValueError unless k divides every exponent of var."""
+    off = _offset(p.vars, var)
+    prim = {}
+    for exp, v in p._prim.items():
+        e, rest = divmod(exp >> off & _FIELD, k)
+        if rest:
+            raise ValueError(f"{var}^{k} does not divide every power of {var}")
+        prim[exp - (e * (k - 1) << off)] = v
+    return MPoly(p.vars, p._num, p._den, prim)
+
+
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     """Sylvester resultant eliminating var; p's coefficient rows first.
 
     With k the gcd of the exponents of var that occur in p and q, both are
     polynomials P(y), Q(y) in y = var^k, and Poisson's product formula
-    gives Res_var(P(var^k), Q(var^k)) = Res_y(P, Q)^k exactly: the
-    Sylvester matrix is built from every k-th coefficient, (m + n) / k rows
-    for degrees m and n, and its determinant is raised to the k-th power.
+    gives Res_var(P(var^k), Q(var^k)) = Res_y(P, Q)^k exactly: p and q are
+    deflated by k, their Sylvester matrix has (m + n) / k rows for degrees
+    m and n, and its determinant is raised to the k-th power.
     """
     q = p._coerce(q)
+    off = _offset(p.vars, var)
+    k = _igcd(*{e >> off & _FIELD for e in chain(p._prim, q._prim)})
+    if k > 1:
+        p, q = deflate(p, var, k), deflate(q, var, k)
     pc, qc = p.coefficients((var,)), q.coefficients((var,))
     m, n = max(pc, default=(0,))[0], max(qc, default=(0,))[0]
     if m == 0 or n == 0:
         raise ZeroDegree(f"input constant in {var}")
-    k = reduce(_igcd, (e for (e,) in chain(pc, qc)))
     zero = MPoly.zero(p.vars)
-
-    def descending(c, d):
-        return [c.get((e,), zero) for e in range(d, -1, -k)]
-
-    pr, qr = descending(pc, m), descending(qc, n)
-    m, n = m // k, n // k
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + pr + [zero] * (n - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + qr + [zero] * (m - 1 - i))
-    r = det(rows)
+    pr = [pc.get((e,), zero) for e in range(m, -1, -1)]
+    qr = [qc.get((e,), zero) for e in range(n, -1, -1)]
+    r = det([[zero] * i + pr + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + qr + [zero] * (m - 1 - i) for i in range(m)])
     return r if k == 1 else r ** k

@@ -36,17 +36,17 @@ rank_drop_T takes the five 4x4 minors from one memo (maximal_minors of the
 transposed matrix), checks each against the epsilon closed form by its
 coefficient keys and cross-multiplication, takes the closed form's
 coefficients from the epsilons, and normalizes only the closed form.
-resultant_chain takes one gcd, smallest first, of the cofactors of F1^2 *
-F2^2 when that product divides all three chain polynomials, else of the
-polynomials themselves; the largest is skipped if the first two are coprime.
 K_e has only e0^2, e1^2, e2^2, e3^2, e0e3 and e1e2 terms and T only
 e0e1, e0e2, e1e3 and e2e3, so under (e0, e3) -> (-e0, -e3) K_e and N are
 even and T is odd, and the e0 resultants R_Ke, R_T and R_N are polynomials
-in e3^2.  The kernel's resultant finds that from the exponents and takes
-each e3 elimination in e3^2, so each chain polynomial is a square,
-S_i = s_i^2 with s_i the Sylvester determinant in e3^2.
-pipeline_report concludes from the chain's gcd, checked against F2; the
-chain's match with F1^2 * F2^2 comes from exact divisions (factor_powers).
+in e3^2.  The chain deflates them by e3^2 -> e3 and keeps s_i, their
+resultant there, whose square is the paper's chain polynomial S_i
+(Poisson).  Over a UFD gcd(S_i) = gcd(s_i)^2, so the paper's identity
+gcd(S_i) = F1^2 * F2^2 up to a unit is gcd(s_i) = F1 * F2 up to a unit.
+resultant_chain takes one gcd, smallest first, of the s_i / (F1 * F2) when
+F1 * F2 divides all three, else of the s_i; the largest is skipped if the
+first two are coprime.  pipeline_report concludes from that gcd, checked
+against F2, and prints its square; the match comes from exact divisions.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from fractions import Fraction
 from .exactpoly import (
     MPoly,
     NotDivisible,
+    deflate,
     dot,
     gcd,
     maximal_minors,
@@ -674,15 +675,16 @@ def factor_powers(p: MPoly, factors) -> tuple:
 
 
 def _factor_match(g: MPoly, f1: MPoly, f2: MPoly) -> bool:
-    """Whether a nonzero chain gcd g is F1^2 * F2^2 up to a unit and extra
-    powers of shared factors: F1^2 and F2^2 divide g, and every factor of
-    the cofactor factor_powers leaves that involves e1 or e2 divides F1 * F2.
+    """Whether a nonzero chain gcd g is F1 * F2 up to a unit and extra
+    powers of shared factors: F1 and F2 divide g, and every factor of the
+    cofactor factor_powers leaves that involves e1 or e2 divides F1 * F2
+    (for g^2 = gcd(S_i) the same with F1^2, F2^2, as F^2 | g^2 iff F | g).
     That is, the cofactor's primitive part over (e1, e2) divides
     (F1 * F2)^k, k its degree in them; its content divides each of its
     coefficients c, so this holds iff the cofactor divides c * (F1 * F2)^k.
     """
     powers, rest = factor_powers(g, (f1, f2))
-    if min(powers) < 2:
+    if min(powers) < 1:
         return False
     coeffs = rest.coefficients(("e1", "e2"))
     c = min(coeffs.values(), key=lambda a: a.term_count)
@@ -694,23 +696,23 @@ def _factor_match(g: MPoly, f1: MPoly, f2: MPoly) -> bool:
 
 
 def resultant_chain(ke: QuadricForm, t: QuadricForm, design: CanonicalDesign) -> ChainResult:
-    """Eliminate e0 pairwise among {K_e, T, N}, then e3, then take the gcd.
+    """Eliminate e0 pairwise among {K_e, T, N}, then e3 in e3^2, then gcd.
 
-    For generic parameter values the gcd equals F1^2 * F2^2 up to a unit and
+    For generic parameter values the gcd equals F1 * F2 up to a unit and
     extraneous powers of shared factors.  The match is a divisibility test
-    (_factor_match): F1^2 and F2^2 divide the gcd, and every other factor
-    of it that involves e1 or e2 divides F1 * F2.  At mu = identity F2
-    vanishes identically and so does the gcd.
+    (_factor_match): F1 and F2 divide the gcd, and every other factor of it
+    that involves e1 or e2 divides F1 * F2.  At mu = identity F2 vanishes
+    identically and so does the gcd.
 
-    The gcd is computed, never assumed: with E = F1^2 * F2^2 when it is
-    nonzero and divides all three chain polynomials S_i exactly, else
-    E = 1, it is E * gcd(S_i / E) made monic, which is gcd(S_i) since
-    gcd(E * C_i) = E * gcd(C_i) up to a unit.  The cofactors S_i / E have
-    e-degree 8 less than the S_i, which is where the saving is.
+    The gcd is computed, never assumed: with E = F1 * F2 when it is
+    nonzero and divides all three s_i exactly, else E = 1, it is
+    E * gcd(s_i / E) made monic, which is gcd(s_i) since
+    gcd(E * C_i) = E * gcd(C_i) up to a unit.  The cofactors s_i / E have
+    e-degree 4 less than the s_i, which is where the saving is.
     """
     res_e0, res_e3 = _eliminate(ke.poly, t.poly, N_poly())
     f1, f2 = f1_f2(design)
-    expected = f1 * f1 * f2 * f2
+    expected = f1 * f2
     e, parts = 1, list(res_e3.values())
     if not expected.is_zero():
         try:
@@ -728,14 +730,15 @@ def resultant_chain(ke: QuadricForm, t: QuadricForm, design: CanonicalDesign) ->
 
 
 def _eliminate(kp: MPoly, tp: MPoly, n: MPoly):
-    """Pairwise resultants of K_e, T and N in e0, then of those in e3."""
+    """Pairwise resultants of K_e, T and N in e0, then the s_i in e3^2."""
     r_ke = _res_or_zero(tp, n, "e0")
     r_t = _res_or_zero(kp, n, "e0")
     r_n = _res_or_zero(kp, tp, "e0")
+    y_ke, y_t, y_n = (deflate(r, "e3", 2) for r in (r_ke, r_t, r_n))
     return ({"R_Ke": r_ke, "R_T": r_t, "R_N": r_n},
-            {"S_TN": _res_or_zero(r_t, r_n, "e3"),
-             "S_KeN": _res_or_zero(r_ke, r_n, "e3"),
-             "S_KeT": _res_or_zero(r_ke, r_t, "e3")})
+            {"s_TN": _res_or_zero(y_t, y_n, "e3"),
+             "s_KeN": _res_or_zero(y_ke, y_n, "e3"),
+             "s_KeT": _res_or_zero(y_ke, y_t, "e3")})
 
 
 def chain_vanishes_at(design: CanonicalDesign, e1, e2) -> bool:
@@ -804,7 +807,7 @@ def pipeline_report(design: CanonicalDesign) -> dict:
             "F2_identically_zero": f2.is_zero(),
         },
         "chain": {
-            "gcd": chain.gcd.to_str(),
+            "gcd": (chain.gcd * chain.gcd).to_str(),
             "factors": {
                 "expected": "F1^2*F2^2",
                 "match": chain.factor_match,

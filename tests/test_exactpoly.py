@@ -17,6 +17,7 @@ from duporcq.exactpoly import (
     MPoly,
     NotDivisible,
     ZeroDegree,
+    deflate,
     det,
     dot,
     gcd,
@@ -98,6 +99,16 @@ def test_resultant_rejects_operands_over_other_variables():
     (u,) = generators(("u",))
     with pytest.raises(ValueError, match="variable tuples differ"):
         resultant(X ** 2 + 1, u + 1, "x")
+
+
+def test_deflate_needs_k_to_divide_every_exponent():
+    half = Fraction(1, 2)
+    p = 3 * X ** 6 * Y - half * X ** 3 * A + B
+    assert deflate(p, "x", 3) == 3 * X ** 2 * Y - half * X * A + B
+    assert deflate(p, "y", 1) == p
+    for q, k in ((p, 2), (p + X, 3), (p, 4)):
+        with pytest.raises(ValueError, match="does not divide"):
+            deflate(q, "x", k)
 
 
 def test_resultant_common_root():
@@ -330,6 +341,21 @@ def _assert_canonical(p: MPoly):
         return
     assert num and all(type(v) is int and v for v in prim.values())
     assert igcd(*prim.values()) == 1 and prim[max(prim)] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(lambda terms: MPoly.from_exponents(VARS, terms),
+                 st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(VARS)),
+                                 st.fractions(max_denominator=9), max_size=5)),
+       st.integers(1, 4))
+def test_deflate_returns_the_canonical_form_it_keeps(p, k):
+    # x -> x^k and back keep the packed term order, so deflate hands back
+    # p's own content and P with no renormalization
+    inflated = MPoly.from_exponents(VARS, {
+        (e[0] * k,) + e[1:]: c for e, c in p.monomials()})
+    d = deflate(inflated, "x", k)
+    _assert_canonical(d)
+    assert (d._num, d._den, d._prim) == (p._num, p._den, p._prim)
 
 
 wide_frac = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,

@@ -9,7 +9,8 @@ inputs of its monomial shortcut and absent-variable split, and on seeded
 operands with a constant coefficient in the main variable, where a content
 fold stops early.  The resultant is also drawn on operands that are
 polynomials in x^k, where the kernel builds its Sylvester matrix in x^k
-and raises the determinant to the k-th power.  Coefficients are
+and raises the determinant to the k-th power, and deflate(p, "x", k) is
+checked to give the resultant's k-th root.  Coefficients are
 Fractions, the kernel's domain.  proportional is checked against sympy's
 rational-function ratios, MPoly.coefficients against sympy's Poly over
 a subset of the variables, and dot on operands whose contents differ in
@@ -29,6 +30,7 @@ from duporcq.exactpoly import (
     EXPONENT_LIMIT,
     MPoly,
     NotDivisible,
+    deflate,
     det,
     dot,
     gcd,
@@ -260,6 +262,22 @@ def test_resultant_over_powers_of_x_matches_sympy(pair):
     expected = sympy.resultant(to_sympy(p), to_sympy(q), SYMS[0])
     assert same(r, sympy.expand(expected))
     assert swapped == (-1) ** (m * n) * r
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, (0, 2, 4), (0, 2, 4, 6)), (3, (0, 3, 6), (3, 6))])
+       .flatmap(lambda ex: st.tuples(st.just(ex[0]), polys_in_x(ex[1]),
+                                     polys_in_x(ex[2]))))
+def test_deflated_resultant_is_a_root_of_the_resultant_in_x(case):
+    # deflate(p, "x", k) maps x^k -> x, so for P and Q in x^k
+    # Res_x(P(x^k), Q(x^k)) = Res_x(deflate(P), deflate(Q))^k
+    k, p, q = case
+    assume(p.degree_in("x") > 0 and q.degree_in("x") > 0)
+    x = SYMS[0]
+    dp, dq = deflate(p, "x", k), deflate(q, "x", k)
+    assert sympy.expand(to_sympy(dp).subs(x, x ** k) - to_sympy(p)) == 0
+    expected = sympy.resultant(to_sympy(p), to_sympy(q), x)
+    assert same(resultant(dp, dq, "x") ** k, sympy.expand(expected))
 
 
 @settings(max_examples=40, deadline=None)

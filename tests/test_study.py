@@ -671,7 +671,7 @@ def test_chain_with_symbolic_r1sq_matches_F1F2():
         radii=(GENS["r1sq"], Fraction(2), Fraction(3), Fraction(5, 2),
                Fraction(4)))
     chain = resultant_chain(compute_Ke(design), rank_drop_T(design).T, design)
-    assert chain.res_e3["S_TN"].degree_in("r1sq") > 0
+    assert chain.res_e3["s_TN"].degree_in("r1sq") > 0
     assert not chain.gcd.is_zero()
     assert chain.gcd.degree_in("r1sq") == 0
     assert chain.factor_match, chain.gcd.to_str()
@@ -722,7 +722,7 @@ def radical_part(p: MPoly, variables=("e1", "e2")) -> MPoly:
 
 
 def radical_match(chain) -> bool:
-    """The looser claim: the gcd and F1^2 * F2^2 have equal radicals."""
+    """The radical claim: the gcd and F1 * F2 have equal radicals."""
     g, expected = chain.gcd, chain.expected
     if g.is_zero() or expected.is_zero():
         return g.is_zero() and expected.is_zero()
@@ -730,8 +730,8 @@ def radical_match(chain) -> bool:
 
 
 def fold_gcd(chain) -> MPoly:
-    """The chain gcd folded over the full polynomials S_TN, S_KeN and
-    S_KeT, smallest first, with no cofactor step: resultant_chain's oracle."""
+    """The chain gcd folded over the full polynomials s_TN, s_KeN and
+    s_KeT, smallest first, with no cofactor step: resultant_chain's oracle."""
     a, b, c = sorted(chain.res_e3.values(), key=lambda p: p.term_count)
     return gcd(gcd(a, b), c)
 
@@ -749,8 +749,8 @@ def _record_chains(monkeypatch) -> list:
 
 def test_factor_match_agrees_with_the_radical_oracle_on_draws():
     # every fifth draw has mu1 = 1 or mu3 = -1, where F2 splits off e1 or
-    # e2 and the gcd has e-degree 10 instead of 8 (more draws hit mu3 = -1
-    # by chance, and one has degree 12)
+    # e2 and the gcd has e-degree 5 instead of 4 (more draws hit mu3 = -1
+    # by chance, and one has degree 6)
     rng = random.Random(53)
     degrees = []
     while len(degrees) < 100:
@@ -769,7 +769,7 @@ def test_factor_match_agrees_with_the_radical_oracle_on_draws():
         assert chain.factor_match == radical_match(chain), design
         assert chain.gcd == fold_gcd(chain), design
         degrees.append(chain.gcd.degree())
-    assert degrees.count(10) >= 20 and degrees.count(8) >= 60
+    assert degrees.count(5) >= 20 and degrees.count(4) >= 60
 
 
 @pytest.mark.parametrize("argv", [
@@ -810,28 +810,28 @@ def test_factor_match_is_a_divisibility_test():
     base = BaseParams(Fraction(1, 3), Fraction(-2), Fraction(5, 2), Fraction(7))
     f1, f2 = f1_f2(CanonicalDesign.from_params(
         base, mu=(Fraction(3, 2), Fraction(1, 5), Fraction(-2))))
-    square = f1 ** 2 * f2 ** 2
-    assert _factor_match(square, f1, f2)
-    assert _factor_match(square * f1 * f2 ** 3, f1, f2)
-    assert _factor_match(square * (3 + a4), f1, f2)  # e-free content
-    # equal radicals, but F1^2 does not divide: the stricter claim fails
-    assert not _factor_match(f1 * f2 ** 2, f1, f2)
-    assert not _factor_match(square * (e1 + 5 * e2), f1, f2)
+    prod = f1 * f2
+    assert _factor_match(prod, f1, f2)
+    assert _factor_match(prod * f1 * f2 ** 3, f1, f2)
+    assert _factor_match(prod * (3 + a4), f1, f2)  # e-free content
+    # F1 does not divide, or a factor off F1 * F2 does
+    assert not _factor_match(f2 ** 2, f1, f2)
+    assert not _factor_match(prod * (e1 + 5 * e2), f1, f2)
     # with mu1 = 1, F2 = e1 * L: a cofactor built from e1 and L matches,
     # also under a content over (e1, e2)
     f1, f2 = f1_f2(CanonicalDesign.from_params(
         base, mu=(Fraction(1), Fraction(1, 5), Fraction(-2))))
     lin = f2.exact_div(e1)
     assert lin.degree() == 1
-    square = f1 ** 2 * f2 ** 2
-    assert _factor_match(square * e1 ** 3, f1, f2)
-    assert _factor_match(square * a4 * (1 + a4) * lin ** 2, f1, f2)
-    assert not _factor_match(square * a4 * e1 * (e1 + e2), f1, f2)
+    prod = f1 * f2
+    assert _factor_match(prod * e1 ** 3, f1, f2)
+    assert _factor_match(prod * a4 * (1 + a4) * lin ** 2, f1, f2)
+    assert not _factor_match(prod * a4 * e1 * (e1 + e2), f1, f2)
 
 
 def test_chain_match_takes_no_gcd_but_the_fold(monkeypatch):
     # the chain's only gcd is one call over its three cofactors; the match
-    # with F1^2 * F2^2 comes from exact divisions
+    # with F1 * F2 comes from exact divisions
     design = _generic_design(random.Random(43))
     ke, t = compute_Ke(design), rank_drop_T(design).T
     calls = []
@@ -847,8 +847,8 @@ def test_chain_match_takes_no_gcd_but_the_fold(monkeypatch):
 
 
 def test_chain_gcd_equals_the_fold_on_draws():
-    # one draw in four has the identity mu (F1^2 * F2^2 = 0, so the gcd runs
-    # over the full polynomials), one in four mu3 = -1 (e-degree 10)
+    # one draw in four has the identity mu (F1 * F2 = 0, so the gcd runs
+    # over the full polynomials), one in four mu3 = -1 (e-degree 5)
     rng = random.Random(59)
     degrees = []
     while len(degrees) < 16:
@@ -870,7 +870,7 @@ def test_chain_gcd_equals_the_fold_on_draws():
         assert chain.gcd == fold_gcd(chain), design
         assert chain.factor_match
         degrees.append(chain.gcd.degree() if chain.gcd else None)
-    assert degrees.count(None) == 4 and 10 in degrees and 8 in degrees
+    assert degrees.count(None) == 4 and 5 in degrees and 4 in degrees
 
 
 def test_chain_gcd_without_the_cofactor_step_when_F2_is_wrong(monkeypatch):
@@ -901,9 +901,9 @@ def _A4_ring_design():
         radii=tuple(Fraction(k) for k in range(1, 6))), A4=GENS["A4"])
 
 
-def test_chain_polynomials_over_the_A4_ring_carry_F1_and_F2_squared():
+def test_chain_polynomials_over_the_A4_ring_carry_F1_and_F2_once():
     # the divisibility half of the chain identity with A4 symbolic: F1 and
-    # F2 each divide S_TN, S_KeN and S_KeT to power exactly 2 over Q[A4]
+    # F2 each divide s_TN, s_KeN and s_KeT to power exactly 1 over Q[A4]
     design = _A4_ring_design()
     split = leg_split(design)
     _, res_e3 = _eliminate(compute_Ke(design, split=split).poly,
@@ -911,16 +911,16 @@ def test_chain_polynomials_over_the_A4_ring_carry_F1_and_F2_squared():
     f1, f2 = f1_f2(design)
     assert f1.degree_in("A4") > 0
     assert {k: s.term_count for k, s in res_e3.items()} == {
-        "S_TN": 677, "S_KeN": 171, "S_KeT": 337}
+        "s_TN": 183, "s_KeN": 49, "s_KeT": 93}
     for s in res_e3.values():
-        assert factor_powers(s, (f1, f2))[0] == (2, 2)
+        assert factor_powers(s, (f1, f2))[0] == (1, 1)
 
 
 def test_chain_identity_over_the_A4_ring():
-    # the whole identity with A4 symbolic: the computed gcd is F1^2 * F2^2
+    # the whole identity with A4 symbolic: the computed gcd is F1 * F2
     # times a factor free of e, a unit over Q(A4); the gcd of the cofactors
-    # S_i / (F1^2 * F2^2) takes well under a second, where the fold over
-    # the S_i themselves ran past 150 s
+    # s_i / (F1 * F2) takes well under a second, where the fold over the
+    # squares s_i^2 ran past 150 s
     design = _A4_ring_design()
     split = leg_split(design)
     chain = resultant_chain(compute_Ke(design, split=split),
@@ -930,6 +930,41 @@ def test_chain_identity_over_the_A4_ring():
     assert not unit.is_zero()
     assert all(unit.degree_in(v) == 0 for v in E_VARS)
     assert unit.degree_in("A4") > 0
+
+
+def _ring_unit(name: str) -> tuple:
+    """A design on base 1/3,-2,5/2,7 with the named ring's parameters
+    symbolic, and the e-free unit its chain gcd carries over F1 * F2."""
+    base = BaseParams(Fraction(1, 3), Fraction(-2), Fraction(5, 2), Fraction(7))
+    mu = tuple(GENS[m] for m in ("mu1", "mu2", "mu3"))
+    radii = tuple(Fraction(k) for k in range(1, 6))
+    if name.startswith("A4"):
+        design = _A4_ring_design()
+        if name == "A4-B4":
+            design = dataclasses.replace(design, B4=GENS["B4"])
+        # B4 * U1 * U2, zero exactly on bases BaseParams rejects: B4 = 0,
+        # B4 = B5 (M3 at infinity), V = 0 and U1's and U2's other factors
+        return design, design.B4 * design.U1 * design.U2
+    design = CanonicalDesign.from_params(
+        base, mu=mu, radii=radii if name == "mu" else None)
+    return design, mu[0] * mu[2]
+
+
+@pytest.mark.parametrize("ring", ["A4", "mu", "mu-radii", "A4-B4"])
+def test_chain_identity_on_parameter_rings(ring):
+    # the paper's identity gcd(s_TN, s_KeN, s_KeT) = F1 * F2 up to a unit
+    # of the ring's fraction field, with A4, mu, mu and the squared radii,
+    # or A4 and B4 symbolic: the unit is free of e and a constant times
+    # mu1*mu3 or the base's degeneracy product
+    design, unit = _ring_unit(ring)
+    split = leg_split(design)
+    chain = resultant_chain(compute_Ke(design, split=split),
+                            rank_drop_T(design, split=split).T, design)
+    assert chain.factor_match
+    quotient = chain.gcd.exact_div(chain.expected)
+    assert all(quotient.degree_in(v) == 0 for v in E_VARS)
+    assert quotient.term_count == {"A4": 4, "A4-B4": 13}.get(ring, 1)
+    assert quotient.exact_div(unit).degree() == 0
 
 
 def _sylvester(p: MPoly, q: MPoly, var: str) -> list:
@@ -944,17 +979,17 @@ def _sylvester(p: MPoly, q: MPoly, var: str) -> list:
             + [[zero] * i + qrow + [zero] * (m - 1 - i) for i in range(m)])
 
 
-# each chain polynomial S_i and the two e0 resultants it eliminates e3 from
-E3_OPERANDS = {"S_TN": ("R_T", "R_N"), "S_KeN": ("R_Ke", "R_N"),
-               "S_KeT": ("R_Ke", "R_T")}
+# each chain polynomial s_i and the two e0 resultants it eliminates e3 from
+E3_OPERANDS = {"s_TN": ("R_T", "R_N"), "s_KeN": ("R_Ke", "R_N"),
+               "s_KeT": ("R_Ke", "R_T")}
 
 
 @pytest.mark.parametrize("name", ["worked", "seed61-0"])
 def test_chain_eliminates_e3_through_its_square(name, monkeypatch):
-    # R_Ke, R_T and R_N are polynomials in e3^2, so each e3 resultant is a
-    # Sylvester determinant in e3^2 of at most 3 rows, squared, where the
-    # matrix in e3 has up to 6; that determinant squared is the full-size
-    # one (on WORKED, R_N vanishes and only S_KeT takes a resultant)
+    # R_Ke, R_T and R_N are polynomials in e3^2, so the chain deflates them
+    # and each s_i is a Sylvester determinant in e3^2 of at most 3 rows,
+    # where the matrix in e3 has up to 6; s_i squared is the full-size
+    # one (on WORKED, R_N vanishes and only s_KeT takes a resultant)
     design = _split_design(name)
     split = leg_split(design)
     ke, t = compute_Ke(design, split=split), rank_drop_T(design, split=split).T
@@ -985,7 +1020,7 @@ def test_chain_eliminates_e3_through_its_square(name, monkeypatch):
         full = _sylvester(ra, rb, "e3")
         full_sizes.append(len(full))
         assert next(e3) == [len(full) // 2]
-        assert chain.res_e3[s] == det(full)
+        assert chain.res_e3[s] ** 2 == det(full)
     assert next(e3, None) is None
     assert max(full_sizes) == 6
 
@@ -1022,8 +1057,8 @@ def test_Ke_and_T_terms_over_the_full_ring():
 @pytest.mark.parametrize("name", ["worked", "generic", "identity-mu", "rec3"])
 def test_e0_resultants_are_polynomials_in_e3_squared(name, tmp_path):
     # from that symmetry each e0 resultant of two of K_e, T and N is even
-    # in e3, which is why the chain's e3 resultants run in e3^2; resultant
-    # finds that from the exponents, not from this
+    # in e3: the chain deflates each by e3^2 -> e3 (deflate raises where an
+    # exponent is odd) and keeps s_i, the square root of the e3 resultant
     rng = random.Random(47)
     design = {
         "worked": lambda: WORKED,
