@@ -45,10 +45,10 @@ Pinned conventions:
     coefficient} for the monomials that occur;
   * resultant(p, q, x) is the Sylvester determinant with p's coefficient rows
     first, so resultant(x - a, x - b, x) == a - b;
-  * resultant works in x^k for k the gcd of the exponents of x in p and q:
-    Res_x(P(x^k), Q(x^k)) = Res_y(P, Q)^k (Poisson's product formula, no
-    sign); deflate(p, x, k) maps x^k -> x, keeping P canonical, and the
-    Sylvester determinant of the deflated p and q is raised to the k-th power;
+  * deflate(p, x, k) maps x^k -> x, keeping P canonical: a caller whose
+    operands are polynomials in x^k deflates them before resultant, by
+    Poisson's product formula Res_x(P(x^k), Q(x^k)) = Res_y(P, Q)^k (no
+    sign); resultant itself never deflates;
   * gcd(p, q, *more) is the one gcd, normalized to leading coefficient 1
     (0 when all operands are 0); it and every gcd of several polynomials in
     the kernel run one fold, which takes the operands in the order given
@@ -956,17 +956,10 @@ def deflate(p: MPoly, var: str, k: int) -> MPoly:
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     """Sylvester resultant eliminating var; p's coefficient rows first.
 
-    With k the gcd of the exponents of var that occur in p and q, both are
-    polynomials P(y), Q(y) in y = var^k, and Poisson's product formula
-    gives Res_var(P(var^k), Q(var^k)) = Res_y(P, Q)^k exactly: p and q are
-    deflated by k, their Sylvester matrix has (m + n) / k rows for degrees
-    m and n, and its determinant is raised to the k-th power.
+    The determinant of the (m + n)-row Sylvester matrix for degrees m and n
+    in var; ZeroDegree if either is 0.
     """
     q = p._coerce(q)
-    off = _offset(p.vars, var)
-    k = _igcd(*{e >> off & _FIELD for e in chain(p._prim, q._prim)})
-    if k > 1:
-        p, q = deflate(p, var, k), deflate(q, var, k)
     pc, qc = p.coefficients((var,)), q.coefficients((var,))
     m, n = max(pc, default=(0,))[0], max(qc, default=(0,))[0]
     if m == 0 or n == 0:
@@ -974,6 +967,5 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     zero = MPoly.zero(p.vars)
     pr = [pc.get((e,), zero) for e in range(m, -1, -1)]
     qr = [qc.get((e,), zero) for e in range(n, -1, -1)]
-    r = det([[zero] * i + pr + [zero] * (n - 1 - i) for i in range(n)]
-            + [[zero] * i + qr + [zero] * (m - 1 - i) for i in range(m)])
-    return r if k == 1 else r ** k
+    return det([[zero] * i + pr + [zero] * (n - 1 - i) for i in range(n)]
+                + [[zero] * i + qr + [zero] * (m - 1 - i) for i in range(m)])

@@ -39,14 +39,15 @@ coefficients from the epsilons, and normalizes only the closed form.
 K_e has only e0^2, e1^2, e2^2, e3^2, e0e3 and e1e2 terms and T only
 e0e1, e0e2, e1e3 and e2e3, so under (e0, e3) -> (-e0, -e3) K_e and N are
 even and T is odd, and the e0 resultants R_Ke, R_T and R_N are polynomials
-in e3^2.  The chain deflates them by e3^2 -> e3 and keeps s_i, their
+in e3^2.  _eliminate deflates them by e3^2 -> e3 and keeps s_i, their
 resultant there, whose square is the paper's chain polynomial S_i
 (Poisson).  Over a UFD gcd(S_i) = gcd(s_i)^2, so the paper's identity
 gcd(S_i) = F1^2 * F2^2 up to a unit is gcd(s_i) = F1 * F2 up to a unit.
-resultant_chain takes one gcd, smallest first, of the s_i / (F1 * F2) when
-F1 * F2 divides all three, else of the s_i; the largest is skipped if the
-first two are coprime.  pipeline_report concludes from that gcd, checked
-against F2, and prints its square; the match comes from exact divisions.
+resultant_chain divides each s_i by E = F1 * F2 once and takes one gcd,
+smallest first, of the cofactors when E divides all three, else of the
+s_i; the largest is skipped if the first two are coprime.  The match is
+one more exact division by the cofactor gcd.  pipeline_report concludes
+from the chain gcd, checked against F2, and prints its square.
 """
 
 from __future__ import annotations
@@ -647,49 +648,18 @@ def _res_or_zero(p: MPoly, qp: MPoly, var: str) -> MPoly:
     return resultant(p, qp, var)
 
 
-def _divide_out(p: MPoly, f: MPoly) -> tuple:
-    """The largest k with f^k | p, and p / f^k."""
-    k = 0
-    while True:
-        try:
-            p = p.exact_div(f)
-        except NotDivisible:
-            return k, p
-        k += 1
-
-
-def factor_powers(p: MPoly, factors) -> tuple:
-    """For each factor f, the largest k with f^k | p, found by repeated
-    exact_div of p itself, so a factor that two of them share counts
-    towards both powers; and the cofactor, p with each factor in turn
-    divided out as often as it still goes."""
-    if p.is_zero() or any(f.degree() <= 0 for f in factors):
-        raise ValueError("factor_powers needs p != 0 and nonconstant factors")
-    powers, rest = [], p
-    for f in factors:
-        k, q = _divide_out(p, f)
-        powers.append(k)
-        # the first factor's quotient is already its share of the cofactor
-        rest = q if rest is p else _divide_out(rest, f)[1]
-    return tuple(powers), rest
-
-
-def _factor_match(g: MPoly, f1: MPoly, f2: MPoly) -> bool:
-    """Whether a nonzero chain gcd g is F1 * F2 up to a unit and extra
-    powers of shared factors: F1 and F2 divide g, and every factor of the
-    cofactor factor_powers leaves that involves e1 or e2 divides F1 * F2
-    (for g^2 = gcd(S_i) the same with F1^2, F2^2, as F^2 | g^2 iff F | g).
-    That is, the cofactor's primitive part over (e1, e2) divides
-    (F1 * F2)^k, k its degree in them; its content divides each of its
-    coefficients c, so this holds iff the cofactor divides c * (F1 * F2)^k.
+def _factor_match(h: MPoly, e: MPoly) -> bool:
+    """Whether a nonzero cofactor gcd h = gcd(s_i / E) leaves the chain gcd
+    E * h equal to E = F1 * F2 up to a unit and extra powers of factors of
+    E: every factor of h that involves e1 or e2 divides E (for the square
+    gcd(S_i) the same with E^2).  That is, h's primitive part over (e1, e2)
+    divides E^k, k its degree in them; its content divides each of its
+    coefficients c, so this holds iff h divides c * E^k.
     """
-    powers, rest = factor_powers(g, (f1, f2))
-    if min(powers) < 1:
-        return False
-    coeffs = rest.coefficients(("e1", "e2"))
+    coeffs = h.coefficients(("e1", "e2"))
     c = min(coeffs.values(), key=lambda a: a.term_count)
     try:
-        (c * (f1 * f2) ** max(map(sum, coeffs))).exact_div(rest)
+        (c * e ** max(map(sum, coeffs))).exact_div(h)
     except NotDivisible:
         return False
     return True
@@ -698,39 +668,36 @@ def _factor_match(g: MPoly, f1: MPoly, f2: MPoly) -> bool:
 def resultant_chain(ke: QuadricForm, t: QuadricForm, design: CanonicalDesign) -> ChainResult:
     """Eliminate e0 pairwise among {K_e, T, N}, then e3 in e3^2, then gcd.
 
-    For generic parameter values the gcd equals F1 * F2 up to a unit and
-    extraneous powers of shared factors.  The match is a divisibility test
-    (_factor_match): F1 and F2 divide the gcd, and every other factor of it
-    that involves e1 or e2 divides F1 * F2.  At mu = identity F2 vanishes
-    identically and so does the gcd.
-
-    The gcd is computed, never assumed: with E = F1 * F2 when it is
-    nonzero and divides all three s_i exactly, else E = 1, it is
-    E * gcd(s_i / E) made monic, which is gcd(s_i) since
-    gcd(E * C_i) = E * gcd(C_i) up to a unit.  The cofactors s_i / E have
-    e-degree 4 less than the s_i, which is where the saving is.
+    For generic parameter values the gcd is E = F1 * F2 up to a unit and
+    extra powers of factors of E.  It is computed, never assumed: when E
+    divides all three s_i it is E * h made monic, for h the gcd of the
+    cofactors s_i / E (e-degree 4 less than the s_i), as gcd(E * C_i) =
+    E * gcd(C_i) up to a unit, and the match is _factor_match(h, E).
+    Otherwise (a wrong F2, or E = 0 at mu = identity) it is gcd(s_i), and
+    the match holds iff it and E are both zero.
     """
     res_e0, res_e3 = _eliminate(ke.poly, t.poly, N_poly())
     f1, f2 = f1_f2(design)
     expected = f1 * f2
     e, parts = 1, list(res_e3.values())
-    if not expected.is_zero():
-        try:
-            e, parts = expected, [s.exact_div(expected) for s in parts]
-        except NotDivisible:
-            pass  # e and parts stay 1 and the S_i
+    try:
+        e, parts = expected, [s.exact_div(expected) for s in parts]
+    except (NotDivisible, ZeroDivisionError):  # E = 0 at mu = identity
+        pass  # e and parts stay 1 and the s_i
     # smallest operands first: the gcd of the two smaller ones bounds the
     # largest one's part in the remainder sequence, and skips it when 1
-    g = (e * gcd(*sorted(parts, key=lambda p: p.term_count))).monic()
-    if g.is_zero() or expected.is_zero():
+    h = gcd(*sorted(parts, key=lambda p: p.term_count))
+    g = (e * h).monic()
+    if g.is_zero() or e == 1:
         match = g.is_zero() and expected.is_zero()
     else:
-        match = _factor_match(g, f1, f2)
+        match = _factor_match(h, e)
     return ChainResult(res_e0, res_e3, g, match, expected, f1, f2)
 
 
 def _eliminate(kp: MPoly, tp: MPoly, n: MPoly):
-    """Pairwise resultants of K_e, T and N in e0, then the s_i in e3^2."""
+    """Pairwise resultants of K_e, T and N in e0, then the s_i in e3^2:
+    the chain's one deflate, by e3^2 -> e3, as each R is even in e3."""
     r_ke = _res_or_zero(tp, n, "e0")
     r_t = _res_or_zero(kp, n, "e0")
     r_n = _res_or_zero(kp, tp, "e0")

@@ -51,7 +51,6 @@ from duporcq.study import (
     f1_f2,
     f_coefficient_matrix,
     f_matrix_at,
-    factor_powers,
     leg_split,
     pipeline_report,
     rank_drop_T,
@@ -791,32 +790,21 @@ def test_factor_match_agrees_with_the_radical_oracle_on_the_goldens(
     assert chain.gcd == fold_gcd(chain)
 
 
-def test_factor_powers_divides_each_factor_out_of_p_itself():
-    x, y = GENS["e1"], GENS["e2"]
-    assert factor_powers(x ** 3 * y ** 2 * (x + y), (x, y)) == ((3, 2), x + y)
-    # x is shared: its power counts towards both factors, and the cofactor
-    # is what dividing x*y once and then x as often as it goes leaves
-    assert factor_powers(x ** 3 * y * (x - y), (x * y, x)) == ((1, 3), x - y)
-    five = MPoly.const(STUDY_VARS, 5)
-    assert factor_powers(five, (x,)) == ((0,), five)
-    for p, factors in ((MPoly.zero(STUDY_VARS), (x,)),
-                       (x, (MPoly.const(STUDY_VARS, 2),))):
-        with pytest.raises(ValueError):
-            factor_powers(p, factors)
-
-
 def test_factor_match_is_a_divisibility_test():
+    # _factor_match(X, E) is the match of a chain gcd E * X, for X the gcd
+    # of the cofactors s_i / E; F1 not dividing the gcd is the case where E
+    # does not divide the s_i (see the wrong-F2 test below)
     e1, e2, a4 = GENS["e1"], GENS["e2"], GENS["A4"]
+    one = MPoly.const(STUDY_VARS, 1)
     base = BaseParams(Fraction(1, 3), Fraction(-2), Fraction(5, 2), Fraction(7))
     f1, f2 = f1_f2(CanonicalDesign.from_params(
         base, mu=(Fraction(3, 2), Fraction(1, 5), Fraction(-2))))
     prod = f1 * f2
-    assert _factor_match(prod, f1, f2)
-    assert _factor_match(prod * f1 * f2 ** 3, f1, f2)
-    assert _factor_match(prod * (3 + a4), f1, f2)  # e-free content
-    # F1 does not divide, or a factor off F1 * F2 does
-    assert not _factor_match(f2 ** 2, f1, f2)
-    assert not _factor_match(prod * (e1 + 5 * e2), f1, f2)
+    assert _factor_match(one, prod)
+    assert _factor_match(f1 * f2 ** 3, prod)
+    assert _factor_match(3 + a4, prod)  # e-free content
+    # a factor off F1 * F2 divides
+    assert not _factor_match(e1 + 5 * e2, prod)
     # with mu1 = 1, F2 = e1 * L: a cofactor built from e1 and L matches,
     # also under a content over (e1, e2)
     f1, f2 = f1_f2(CanonicalDesign.from_params(
@@ -824,9 +812,57 @@ def test_factor_match_is_a_divisibility_test():
     lin = f2.exact_div(e1)
     assert lin.degree() == 1
     prod = f1 * f2
-    assert _factor_match(prod * e1 ** 3, f1, f2)
-    assert _factor_match(prod * a4 * (1 + a4) * lin ** 2, f1, f2)
-    assert not _factor_match(prod * a4 * e1 * (e1 + e2), f1, f2)
+    assert _factor_match(e1 ** 3, prod)
+    assert _factor_match(a4 * (1 + a4) * lin ** 2, prod)
+    assert not _factor_match(a4 * e1 * (e1 + e2), prod)
+
+
+def test_chain_match_takes_one_exact_division_past_the_cofactors(monkeypatch):
+    # three divisions s_i / (F1 * F2) and one check that the cofactor gcd
+    # divides c * (F1 * F2)^k
+    real = MPoly.exact_div
+
+    def counting(self, divisor):
+        calls.append(divisor)
+        return real(self, divisor)
+
+    rng = random.Random(43)
+    for design in (_generic_design(rng) for _ in range(5)):
+        ke, t = compute_Ke(design), rank_drop_T(design).T
+        calls = []
+        monkeypatch.setattr(MPoly, "exact_div", counting)
+        chain = resultant_chain(ke, t, design)
+        monkeypatch.undo()
+        assert chain.factor_match and not chain.gcd.is_zero()
+        assert len(calls) == 4
+        assert calls[:3] == [chain.expected] * 3
+
+
+def test_chain_on_the_stratum_where_F1_and_F2_share_e1():
+    # mu1 = 1 makes e1 a factor of F2, and mu2 = A (1 + mu3) / B kills
+    # F1's e1^2 - e2^2 coefficient, so F1 = c * e1 * e2: the cofactor step
+    # still divides, and the gcd carries e1^2 beyond F1 * F2
+    rng = random.Random(7)
+    for _ in range(12):
+        base = random_base(rng)
+        while True:
+            mu3 = random_fraction(rng, -4, 4, 4)
+            if mu3 not in (0, -1):
+                break
+        A, B = base.A5 - base.A4 + 1, base.B4 - base.B5
+        design = CanonicalDesign.from_params(
+            base, mu=(Fraction(1), A * (1 + mu3) / B, mu3),
+            radii=tuple(random_fraction(rng, 1, 6, 4) for _ in range(5)))
+        for f in f1_f2(design):
+            f.exact_div(GENS["e1"])
+        chain = resultant_chain(compute_Ke(design), rank_drop_T(design).T,
+                                design)
+        for s in chain.res_e3.values():
+            s.exact_div(chain.expected)
+        assert chain.factor_match, design
+        assert chain.factor_match == radical_match(chain)
+        assert chain.gcd.degree() == 6
+        assert chain.gcd == fold_gcd(chain)
 
 
 def test_chain_match_takes_no_gcd_but_the_fold(monkeypatch):
@@ -913,7 +949,9 @@ def test_chain_polynomials_over_the_A4_ring_carry_F1_and_F2_once():
     assert {k: s.term_count for k, s in res_e3.items()} == {
         "s_TN": 183, "s_KeN": 49, "s_KeT": 93}
     for s in res_e3.values():
-        assert factor_powers(s, (f1, f2))[0] == (1, 1)
+        for f in (f1, f2):
+            with pytest.raises(NotDivisible):
+                s.exact_div(f).exact_div(f)
 
 
 def test_chain_identity_over_the_A4_ring():
