@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Survey the elimination pipeline over random rational designs.
 
-For each draw the script reports the e0*e3 coefficient ratio of the f-free
-quadric, the rank-drop epsilon coefficients, whether F2 vanishes, and whether
-the resultant chain's common factor gcd(s_i), the square root of the paper's
-gcd(S_i), matches F1 * F2: F1 and F2 divide it, and every other factor
-involving e1 or e2 divides F1 * F2.
+Each draw's row is read off one pipeline_report, on fixed numeric squared
+radii: the e0*e3 coefficient ratio of the f-free quadric, the rank-drop
+epsilon coefficients, whether F2 vanishes, and whether the resultant
+chain's common factor gcd(s_i), the square root of the paper's gcd(S_i),
+matches F1 * F2: F1 and F2 divide it, and every other factor involving e1
+or e2 divides F1 * F2.
 The identity platform map is surveyed separately since the ratio is then a
 parameter-independent constant.  The script exits 1 with a message if any
 row disagrees: a ratio off its closed form, or a chain that does not match.
@@ -20,14 +21,7 @@ import sys
 from fractions import Fraction
 
 from duporcq.geometry import BaseParams
-from duporcq.study import (
-    CanonicalDesign,
-    compute_Ke,
-    e0e3_ratio,
-    f1_f2,
-    rank_drop_T,
-    resultant_chain,
-)
+from duporcq.study import CanonicalDesign, pipeline_report
 
 
 def random_fraction(rng, lo=-5, hi=5, den=4):
@@ -51,23 +45,12 @@ def random_mu(rng):
             return (mu1, random_fraction(rng, -4, 4, 4), mu3)
 
 
-def survey_row(design, mu):
-    ke = compute_Ke(design)
-    ratio = e0e3_ratio(ke, design)
-    td = rank_drop_T(design)
-    _, f2 = f1_f2(design)
+def report(base, mu=None):
+    """pipeline_report of the design on base and mu whose squared radii are
+    five draws of their own Random(0), the same for every design."""
     radii_rng = random.Random(0)
     radii = tuple(random_fraction(radii_rng, 1, 6, 4) for _ in range(5))
-    numeric = CanonicalDesign(design.A4, design.B4, design.A5, design.B5,
-                              design.mu1, design.mu2, design.mu3, radii)
-    chain = resultant_chain(compute_Ke(numeric), rank_drop_T(numeric).T, numeric)
-    return {
-        "ratio": ratio,
-        "expected": -4 * (mu[0] + mu[2]),
-        "eps": {k: str(v) for k, v in td.epsilons.items()},
-        "f2_zero": f2.is_zero(),
-        "chain_match": chain.factor_match,
-    }
+    return pipeline_report(CanonicalDesign.from_params(base, mu, radii))
 
 
 def main():
@@ -81,26 +64,25 @@ def main():
     print("identity platform map (ratio must be the constant -8):")
     for k in range(args.draws):
         base = random_base(rng)
-        design = CanonicalDesign.from_params(base)
-        ratio = e0e3_ratio(compute_Ke(design), design)
+        ratio = report(base)["Ke"]["e0e3_ratio"]
         print(f"  draw {k}: base=({base.A4},{base.B4},{base.A5},{base.B5})"
               f"  ratio={ratio}")
-        if ratio != -8:
+        if Fraction(ratio) != -8:
             failed.append(f"identity draw {k}: ratio {ratio}")
 
     print("general platform map (ratio follows -4*(mu1+mu3)):")
     for k in range(args.draws):
         base = random_base(rng)
         mu = random_mu(rng)
-        design = CanonicalDesign.from_params(base, mu=mu)
-        row = survey_row(design, mu)
-        ok = "ok" if row["ratio"] == row["expected"] else "MISMATCH"
-        print(f"  draw {k}: mu=({mu[0]},{mu[1]},{mu[2]})  ratio={row['ratio']}"
-              f"  [{ok}]  F2=0: {row['f2_zero']}  chain: {row['chain_match']}")
-        print(f"           eps: {row['eps']}")
-        if ok != "ok" or not row["chain_match"]:
-            failed.append(f"general draw {k}: ratio {ok}, "
-                          f"chain {row['chain_match']}")
+        row = report(base, mu)
+        ratio, match = row["Ke"]["e0e3_ratio"], row["chain"]["factors"]["match"]
+        ok = "ok" if Fraction(ratio) == -4 * (mu[0] + mu[2]) else "MISMATCH"
+        print(f"  draw {k}: mu=({mu[0]},{mu[1]},{mu[2]})  ratio={ratio}"
+              f"  [{ok}]  F2=0: {row['F1F2']['F2_identically_zero']}"
+              f"  chain: {match}")
+        print(f"           eps: {row['T']['epsilons']}")
+        if ok != "ok" or not match:
+            failed.append(f"general draw {k}: ratio {ok}, chain {match}")
 
     if failed:
         sys.exit("survey mismatch: " + "; ".join(failed))

@@ -151,9 +151,11 @@ class ConicDirection:
 
 
 def _as_uv(u) -> tuple:
-    """The two components of a planar direction; ints and Fractions stay as
-    given, anything else is read as a decimal string."""
-    u1, u2 = (v if isinstance(v, _REAL) else Fraction(str(v)) for v in u)
+    """The two components of a planar direction, ints or Fractions kept as
+    given; TypeError for any other component, as in ConicDirection."""
+    u1, u2 = u
+    if not (isinstance(u1, _REAL) and isinstance(u2, _REAL)):
+        raise TypeError(f"direction components are rational: {u!r}")
     if u1 == 0 and u2 == 0:
         raise ValueError("zero direction")
     return u1, u2

@@ -19,10 +19,9 @@ Q[A4, B4, A5, B5] (identity mu); derive_G builds it on its first call, keeps
 it for the process and evaluates it at each numeric base, so motion_radii
 computes no K_e.  sample_pose, the one sampler, takes a whole grid of
 directions through one sphere_linear call, one stacked SVD and one
-residuals_at call; trajectory samples its directions in one call, and
-verify_selfmotion samples its first grid and the three tangent directions
-at the half-turn in one call, so a motion op whose first grid holds enough
-poses makes one sampler call.
+residuals_at call; verify_selfmotion, its one caller, samples its first
+grid and the three tangent directions at the half-turn in one call, so a
+motion op whose first grid holds enough poses makes one sampler call.
 
 The float path has no leg model of its own: each public call reads its
 design once into a FloatLegs, whose float SphereConstraint stacked over
@@ -362,7 +361,6 @@ class MotionReport:
     attempted: int
     max_residual: float
     max_f0: float
-    tangents: tuple
     tangent_angle: float
 
 
@@ -370,10 +368,10 @@ TANGENT_STEP = 1e-4     # direction step of the tangents' difference quotients
 TANGENT_DIRECTIONS = ((0, 0, 1), (TANGENT_STEP, 0, 1), (0, TANGENT_STEP, 1))
 
 
-def _tangents(poses):
-    """Two motion tangents, as difference quotients, and the angle between
-    them, from the outcomes at TANGENT_DIRECTIONS; the first rejection in
-    that order is raised."""
+def _tangent_angle(poses):
+    """The angle between two motion tangents, as difference quotients,
+    from the outcomes at TANGENT_DIRECTIONS; the first rejection in that
+    order is raised."""
     import numpy as np
     for s in poses:
         if isinstance(s, Exception):
@@ -381,8 +379,7 @@ def _tangents(poses):
     p0, p1, p2 = (np.array(s.e + s.f) for s in poses)
     t1, t2 = (p1 - p0) / TANGENT_STEP, (p2 - p0) / TANGENT_STEP
     cosang = abs(t1 @ t2) / (np.linalg.norm(t1) * np.linalg.norm(t2))
-    angle = math.acos(min(1.0, max(-1.0, cosang)))
-    return (tuple(t1), tuple(t2)), angle
+    return math.acos(min(1.0, max(-1.0, cosang)))
 
 
 def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
@@ -395,10 +392,10 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
     the directions of every pass.  Each pass samples its grid in one
     sample_pose call and walks the outcomes in grid order up to the
     count-th pose, so outcomes past it count for nothing.  The first pass
-    samples the three TANGENT_DIRECTIONS in the same call for the two
-    tangents at the half-turn; the first of their rejections is raised
-    after the walk.  count must be at least 1 (ValueError before any
-    sampling otherwise).
+    samples the three TANGENT_DIRECTIONS in the same call for the angle
+    between two tangents at the half-turn; the first of their rejections
+    is raised after the walk.  count must be at least 1 (ValueError before
+    any sampling otherwise).
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -428,12 +425,11 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
         size *= 2
         outcomes = sample_pose(legs, list(fibonacci_directions(size)),
                                tol_leg, tol_f0)
-    tangents, angle = _tangents(at_half_turn)
     return MotionReport(
         tuple(samples), attempted,
         max(max(abs(r) for r in s.residuals) for s in samples),
         max(abs(s.f[0]) for s in samples),
-        tangents, angle)
+        _tangent_angle(at_half_turn))
 
 
 # ------------------------------------------------------- translational circle
@@ -589,42 +585,3 @@ def arch_singularity_check(design: HexapodDesign, seed: int = 0,
     sv = np.linalg.svd(np.array(unit), compute_uv=False)
     return max(0.0, *(sv[:, -1] / sv[:, 0]))
 
-
-# ----------------------------------------------------------------- trajectory
-
-TRAJECTORY_COLUMNS = ("t1", "t2", "e1", "e2", "e3", "f1", "f2", "f3",
-                      "tx", "ty", "tz",
-                      "res1", "res2", "res3", "res4", "res5", "res6")
-
-
-def trajectory(design: HexapodDesign, n1: int = 6, n2: int = 12) -> list:
-    """Motion samples over a (t1, t2) grid of rotation directions.
-
-    t1 is the polar angle from the half-turn axis, t2 the azimuth; grid
-    points whose fiber is empty are skipped.
-    """
-    legs = float_legs(design)
-    angles = [((i + 1) * (math.pi / 2) / (n1 + 1), 2 * math.pi * j / n2)
-              for i in range(n1) for j in range(n2)]
-    directions = [(math.sin(t1) * math.cos(t2), math.sin(t1) * math.sin(t2),
-                   math.cos(t1)) for t1, t2 in angles]
-    rows = []
-    for (t1, t2), s in zip(angles, sample_pose(legs, directions)):
-        if isinstance(s, NoRealSolution):
-            continue
-        if isinstance(s, Exception):
-            raise s
-        t = translation_numerator(s.e, s.f)
-        rows.append((t1, t2) + s.e[1:] + s.f[1:]
-                    + tuple(t) + tuple(s.residuals))
-    return rows
-
-
-def write_trajectory(rows, path: str) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRAJECTORY_COLUMNS)
-        for row in rows:
-            w.writerow([repr(float(v)) for v in row])

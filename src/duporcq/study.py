@@ -158,27 +158,20 @@ class StudyPose:
 
 
 def displacement(pose: StudyPose):
-    """Rotation matrix and translation vector of a pose; exact for exact input."""
+    """Exact rotation matrix and translation vector of a pose whose entries
+    are ints or Fractions; TypeError for any other entry."""
     e, f = pose.e, pose.f
-    exact = all(isinstance(v, (int, Fraction)) for v in e + f)
+    if not all(isinstance(v, (int, Fraction)) for v in e + f):
+        raise TypeError("pose entries must be int or Fraction")
     s = study_defect(e, f)
+    if s != 0:
+        raise StudyViolation(f"sum(e_i f_i) = {s}")
     n = euler_norm(e)
-    scale = max(abs(v) for v in e + f) or 1
-    if exact:
-        if s != 0:
-            raise StudyViolation(f"sum(e_i f_i) = {s}")
-        if n == 0:
-            raise ExceptionalPose("N = 0")
-        rot = tuple(tuple(Fraction(v, 1) / n for v in row)
-                    for row in rotation_numerator(e))
-        tra = tuple(Fraction(v, 1) / n for v in translation_numerator(e, f))
-    else:
-        if abs(s) > 1e-10 * scale * scale:
-            raise StudyViolation(f"sum(e_i f_i) = {s}")
-        if abs(n) <= 1e-14 * scale * scale:
-            raise ExceptionalPose("N = 0")
-        rot = tuple(tuple(v / n for v in row) for row in rotation_numerator(e))
-        tra = tuple(v / n for v in translation_numerator(e, f))
+    if n == 0:
+        raise ExceptionalPose("N = 0")
+    rot = tuple(tuple(Fraction(v, 1) / n for v in row)
+                for row in rotation_numerator(e))
+    tra = tuple(Fraction(v, 1) / n for v in translation_numerator(e, f))
     return rot, tra
 
 
@@ -612,9 +605,10 @@ def _ansatz_branch(ke: QuadricForm, active, partner) -> BranchReport:
     witness = {"nu": -q[(p1, p1)]}
     witness.update((f"nu{k}", nu[k]) for k in range(4))
     lin = sum(nu[k] * GENS[f"e{k}"] for k in active)
-    if (ke.poly + witness["nu"] * N_poly() + lin * lin).is_zero():
-        raise AnsatzSolvable(name, witness)
-    return BranchReport(name, forced, {}, True)
+    if not (ke.poly + witness["nu"] * N_poly() + lin * lin).is_zero():
+        raise InvariantViolation(
+            f"ansatz witness of {name} leaves K_e + nu*N + lin^2 nonzero")
+    raise AnsatzSolvable(name, witness)
 
 
 def tangency_ansatz(ke: QuadricForm) -> AnsatzReport:
@@ -623,7 +617,8 @@ def tangency_ansatz(ke: QuadricForm) -> AnsatzReport:
     Follows the two branches nu0 = nu3 = 0 and nu1 = nu2 = 0.  Identically
     zero coefficient differences force the corresponding nu to zero; surviving
     requirements are reported as obstructions.  A branch whose requirements
-    all hold identically yields a verified witness and raises AnsatzSolvable.
+    all hold identically yields a verified witness and raises AnsatzSolvable;
+    InvariantViolation if the witness fails its own check.
     """
     return AnsatzReport(_ansatz_branch(ke, (1, 2), (0, 3)),
                         _ansatz_branch(ke, (0, 3), (1, 2)))

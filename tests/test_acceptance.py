@@ -36,6 +36,8 @@ from duporcq.moebius import (
     special_directions,
 )
 from duporcq.selfmotion import (
+    TANGENT_DIRECTIONS,
+    TANGENT_STEP,
     RankTooHigh,
     arch_singularity_check,
     build_motion_design,
@@ -43,6 +45,7 @@ from duporcq.selfmotion import (
     float_legs,
     pose_from_translation,
     residuals_at,
+    sample_pose,
     similarity_bond,
     sixth_radius,
     translational_submotion,
@@ -111,7 +114,10 @@ def test_01_self_motion_exists_and_is_two_dimensional(motion_design,
     assert len(motion_report.samples) == 100
     assert all(s.e[0] == 0.0 for s in motion_report.samples)
     assert motion_report.max_residual <= 1e-9
-    t1, t2 = (np.array(t) for t in motion_report.tangents)
+    # two tangents at the half-turn, as difference quotients
+    p0, p1, p2 = (np.array(s.e + s.f) for s in
+                  sample_pose(float_legs(motion_design), TANGENT_DIRECTIONS))
+    t1, t2 = (p1 - p0) / TANGENT_STEP, (p2 - p0) / TANGENT_STEP
     assert np.linalg.matrix_rank(np.vstack([t1, t2]), tol=1e-6) == 2
 
 

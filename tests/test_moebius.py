@@ -109,9 +109,13 @@ def test_conic_direction_invariant():
     assert (c.c1, c.c2) == (Fraction(1, 2), -3) and type(c.c2) is int
     with pytest.raises(ValueError):
         ConicDirection(0, 0)
+    # from_direction takes the same rational components, never reading one
+    # as a decimal string
     for c1, c2 in ((1, I), (GaussRational(1), 2), (1.0, 2), ("1", 2)):
         with pytest.raises(TypeError):
             ConicDirection(c1, c2)
+        with pytest.raises(TypeError, match="rational"):
+            ConicDirection.from_direction((c1, c2))
 
 
 # ----------------------------------------------------------------- pictures

@@ -26,7 +26,8 @@ from duporcq.geometry import (
     swap_4_5,
 )
 from duporcq.selfmotion import (
-    TRAJECTORY_COLUMNS,
+    TANGENT_DIRECTIONS,
+    TANGENT_STEP,
     ConstructionDegenerate,
     InconsistentSystem,
     MotionSample,
@@ -48,10 +49,8 @@ from duporcq.selfmotion import (
     sample_pose,
     similarity_bond,
     sixth_radius,
-    trajectory,
     translational_submotion,
     verify_selfmotion,
-    write_trajectory,
 )
 from duporcq.study import (
     F_VARS,
@@ -607,7 +606,6 @@ def test_verify_selfmotion_worked():
     assert len(rep.samples) == 40
     assert rep.max_residual <= 1e-12
     assert rep.max_f0 <= 1e-14
-    assert len(rep.tangents) == 2
     assert abs(rep.tangent_angle - math.pi / 2) <= 1e-6
 
 
@@ -719,7 +717,11 @@ def test_verify_selfmotion_raises_a_grid_rejection_first(monkeypatch):
 
 def test_verify_selfmotion_tangents_independent():
     rep = verify_selfmotion(worked_design(), count=5)
-    t1, t2 = (np.array(t) for t in rep.tangents)
+    # the two tangents at the half-turn, as difference quotients over the
+    # directions the report's angle is taken from
+    p0, p1, p2 = (np.array(s.e + s.f) for s in
+                  sample_pose(float_legs(worked_design()), TANGENT_DIRECTIONS))
+    t1, t2 = (p1 - p0) / TANGENT_STEP, (p2 - p0) / TANGENT_STEP
     assert (np.linalg.norm(np.cross(t1[:3], t2[:3])) > 1e-3
             or rep.tangent_angle > 1e-3)
 
@@ -990,7 +992,6 @@ def test_float_legs_are_built_once_per_public_call(monkeypatch):
     monkeypatch.setattr(selfmotion, "float_legs", counting)
     hexapod = worked_hexapod()
     for call in (lambda: verify_selfmotion(hexapod, count=10),
-                 lambda: trajectory(hexapod, n1=2, n2=3),
                  lambda: arch_singularity_check(hexapod, samples=5)):
         built.clear()
         call()
@@ -1008,20 +1009,3 @@ def test_arch_singularity_generic_hexapod():
                             PlanarPoint(1, 2))
     assert arch_singularity_check(generic, samples=20) > 1e-6
 
-
-# ------------------------------------------------------------------ trajectory
-
-def test_trajectory_rows_and_csv(tmp_path):
-    rows = trajectory(worked_hexapod(), n1=2, n2=4)
-    assert rows
-    for row in rows:
-        assert len(row) == len(TRAJECTORY_COLUMNS)
-        assert max(abs(v) for v in row[-6:]) <= 1e-12
-    path = tmp_path / "traj.csv"
-    write_trajectory(rows, str(path))
-    with open(path, newline="") as fh:
-        got = list(csv.reader(fh))
-    assert tuple(got[0]) == TRAJECTORY_COLUMNS
-    assert len(got) == len(rows) + 1
-    back = [tuple(float(v) for v in r) for r in got[1:]]
-    assert back == [tuple(float(v) for v in r) for r in rows]

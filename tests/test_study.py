@@ -118,12 +118,14 @@ def test_exceptional_pose():
         displacement(StudyPose((0, 0, 0, 0), (0, 1, 0, 0)))
 
 
-def test_float_pose():
+def test_float_pose_raises_type_error():
+    # displacement is an exact oracle; a float entry is not read as a
+    # tolerance-checked pose
     pose = StudyPose((0.6, 0.0, 0.0, 0.8), (0.0, 0.0, 0.0, 0.0))
-    x = apply_pose(pose, (1.0, 0.0, 0.0))
-    assert abs(x[0] - (-0.28)) < 1e-12
-    assert abs(x[1] - 0.96) < 1e-12
-    assert abs(x[2]) < 1e-12
+    with pytest.raises(TypeError, match="int or Fraction"):
+        apply_pose(pose, (1, 0, 0))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        displacement(StudyPose((0, 0, 0, 1), (0, 0, 0.5, 0)))
 
 
 @given(st.lists(rationals, min_size=4, max_size=4),
@@ -622,6 +624,19 @@ def test_ansatz_sanity_branch_b():
         tangency_ansatz(ke)
     assert exc.value.branch == "nu1=nu2=0"
     assert exc.value.witness["nu0"] == 1
+
+
+def test_ansatz_witness_that_fails_its_check_is_an_invariant_violation(
+        monkeypatch):
+    # with N read as 2N the branch's requirements still hold, but its
+    # witness leaves K_e + nu*N + lin^2 = N; that is a failed identity,
+    # not a solvable branch without a witness
+    g = GENS
+    ke = QuadricForm(-N_poly() - g["e0"] * g["e0"])
+    real = study.N_poly
+    monkeypatch.setattr(study, "N_poly", lambda: 2 * real())
+    with pytest.raises(InvariantViolation, match="nu1=nu2=0"):
+        tangency_ansatz(ke)
 
 
 def test_ansatz_sanity_branch_a():

@@ -2,11 +2,13 @@
 
 import argparse
 import ast
+import csv
 import importlib.util
 import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -26,8 +28,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SCRIPT_RUNS = {
     "export_worked_design.py": (["--out", "design.json"], ["design.json"]),
     "ratio_survey.py": (["--draws", "1"], []),
-    "trace_trajectory.py": (["--n1", "3", "--n2", "4", "--out", "motion.csv"],
-                            ["motion.csv"]),
 }
 
 
@@ -320,18 +320,27 @@ def test_readme_example_prints_what_its_comment_says(tmp_path):
     assert done.stdout == expected + "\n"
 
 
-@pytest.mark.parametrize("grid", [["--n1", "0"], ["--n2", "-1"]])
-def test_trace_trajectory_rejects_an_empty_grid(tmp_path, grid):
-    # an empty grid used to write a header-only CSV and then fail on the
-    # worst residual of no rows; it is a usage error before any output
+def test_readme_worked_configuration_runs_as_written(tmp_path):
+    # the README's worked-configuration commands are the way to write the
+    # worked hexapod's motion to CSV; each line runs as written, with
+    # duporcq as python -m duporcq and scripts/ the repository's scripts
+    [block] = re.findall(r"## Worked configuration\n.*?```sh\n(.*?)```",
+                         README.read_text(), re.S)
     env = _package_env()
-    done = subprocess.run(
-        [sys.executable, str(SCRIPTS / "trace_trajectory.py"), *grid,
-         "--out", "motion.csv"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 2
-    assert "--n1 and --n2 must be at least 1" in done.stderr
-    assert not (tmp_path / "motion.csv").exists()
+    for line in block.splitlines():
+        argv = shlex.split(line)
+        if argv[0] == "duporcq":
+            argv[:1] = [sys.executable, "-m", "duporcq"]
+        elif argv[0] == "python":
+            argv[:2] = [sys.executable, str(SCRIPTS.parent / argv[1])]
+        done = subprocess.run(argv, cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, f"{line}: {done.stderr}"
+    with open(tmp_path / "motion.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ([f"e{i}" for i in range(4)] + [f"f{i}" for i in range(4)]
+                      + [f"res{i}" for i in range(1, 7)])
+    assert len(rows) == 50
 
 
 def test_ratio_survey_exits_1_on_a_mismatch(monkeypatch):
@@ -340,7 +349,14 @@ def test_ratio_survey_exits_1_on_a_mismatch(monkeypatch):
         "ratio_survey", SCRIPTS / "ratio_survey.py")
     survey = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(survey)
-    monkeypatch.setattr(survey, "e0e3_ratio", lambda ke, design: 0)
+    real = survey.pipeline_report
+
+    def off_ratio(design):
+        report = real(design)
+        report["Ke"]["e0e3_ratio"] = "0"
+        return report
+
+    monkeypatch.setattr(survey, "pipeline_report", off_ratio)
     monkeypatch.setattr(sys, "argv", ["ratio_survey.py", "--draws", "1"])
     with pytest.raises(SystemExit) as exc:
         survey.main()
