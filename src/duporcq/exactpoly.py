@@ -61,14 +61,12 @@ Pinned conventions:
     only one operand uses are split off through its coefficients in them;
     a content folds the coefficients in ascending powers, and the gcd makes
     no division by the constant 1;
-  * det and maximal_minors share one division-free Laplace expansion
-    (_laplace) with sub-minors memoized by column set: det is its full
-    minor, O(2^n * n) products for an n x n matrix, the largest the package
-    builds being the resultant chain's 4-row Sylvester matrices in e0 (those
-    in e3 are built in e3^2 and have at most 3 rows);
-    maximal_minors(rows) of a k x (k + 1) matrix is the list of its k + 1
-    maximal minors, entry j without column j, all from the one memo; each
-    minor sums its signed cofactor products in one accumulator;
+  * det is a division-free Laplace expansion with sub-minors memoized by
+    column set, O(2^n * n) products for an n x n matrix, the largest the
+    package builds being T's one 4x4 minor and the resultant chain's 4-row
+    Sylvester matrices in e0 (those in e3 are built in e3^2 and have at
+    most 3 rows); each minor sums its signed cofactor products in one
+    accumulator;
   * dot(weights, polys) is the one weighted sum of polynomials, summed in
     one accumulator like a minor;
   * to_str renders rationals as a/b, terms in descending canonical order
@@ -852,16 +850,28 @@ def gcd(p: MPoly, q: MPoly, *more: MPoly) -> MPoly:
     return _fold([p] + [p._coerce(x) for x in (q, *more)]).monic()
 
 
-def _laplace(m: list):
-    """The minor function of the matrix m (a list of rows of MPoly):
-    minor(cols) is the determinant of the last len(cols) rows of m restricted
-    to the ascending column tuple cols, expanded along the first of those
-    rows.  Every sub-minor is computed once and memoized by its column set,
-    so minors of m that share the rows below their first share their
-    sub-minors.  Zero entries and zero sub-minors are skipped, and a
-    minor's signed cofactor products go into one _sum_products accumulator,
-    with one exponent check and one gcd per minor."""
+def det(rows) -> MPoly:
+    """Determinant of a square matrix of MPoly by division-free Laplace
+    expansion along the first row, recursively.
+
+    minor(cols) is the determinant of the last len(cols) rows restricted to
+    the ascending column tuple cols; every sub-minor is computed once and
+    memoized by its column set, so an n x n determinant costs
+    sum over s = 2..n of C(n, s) * s products (28 for n = 4) and no
+    divisions, which suits the sizes this package builds: T's one 4x4 minor
+    and Sylvester matrices of at most 4 rows (the chain's resultants in e0
+    of two quadrics; its resultants in e3 are taken in e3^2, at most 3
+    rows).  Over the parameter ring this avoids the exact polynomial
+    division at every step that fraction-free elimination would need.
+    Zero entries and zero sub-minors are skipped, and a minor's signed
+    cofactor products go into one _sum_products integer accumulator, so no
+    product becomes an MPoly of its own and each minor takes one exponent
+    check and one gcd.
+    """
+    m = [list(r) for r in rows]
     n = len(m)
+    if not n:
+        raise ValueError("empty matrix")
     memo: dict = {}
 
     def minor(cols: tuple) -> MPoly:
@@ -879,43 +889,7 @@ def _laplace(m: list):
             out = memo[cols] = _sum_products(row[0].vars, prods)
         return out
 
-    return minor
-
-
-def det(rows) -> MPoly:
-    """Determinant of a square matrix of MPoly by division-free Laplace
-    expansion: the full minor of _laplace's memo.
-
-    The cost is O(2^n * n) polynomial products and no divisions, which
-    suits the sizes this package builds: Sylvester matrices of at most 4
-    rows (the chain's resultants in e0 of two quadrics; its resultants in
-    e3 are taken in e3^2, at most 3 rows).  Over the parameter ring this
-    avoids the exact polynomial division at every step that fraction-free
-    elimination would need.
-    Each minor sums its products in one integer accumulator, so no product
-    becomes an MPoly of its own.
-    """
-    m = [list(r) for r in rows]
-    if not m:
-        raise ValueError("empty matrix")
-    return _laplace(m)(tuple(range(len(m))))
-
-
-def maximal_minors(rows) -> list:
-    """The k + 1 maximal minors of a k x (k + 1) matrix of MPoly, entry j
-    the determinant without column j, all from one _laplace memo.
-
-    Each minor expands along the first row, and all of them share the
-    sub-minors of the rows below it, so the k + 1 minors cost
-    sum over s = 2..k of C(k + 1, s) * s products: 70 for k = 4, against
-    140 for five separate det calls.
-    """
-    m = [list(r) for r in rows]
-    k = len(m)
-    if not k or any(len(r) != k + 1 for r in m):
-        raise ValueError("maximal_minors needs a k x (k + 1) matrix, k >= 1")
-    minor, cols = _laplace(m), tuple(range(k + 1))
-    return [minor(cols[:j] + cols[j + 1:]) for j in range(k + 1)]
+    return minor(tuple(range(n)))
 
 
 def dot(weights, polys) -> MPoly:

@@ -21,21 +21,24 @@ pose's legs at fixed e into f-rows and constants, forming the pose's
 rotation numerator and N once.  sphere_condition is built from it, and the
 float sampler in selfmotion evaluates it on floats.  leg_split runs it once
 per design over the five legs and forms each leg difference Delta_i as
-(f-row, constant); compute_Ke combines the constants after checking that the
-same combination of f-rows vanishes, each combination one exactpoly.dot
-sum, f_coefficient_matrix stacks (e0..e3)
-over the rows, and pipeline_report hands one split to both.  delta is a
-view of the split.  The tangency ansatz runs one branch function twice, over
-mirrored index pairs.
+(f-row, constant).  f_row_weights holds the K_e weights and checks that
+they annihilate the f-rows, each coordinate one exactpoly.dot sum;
+compute_Ke combines the constants by them, f_coefficient_matrix stacks
+(e0..e3) over the rows, and pipeline_report hands one split and its
+checked weights to both K_e and T.  delta is a view of the split.  The
+tangency ansatz runs one branch function twice, over mirrored index pairs;
+a solvable branch raises, so every BranchReport is an unsolvable one.
 
 Every coefficient read goes through MPoly.coefficients, the kernel's one
 extraction routine.  A QuadricForm checks that it is f-free and of degree 2
 in e with one coefficients pass over F_VARS and one over E_VARS, and keeps
 the ten e_i e_j coefficients, which e0e3_ratio and the tangency ansatz read.
-rank_drop_T takes the five 4x4 minors from one memo (maximal_minors of the
-transposed matrix), checks each against the epsilon closed form by its
-coefficient keys and cross-multiplication, takes the closed form's
-coefficients from the epsilons, and normalizes only the closed form.
+rank_drop_T computes one 4x4 minor, the one without Delta_3: the checked
+f-row dependency, with every weight nonzero, makes the minor without S
+vanish and the other three nonzero multiples of it.  The minor over N is
+checked against the epsilon closed form by its coefficient keys and
+cross-multiplication; T takes the closed form's coefficients from the
+epsilons and normalizes only the closed form.
 K_e has only e0^2, e1^2, e2^2, e3^2, e0e3 and e1e2 terms and T only
 e0e1, e0e2, e1e3 and e2e3, so under (e0, e3) -> (-e0, -e3) K_e and N are
 even and T is odd, and the e0 resultants R_Ke, R_T and R_N are polynomials
@@ -60,9 +63,9 @@ from .exactpoly import (
     MPoly,
     NotDivisible,
     deflate,
+    det,
     dot,
     gcd,
-    maximal_minors,
     proportional,
     resultant,
 )
@@ -365,24 +368,36 @@ class QuadricForm:
         return self.poly.evaluate(assignment)
 
 
-def compute_Ke(design: CanonicalDesign, *, split=None) -> QuadricForm:
-    """The f-free quadric: the weighted combination of the leg differences.
+def f_row_weights(design: CanonicalDesign, split) -> tuple:
+    """The K_e weights w on Delta_2..Delta_5, after checking that they
+    annihilate the f-rows of split: sum_k w_k r_k = 0, each coordinate one
+    exactpoly.dot sum (NotFFree otherwise).
 
-    The coefficient on the Delta_2 slot is B4*B5*V*(B4-B5)*U2; together with
-    the cleared leg-3 slot this makes all f-terms cancel identically, which
-    is checked on the f-rows (NotFFree) before K_e is taken from the
-    constants.  split is the design's leg_split when the caller has it.
+    w = (B4*B5*V*(B4-B5)*U2, U3, B5*U1*U2, -B4*U1*U2); the U3 on the Delta_3
+    slot and the cleared leg-3 slot make all f-terms cancel identically.
     """
-    if split is None:
-        split = leg_split(design)
     B4, B5 = design.B4, design.B5
     V, U1, U2, U3 = design.V, design.U1, design.U2, design.U3
     weights = (B4 * B5 * V * (B4 - B5) * U2, U3, B5 * U1 * U2, -B4 * U1 * U2)
-    parts = [split[i] for i in (2, 3, 4, 5)]
+    rows = [split[i][0] for i in (2, 3, 4, 5)]
     for k, fv in enumerate(F_VARS):
-        if dot(weights, (row[k] for row, _ in parts)):
+        if dot(weights, (row[k] for row in rows)):
             raise NotFFree(f"{fv} survives the K_e combination")
-    return QuadricForm(dot(weights, (c for _, c in parts)))
+    return weights
+
+
+def compute_Ke(design: CanonicalDesign, *, split=None,
+               weights=None) -> QuadricForm:
+    """The f-free quadric: the combination of the leg differences by the
+    f_row_weights, whose f-rows are checked to cancel before K_e is taken
+    from the constants.  split is the design's leg_split and weights its
+    f_row_weights when the caller has them.
+    """
+    if split is None:
+        split = leg_split(design)
+    if weights is None:
+        weights = f_row_weights(design, split)
+    return QuadricForm(dot(weights, (split[i][1] for i in (2, 3, 4, 5))))
 
 
 def e0e3_ratio(ke: QuadricForm, design: CanonicalDesign):
@@ -422,38 +437,44 @@ def f_coefficient_matrix(design: CanonicalDesign, *, split=None) -> tuple:
             + tuple(split[i][0] for i in (2, 3, 4, 5)))
 
 
-def rank_drop_T(design: CanonicalDesign, *, split=None) -> RankDropResult:
-    """T from the 4x4 minors of the f-coefficient matrix of (S, Delta_2..5).
+def rank_drop_T(design: CanonicalDesign, *, split=None,
+                weights=None) -> RankDropResult:
+    """T from one 4x4 minor of the f-coefficient matrix of (S, Delta_2..5).
 
-    The minor without row r is the transpose's maximal minor without column
-    r, so all five come from one maximal_minors memo.  The minor dropping
-    the S row vanishes identically; each other minor over N is an e-quadric
-    proportional to epsilon_quadric(epsilons), which _normalize_quadric then
-    turns into T.  The closed form's coefficients are the epsilons
-    themselves, on the EPS_AT slots and zero elsewhere.  No gcd is taken of
-    a minor.  split is the design's leg_split when the caller has it.
+    The f-rows r_2..r_5 satisfy sum_k w_k r_k = 0 for the f_row_weights w,
+    which check it.  So the minor without the S row vanishes, and if M_l is
+    the minor without Delta_(l+2), then w_0 M_l = (-1)^l w_l M_0 by
+    multilinearity: with every weight nonzero, each minor is a nonzero
+    multiple of M_1, the cheapest one (leg 3's pre-scaled row is the
+    largest).  M_1 over N is an e-quadric proportional to
+    epsilon_quadric(epsilons), which _normalize_quadric then turns into T.
+    The closed form's coefficients are the epsilons themselves, on the
+    EPS_AT slots and zero elsewhere.  No gcd is taken of the minor.  split
+    is the design's leg_split and weights its f_row_weights when the
+    caller has them.
     """
-    mat = f_coefficient_matrix(design, split=split)
-    n = N_poly()
+    if split is None:
+        split = leg_split(design)
+    if weights is None:
+        weights = f_row_weights(design, split)
+    for k, w in enumerate(weights):
+        if not w:
+            raise InvariantViolation(
+                f"K_e weight w{k} vanishes, so the other minors need not "
+                "be multiples of the one computed")
     eps = epsilons(design)
     want = [eps[EPS_AT[pair]] if pair in EPS_AT else 0
             for pair in E_PAIRS.values()]
-    for drop, minor in enumerate(maximal_minors(zip(*mat))):
-        if drop == 0:
-            if not minor.is_zero():
-                raise InvariantViolation("minor without the S row must vanish")
-            continue
-        try:
-            q = minor.exact_div(n)
-        except NotDivisible as exc:
-            raise InvariantViolation("minor is not a multiple of N") from exc
-        # a term of q off the ten e_i e_j keys makes q no e-quadric
-        table = _e_table(q)
-        if table is None or not proportional(list(table.values()), want):
-            raise InvariantViolation(
-                "minor-derived T differs from its closed form" if drop == 1
-                else f"minors disagree: the minor without row {drop} is not "
-                     "proportional to the first")
+    mat = f_coefficient_matrix(design, split=split)
+    try:
+        q = det([mat[r] for r in (0, 1, 3, 4)]).exact_div(N_poly())
+    except NotDivisible as exc:
+        raise InvariantViolation("minor is not a multiple of N") from exc
+    # a term of q off the ten e_i e_j keys makes q no e-quadric
+    table = _e_table(q)
+    if table is None or not proportional(list(table.values()), want):
+        raise InvariantViolation(
+            "minor-derived T differs from its closed form")
     t = _normalize_quadric(epsilon_quadric(eps))
     return RankDropResult(QuadricForm(t), eps)
 
@@ -536,7 +557,6 @@ class BranchReport:
     name: str
     forced: dict
     obstructions: dict
-    solvable: bool
 
 
 @dataclass(frozen=True)
@@ -545,8 +565,7 @@ class AnsatzReport:
     branch_b: BranchReport
 
     def forces_all_zero(self) -> bool:
-        return (not self.branch_a.solvable and not self.branch_b.solvable
-                and all(v == 0 for v in self.branch_a.forced.values())
+        return (all(v == 0 for v in self.branch_a.forced.values())
                 and all(v == 0 for v in self.branch_b.forced.values()))
 
 
@@ -596,7 +615,7 @@ def _ansatz_branch(ke: QuadricForm, active, partner) -> BranchReport:
     if not resid.is_zero():
         obstructions[f"q{a1}{a2}_square"] = resid
     if obstructions:
-        return BranchReport(name, forced, obstructions, False)
+        return BranchReport(name, forced, obstructions)
     nu = {p1: Fraction(0), p2: Fraction(0),
           a1: forced[f"nu{a1}"], a2: forced[f"nu{a2}"]}
     # fix signs so the cross equation holds: q_a1a2 = -2 nu_a1 nu_a2
@@ -707,8 +726,9 @@ def chain_vanishes_at(design: CanonicalDesign, e1, e2) -> bool:
     """Whether all three chain polynomials vanish at numeric (e1, e2)."""
     assignment = {"e1": e1, "e2": e2}
     split = leg_split(design)
-    ke = compute_Ke(design, split=split)
-    td = rank_drop_T(design, split=split)
+    weights = f_row_weights(design, split)
+    ke = compute_Ke(design, split=split, weights=weights)
+    td = rank_drop_T(design, split=split, weights=weights)
     _, res_e3 = _eliminate(ke.poly.evaluate(assignment),
                            td.T.poly.evaluate(assignment),
                            N_poly().evaluate(assignment))
@@ -721,7 +741,8 @@ def _branch_json(rep: BranchReport) -> dict:
     return {
         "forced": {k: str(v) for k, v in rep.forced.items()},
         "obstructions": sorted(rep.obstructions),
-        "solvable": rep.solvable,
+        # a solvable branch raises, so every report printed is unsolvable
+        "solvable": False,
     }
 
 
@@ -732,9 +753,10 @@ def pipeline_report(design: CanonicalDesign) -> dict:
     form must agree, else InvariantViolation.
     """
     split = leg_split(design)
-    ke = compute_Ke(design, split=split)
+    weights = f_row_weights(design, split)
+    ke = compute_Ke(design, split=split, weights=weights)
     ratio = e0e3_ratio(ke, design)
-    td = rank_drop_T(design, split=split)
+    td = rank_drop_T(design, split=split, weights=weights)
     chain = resultant_chain(ke, td.T, design)
     f1, f2 = chain.f1, chain.f2
     try:

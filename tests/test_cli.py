@@ -315,20 +315,21 @@ def test_pipeline_refuses_a_file_with_params_options(tmp_path, capsys,
 
 
 def test_pipeline_invariant_violation_exits_3(monkeypatch, capsys):
-    real = study.maximal_minors
+    real = study.leg_split
 
-    def perturbed(rows):
-        # break the first check: the minor without the S row must vanish
-        minors = real(rows)
-        minors[0] = minors[0] + study.GENS["e0"]
-        return minors
+    def perturbed(design):
+        # break the first check: the K_e weights must annihilate the f-rows
+        split = real(design)
+        row, c = split[4]
+        split[4] = ((row[0], row[1] + study.GENS["e0"]) + row[2:], c)
+        return split
 
-    monkeypatch.setattr(study, "maximal_minors", perturbed)
+    monkeypatch.setattr(study, "leg_split", perturbed)
     code = main(["pipeline", "--params", "1/3,-2,5/2,7",
                  "--mu", "3/2,1/5,-2", "--radii", "1,2,3,4,5"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
-    assert "must vanish" in json.loads(captured.err)["error"]
+    assert "f1 survives" in json.loads(captured.err)["error"]
 
 
 def test_profile_with_four_collinear_points_exits_3(tmp_path, capsys):

@@ -22,7 +22,6 @@ from duporcq.exactpoly import (
     dot,
     gcd,
     generators,
-    maximal_minors,
     proportional,
     resultant,
 )
@@ -246,21 +245,17 @@ def test_sums_of_products_make_no_binary_sum(monkeypatch):
 
     square = [[X + k, Y - j, A * B + k * j, X * Y + A + j, B - k * k * X]
               for k, j in ((1, 2), (3, -1), (0, 5), (-2, 1), (4, 3))]
-    wide = [row[:4] + [A - row[0]] for row in square[:4]]
     h = X * A - 2 * Y + B
     p, q = h * (X ** 2 + Y * A - 1), h * (X * B + Y ** 2 + 3)
     cubic = X ** 3 + A * X + B
     monkeypatch.setattr(exactpoly, "_icomb", no_sum)
     monkeypatch.setattr(MPoly, "_plus", no_sum)
     d = det(square)
-    minors = maximal_minors(wide)
     r = resultant(cubic, Y * X ** 2 * A, "x")
     g = gcd(p, q)
     s = dot([Fraction(3, 2), A, -1], [X, Y, B])
     monkeypatch.undo()
     assert not d.is_zero() and not r.is_zero()
-    assert minors == [det([row[:j] + row[j + 1:] for row in wide])
-                      for j in range(5)]
     assert g == h.monic()
     assert s == Fraction(3, 2) * X + A * Y - B
 

@@ -1,9 +1,8 @@
 """Differential tests of the exact kernel against sympy as an independent oracle.
 
 Random small polynomials in three variables go through MPoly's product,
-exact division, gcd, resultant, determinant and maximal minors and through
-sympy's, and the results are compared exactly (gcd up to a constant
-factor).  The gcd is
+exact division, gcd, resultant, determinant and maximal minors and through sympy's, and
+the results are compared exactly (gcd up to a constant factor).  The gcd is
 also drawn over random variable subsets and with single-term operands, the
 inputs of its monomial shortcut and absent-variable split, and on seeded
 operands with a constant coefficient in the main variable, where a content
@@ -33,7 +32,6 @@ from duporcq.exactpoly import (
     det,
     dot,
     gcd,
-    maximal_minors,
     proportional,
     resultant,
 )
@@ -346,23 +344,21 @@ def _seeded_wide(rng, k, zero_column):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_maximal_minors_match_sympy(seed):
+    # the k + 1 maximal minors of a k x (k + 1) matrix, each a det without
+    # one column, as rank_drop_T's identity is checked on the f-rows; the
+    # signed minors span the kernel of every row (a repeated-row expansion)
     k = 1 + seed % 5
     rows = _seeded_wide(random.Random(seed), k, zero_column=seed % 2 == 0)
-    minors = maximal_minors(rows)
-    assert len(minors) == k + 1
+    minors = [det([row[:j] + row[j + 1:] for row in rows])
+              for j in range(k + 1)]
     for j, minor in enumerate(minors):
         sub = [row[:j] + row[j + 1:] for row in rows]
         expected = sympy.Matrix([[to_sympy(e) for e in row] for row in sub]
                                 ).det(method="berkowitz")
         assert same(minor, sympy.expand(expected))
-        assert minor == det(sub)
-
-
-def test_maximal_minors_need_one_column_more_than_rows():
-    x = MPoly.variable(VARS, "x")
-    for rows in ([], [[x]], [[x, x], [x, x]], [[x, x, x], [x, x]]):
-        with pytest.raises(ValueError):
-            maximal_minors(rows)
+    for row in rows:
+        assert dot(row, [(-1) ** j * m for j, m in enumerate(minors)]
+                   ).is_zero()
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from duporcq import exactpoly, study
 from duporcq.cli import main
-from duporcq.exactpoly import (MPoly, NotDivisible, ZeroDegree, det, gcd,
-                               maximal_minors)
+from duporcq.exactpoly import MPoly, NotDivisible, ZeroDegree, det, gcd
 from duporcq.geometry import (WORKED_PARAMS, AffineMap2, BaseParams,
                               PentapodDesign, build_platform, design_to_dict,
                               duporcq_hexapod, kappa2_mu, kappa2_twin,
@@ -51,6 +50,7 @@ from duporcq.study import (
     f1_f2,
     f_coefficient_matrix,
     f_matrix_at,
+    f_row_weights,
     leg_split,
     pipeline_report,
     rank_drop_T,
@@ -298,8 +298,10 @@ def test_leg_split_matches_the_assembled_leg_differences(name):
 
 
 def test_pipeline_splits_the_legs_once(monkeypatch):
-    rotations, passes = [], []
+    # and checks the split's f-row dependency once, for both K_e and T
+    rotations, passes, checks = [], [], []
     real_rotation, real_linear = study.rotation_numerator, study.sphere_linear
+    real_weights = study.f_row_weights
 
     def rotation(e):
         rotations.append(tuple(e))
@@ -309,14 +311,20 @@ def test_pipeline_splits_the_legs_once(monkeypatch):
         passes.append(len(legs))
         return real_linear(e, legs, weights)
 
+    def weights(design, split):
+        checks.append(split)
+        return real_weights(design, split)
+
     monkeypatch.setattr(study, "rotation_numerator", rotation)
     monkeypatch.setattr(study, "sphere_linear", linear)
+    monkeypatch.setattr(study, "f_row_weights", weights)
     design = CanonicalDesign.from_params(
         BaseParams(Fraction(1, 3), -2, Fraction(5, 2), 7),
         mu=(Fraction(3, 2), Fraction(1, 5), -2), radii=(1, 2, 3, 4, 5))
     pipeline_report(design)
     assert rotations == [StudyPose.symbolic().e]
     assert passes == [5]
+    assert len(checks) == 1
     for stage in (compute_Ke, rank_drop_T):
         rotations.clear()
         passes.clear()
@@ -326,7 +334,7 @@ def test_pipeline_splits_the_legs_once(monkeypatch):
 
 def test_pipeline_cuts_each_quadric_once(monkeypatch):
     # every coefficient read goes through MPoly.coefficients: two passes per
-    # QuadricForm (K_e and T), one per minor of rank_drop_T and one in
+    # QuadricForm (K_e and T), one for rank_drop_T's one minor and one in
     # _normalize_quadric, and two per resultant in the kernel
     passes = {"duporcq.study": 0, "duporcq.exactpoly": 0}
     real = MPoly.coefficients
@@ -346,7 +354,7 @@ def test_pipeline_cuts_each_quadric_once(monkeypatch):
     monkeypatch.setattr(study, "resultant", counting_resultant)
     pipeline_report(WORKED)
     assert len(resultants) == 4
-    assert passes == {"duporcq.study": 2 * 2 + 4 + 1,
+    assert passes == {"duporcq.study": 2 * 2 + 1 + 1,
                       "duporcq.exactpoly": 2 * len(resultants)}
 
 
@@ -527,43 +535,85 @@ def test_rank_drop_T_takes_no_gcd_of_a_minor(monkeypatch):
     assert [x for x in calls[0] if x and x not in allowed] == []
 
 
-def _perturbed_minors(kind):
-    """maximal_minors for rank_drop_T's one call: the five minors, entry
-    drop the minor without row drop, one check broken."""
+@pytest.mark.parametrize("ring", ["numeric", "A4-B4", "mu"])
+def test_f_row_dependency_makes_the_minors_multiples_of_one(ring):
+    # rank_drop_T computes one minor and derives the other four from the
+    # checked dependency sum w_k r_k = 0: with M_l the minor without
+    # Delta_(l+2), the minor without S vanishes and w_0 M_l = (-1)^l w_l M_0
+    designs = ([_generic_design(random.Random(seed)) for seed in range(4)]
+               if ring == "numeric" else [_ring_unit(ring)[0]])
+    for design in designs:
+        split = leg_split(design)
+        w = f_row_weights(design, split)
+        assert all(w)
+        mat = f_coefficient_matrix(design, split=split)
+        assert det(mat[1:]).is_zero()
+        minors = [det([mat[r] for r in range(5) if r not in (0, l + 1)])
+                  for l in range(4)]
+        assert not minors[0].is_zero()
+        for l, m in enumerate(minors):
+            assert w[0] * m == (-1) ** l * w[l] * minors[0]
+
+
+def test_rank_drop_T_takes_one_minor_and_one_division_by_N(monkeypatch):
+    design = _generic_design(random.Random(43))
+    dets, divisors = [], []
+    real_div = MPoly.exact_div
+
+    def counting_det(rows):
+        dets.append(rows)
+        return det(rows)
+
+    def counting_div(self, d):
+        divisors.append(d)
+        return real_div(self, d)
+
+    monkeypatch.setattr(study, "det", counting_det)
+    monkeypatch.setattr(MPoly, "exact_div", counting_div)
+    rank_drop_T(design)
+    assert len(dets) == 1
+    assert [d for d in divisors if d == N_poly()] == [N_poly()]
+
+
+def _perturbed_det(kind):
+    """det for rank_drop_T's one minor, with one check broken."""
     n, e0 = N_poly(), GENS["e0"]
 
-    def perturb(drop, minor):
-        if kind == "S-free" and drop == 0:
-            return minor + e0 * e0
-        if kind == "not-N" and drop == 1:
+    def fake(rows):
+        minor = det(rows)
+        if kind == "not-N":
             return minor + e0
-        if kind == "disagree" and drop == 2:
-            return n * e0 * e0
-        if kind == "closed-form" and drop > 0:
+        if kind == "closed-form":
             return n * e0 * e0
         # terms outside the e-quadratic monomials, on top of a good minor
-        if kind == "parameter-term" and drop == 1:
+        if kind == "parameter-term":
             return minor + n * GENS["A4"]
-        if kind == "e-cubic-term" and drop == 1:
-            return minor + n * e0 ** 3
-        return minor
-
-    def fake(rows):
-        return [perturb(drop, minor)
-                for drop, minor in enumerate(maximal_minors(rows))]
+        return minor + n * e0 ** 3
 
     return fake
 
 
 @pytest.mark.parametrize("kind, message", [
-    ("S-free", "must vanish"), ("not-N", "multiple of N"),
-    ("disagree", "disagree"), ("closed-form", "closed form"),
+    ("f-row", "f1 survives"), ("zero-weight", "w1 vanishes"),
+    ("not-N", "multiple of N"), ("closed-form", "closed form"),
     ("parameter-term", "closed form"), ("e-cubic-term", "closed form")])
 def test_rank_drop_checks_are_typed(monkeypatch, kind, message):
-    monkeypatch.setattr("duporcq.study.maximal_minors",
-                        _perturbed_minors(kind))
-    with pytest.raises(InvariantViolation, match=message):
-        rank_drop_T(_generic_design(random.Random(43)))
+    design = _generic_design(random.Random(43))
+    if kind == "zero-weight":
+        # U3 = V - B4 = 0, a base BaseParams rejects: the dependency still
+        # holds, but w_0 M_1 = -w_1 M_0 makes the minor rank_drop_T takes
+        # vanish
+        design = dataclasses.replace(
+            design, A5=(design.B4 + design.A4 * design.B5) / design.B4)
+    split = leg_split(design)
+    if kind == "f-row":
+        row, c = split[4]
+        split[4] = ((row[0], row[1] + GENS["e0"]) + row[2:], c)
+    elif kind != "zero-weight":
+        monkeypatch.setattr(study, "det", _perturbed_det(kind))
+    with pytest.raises(InvariantViolation, match=message) as exc:
+        rank_drop_T(design, split=split)
+    assert isinstance(exc.value, NotFFree) == (kind == "f-row")
 
 
 # -------------------------------------------------------------------- F1 and F2
