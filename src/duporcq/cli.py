@@ -42,7 +42,6 @@ from .moebius import (
 )
 from .selfmotion import (
     TOL_F0,
-    TOL_LEG,
     ConstructionDegenerate,
     FloatOverflow,
     InconsistentSystem,
@@ -176,8 +175,7 @@ def cmd_motion(args):
     moving = PentapodDesign(design.base, design.platform, radii)
     if sixth is not None:
         moving = HexapodDesign(moving, sixth[0], sixth[1])
-    report = verify_selfmotion(moving, count=args.samples,
-                               tol_leg=args.tol_leg, tol_f0=args.tol_f0)
+    report = verify_selfmotion(moving, count=args.samples, tol_f0=args.tol_f0)
     legs = len(report.samples[0].residuals)
     header = ("e0", "e1", "e2", "e3", "f0", "f1", "f2", "f3") + tuple(
         f"res{i}" for i in range(1, legs + 1))
@@ -242,8 +240,7 @@ def cmd_hexapod_check(args):
         hexapod = HexapodDesign(design, sixth[0], sixth[1])
     else:
         hexapod = duporcq_hexapod(design)
-    report = verify_selfmotion(hexapod, count=args.samples,
-                               tol_leg=args.tol_leg, tol_f0=args.tol_f0)
+    report = verify_selfmotion(hexapod, count=args.samples, tol_f0=args.tol_f0)
     arch = float(arch_singularity_check(hexapod, seed=args.seed,
                                         samples=args.samples))
     payload = {
@@ -359,7 +356,6 @@ def cmd_svg(args):
 _OPTIONS = {
     "--seed": {"type": int, "default": 0},
     "--samples": {"type": int, "default": 100},
-    "--tol-leg": {"type": float, "default": TOL_LEG},
     "--tol-f0": {"type": float, "default": TOL_F0},
     "--out": {"default": None},
 }
@@ -387,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("classify", cmd_classify, "case-tree verdict for a design",
             "--seed", "--samples", "--out")
     p = command("motion", cmd_motion, "sample a self-motion to CSV",
-                "--samples", "--tol-leg", "--tol-f0", "--out")
+                "--samples", "--tol-f0", "--out")
     p.add_argument("--r1sq", default=None, help="first squared radius")
     p.add_argument("--r2sq", default=None, help="second squared radius")
     p = command("pipeline", cmd_pipeline, "elimination pipeline report",
@@ -397,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default=None, help="five squared radii")
     command("hexapod-check", cmd_hexapod_check,
             "sixth-leg constancy and singularity test",
-            "--seed", "--samples", "--tol-leg", "--tol-f0", "--out")
+            "--seed", "--samples", "--tol-f0", "--out")
     command("profile", cmd_profile, "Moebius profile data for a design",
             "--samples", "--out")
     command("svg", cmd_svg, "static figure of a configuration", "--out")
@@ -413,11 +409,11 @@ def main(argv=None) -> int:
         _parser = _build_parser()
     args = _parser.parse_args(argv)
     try:
-        for tol in (getattr(args, "tol_leg", 1), getattr(args, "tol_f0", 1)):
-            if not math.isfinite(tol):  # nan would pass every "> tol" test
-                raise SchemaError("tolerances must be finite")
-            if tol <= 0:
-                raise SchemaError("tolerances must be positive")
+        tol_f0 = getattr(args, "tol_f0", 1)
+        if not math.isfinite(tol_f0):   # a nan bound would reject every pose
+            raise SchemaError("--tol-f0 must be finite")
+        if tol_f0 <= 0:
+            raise SchemaError("--tol-f0 must be positive")
         if getattr(args, "samples", 1) <= 0:
             raise SchemaError("--samples must be positive")
         if getattr(args, "seed", 0) < 0:

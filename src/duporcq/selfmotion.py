@@ -22,6 +22,8 @@ directions through one sphere_linear call, one stacked SVD and one
 residuals_at call; verify_selfmotion, its one caller, samples its first
 grid and the three tangent directions at the half-turn in one call, so a
 motion op whose first grid holds enough poses makes one sampler call.
+sample_pose alone accepts or rejects a direction, and no NaN passes its
+bounds; a MotionSample is the plain record of an accepted pose.
 
 The float path has no leg model of its own: each public call reads its
 design once into a FloatLegs, whose float SphereConstraint stacked over
@@ -239,26 +241,15 @@ class MotionSample:
     e: tuple
     f: tuple
     residuals: tuple
-    leg_tolerance: float
-    f0_tolerance: float
-
-    def __post_init__(self):
-        worst = max(abs(r) for r in self.residuals)
-        if worst > self.leg_tolerance:
-            raise InconsistentSystem(
-                f"leg residual {worst:.3e} over {self.leg_tolerance:.3e}")
-        if abs(self.f[0]) > self.f0_tolerance:
-            raise InconsistentSystem(
-                f"|f0| = {abs(self.f[0]):.3e} over {self.f0_tolerance:.3e}")
 
 
-def sample_pose(legs: FloatLegs, directions, tol_leg: float = TOL_LEG,
-                tol_f0: float = TOL_F0) -> list:
+def sample_pose(legs: FloatLegs, directions, tol_f0: float = TOL_F0) -> list:
     """Least-norm motion poses over a grid of rotation directions (e1, e2,
     e3), shape (B, 3): a list, in grid order, of each direction's
     MotionSample or the InconsistentSystem or NoRealSolution that rejects
     it.  ValueError, before any sampling, unless every direction is a
-    nonzero 3-vector.
+    nonzero 3-vector; FloatOverflow, before any direction is decided, when
+    a slice row or constant has no finite float.
 
     One SVD of each direction's linear slice A f = b, {S = 0, Q1 - Qi = 0
     for every other leg}, gives its rank, the orthonormal rows K of its
@@ -273,8 +264,10 @@ def sample_pose(legs: FloatLegs, directions, tol_leg: float = TOL_LEG,
     sphere's two points on the line through its center and s = 0 (fp alone
     at full rank).  The rank cutoff can leave a candidate off some leg, so
     the candidates close every leg, all in one residuals_at call; the
-    least-norm one within tolerance is kept, else the closest miss, which
-    MotionSample rejects.
+    least-norm one within the leg bound TOL_LEG * (1 + max r^2) is kept,
+    else the closest miss.  Each bound test accepts only a value within its
+    bound, so a NaN is rejected: the slice's gap, Q1 at a point fiber,
+    rho^2 >= 0, the kept pose's worst leg residual, and its |f0| (tol_f0).
     """
     import numpy as np
     if not len(directions):
@@ -284,8 +277,12 @@ def sample_pose(legs: FloatLegs, directions, tol_leg: float = TOL_LEG,
         raise ValueError("directions must be nonzero 3-vectors")
     e = np.zeros((len(d), 4))
     e[:, 1:] = d / np.sqrt(np.vecdot(d, d))[:, None]
-    [(rows, consts)] = sphere_linear(tuple(e.T[:, :, None]), [legs.stacked])
+    with np.errstate(over="ignore", invalid="ignore"):
+        [(rows, consts)] = sphere_linear(tuple(e.T[:, :, None]),
+                                         [legs.stacked])
     rows = np.stack(rows, axis=-1)                  # (B, L, 4), consts (B, L)
+    if not (np.isfinite(rows).all() and np.isfinite(consts).all()):
+        raise FloatOverflow("leg slice has no finite float")
     A = np.concatenate([e[:, None], rows[:, :1] - rows[:, 1:]], axis=1)
     b = np.concatenate([np.zeros((len(d), 1)), consts[:, 1:] - consts[:, :1]],
                        axis=1)
@@ -296,9 +293,9 @@ def sample_pose(legs: FloatLegs, directions, tol_leg: float = TOL_LEG,
     pinv = Vt.mT @ (inv[:, :, None] * U.mT)
     fp = np.matvec(pinv, b)
     fp += np.matvec(pinv, b - np.matvec(A, fp))
-    tol = tol_leg * (1.0 + float(np.max(np.abs(legs.r2))))
+    tol = TOL_LEG * (1.0 + float(np.max(np.abs(legs.r2))))
     gap = np.matvec(A, fp) - b
-    inconsistent = np.sqrt(np.vecdot(gap, gap)) > tol
+    consistent = np.sqrt(np.vecdot(gap, gap)) <= tol
     point = rank == 4
     q1 = np.vecdot(4.0 * fp, fp) + np.vecdot(rows[:, 0], fp) + consts[:, 0]
     # rows of Vt past the rank span K; the others get s = 0
@@ -307,7 +304,8 @@ def sample_pose(legs: FloatLegs, directions, tol_leg: float = TOL_LEG,
                       / 8.0, 0.0)
     cc = np.vecdot(center, center)
     rho2 = cc - q1 / 4.0
-    nc, rho = np.sqrt(cc), np.sqrt(np.where(point, 0.0, np.maximum(rho2, 0)))
+    real = np.where(point, np.abs(q1) <= tol, rho2 >= 0)
+    nc, rho = np.sqrt(cc), np.sqrt(np.where(real & ~point, rho2, 0.0))
     # the candidates s = center * (1 -+ rho / nc); a sphere centered at
     # s = 0 takes s = +-rho on K's first axis instead
     off = nc > 1e-300
@@ -325,24 +323,27 @@ def sample_pose(legs: FloatLegs, directions, tol_leg: float = TOL_LEG,
                  np.argmin(np.where(good, np.vecdot(candidates, candidates),
                                     np.inf), axis=1),
                  np.argmin(worst, axis=1))
+    pick = np.arange(len(d)), k
+    f, res, worst = candidates[pick], res[pick], worst[pick]
     out = []
-    for ei, ci, ri, ki, bad, pt, q, r2 in zip(
-            e.tolist(), candidates.tolist(), res.tolist(), k.tolist(),
-            inconsistent.tolist(), point.tolist(), q1.tolist(),
-            rho2.tolist()):
-        if bad:
+    for ei, fi, ri, ok, pt, re, r2, w, a in zip(
+            e.tolist(), f.tolist(), res.tolist(), consistent.tolist(),
+            point.tolist(), real.tolist(), rho2.tolist(), worst.tolist(),
+            np.abs(f[:, 0]).tolist()):
+        if not ok:
             out.append(InconsistentSystem("linear slice is inconsistent"))
-        elif pt and abs(q) > tol:
-            out.append(NoRealSolution("fiber is a single inconsistent point"))
-        elif not pt and r2 < 0:
-            out.append(NoRealSolution(f"empty fiber sphere, rho^2 = {r2:.3e}"))
+        elif not re:
+            out.append(NoRealSolution(
+                "fiber is a single inconsistent point" if pt
+                else f"empty fiber sphere, rho^2 = {r2:.3e}"))
+        elif not w <= tol:
+            out.append(InconsistentSystem(
+                f"leg residual {w:.3e} over {tol:.3e}"))
+        elif not a <= tol_f0:
+            out.append(InconsistentSystem(
+                f"|f0| = {a:.3e} over {tol_f0:.3e}"))
         else:
-            try:
-                out.append(MotionSample(
-                    tuple(ei), tuple(ci[ki]), tuple(ri[ki]),
-                    leg_tolerance=tol, f0_tolerance=tol_f0))
-            except InconsistentSystem as exc:
-                out.append(exc)
+            out.append(MotionSample(tuple(ei), tuple(fi), tuple(ri)))
     return out
 
 
@@ -382,7 +383,7 @@ def _tangent_angle(poses):
     return math.acos(min(1.0, max(-1.0, cosang)))
 
 
-def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
+def verify_selfmotion(design, count: int = 100,
                       tol_f0: float = TOL_F0) -> MotionReport:
     """Sample the motion over a direction grid and collect the evidence.
 
@@ -403,7 +404,7 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
     size = 2 * count
     outcomes = sample_pose(
         legs, list(fibonacci_directions(size)) + list(TANGENT_DIRECTIONS),
-        tol_leg, tol_f0)
+        tol_f0)
     outcomes, at_half_turn = outcomes[:size], outcomes[size:]
     attempted = 0
     while True:
@@ -423,8 +424,7 @@ def verify_selfmotion(design, count: int = 100, tol_leg: float = TOL_LEG,
             raise NoRealSolution(
                 f"only {len(samples)} of {count} directions admit real poses")
         size *= 2
-        outcomes = sample_pose(legs, list(fibonacci_directions(size)),
-                               tol_leg, tol_f0)
+        outcomes = sample_pose(legs, list(fibonacci_directions(size)), tol_f0)
     return MotionReport(
         tuple(samples), attempted,
         max(max(abs(r) for r in s.residuals) for s in samples),
@@ -546,42 +546,31 @@ def similarity_bond(design: PentapodDesign) -> SimilarityBond:
 
 # --------------------------------------------------- architectural singularity
 
-def random_pose(rng) -> tuple:
-    """A random unit-norm study pose (any rigid displacement)."""
-    while True:
-        e = rng.normal(size=4)
-        n = e @ e
-        if n > 1e-6:
-            break
-    f = rng.normal(size=4)
-    f = f - ((f @ e) / n) * e
-    s = math.sqrt(n)
-    return e / s, f / s
-
-
 def plucker_matrix(legs: FloatLegs, e, f) -> np.ndarray:
-    """Rows are the leg lines (direction; moment) at the given pose."""
+    """Rows are the leg lines (direction; moment) at unit-norm poses (e, f)
+    of shape (..., 4): shape (..., L, 6)."""
     import numpy as np
     moved = _move(legs.m, e, f)
-    return np.hstack([moved - legs.M, np.cross(legs.M, moved)])
+    return np.concatenate([moved - legs.M, np.cross(legs.M, moved)], axis=-1)
 
 
 def arch_singularity_check(design: HexapodDesign, seed: int = 0,
                            samples: int = 100) -> float:
     """Worst relative smallest singular value of the leg-line matrix over
-    random poses; tiny values certify architectural singularity."""
+    random poses, all drawn in one call: e normal, f normal projected off e,
+    both scaled to unit |e|.  Tiny values certify architectural
+    singularity."""
     import numpy as np
     legs = float_legs(design)
-    rng = np.random.default_rng(seed)
-    unit = []
-    for _ in range(samples):
-        e, f = random_pose(rng)
-        rows = plucker_matrix(legs, e, f)
-        norms = np.linalg.norm(rows, axis=1)
-        if np.min(norms) >= 1e-12:
-            unit.append(rows / norms[:, None])
-    if not unit:
+    poses = np.random.default_rng(seed).normal(size=(samples, 2, 4))
+    e, f = poses[:, 0], poses[:, 1]
+    n = np.vecdot(e, e)
+    f = f - (np.vecdot(f, e) / n)[:, None] * e
+    s = np.sqrt(n)[:, None]
+    rows = plucker_matrix(legs, e / s, f / s)
+    norms = np.linalg.norm(rows, axis=-1)
+    kept = norms.min(axis=-1) >= 1e-12
+    if not kept.any():
         return 0.0
-    sv = np.linalg.svd(np.array(unit), compute_uv=False)
+    sv = np.linalg.svd(rows[kept] / norms[kept][..., None], compute_uv=False)
     return max(0.0, *(sv[:, -1] / sv[:, 0]))
-

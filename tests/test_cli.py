@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from duporcq import cli, study
 from duporcq.cli import main
 from duporcq.geometry import (
     AffineMap2,
+    BaseParams,
     PentapodDesign,
     PlanarPoint,
     build_platform,
@@ -19,7 +21,7 @@ from duporcq.geometry import (
     worked_design,
     WORKED_PARAMS,
 )
-from duporcq.selfmotion import TOL_LEG, motion_radii
+from duporcq.selfmotion import TOL_LEG, build_motion_design, motion_radii
 
 
 def write_design(tmp_path, design, hexapod=None, name="design.json"):
@@ -452,11 +454,11 @@ def test_svg_span_without_a_float_frame_is_a_schema_error(tmp_path, capsys):
 # ---------------------------------------------------------------------- config
 
 def test_rejects_nonpositive_tolerance(tmp_path, capsys):
-    code = main(["motion", worked_file(tmp_path), "--tol-leg", "0",
+    code = main(["motion", worked_file(tmp_path), "--tol-f0", "0",
                  "--out", str(tmp_path / "m.csv")])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert json.loads(captured.err) == {"error": "tolerances must be positive"}
+    assert json.loads(captured.err) == {"error": "--tol-f0 must be positive"}
 
 
 def off_motion_file(tmp_path):
@@ -476,21 +478,22 @@ def test_motion_off_motion_radius_is_an_inconsistent_slice(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("flag", ["--tol-leg", "--tol-f0"])
+@pytest.mark.parametrize("flag", ["--tol-f0"])
 def test_rejects_non_finite_tolerance(tmp_path, capsys, flag, value):
-    # nan passed the old "<= 0" gate and then every "> tol" test, so the
-    # design above got past its inconsistent slice to a later error
+    # nan passed the old "<= 0" gate, and a nan bound rejects every pose
     csv_path = tmp_path / "m.csv"
     code = main(["motion", off_motion_file(tmp_path), f"{flag}={value}",
                  "--samples", "3", "--out", str(csv_path)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert json.loads(captured.err) == {"error": "tolerances must be finite"}
+    assert json.loads(captured.err) == {"error": "--tol-f0 must be finite"}
     assert not csv_path.exists()
 
 
 @pytest.mark.parametrize("argv", [
     ["classify", "{design}", "--tol-leg", "1e-9"],
+    ["motion", "{design}", "--tol-leg", "1e-9"],
+    ["hexapod-check", "{design}", "--tol-leg", "1e-9"],
     ["pipeline", "{design}", "--seed", "1"],
     ["profile", "{design}", "--seed", "1"],
     ["svg", "{design}", "--samples", "3"],
@@ -542,6 +545,25 @@ def test_radius_without_a_float_is_a_schema_error(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "no finite float" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("command", ["motion", "hexapod-check"])
+def test_slice_without_a_float_is_a_schema_error(command, tmp_path, capsys):
+    # on the base (0, 10^155, 2, 3) every radius and anchor has a float but
+    # the squares of the leg slice overflow; both commands exited 0 with
+    # nan in every CSV row and "max_residual": NaN.  No numpy warning
+    # reaches stderr
+    design = build_motion_design(BaseParams(0, 10**155, 2, 3), 1, 1)
+    csv_path = tmp_path / "m.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, write_design(tmp_path, design),
+                     "--samples", "3", "--out", str(csv_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert json.loads(captured.err) == {
+        "error": "leg slice has no finite float"}
+    assert not csv_path.exists()
 
 
 # ---------------------------------------------------------------------- parser

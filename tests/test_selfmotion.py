@@ -317,10 +317,23 @@ def test_sample_pose_full_rank_slice_is_a_point_fiber():
     assert str(s) == "fiber is a single inconsistent point"
 
 
-def _three_branch_sample_pose(legs, direction, tol_leg, tol_f0):
+def _decided(e, f, res, tol, tol_f0):
+    """The pose (e, f) with leg residuals res as a MotionSample, else the
+    InconsistentSystem of its worst leg residual over tol or of its |f0|
+    over tol_f0."""
+    worst = max(abs(r) for r in res)
+    if not worst <= tol:
+        raise InconsistentSystem(f"leg residual {worst:.3e} over {tol:.3e}")
+    if not abs(f[0]) <= tol_f0:
+        raise InconsistentSystem(f"|f0| = {abs(f[0]):.3e} over {tol_f0:.3e}")
+    return MotionSample(tuple(e), tuple(f), tuple(res))
+
+
+def _three_branch_sample_pose(legs, direction, tol_f0):
     """The sampler as it was before the one fiber formula: lstsq for the
     least-norm point, an SVD for the kernel, a discriminant for a kernel
     of dimension 1 and the nearest circle point for dimension 2 or more."""
+    tol_leg = selfmotion.TOL_LEG
     d = np.asarray(direction, dtype=float)
     e = np.concatenate([[0.0], d / np.linalg.norm(d)])
     rows, consts = _leg_rows(legs, e)
@@ -366,13 +379,10 @@ def _three_branch_sample_pose(legs, direction, tol_leg, tol_f0):
         else:
             s = center * (1.0 - math.sqrt(rho2) / nc)
         f = fp + s @ kernel
-    return selfmotion.MotionSample(
-        tuple(e), tuple(f), tuple(residuals_at(legs, e, f)),
-        leg_tolerance=tol_leg * scale, f0_tolerance=tol_f0)
+    return _decided(e, f, residuals_at(legs, e, f), tol_leg * scale, tol_f0)
 
 
-def _scalar_sample_pose(legs, direction, tol_leg=selfmotion.TOL_LEG,
-                        tol_f0=selfmotion.TOL_F0):
+def _scalar_sample_pose(legs, direction, tol_f0=selfmotion.TOL_F0):
     """The one-direction sampler the grid sampler replaced: the same fiber
     formula and root choice, on one slice built leg by leg, raising its
     rejection."""
@@ -382,7 +392,7 @@ def _scalar_sample_pose(legs, direction, tol_leg=selfmotion.TOL_LEG,
     A = np.vstack([e, rows[0] - rows[1:]])
     b = np.concatenate([[0.0], consts[1:] - consts[0]])
     fp, *_ = np.linalg.lstsq(A, b, rcond=None)
-    tol = tol_leg * (1.0 + float(np.max(np.abs(legs.r2))))
+    tol = selfmotion.TOL_LEG * (1.0 + float(np.max(np.abs(legs.r2))))
     if np.linalg.norm(A @ fp - b) > tol:
         raise InconsistentSystem("linear slice is inconsistent")
     _, sv, Vt = np.linalg.svd(A)
@@ -409,9 +419,8 @@ def _scalar_sample_pose(legs, direction, tol_leg=selfmotion.TOL_LEG,
     good = [k for k, w in enumerate(worst) if w <= tol]
     k = (min(good, key=lambda k: candidates[k] @ candidates[k]) if good
          else int(np.argmin(worst)))
-    return MotionSample(tuple(e.tolist()), tuple(candidates[k].tolist()),
-                        tuple(res[k].tolist()), leg_tolerance=tol,
-                        f0_tolerance=tol_f0)
+    return _decided(e.tolist(), candidates[k].tolist(), res[k].tolist(), tol,
+                    tol_f0)
 
 
 def _outcome(sampler, *args):
@@ -469,8 +478,7 @@ def test_sample_pose_matches_the_three_branch_sampler():
                                     tol_f0=tol_f0)):
             new = ("pose" if isinstance(s, MotionSample)
                    else type(s).__name__)
-            old, t = _outcome(_three_branch_sample_pose, legs, d,
-                              selfmotion.TOL_LEG, tol_f0)
+            old, t = _outcome(_three_branch_sample_pose, legs, d, tol_f0)
             assert new == old, (design, d)
             outcomes.add(new)
             if t is not None:
@@ -571,6 +579,38 @@ def test_sample_pose_rejects_a_bad_grid():
                  [(0.3, math.nan, 0.9)], (0.3, 0.5, 0.9)):
         with pytest.raises(ValueError, match="nonzero 3-vectors"):
             sample_pose(legs, grid)
+
+
+def test_sample_pose_rejects_a_nan_leg_residual(monkeypatch):
+    # every bound test accepts only a value within its bound: a nan
+    # residual passed the former "worst > tol" test and came back a pose
+    legs = float_legs(worked_hexapod())
+    grid = list(fibonacci_directions(40)) + list(TANGENT_DIRECTIONS)
+    grid = [d for d, s in zip(grid, sample_pose(legs, grid))
+            if isinstance(s, MotionSample)]
+    real = selfmotion.residuals_at
+    monkeypatch.setattr(selfmotion, "residuals_at",
+                        lambda *args: np.full_like(real(*args), np.nan))
+    outcomes = sample_pose(legs, grid)
+    assert len(outcomes) == len(grid) > 20
+    for s in outcomes:
+        assert isinstance(s, InconsistentSystem)
+        assert str(s).startswith("leg residual nan over ")
+
+
+def test_sample_pose_refuses_a_slice_without_floats():
+    # on the base (0, 10^155, 2, 3) the squares of the leg slice overflow:
+    # the call raises before any direction is decided, and numpy warns
+    # nothing; the poses were all nan
+    design = build_motion_design(BaseParams(0, 10**155, 2, 3), 1, 1)
+    legs = float_legs(design)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(selfmotion.FloatOverflow,
+                           match="leg slice has no finite float"):
+            sample_pose(legs, [(0.3, 0.5, 0.9)])
+        with pytest.raises(selfmotion.FloatOverflow):
+            verify_selfmotion(design, count=3)
 
 
 def test_sample_pose_closes_each_candidate_once(monkeypatch):
@@ -1008,4 +1048,39 @@ def test_arch_singularity_generic_hexapod():
     generic = HexapodDesign(worked_design(), PlanarPoint(5, 7),
                             PlanarPoint(1, 2))
     assert arch_singularity_check(generic, samples=20) > 1e-6
+
+
+def _arch_one_pose_at_a_time(design, seed, samples):
+    """arch_singularity_check as it was, one random pose per loop pass."""
+    legs = float_legs(design)
+    rng = np.random.default_rng(seed)
+    unit = []
+    for _ in range(samples):
+        while True:
+            e = rng.normal(size=4)
+            n = e @ e
+            if n > 1e-6:
+                break
+        f = rng.normal(size=4)
+        f = f - ((f @ e) / n) * e
+        rows = selfmotion.plucker_matrix(legs, e / math.sqrt(n),
+                                         f / math.sqrt(n))
+        norms = np.linalg.norm(rows, axis=1)
+        if np.min(norms) >= 1e-12:
+            unit.append(rows / norms[:, None])
+    if not unit:
+        return 0.0
+    sv = np.linalg.svd(np.array(unit), compute_uv=False)
+    return max(0.0, *(sv[:, -1] / sv[:, 0]))
+
+
+def test_arch_singularity_draws_every_pose_in_one_call():
+    # one normal draw of shape (samples, 2, 4) gives the poses the loop
+    # drew one at a time, and the same worst singular value, bit for bit
+    generic = HexapodDesign(worked_design(), PlanarPoint(5, 7),
+                            PlanarPoint(1, 2))
+    for design in (worked_hexapod(), generic):
+        for seed, samples in [(s, 10) for s in range(40)] + [(3, 100)]:
+            assert arch_singularity_check(design, seed, samples) == \
+                _arch_one_pose_at_a_time(design, seed, samples)
 
