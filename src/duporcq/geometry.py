@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 
 class DegenerateBase(ValueError):
@@ -106,6 +107,21 @@ def cleared(values) -> list:
     """Rationals times the lcm of their denominators, as ints."""
     den = common_denominator(values)
     return [v.numerator * (den // v.denominator) for v in values]
+
+
+class IntPoint(NamedTuple):
+    """A planar point with int coordinates, the integer representative of a
+    PlanarPoint in a tuple that integral_points scaled."""
+
+    x: int
+    y: int
+
+
+def integral_points(points) -> tuple:
+    """The tuple scaled by the common denominator of its coordinates, with
+    int coordinates: the same Moebius pictures and affine matches."""
+    xy = cleared([v for p in points for v in (p.x, p.y)])
+    return tuple(IntPoint(*xy[k:k + 2]) for k in range(0, len(xy), 2))
 
 
 def primitive_key(a: int, b: int) -> tuple:
@@ -425,30 +441,30 @@ def reconstruct_candidates(base: BaseParams) -> list:
 
 
 def affine_match(src, dst) -> bool:
-    """True when an affine plane map sends src[i] -> dst[i] for all i."""
-    pivot = None
-    for j in range(1, 5):
-        for k in range(j + 1, 5):
-            if not collinear(src[0], src[j], src[k]):
-                pivot = (j, k)
-                break
-        if pivot:
-            break
+    """True when an affine plane map sends src[i] -> dst[i] for all i.
+
+    Scaling either tuple keeps an affine match, so both are taken through
+    integral_points.  With p0 = src[0], q0 = dst[0] and a pivot pair (j, k)
+    whose u1, u2 = src[j] - p0, src[k] - p0 span the plane, v1, v2 their
+    images from q0, the one candidate map sends s to q0 + V U^-1 (s - p0);
+    it is tested as det(U) (t - q0) = V adj(U) (s - p0), in ints.  False
+    when the five source points are collinear."""
+    src, dst = integral_points(src), integral_points(dst)
+    pivot = next(((j, k) for j in range(1, 5) for k in range(j + 1, 5)
+                  if not collinear(src[0], src[j], src[k])), None)
     if pivot is None:
         return False
-    j, k = pivot
-    u1, u2 = src[j] - src[0], src[k] - src[0]
-    v1, v2 = dst[j] - dst[0], dst[k] - dst[0]
-    det = cross(u1, u2)
-    a = (v1.x * u2.y - v2.x * u1.y) / det
-    b = (v2.x * u1.x - v1.x * u2.x) / det
-    c = (v1.y * u2.y - v2.y * u1.y) / det
-    d = (v2.y * u1.x - v1.y * u2.x) / det
     p0, q0 = src[0], dst[0]
+    (u1, v1), (u2, v2) = ((IntPoint(src[i].x - p0.x, src[i].y - p0.y),
+                           IntPoint(dst[i].x - q0.x, dst[i].y - q0.y))
+                          for i in pivot)
+    det = cross(u1, u2)
     for s, t in zip(src, dst):
-        w = s - p0
-        if PlanarPoint(q0.x + a * w.x + b * w.y,
-                       q0.y + c * w.x + d * w.y) != t:
+        wx, wy = s.x - p0.x, s.y - p0.y
+        # adj(U) w = (a, b), so det * w = a u1 + b u2
+        a, b = u2.y * wx - u2.x * wy, u1.x * wy - u1.y * wx
+        if (det * (t.x - q0.x) != a * v1.x + b * v2.x
+                or det * (t.y - q0.y) != a * v1.y + b * v2.y):
             return False
     return True
 

@@ -24,7 +24,13 @@ failing direction, or None when the slot is accepted.  It takes each base
 picture once per direction and compares with DelPezzoPoint.proportional; a
 candidate is pictured in direction order up to and including its first
 failure, and at no direction after it.  A random direction that repeats an
-earlier one, found by its primitive integer (c1 : c2) in a set, is skipped.
+earlier one, found by its primitive integer (c1 : c2) in a set, is skipped,
+and no direction past the first DECISIVE_DIRECTIONS = 11 distinct ones is
+pictured: every plain cross minor of two pictures is a binary form of
+degree 10 in (c1, c2), so pictures that agree at 11 distinct directions
+agree at all of them (the proof is candidate_report's docstring).  The six
+special directions come first, so random directions past the fifth
+distinct one cannot change the report.
 
 A picture is a projective point, so candidate_report pictures integer
 representatives: scaling the points or (c1 : c2) scales every phi by one
@@ -57,8 +63,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import and_
-from typing import NamedTuple
 
 from .exactpoly import MPoly, gcd, generators, proportional
 from .geometry import (
@@ -67,6 +73,7 @@ from .geometry import (
     cleared,
     collinear,
     common_denominator,
+    integral_points,
     primitive_key,
 )
 
@@ -86,6 +93,10 @@ PHI_FACTORS = (
 SUPPORT = {pair: frozenset(k for k in range(6) if pair in PHI_FACTORS[k])
            for pair in PAIRS}
 
+# a plain cross minor of two pictures has degree 2 * 5 in (c1, c2), so
+# pictures that agree at one direction more than that agree at all of them
+DECISIVE_DIRECTIONS = 2 * len(PHI_FACTORS[0]) + 1
+
 # PHI_FACTORS as positions in PAIRS
 _PHI_SLOTS = tuple(tuple(PAIRS.index(pair) for pair in factors)
                    for factors in PHI_FACTORS)
@@ -100,21 +111,6 @@ class NotCollinearDirection(ValueError):
 
 
 _REAL = (int, Fraction)
-
-
-class IntPoint(NamedTuple):
-    """A planar point with int coordinates, the integer representative of a
-    PlanarPoint in a tuple that integral_points scaled."""
-
-    x: int
-    y: int
-
-
-def integral_points(points) -> tuple:
-    """The tuple scaled by the common denominator of its coordinates: the
-    same pictures, with int coordinates."""
-    xy = cleared([v for p in points for v in (p.x, p.y)])
-    return tuple(IntPoint(*xy[k:k + 2]) for k in range(0, len(xy), 2))
 
 
 def _den5(points) -> int:
@@ -312,18 +308,17 @@ def special_directions(points) -> list:
     ]
 
 
-def random_directions(seed: int, samples: int) -> list:
+def random_directions(seed: int, samples: int):
     """Seeded conic points c(t) at rational t = n/d in lowest terms, each as
     the integer (c1 : c2) of d^2 * c(t) = (2nd : d^2 - n^2), whose gcd is 1
     or 2; c3 = i(d^2 + n^2) stays implicit, since a planar picture reads c1
-    and c2 only."""
+    and c2 only.  Drawn lazily, so the first k are the same for every
+    samples >= k."""
     rng = random.Random(seed)
-    out = []
-    while len(out) < samples:
+    for _ in range(samples):
         t = Fraction(rng.randint(-60, 60), rng.randint(1, 40))
         n, d = t.numerator, t.denominator
-        out.append(("t=" + str(t), ConicDirection(2 * n * d, d * d - n * n)))
-    return out
+        yield "t=" + str(t), ConicDirection(2 * n * d, d * d - n * n)
 
 
 def candidate_report(base: BaseParams, candidates, seed: int = 0,
@@ -334,18 +329,34 @@ def candidate_report(base: BaseParams, candidates, seed: int = 0,
 
     Every tuple is pictured through its integral_points and every direction
     is an integer (c1 : c2), so each plain picture is a product of ints.
-    The six special directions come first, then the random ones, and a
-    candidate is pictured in that order up to its first failure."""
-    pts = base.points
-    directions = [(name, ConicDirection.from_direction(u))
-                  for name, u in special_directions(pts)]
-    seen = {primitive_key(c.c1, c.c2) for _, c in directions}
-    for name, c in random_directions(seed, samples):
+    The directions are the six special ones, then the random ones, a repeat
+    of an earlier direction skipped, and only the first DECISIVE_DIRECTIONS
+    of them are taken; a candidate is pictured in that order up to its first
+    failure.  The cap decides nothing away:
+    - a plain cross minor phi_k psi_l - phi_l psi_k of two tuples is a
+      binary form in (c1, c2) of degree 10 (or zero), each phi_k being a
+      product of five linear forms;
+    - wherever the two pictures agree, every plain cross minor vanishes:
+      where both plain pictures are taken they are proportional, and where
+      one side's plain picture collapses to 0 the minors vanish trivially;
+    - agreement at 11 distinct directions thus makes every minor zero, so
+      phi and psi are proportional as vectors of forms, and then so are
+      their pictures at every direction, plain or extended: the extended
+      picture is (phi / L^m)(c), with the same linear form L on both sides.
+    So a slot's first failure always lies among the first 11 directions:
+    once samples yields 5 distinct random ones, the report is the one every
+    direction would give, whatever the seed."""
+    directions, seen = [], set()
+    specials = ((name, ConicDirection.from_direction(u))
+                for name, u in special_directions(base.points))
+    for name, c in chain(specials, random_directions(seed, samples)):
         key = primitive_key(c.c1, c.c2)
         if key not in seen:
             seen.add(key)
             directions.append((name, c))
-    pts = integral_points(pts)
+            if len(directions) == DECISIVE_DIRECTIONS:
+                break
+    pts = integral_points(base.points)
     base_pictures = [(name, c, picture(pts, c)) for name, c in directions]
     report = {}
     for cand in candidates:

@@ -559,7 +559,8 @@ def arch_singularity_check(design: HexapodDesign, seed: int = 0,
     """Worst relative smallest singular value of the leg-line matrix over
     random poses, all drawn in one call: e normal, f normal projected off e,
     both scaled to unit |e|.  Tiny values certify architectural
-    singularity."""
+    singularity.  FloatOverflow when a leg-line row or its norm has no
+    finite float: a value read off overflowed rows certifies nothing."""
     import numpy as np
     legs = float_legs(design)
     poses = np.random.default_rng(seed).normal(size=(samples, 2, 4))
@@ -567,8 +568,12 @@ def arch_singularity_check(design: HexapodDesign, seed: int = 0,
     n = np.vecdot(e, e)
     f = f - (np.vecdot(f, e) / n)[:, None] * e
     s = np.sqrt(n)[:, None]
-    rows = plucker_matrix(legs, e / s, f / s)
-    norms = np.linalg.norm(rows, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = plucker_matrix(legs, e / s, f / s)
+        norms = np.linalg.norm(rows, axis=-1)
+    # a row's norm bounds its entries, and a nan entry makes it nan
+    if not np.isfinite(norms).all():
+        raise FloatOverflow("leg-line rows have no finite float")
     kept = norms.min(axis=-1) >= 1e-12
     if not kept.any():
         return 0.0

@@ -22,6 +22,7 @@ from duporcq.geometry import (
     collinear,
     cross,
     duporcq_hexapod,
+    integral_points,
     reconstruct_candidates,
 )
 from duporcq.moebius import (
@@ -30,7 +31,6 @@ from duporcq.moebius import (
     candidate_report,
     del_pezzo,
     extended_del_pezzo,
-    integral_points,
     line_membership,
     picture,
     special_directions,

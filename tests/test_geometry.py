@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from duporcq.geometry import (
     PentapodDesign,
     PlanarPoint,
     SchemaError,
+    affine_match,
     build_platform,
     collinear,
     cross,
@@ -404,6 +406,63 @@ def test_candidates_collinearity_pattern(A4, B4, A5, B5):
             assert cross(m4 - m2, M4 - M2) == 0, c.tag
         else:
             assert cross(m5 - m2, M5 - M2) == 0, c.tag
+
+
+def _fraction_affine_match(src, dst):
+    """affine_match over Fractions: the map through the first spanning
+    pivot triple, divided out by det, tested at every point."""
+    pivot = next(((j, k) for j in range(1, 5) for k in range(j + 1, 5)
+                  if not collinear(src[0], src[j], src[k])), None)
+    if pivot is None:
+        return False
+    (u1, v1), (u2, v2) = ((src[i] - src[0], dst[i] - dst[0]) for i in pivot)
+    det = cross(u1, u2)
+    a = (v1.x * u2.y - v2.x * u1.y) / det
+    b = (v2.x * u1.x - v1.x * u2.x) / det
+    c = (v1.y * u2.y - v2.y * u1.y) / det
+    d = (v2.y * u1.x - v1.y * u2.x) / det
+    return all(PlanarPoint(dst[0].x + a * w.x + b * w.y,
+                           dst[0].y + c * w.x + d * w.y) == t
+               for w, t in ((s - src[0], t) for s, t in zip(src, dst)))
+
+
+def test_affine_match_against_fractions():
+    # seeded 5-tuples with mixed denominators: an affine image, with an
+    # invertible or a singular linear part, matches; moving one coordinate
+    # of one image point breaks it; five collinear source points never match
+    rng = random.Random(36)
+
+    def frac(den=7):
+        return Fraction(rng.randint(-12, 12), rng.randint(1, den))
+
+    def image(points, a, b, c, d):
+        tx, ty = frac(), frac()
+        return tuple(PlanarPoint(a * p.x + b * p.y + tx, c * p.x + d * p.y + ty)
+                     for p in points)
+
+    seen = set()
+    for _ in range(60):
+        src = tuple(PlanarPoint(frac(), frac()) for _ in range(5))
+        a, b, c, d = (frac(5) for _ in range(4))
+        singular = rng.random() < 0.5
+        if singular:
+            k = frac()
+            c, d = k * a, k * b
+        line = (PlanarPoint(frac(), frac()), PlanarPoint(frac(), frac()))
+        on_line = tuple(line[0] + (line[1] - line[0]).scale(frac())
+                        for _ in range(5))
+        cases = [(src, image(src, a, b, c, d), True),
+                 (on_line, image(on_line, a, b, c, d), False)]
+        k = rng.randrange(5)
+        moved = list(cases[0][1])
+        moved[k] = moved[k] + PlanarPoint(*rng.choice(((Fraction(1, 3), 0),
+                                                       (0, Fraction(-2, 5)))))
+        cases.append((src, tuple(moved), False))
+        for x, y, want in cases:
+            assert _fraction_affine_match(x, y) == want
+            assert affine_match(x, y) == want
+            seen.add((want, singular))
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
 
 
 # ------------------------------------------------------------------ JSON I/O

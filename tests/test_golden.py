@@ -33,8 +33,7 @@ COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_stdout_matches_golden(name, tmp_path, capsys):
+def _design_paths(tmp_path) -> dict:
     worked = worked_design()
     designs = {"worked": worked, "rec3": PentapodDesign(*map(swap_4_5, (
         worked.base, worked.platform, worked.radii2)))}
@@ -42,7 +41,26 @@ def test_stdout_matches_golden(name, tmp_path, capsys):
     for key, design in designs.items():
         paths[key].write_text(json.dumps(design_to_dict(
             design, duporcq_hexapod(design))))
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden(name, tmp_path, capsys):
+    paths = _design_paths(tmp_path)
     argv = [a.format(**paths) for a in COMMANDS[name]]
     assert main(argv) == 0
     expected = (GOLDEN / f"{name}.stdout").read_text()
     assert capsys.readouterr().out == expected
+
+
+def test_classify_golden_holds_for_every_samples_and_seed(tmp_path, capsys):
+    # classify decides at no more than 11 distinct directions, and pictures
+    # that agree at 11 agree at every direction, so neither the number of
+    # random directions nor their seed changes a byte
+    worked = str(_design_paths(tmp_path)["worked"])
+    expected = (GOLDEN / "classify.stdout").read_text()
+    for samples in (1, 5, 20, 100):
+        for seed in range(4):
+            assert main(["classify", worked, "--samples", str(samples),
+                         "--seed", str(seed)]) == 0
+            assert capsys.readouterr().out == expected, (samples, seed)

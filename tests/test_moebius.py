@@ -12,6 +12,7 @@ from duporcq import moebius
 from duporcq.exactpoly import GaussRational, I, MPoly, gcd, generators
 from duporcq.geometry import (
     BaseParams,
+    IntPoint,
     InvariantViolation,
     PlanarPoint,
     reconstruct_candidates,
@@ -19,8 +20,8 @@ from duporcq.geometry import (
 from duporcq.moebius import (
     AllZero,
     ConicDirection,
+    DECISIVE_DIRECTIONS,
     DelPezzoPoint,
-    IntPoint,
     NotCollinearDirection,
     PAIRS,
     PHI_FACTORS,
@@ -270,12 +271,13 @@ def _projective(c):
 
 
 def test_candidate_report_takes_each_picture_once(monkeypatch):
-    # one del_pezzo call per (tuple, projective direction): the base picture
-    # is shared by all candidates, and a random direction that repeats a
-    # special or an earlier random one is skipped (on the worked base,
-    # seed 0 draws t = 0, which is d123's (0 : 1)); a rejected candidate is
-    # pictured up to and including its first failing direction and at
-    # none after it
+    # one del_pezzo call per (tuple, projective direction), at no more than
+    # the first DECISIVE_DIRECTIONS distinct directions: the base picture is
+    # shared by all candidates, and a random direction that repeats a
+    # special or an earlier random one is skipped (on the worked base, seed
+    # 0 draws t = 0, which is d123's (0 : 1)); a candidate is pictured up
+    # to and including its first failing direction, or the last of the
+    # capped ones, and at none after it
     calls = Counter()
     kept = []           # keeps each pictured tuple alive, so ids stay unique
     real = moebius.del_pezzo
@@ -286,21 +288,27 @@ def test_candidate_report_takes_each_picture_once(monkeypatch):
         return real(points, c)
 
     monkeypatch.setattr(moebius, "del_pezzo", counting)
-    for base, seed in ((WORKED, 0), (WORKED, 5), (_seeded_base(1)[0], 0),
-                       (_seeded_base(2)[0], 3)):
+    for base, seed, samples in ((WORKED, 0, 20), (WORKED, 5, 20),
+                                (WORKED, 1, 3), (_seeded_base(1)[0], 0, 20),
+                                (_seeded_base(2)[0], 3, 100)):
         calls.clear()
         report = candidate_report(base, reconstruct_candidates(base),
-                                  seed=seed, samples=20)
+                                  seed=seed, samples=samples)
         pts = base.points
         names = [n for n, _ in special_directions(pts)]
         seen = {_projective(ConicDirection.from_direction(u))
                 for _, u in special_directions(pts)}
-        for name, c in random_directions(seed, 20):
+        for name, c in random_directions(seed, samples):
             if _projective(c) not in seen:
                 seen.add(_projective(c))
                 names.append(name)
         if (base, seed) == (WORKED, 0):
-            assert len(names) < 26
+            assert len(seen) < 26
+        if samples == 3:
+            assert len(names) < DECISIVE_DIRECTIONS
+        else:
+            assert len(names) > DECISIVE_DIRECTIONS
+        names = names[:DECISIVE_DIRECTIONS]
 
         def taken(failure):
             return len(names) if failure is None else names.index(failure) + 1
@@ -312,8 +320,9 @@ def test_candidate_report_takes_each_picture_once(monkeypatch):
 
 def _fraction_report(base, candidates, seed, samples, seen):
     """candidate_report's contract computed on the Fraction tuples and
-    Fraction directions, each picture through picture; seen counts the
-    random directions at which a candidate matched."""
+    Fraction directions, each picture through picture, at every direction
+    and with no cap; seen counts the random directions at which a candidate
+    matched, and the accepted and rejected slots."""
     pts = base.points
     # the Fraction (u2 : -u1) of each special direction, and c(t)
     directions = [(name, ConicDirection(u.y, -u.x))
@@ -328,6 +337,7 @@ def _fraction_report(base, candidates, seed, samples, seen):
                 report[cand.tag] = name
                 break
             seen["random_accepted"] += not name.startswith("d")
+        seen["rejected" if report[cand.tag] else "accepted"] += 1
     return report
 
 
@@ -362,7 +372,9 @@ def _seeded_base(seed):
 def test_candidate_report_matches_fraction_pictures():
     # every slot of seeded bases, each candidate platform moved by a scale
     # and shift (the same pictures, so accepted slots stay accepted) and by
-    # a general affine map, all with denominators
+    # a general affine map, all with denominators; at 3 random directions
+    # candidate_report pictures all 9, at 20 and 100 only the first 11
+    # distinct ones, and the full scan gives the same report
     seen = Counter()
     dens = set()
     designs = [(WORKED, reconstruct_candidates(WORKED), random.Random(9))]
@@ -386,12 +398,53 @@ def test_candidate_report_matches_fraction_pictures():
                 dataclasses.replace(cand, tag=cand.tag + "/a", platform=mapped),
             ]
         for group in (cands, moved):
-            want = _fraction_report(base, group, k, 20, seen)
-            assert candidate_report(base, group, seed=k, samples=20) == want
+            for samples in (3, 20, 100):
+                want = _fraction_report(base, group, k, samples, seen)
+                assert candidate_report(base, group, seed=k,
+                                        samples=samples) == want
             for points in [pts] + [cand.platform for cand in group]:
                 _special_pictures_agree(base, points, seen)
     assert dens - {1}
     assert seen["extended"] and seen["random_accepted"]
+    assert seen["accepted"] and seen["rejected"]
+
+
+def test_cross_minors_are_binary_forms_of_degree_ten():
+    # the pictures of a pair of 5-tuples over (c1, c2): each cross minor
+    # phi_k psi_l - phi_l psi_k is zero or a binary form of degree 10, so
+    # agreement at DECISIVE_DIRECTIONS distinct directions makes it zero;
+    # on the slots of seeded bases every minor is zero exactly where
+    # candidate_report accepts the slot
+    assert DECISIVE_DIRECTIONS == 11
+    c1, c2 = generators(("c1", "c2"))
+
+    def minors(a, b):
+        phi, psi = (phi_from_projections([c1 * p.x + c2 * p.y for p in t])
+                    for t in (a, b))
+        return [phi[k] * psi[l] - phi[l] * psi[k]
+                for k in range(6) for l in range(k + 1, 6)]
+
+    def degrees(minor):
+        return {sum(e) for e, _ in minor.monomials()}
+
+    rng = random.Random(36)
+    pairs = [tuple(tuple(PlanarPoint(_fraction(rng), _fraction(rng))
+                         for _ in range(5)) for _ in range(2))
+             for _ in range(6)]
+    seen = Counter()
+    for base, cands, _ in [_seeded_base(seed) for seed in range(4)]:
+        report = candidate_report(base, cands)
+        for cand in cands:
+            zero = all(m.is_zero() for m in minors(base.points, cand.platform))
+            assert zero == (report[cand.tag] is None)
+            seen[zero] += 1
+        pairs += [(base.points, cand.platform) for cand in cands]
+    assert seen[True] and seen[False]
+    for a, b in pairs:
+        for minor in minors(a, b):
+            assert minor.is_zero() or degrees(minor) == {10}
+            seen["degree 10"] += not minor.is_zero()
+    assert seen["degree 10"]
 
 
 def test_real_directions_give_fraction_pictures():

@@ -1050,6 +1050,18 @@ def test_arch_singularity_generic_hexapod():
     assert arch_singularity_check(generic, samples=20) > 1e-6
 
 
+def test_arch_singularity_refuses_overflowed_rows():
+    # on the base (0, 10^155, 2, 3) the leg-line rows' norms overflow; the
+    # check read 7.7e-18, "singular", off them, and numpy warned
+    hexapod = duporcq_hexapod(build_motion_design(BaseParams(0, 10**155, 2, 3),
+                                                  1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(selfmotion.FloatOverflow,
+                           match="leg-line rows have no finite float"):
+            arch_singularity_check(hexapod, samples=5)
+
+
 def _arch_one_pose_at_a_time(design, seed, samples):
     """arch_singularity_check as it was, one random pose per loop pass."""
     legs = float_legs(design)
