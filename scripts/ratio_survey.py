@@ -10,6 +10,10 @@ or e2 divides F1 * F2.
 The identity platform map is surveyed separately since the ratio is then a
 parameter-independent constant.  The script exits 1 with a message if any
 row disagrees: a ratio off its closed form, or a chain that does not match.
+A draw on one of the chain's degenerate strata, where a resultant operand
+loses its degree in the eliminated variable (ZeroDegree), is printed as an
+undecided row naming its stratum and also fails the run; such draws are
+kept, not redrawn, so the gap stays visible.
 
 Usage:
     python scripts/ratio_survey.py --draws 8 --seed 2
@@ -20,8 +24,18 @@ import random
 import sys
 from fractions import Fraction
 
+from duporcq.exactpoly import ZeroDegree
 from duporcq.geometry import BaseParams
 from duporcq.study import CanonicalDesign, pipeline_report
+
+# the chain's known degenerate strata: name and membership test on (A, B)
+# of CanonicalDesign.AB and mu
+STRATA = (
+    ("mu2 = 0, mu3 = -mu1",
+     lambda A, B, mu: mu[1] == 0 and mu[2] == -mu[0]),
+    ("mu1 = -1, mu1*A*(mu3 + 1) = mu2*B",
+     lambda A, B, mu: mu[0] == -1 and mu[0] * A * (mu[2] + 1) == mu[1] * B),
+)
 
 
 def random_fraction(rng, lo=-5, hi=5, den=4):
@@ -47,10 +61,18 @@ def random_mu(rng):
 
 def report(base, mu=None):
     """pipeline_report of the design on base and mu whose squared radii are
-    five draws of their own Random(0), the same for every design."""
+    five draws of their own Random(0), the same for every design; on
+    ZeroDegree, the name of the stratum the design lies on instead."""
     radii_rng = random.Random(0)
     radii = tuple(random_fraction(radii_rng, 1, 6, 4) for _ in range(5))
-    return pipeline_report(CanonicalDesign.from_params(base, mu, radii))
+    design = CanonicalDesign.from_params(base, mu, radii)
+    try:
+        return pipeline_report(design)
+    except ZeroDegree as exc:
+        mu = (design.mu1, design.mu2, design.mu3)
+        name = next((name for name, on in STRATA if on(*design.AB, mu)),
+                    "an unnamed stratum")
+        return f"{name} ({exc})"
 
 
 def main():
@@ -64,7 +86,13 @@ def main():
     print("identity platform map (ratio must be the constant -8):")
     for k in range(args.draws):
         base = random_base(rng)
-        ratio = report(base)["Ke"]["e0e3_ratio"]
+        row = report(base)
+        if isinstance(row, str):
+            print(f"  draw {k}: base=({base.A4},{base.B4},{base.A5},{base.B5})"
+                  f"  undecided: {row}")
+            failed.append(f"identity draw {k}: undecided on {row}")
+            continue
+        ratio = row["Ke"]["e0e3_ratio"]
         print(f"  draw {k}: base=({base.A4},{base.B4},{base.A5},{base.B5})"
               f"  ratio={ratio}")
         if Fraction(ratio) != -8:
@@ -75,6 +103,10 @@ def main():
         base = random_base(rng)
         mu = random_mu(rng)
         row = report(base, mu)
+        if isinstance(row, str):
+            print(f"  draw {k}: mu=({mu[0]},{mu[1]},{mu[2]})  undecided: {row}")
+            failed.append(f"general draw {k}: undecided on {row}")
+            continue
         ratio, match = row["Ke"]["e0e3_ratio"], row["chain"]["factors"]["match"]
         ok = "ok" if Fraction(ratio) == -4 * (mu[0] + mu[2]) else "MISMATCH"
         print(f"  draw {k}: mu=({mu[0]},{mu[1]},{mu[2]})  ratio={ratio}"

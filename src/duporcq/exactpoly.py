@@ -335,24 +335,34 @@ def _imac(vars: tuple, prods) -> dict:
     return out
 
 
-def _sum_products(vars: tuple, prods: list) -> "MPoly":
-    """The sum of s * a * b over the triples (s, a, b) of prods, for signs s
-    of 1 or -1 and nonzero MPolys a, b.  The products' contents are scaled
+def _item(s: int, a: "MPoly", b: "MPoly") -> tuple:
+    """s * a * b, for a sign s of 1 or -1 and nonzero MPolys a, b, as a
+    _sum_products item: (num, den, P_a, P_b), num/den the product of the
+    contents."""
+    return (*_qmul(s * a._num, a._den, b._num, b._den), a._prim, b._prim)
+
+
+# the integer polynomial 1: a scalar weight's item is its multiple of it
+_UNIT = {0: 1}
+
+
+def _sum_products(vars: tuple, items: list) -> "MPoly":
+    """The sum of num/den * a * b over the items (num, den, a, b), for
+    reduced nonzero contents num/den and integer polynomials a, b that are
+    primitive with positive leading coefficients.  The contents are scaled
     to the common content g/d, g the gcd of their numerators and d the lcm
     of their denominators, a coprime pair (a prime of g divides every
     numerator, so no denominator), and summed in one _imac accumulator,
     normalized once.  One product is canonical by Gauss's lemma."""
-    if not prods:
+    if not items:
         return MPoly(vars, 0, 1, {})
-    prods = [(*_qmul(s * a._num, a._den, b._num, b._den), a._prim, b._prim)
-             for s, a, b in prods]
-    if len(prods) == 1:
-        [(num, den, a, b)] = prods
+    if len(items) == 1:
+        [(num, den, a, b)] = items
         return MPoly(vars, num, den, _imac(vars, [(1, a, b)]))
-    g = _igcd(*(num for num, _, _, _ in prods))
-    d = lcm(*(den for _, den, _, _ in prods))
+    g = _igcd(*(num for num, _, _, _ in items))
+    d = lcm(*(den for _, den, _, _ in items))
     return _normal(vars, _imac(vars, [(num // g * (d // den), a, b)
-                                      for num, den, a, b in prods]), g, d)
+                                      for num, den, a, b in items]), g, d)
 
 
 def _icomb(a: dict, ka: int, b: dict, kb: int) -> dict:
@@ -885,7 +895,7 @@ def det(rows) -> MPoly:
                 if row[c]:
                     sub = minor(cols[:j] + cols[j + 1:])
                     if sub:
-                        prods.append((-1 if j & 1 else 1, row[c], sub))
+                        prods.append(_item(-1 if j & 1 else 1, row[c], sub))
             out = memo[cols] = _sum_products(row[0].vars, prods)
         return out
 
@@ -895,12 +905,22 @@ def det(rows) -> MPoly:
 def dot(weights, polys) -> MPoly:
     """sum(w * x for w, x in zip(weights, polys)) over equally many weights
     and polys, summed by _sum_products; polys are MPolys over one variable
-    tuple, and a weight is a rational or an MPoly over it."""
+    tuple, and a weight is a rational or an MPoly over it.  A rational
+    weight scales its poly's content and multiplies the polynomial 1, so it
+    never becomes an MPoly of its own."""
     polys = list(polys)
     ref = polys[0]
-    pairs = [(ref._coerce(w), ref._coerce(x))
-             for w, x in zip(weights, polys, strict=True)]
-    return _sum_products(ref.vars, [(1, w, x) for w, x in pairs if w and x])
+    items = []
+    for w, x in zip(weights, polys, strict=True):
+        x = ref._coerce(x)
+        if isinstance(w, MPoly):
+            w = ref._coerce(w)
+            if w and x:
+                items.append(_item(1, w, x))
+        elif _real(w) and x:
+            items.append((*_qmul(w.numerator, w.denominator, x._num, x._den),
+                          _UNIT, x._prim))
+    return _sum_products(ref.vars, items)
 
 
 def proportional(a, b) -> bool:

@@ -16,13 +16,23 @@ Leg 3 carries denominators, so its sphere condition is assembled from the
 weight-cleared data M3*w3, m3*w3 with w3 = (B4-B5)*U2, keeping every
 expression polynomial even for fully symbolic parameters.
 
-sphere_linear is the one leg model: it splits the sphere conditions of a
-pose's legs at fixed e into f-rows and constants, forming the pose's
-rotation numerator and N once.  sphere_condition is built from it, and the
-float sampler in selfmotion evaluates it on floats.  leg_split runs it once
-per design over the five legs and forms each leg difference Delta_i as
-(f-row, constant).  f_row_weights holds the K_e weights and checks that
-they annihilate the f-rows, each coordinate one exactpoly.dot sum;
+Two formulas split a leg's sphere condition at fixed e into an f-row and a
+constant.  sphere_linear takes each leg's coordinates as they are and
+forms the pose's rotation numerator and N once; sphere_condition, the
+tests' oracle, is built from it, and the float sampler in selfmotion
+evaluates it on floats.  It stays as it is for the float path: motion
+sampling's |f0| bound is an unscaled 1e-12, and on some designs the
+rounding of this formula is what sits just above it, so another float
+formula changes which designs sample.  leg_split, the exact path, writes
+each leg's row and constant as linear in a few data scalars
+(_leg_scalars), combines them into each leg difference Delta_i's scalars
+before any polynomial is built, in ints where the data are rational,
+cleared by their common denominator, and builds one (f-row, constant) per
+Delta_i at the symbolic pose, whose rotation numerator, N and e_i e_j
+products are module constants; that is 20 sums per design where
+sphere_linear's legs took about 200.  A test holds the two formulas equal
+at rational directions.  f_row_weights holds the K_e weights and checks
+that they annihilate the f-rows, each coordinate one exactpoly.dot sum;
 compute_Ke combines the constants by them, f_coefficient_matrix stacks
 (e0..e3) over the rows, and pipeline_report hands one split and its
 checked weights to both K_e and T.  delta is a view of the split.  The
@@ -199,7 +209,11 @@ def sphere_linear(e, legs, weights=None):
     c0 the f-free part.  The rotation numerator and N of e are formed once
     for all legs; weights (default all 1) are the legs' w.  Entries follow
     the type of e and the leg data, so the same formula serves exact
-    polynomials and floats.
+    polynomials and floats.  It is the float sampler's formula and, through
+    sphere_condition, the tests' oracle; leg_split builds the same exact
+    polynomials from combined data scalars instead (_delta_form), and this
+    formula's float rounding is kept bit for bit, as the sampler's unscaled
+    |f0| bound is sensitive to it.
     """
     e0, e1, e2, e3 = e
     rot = rotation_numerator(e)
@@ -290,28 +304,118 @@ class CanonicalDesign(BaseQuantities):
         return legs, w3
 
 
+# the symbolic pose's e_i e_j products (i <= j), rotation numerator R(e)
+# and N, built once: leg_split, N_poly, f1_f2 and epsilon_quadric read them
+_E = tuple(GENS[v] for v in E_VARS)
+E_PRODUCTS = {(i, j): _E[i] * _E[j] for i in range(4) for j in range(i, 4)}
+_ROTATION = rotation_numerator(_E)
+_N = euler_norm(_E)
+
+
 def N_poly() -> MPoly:
-    return sum(GENS[v] * GENS[v] for v in E_VARS)
+    return _N
+
+
+def _scaled(lam: int, x):
+    """lam * x: an int for a rational x, InvariantViolation unless it is
+    one, so a cleared datum is never truncated; a polynomial x is scaled
+    as it is."""
+    if isinstance(x, MPoly):
+        return lam * x
+    q, r = divmod(lam * x.numerator, x.denominator)
+    if r:
+        raise InvariantViolation(f"{lam} * {x} is not an integer: lambda "
+                                 "does not clear the leg data")
+    return q
+
+
+def _leg_data(design: CanonicalDesign) -> list:
+    """Legs 1..5 as (M, m, w, r^2 w^2), leg 3 pre-scaled by w = w3."""
+    legs, w3 = design.legs()
+    return [(leg.M, leg.m, w, leg.r2 * w * w)
+            for leg, w in zip(legs.values(), (1, 1, w3, 1, 1))]
+
+
+def _clearing_scale(data) -> int:
+    """lambda for legs given as (M, m, w, r^2 w^2): the lcm of the
+    denominators of the rational coordinates, weights and r^2 w^2 (a
+    polynomial datum has none; all-polynomial data give 1).  Scaling every
+    length and weight by lambda then makes every rational datum an int and
+    each of _leg_scalars lambda^2 times its unscaled value; r^2 w^2 needs
+    its own denominator in the lcm, as clearing r^2 and w alone need not
+    clear their product."""
+    return math.lcm(*(v.denominator for M, m, w, rw2 in data
+                      for v in (*M, *m, w, rw2) if not isinstance(v, MPoly)))
+
+
+def _cleared_leg(leg, lam: int) -> tuple:
+    """A leg (M, m, w, r^2 w^2) with every length and weight scaled by lam,
+    its rationals as ints: r^2 w^2 by lam^2."""
+    M, m, w, rw2 = leg
+    return (tuple(_scaled(lam, x) for x in M),
+            tuple(_scaled(lam, x) for x in m),
+            _scaled(lam, w), _scaled(lam * lam, rw2))
+
+
+def _leg_scalars(M, m, w, rw2) -> tuple:
+    """The data scalars of a leg's sphere condition at the symbolic pose:
+    (d0, d1, d2, s0, s1, s2, kappa, P00, P01, ..., P22) with d = 4w(m - M),
+    s = 4w(m + M), kappa = |m|^2 + |M|^2 - r^2 w^2 and P_jk = M_j m_k, for
+    M, m pre-scaled by w.  Its f-row and constant are linear in them (see
+    _delta_form), and so is a combination of legs."""
+    d = tuple(4 * w * (x - y) for x, y in zip(m, M))
+    s = tuple(4 * w * (x + y) for x, y in zip(m, M))
+    kappa = sum(x * x for x in m) + sum(y * y for y in M) - rw2
+    return (*d, *s, kappa, *(y * x for y in M for x in m))
+
+
+def _delta_form(sc) -> tuple:
+    """(f-row, constant) at the symbolic pose of the scalars sc of
+    _leg_scalars: the row is 4w(em - tM) of sphere_linear written in d and
+    s, (-(e1 d0 + e2 d1 + e3 d2), e0 d0 + e2 s2 - e3 s1,
+    e0 d1 + e3 s0 - e1 s2, e0 d2 + e1 s1 - e2 s0), and the constant is
+    kappa N - 2 sum P_jk R_jk(e); each entry is one exactpoly.dot sum."""
+    d0, d1, d2, s0, s1, s2, kappa, *P = sc
+    e0, e1, e2, e3 = _E
+    row = (dot((-d0, -d1, -d2), (e1, e2, e3)),
+           dot((d0, s2, -s1), (e0, e2, e3)),
+           dot((d1, s0, -s2), (e0, e3, e1)),
+           dot((d2, s1, -s0), (e0, e1, e2)))
+    const = dot((kappa, *(-2 * p for p in P)),
+                (_N, *(r for rr in _ROTATION for r in rr)))
+    return row, const
 
 
 def leg_split(design: CanonicalDesign) -> dict:
-    """Delta_2..Delta_5 as {i: (f-row, constant)}, from one sphere_linear
-    pass over the five legs at the symbolic pose.
+    """Delta_2..Delta_5 as {i: (f-row, constant)}, each built once at the
+    symbolic pose from its combined data scalars.
 
     Delta_i = s*Q_1 - Q_i with s = w3^2 for the pre-scaled leg 3 and 1
     otherwise, so the 4 s |f|^2 terms cancel and Delta_i is affine-linear in
-    f by construction: row.f + constant.
+    f: row.f + constant, both linear in the legs' _leg_scalars, so Delta_i's
+    scalars are s*sc_1 - sc_i.  Every length and weight is first scaled by
+    the design's _clearing_scale lambda, which makes each scalar lambda^2
+    times its value and each rational one an int (all-polynomial data give
+    lambda = 1); the legs combine in ints where the data are rational, as
+    (lambda w3)^2 sc_1 - lambda^2 sc_3 for Delta_3, and lambda^2 (lambda^4
+    for Delta_3) is divided out of each finished row and constant.
     """
-    legs, w3 = design.legs()
-    (row1, c1), *rest = sphere_linear(StudyPose.symbolic().e,
-                                      [legs[k] for k in range(1, 6)],
-                                      (1, 1, w3, 1, 1))
-    s = w3 * w3
-    scaled = (tuple(s * x for x in row1), s * c1)
+    data = _leg_data(design)
+    lam = _clearing_scale(data)
+    data = [_cleared_leg(leg, lam) for leg in data]
+    sc1, *rest = [_leg_scalars(*leg) for leg in data]
     split = {}
-    for i, (row, c) in zip((2, 3, 4, 5), rest):
-        r1, k1 = scaled if i == 3 else (row1, c1)
-        split[i] = (tuple(x - y for x, y in zip(r1, row)), k1 - c)
+    for i, sc in zip((2, 3, 4, 5), rest):
+        if i == 3:
+            # (lam w3)^2 (lam^2 sc_1) - lam^2 (lam^2 sc_3), data[2][2] being
+            # leg 3's cleared weight lam w3: lam^4 times Delta_3's scalars
+            s, t, div = data[2][2] ** 2, lam * lam, lam ** 4
+        else:
+            s, t, div = 1, 1, lam * lam
+        row, const = _delta_form(tuple(s * x - t * y
+                                       for x, y in zip(sc1, sc)))
+        inv = Fraction(1, div)
+        split[i] = (tuple(x * inv for x in row), const * inv)
     return split
 
 
@@ -496,8 +600,8 @@ EPS_AT = {(0, 1): "eps01", (0, 2): "eps02", (1, 3): "eps13", (2, 3): "eps23"}
 
 
 def epsilon_quadric(eps: dict) -> MPoly:
-    return sum(eps[name] * GENS[f"e{i}"] * GENS[f"e{j}"]
-               for (i, j), name in EPS_AT.items())
+    return dot([eps[name] for name in EPS_AT.values()],
+               [E_PRODUCTS[pair] for pair in EPS_AT])
 
 
 def exact_rank(rows) -> int:
@@ -532,13 +636,12 @@ def f1_f2(design: CanonicalDesign):
     """The two printed factors, quadratic in (e1, e2)."""
     A, B = design.AB
     mu1, mu2, mu3 = design.mu1, design.mu2, design.mu3
-    g = GENS
-    e1, e2 = g["e1"], g["e2"]
-    f1 = ((B * B * mu2 - A * B * (mu1 + mu3)) * (e2 * e2 - e1 * e1)
-          + (2 * A * A * mu1 - 2 * B * B * mu3 - 2 * A * B * mu2) * e1 * e2)
-    f2 = ((1 + mu1) * (mu3 - 1) * e1 * e1
-          + (1 + mu3) * (mu1 - 1) * e2 * e2
-          - 2 * mu2 * e1 * e2)
+    quadratics = [E_PRODUCTS[pair] for pair in ((1, 1), (1, 2), (2, 2))]
+    c = B * B * mu2 - A * B * (mu1 + mu3)
+    f1 = dot((-c, 2 * A * A * mu1 - 2 * B * B * mu3 - 2 * A * B * mu2, c),
+             quadratics)
+    f2 = dot(((1 + mu1) * (mu3 - 1), -2 * mu2, (1 + mu3) * (mu1 - 1)),
+             quadratics)
     return f1, f2
 
 

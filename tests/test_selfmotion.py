@@ -14,11 +14,13 @@ import pytest
 
 from duporcq import cli, selfmotion
 from duporcq.geometry import (
+    AffineMap2,
     BaseParams,
     HexapodDesign,
     InvariantViolation,
     PentapodDesign,
     PlanarPoint,
+    build_platform,
     collinear,
     design_to_dict,
     duporcq_hexapod,
@@ -60,6 +62,7 @@ from duporcq.study import (
     SphereConstraint,
     StudyPose,
     compute_Ke,
+    leg_split,
     pipeline_report,
     sphere_condition,
     sphere_linear,
@@ -256,6 +259,52 @@ def test_float_leg_rows_match_exact_sphere_condition(e):
             assert abs(rows[i][k] - float(lin)) <= 1e-12
             assert coeffs[tuple(2 * x for x in unit)] == 4
         assert abs(consts[i] - float(q.evaluate(zero_f).scalar())) <= 1e-12
+
+
+# rational e, half of them off e0 = 0
+SLICE_DIRECTIONS = [
+    (0, 1, 2, 3),
+    (0, Fraction(2, 3), Fraction(-1, 3), Fraction(2, 3)),
+    (0, 0, 0, 1),
+    (1, 2, -1, Fraction(1, 2)),
+    (Fraction(3, 5), 0, Fraction(4, 5), 0),
+    (2, Fraction(-3, 7), 5, 7),
+]
+
+
+@pytest.mark.parametrize("params, mu, radii", [
+    (WORKED, (1, 0, 1), (1, 18, Fraction(18, 25), 1, 18)),
+    ((Fraction(1, 3), -2, Fraction(5, 2), 7),
+     (Fraction(3, 2), Fraction(1, 5), -2), (1, 2, 3, 4, 5)),
+    ((Fraction(-2, 3), Fraction(5, 4), Fraction(7, 2), Fraction(-1, 6)),
+     (Fraction(2, 9), Fraction(-5, 3), Fraction(4, 7)),
+     (Fraction(3, 8), 7, Fraction(22, 9), Fraction(1, 2), 11)),
+])
+def test_exact_leg_split_matches_the_float_slice(params, mu, radii):
+    # the two formulas for the leg differences: study.leg_split's exact
+    # Delta_i from combined data scalars, and the float slice sample_pose
+    # builds from sphere_linear on float_legs, row 1 - row i and constant
+    # 1 - constant i, times w3^2 for the pre-scaled leg 3
+    base = params if isinstance(params, BaseParams) else BaseParams(*params)
+    platform = build_platform(base, AffineMap2(*mu))
+    legs = float_legs(PentapodDesign(base.points, platform, radii))
+    design = CanonicalDesign.from_params(base, mu=mu, radii=radii)
+    split = leg_split(design)
+    w3sq = float(design.legs()[1] ** 2)
+    e = np.array([[float(v) for v in d] for d in SLICE_DIRECTIONS])
+    [(rows, consts)] = sphere_linear(tuple(e.T[:, :, None]), [legs.stacked])
+    rows = np.stack(rows, axis=-1)
+    for b, direction in enumerate(SLICE_DIRECTIONS):
+        at = dict(zip(("e0", "e1", "e2", "e3"), direction))
+        for i in (2, 3, 4, 5):
+            row, c = split[i]
+            want = np.array([float(x.evaluate(at).scalar()) for x in row]
+                            + [float(c.evaluate(at).scalar())])
+            got = np.append(rows[b, 0] - rows[b, i - 1],
+                            consts[b, 0] - consts[b, i - 1])
+            got *= w3sq if i == 3 else 1.0
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 def test_reference_pose_is_exact_zero():
     [s] = sample_pose(float_legs(worked_design()), [(0.0, 0.0, 1.0)])

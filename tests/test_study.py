@@ -2,7 +2,9 @@
 pipeline on the canonical pentapod."""
 
 import dataclasses
+import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -228,17 +230,18 @@ def test_delta_rejects_bad_index():
 
 
 def test_Ke_f_cancellation_is_a_typed_check(monkeypatch, capsys):
-    # perturb leg 2's f-row: the K_e combination no longer cancels f1
-    real = study.sphere_linear
+    # perturb leg 2's scalar s2, the e2 coefficient of the f1 entry of its
+    # f-row: the K_e combination no longer cancels f1
+    real = study._leg_scalars
+    calls = itertools.count()
 
-    def perturbed(e, legs, weights=None):
-        out = real(e, legs, weights)
-        if len(out) == 5:
-            row, c = out[1]
-            out[1] = (row[:1] + (row[1] + GENS["e0"],) + row[2:], c)
-        return out
+    def perturbed(*leg):
+        sc = real(*leg)
+        if next(calls) % 5 == 1:  # leg 2 of each split
+            sc = sc[:5] + (sc[5] + 1,) + sc[6:]
+        return sc
 
-    monkeypatch.setattr(study, "sphere_linear", perturbed)
+    monkeypatch.setattr(study, "_leg_scalars", perturbed)
     with pytest.raises(NotFFree, match="f1"):
         compute_Ke(WORKED)
     code = main(["pipeline", "--params", "1/3,-2,5/2,7",
@@ -259,8 +262,20 @@ def _assembled_delta(design, i):
 
 
 def _split_design(name):
+    g = GENS
+    base = BaseParams(Fraction(1, 3), -2, Fraction(5, 2), 7)
+    mu = (Fraction(3, 2), Fraction(1, 5), -2)
+    radii = (1, Fraction(2, 3), 3, Fraction(4, 5), 5)
     if name == "symbolic":
         return CanonicalDesign.symbolic()
+    if name == "symbolic-radii":
+        return CanonicalDesign.from_params(base, mu=mu)
+    if name == "symbolic-mu":
+        return CanonicalDesign.from_params(
+            base, mu=(g["mu1"], g["mu2"], g["mu3"]), radii=radii)
+    if name == "symbolic-A4B4":
+        return CanonicalDesign(g["A4"], g["B4"], base.A5, base.B5, *mu,
+                               radii)
     if name == "worked":
         return WORKED
     rng = random.Random(61)
@@ -272,10 +287,20 @@ def _split_design(name):
     return design
 
 
-@pytest.mark.parametrize("name", ["symbolic", "worked", "seed61-0",
+@pytest.mark.parametrize("name", ["symbolic", "symbolic-radii", "symbolic-mu",
+                                  "symbolic-A4B4", "worked", "seed61-0",
                                   "seed61-1", "seed61-2"])
 def test_leg_split_matches_the_assembled_leg_differences(name):
     design = _split_design(name)
+    # lambda clears the rational data of a partly symbolic design too, and
+    # scales its polynomials as they are: the cleared legs' scalars are
+    # lambda^2 times the plain ones; all-polynomial data give lambda = 1
+    data = study._leg_data(design)
+    lam = study._clearing_scale(data)
+    assert (lam == 1) == (name in ("symbolic", "worked"))
+    for leg in data:
+        assert study._leg_scalars(*study._cleared_leg(leg, lam)) == tuple(
+            lam * lam * x for x in study._leg_scalars(*leg))
     deltas = {i: _assembled_delta(design, i) for i in (2, 3, 4, 5)}
     for i, d in deltas.items():
         assert delta(design, i) == d
@@ -297,39 +322,99 @@ def test_leg_split_matches_the_assembled_leg_differences(name):
         assert ke.term_count == 1356
 
 
+def _ninths_design(rng):
+    # base, mu and squared radii with denominators up to 9
+    while True:
+        try:
+            base = BaseParams(*(random_fraction(rng, -6, 6, 9)
+                                for _ in range(4)))
+            break
+        except ValueError:
+            continue
+    mu = (random_fraction(rng, 1, 4, 9), random_fraction(rng, -4, 4, 9),
+          random_fraction(rng, 1, 4, 9) * rng.choice((-1, 1)))
+    radii = tuple(random_fraction(rng, 1, 40, 9) for _ in range(5))
+    return CanonicalDesign.from_params(base, mu=mu, radii=radii)
+
+
+def test_cleared_leg_scalars_are_lambda_squared_times_the_plain_ones():
+    # lambda clears every leg datum into an int on 400 seeded designs, and
+    # the cleared legs' scalars are lambda^2 times the plain ones; a scale
+    # that clears the coordinates, w3 and r^2 but not each r^2 w^2 misses
+    # some designs, and there the check raises rather than truncate
+    rng = random.Random(3)
+    missed = 0
+    for _ in range(400):
+        data = study._leg_data(_ninths_design(rng))
+        lam = study._clearing_scale(data)
+        for leg in data:
+            cleared = study._cleared_leg(leg, lam)
+            assert all(type(v) is int for v in (*cleared[0], *cleared[1],
+                                                *cleared[2:]))
+            assert study._leg_scalars(*cleared) == tuple(
+                lam * lam * x for x in study._leg_scalars(*leg))
+        short = math.lcm(*(Fraction(v).denominator
+                           for M, m, w, rw2 in data
+                           for v in (*M, *m, w, rw2 / (w * w))))
+        try:
+            for leg in data:
+                study._cleared_leg(leg, short)
+        except InvariantViolation:
+            missed += 1
+    assert missed > 0  # 36 of the 400
+
+
+def test_leg_split_matches_the_oracle_on_seeded_designs():
+    rng = random.Random(3)
+    for _ in range(30):
+        design = _ninths_design(rng)
+        split = leg_split(design)
+        for i in (2, 3, 4, 5):
+            row, c = split[i]
+            assert (sum((x * GENS[fv] for x, fv in zip(row, F_VARS)), c)
+                    == _assembled_delta(design, i))
+
+
 def test_pipeline_splits_the_legs_once(monkeypatch):
-    # and checks the split's f-row dependency once, for both K_e and T
-    rotations, passes, checks = [], [], []
-    real_rotation, real_linear = study.rotation_numerator, study.sphere_linear
+    # one split per pipeline, of five legs' scalars into four Delta forms,
+    # with no rotation numerator built per design; the split's f-row
+    # dependency is checked once, for both K_e and T
+    rotations, scalars, forms, checks = [], [], [], []
+    real_rotation = study.rotation_numerator
+    real_scalars, real_form = study._leg_scalars, study._delta_form
     real_weights = study.f_row_weights
 
     def rotation(e):
         rotations.append(tuple(e))
         return real_rotation(e)
 
-    def linear(e, legs, weights=None):
-        passes.append(len(legs))
-        return real_linear(e, legs, weights)
+    def leg_scalars(*leg):
+        scalars.append(leg)
+        return real_scalars(*leg)
+
+    def delta_form(sc):
+        forms.append(sc)
+        return real_form(sc)
 
     def weights(design, split):
         checks.append(split)
         return real_weights(design, split)
 
     monkeypatch.setattr(study, "rotation_numerator", rotation)
-    monkeypatch.setattr(study, "sphere_linear", linear)
+    monkeypatch.setattr(study, "_leg_scalars", leg_scalars)
+    monkeypatch.setattr(study, "_delta_form", delta_form)
     monkeypatch.setattr(study, "f_row_weights", weights)
     design = CanonicalDesign.from_params(
         BaseParams(Fraction(1, 3), -2, Fraction(5, 2), 7),
         mu=(Fraction(3, 2), Fraction(1, 5), -2), radii=(1, 2, 3, 4, 5))
     pipeline_report(design)
-    assert rotations == [StudyPose.symbolic().e]
-    assert passes == [5]
+    assert (len(rotations), len(scalars), len(forms)) == (0, 5, 4)
     assert len(checks) == 1
     for stage in (compute_Ke, rank_drop_T):
-        rotations.clear()
-        passes.clear()
+        scalars.clear()
+        forms.clear()
         stage(design)
-        assert (len(rotations), passes) == (1, [5])
+        assert (len(rotations), len(scalars), len(forms)) == (0, 5, 4)
 
 
 def test_pipeline_cuts_each_quadric_once(monkeypatch):

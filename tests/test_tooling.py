@@ -362,3 +362,23 @@ def test_ratio_survey_exits_1_on_a_mismatch(monkeypatch):
         survey.main()
     assert exc.value.code == ("survey mismatch: identity draw 0: ratio 0; "
                               "general draw 0: ratio MISMATCH, chain True")
+
+
+@pytest.mark.parametrize("seed, stratum", [
+    (0, "general draw 5: undecided on mu2 = 0, mu3 = -mu1 "
+        "(input constant in e3)"),
+    (26, "general draw 1: undecided on mu1 = -1, mu1*A*(mu3 + 1) = mu2*B "
+         "(input constant in e0)"),
+])
+def test_ratio_survey_names_a_draw_on_a_degenerate_stratum(tmp_path, seed,
+                                                           stratum):
+    # a draw whose chain meets ZeroDegree is an undecided row that fails
+    # the run with its stratum named, not a traceback; it is not redrawn
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ratio_survey.py"), "--draws", "8",
+         "--seed", str(seed)], cwd=tmp_path, env=_package_env(),
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1
+    assert done.stderr == f"survey mismatch: {stratum}\n"
+    assert "Traceback" not in done.stdout + done.stderr
+    assert f"undecided: {stratum.partition('undecided on ')[2]}" in done.stdout
