@@ -8,6 +8,7 @@ of a configuration.  All outputs are deterministic for a fixed seed.
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -42,7 +43,6 @@ from .moebius import (
 )
 from .selfmotion import (
     TOL_F0,
-    ConstructionDegenerate,
     FloatOverflow,
     InconsistentSystem,
     NoRealSolution,
@@ -68,7 +68,6 @@ EXIT_CODES = {
     DegenerateBase: EXIT_DEGENERATE, DegeneratePlatform: EXIT_DEGENERATE,
     NotDuporcq: EXIT_DEGENERATE, InvariantViolation: EXIT_DEGENERATE,
     AllZero: EXIT_DEGENERATE, NotCollinearDirection: EXIT_DEGENERATE,
-    ConstructionDegenerate: EXIT_DEGENERATE,
 }
 
 CASE_VERDICT = {1: "planar-affine", 2: "duporcq-rec2", 3: "duporcq-rec3"}
@@ -118,12 +117,23 @@ def _float_cell(v) -> str:
     return repr(float(v))
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write an --out file; SchemaError naming the path when it cannot be
+    written."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write --out {path}: {exc.strerror}") \
+            from exc
+
+
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    _write_out(path, buf.getvalue())
 
 
 # ------------------------------------------------------------------ commands
@@ -346,8 +356,7 @@ def cmd_svg(args):
     parts.append("</svg>")
     out = args.out or "design.svg"
     data = "\n".join(parts) + "\n"
-    with open(out, "w") as fh:
-        fh.write(data)
+    _write_out(out, data)
     return 0, {"out": out, "bytes": len(data.encode())}
 
 
@@ -419,15 +428,14 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise SchemaError("--seed must be non-negative")
         code, payload = args.func(args)
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        if args.out and args.command in JSON_OUT_COMMANDS:
+            _write_out(args.out, text + "\n")
     except tuple(EXIT_CODES) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items()
                     if isinstance(exc, cls))
-    text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
-    if args.out and args.command in JSON_OUT_COMMANDS:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
     return code
 
 

@@ -159,12 +159,10 @@ def _as_uv(u) -> tuple:
 
 @dataclass(frozen=True)
 class DelPezzoPoint:
-    """Six picture components; extended marks a picture that extended_del_pezzo
-    computed at a collapsing direction, and lam_power is the least number of
-    vanishing factors in a component there (0 for a plain picture)."""
+    """Six picture components; lam_power is the least number of vanishing
+    factors in a component at the direction (0 for a plain picture)."""
 
     phi: tuple
-    extended: bool = field(default=False, compare=False)
     lam_power: int = field(default=0, compare=False)
 
     def __post_init__(self):
@@ -174,6 +172,13 @@ class DelPezzoPoint:
         if not any(phi):
             raise AllZero("all six components vanish")
         object.__setattr__(self, "phi", phi)
+
+    @property
+    def extended(self) -> bool:
+        """Whether extended_del_pezzo computed the picture at a collapsing
+        direction: every phi_k has a factor on each collinear triple, so
+        there lam_power >= 1."""
+        return self.lam_power > 0
 
     def zeros(self) -> frozenset:
         return frozenset(k for k, v in enumerate(self.phi) if not v)
@@ -267,7 +272,7 @@ def extended_del_pezzo(points, direction) -> DelPezzoPoint:
             continue
         out.append(math.prod(lam[pair] if pair in lam else val[pair]
                              for pair in factors))
-    return DelPezzoPoint(tuple(out), extended=True, lam_power=m)
+    return DelPezzoPoint(tuple(out), lam_power=m)
 
 
 def picture(points, c: ConicDirection) -> DelPezzoPoint:

@@ -278,8 +278,7 @@ def sample_pose(legs: FloatLegs, directions, tol_f0: float = TOL_F0) -> list:
     e = np.zeros((len(d), 4))
     e[:, 1:] = d / np.sqrt(np.vecdot(d, d))[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        [(rows, consts)] = sphere_linear(tuple(e.T[:, :, None]),
-                                         [legs.stacked])
+        rows, consts = sphere_linear(tuple(e.T[:, :, None]), legs.stacked)
     rows = np.stack(rows, axis=-1)                  # (B, L, 4), consts (B, L)
     if not (np.isfinite(rows).all() and np.isfinite(consts).all()):
         raise FloatOverflow("leg slice has no finite float")

@@ -12,32 +12,31 @@ as it is, never lifted (MPoly arithmetic takes rationals on either side).
 The canonical design under study is
     M1=(0,0,0)  M2=(1,0,0)  M3=(V/(B4-B5),0,0)  M4=(A4,B4,0)  M5=(A5,B5,0)
 with the platform the kappa_2 image under (x,y) -> (mu1 x + mu2 y, mu3 y).
-Leg 3 carries denominators, so its sphere condition is assembled from the
-weight-cleared data M3*w3, m3*w3 with w3 = (B4-B5)*U2, keeping every
-expression polynomial even for fully symbolic parameters.
+A leg is one SphereConstraint carrying its weight w, with M and m
+pre-scaled by it; legs() gives the design's five in order.  Leg 3 carries
+denominators, so it has weight w3 = (B4-B5)*U2, which clears them and keeps
+every expression polynomial even for fully symbolic parameters.
 
 Two formulas split a leg's sphere condition at fixed e into an f-row and a
-constant.  sphere_linear takes each leg's coordinates as they are and
-forms the pose's rotation numerator and N once; sphere_condition, the
-tests' oracle, is built from it, and the float sampler in selfmotion
-evaluates it on floats.  It stays as it is for the float path: motion
-sampling's |f0| bound is an unscaled 1e-12, and on some designs the
-rounding of this formula is what sits just above it, so another float
-formula changes which designs sample.  leg_split, the exact path, writes
-each leg's row and constant as linear in a few data scalars
-(_leg_scalars), combines them into each leg difference Delta_i's scalars
-before any polynomial is built, in ints where the data are rational,
-cleared by their common denominator, and builds one (f-row, constant) per
-Delta_i at the symbolic pose, whose rotation numerator, N and e_i e_j
-products are module constants; that is 20 sums per design where
-sphere_linear's legs took about 200.  A test holds the two formulas equal
-at rational directions.  f_row_weights holds the K_e weights and checks
-that they annihilate the f-rows, each coordinate one exactpoly.dot sum;
+constant.  sphere_linear takes one leg's coordinates as they are, stacked
+columns included; sphere_condition, the tests' oracle, is built from it,
+and the float sampler in selfmotion evaluates it on floats.  It stays as it
+is for the float path: motion sampling's |f0| bound is an unscaled 1e-12,
+and on some designs the rounding of this formula is what sits just above
+it, so another float formula changes which designs sample.  leg_split, the
+exact path, writes each leg's row and constant as linear in a few data
+scalars (_leg_scalars), combines them into each leg difference Delta_i's
+scalars before any polynomial is built, in ints where the data are
+rational, cleared by their common denominator, and builds one (f-row,
+constant) per Delta_i at the symbolic pose, whose rotation numerator, N and
+e_i e_j products are module constants.  A test holds the two formulas equal
+at rational directions.  The split is a LegSplit, which also carries the
+K_e weights and is built only once they annihilate its f-rows;
 compute_Ke combines the constants by them, f_coefficient_matrix stacks
-(e0..e3) over the rows, and pipeline_report hands one split and its
-checked weights to both K_e and T.  delta is a view of the split.  The
-tangency ansatz runs one branch function twice, over mirrored index pairs;
-a solvable branch raises, so every BranchReport is an unsolvable one.
+(e0..e3) over the rows, and pipeline_report hands one split to both K_e
+and T.  delta is a view of the split.  The tangency ansatz runs one branch
+function twice, over mirrored index pairs; a solvable branch's report
+carries its checked witness.
 
 Every coefficient read goes through MPoly.coefficients, the kernel's one
 extraction routine.  A QuadricForm checks that it is f-free and of degree 2
@@ -103,15 +102,6 @@ class StudyViolation(ValueError):
 
 class NotFFree(InvariantViolation):
     """f-terms survived a combination that must eliminate them."""
-
-
-class AnsatzSolvable(ArithmeticError):
-    """The tangency ansatz admits a nonzero solution; carries the witness."""
-
-    def __init__(self, branch: str, witness: dict):
-        super().__init__(f"ansatz solvable in branch {branch}: {witness}")
-        self.branch = branch
-        self.witness = witness
 
 
 def study_defect(e, f):
@@ -196,56 +186,54 @@ def apply_pose(pose: StudyPose, x):
 
 @dataclass(frozen=True)
 class SphereConstraint:
+    """One leg: base anchor M, platform anchor m, squared length r2 and
+    weight w, with M and m pre-scaled by w (w = 1 for a plain leg)."""
+
     M: tuple
     m: tuple
     r2: object
+    w: object = 1
 
 
-def sphere_linear(e, legs, weights=None):
-    """The sphere conditions of several legs at one fixed e, each split as
-    Q = 4 w^2 |f|^2 + row.f + c0.
+def sphere_linear(e, leg: SphereConstraint):
+    """A leg's sphere condition at fixed e, split as
+    Q = 4 w^2 |f|^2 + row.f + c0: returns (row, c0), row the coefficients
+    of f0..f3 and c0 the f-free part.
 
-    Returns one (row, c0) per leg: row holds the coefficients of f0..f3 and
-    c0 the f-free part.  The rotation numerator and N of e are formed once
-    for all legs; weights (default all 1) are the legs' w.  Entries follow
-    the type of e and the leg data, so the same formula serves exact
-    polynomials and floats.  It is the float sampler's formula and, through
-    sphere_condition, the tests' oracle; leg_split builds the same exact
-    polynomials from combined data scalars instead (_delta_form), and this
-    formula's float rounding is kept bit for bit, as the sampler's unscaled
-    |f0| bound is sensitive to it.
+    Entries follow the type of e and the leg data, so the same formula
+    serves exact polynomials and floats, and a leg whose entries are
+    stacked columns (FloatLegs.stacked) gives one row and constant per
+    leg.  It is the float sampler's formula and, through sphere_condition,
+    the tests' oracle; leg_split builds the same exact polynomials from
+    combined data scalars instead (_delta_form), and this formula's float
+    rounding is kept bit for bit, as the sampler's unscaled |f0| bound is
+    sensitive to it.
     """
     e0, e1, e2, e3 = e
+    A, B, C = leg.M
+    a, b, c = leg.m
+    w = leg.w
+    # on S = 0: 2 N (R m).t = 4 em.f and -2 N M.t = -4 tM.f
+    em = (-(e1 * a + e2 * b + e3 * c), e0 * a + e2 * c - e3 * b,
+          e0 * b + e3 * a - e1 * c, e0 * c + e1 * b - e2 * a)
+    tM = (-(e1 * A + e2 * B + e3 * C), e0 * A + e3 * B - e2 * C,
+          e0 * B + e1 * C - e3 * A, e0 * C + e2 * A - e1 * B)
+    row = tuple(4 * w * (x - y) for x, y in zip(em, tM))
     rot = rotation_numerator(e)
-    n = euler_norm(e)
-    out = []
-    for leg, w in zip(legs, weights or (1,) * len(legs)):
-        A, B, C = leg.M
-        a, b, c = leg.m
-        # on S = 0: 2 N (R m).t = 4 em.f and -2 N M.t = -4 tM.f
-        em = (-(e1 * a + e2 * b + e3 * c), e0 * a + e2 * c - e3 * b,
-              e0 * b + e3 * a - e1 * c, e0 * c + e1 * b - e2 * a)
-        tM = (-(e1 * A + e2 * B + e3 * C), e0 * A + e3 * B - e2 * C,
-              e0 * B + e1 * C - e3 * A, e0 * C + e2 * A - e1 * B)
-        row = tuple(4 * w * (x - y) for x, y in zip(em, tM))
-        rm = tuple(rot[i][0] * a + rot[i][1] * b + rot[i][2] * c
-                   for i in range(3))
-        const = (a * a + b * b + c * c) + (A * A + B * B + C * C) - leg.r2 * w * w
-        out.append((row, const * n - 2 * (A * rm[0] + B * rm[1] + C * rm[2])))
-    return out
+    rm = tuple(rot[i][0] * a + rot[i][1] * b + rot[i][2] * c
+               for i in range(3))
+    const = (a * a + b * b + c * c) + (A * A + B * B + C * C) - leg.r2 * w * w
+    return row, const * euler_norm(e) - 2 * (A * rm[0] + B * rm[1] + C * rm[2])
 
 
-def sphere_condition(pose: StudyPose, leg: SphereConstraint, weight=1):
-    """N*(|R m + t - M|^2 - r2) with all denominators cleared.
-
-    With weight w != 1 the leg data must already be pre-scaled by w (M and m
-    replaced by w*M, w*m); the result is then w^2 times the unscaled value,
-    which leaves every coefficient polynomial.
-    """
-    [(row, c0)] = sphere_linear(pose.e, [leg], [weight])
+def sphere_condition(pose: StudyPose, leg: SphereConstraint):
+    """N*(|R m + t - M|^2 - r2) with all denominators cleared; for a leg of
+    weight w, w^2 times that of the unscaled leg, which leaves every
+    coefficient polynomial."""
+    row, c0 = sphere_linear(pose.e, leg)
     f = pose.f
     fsq = sum(fk * fk for fk in f)
-    return 4 * weight * weight * fsq + sum(r * fk for r, fk in zip(row, f)) + c0
+    return 4 * leg.w * leg.w * fsq + sum(r * fk for r, fk in zip(row, f)) + c0
 
 
 @dataclass(frozen=True)
@@ -284,24 +272,24 @@ class CanonicalDesign(BaseQuantities):
         """(A5 - A4 + 1, B4 - B5): the A and B of T's epsilons and of F1."""
         return self.A5 - self.A4 + 1, self.B4 - self.B5
 
-    def legs(self):
-        """Legs 1,2,4,5 plain and leg 3 pre-scaled, as (dict, weight3)."""
+    def legs(self) -> tuple:
+        """Legs 1..5 in order, leg 3 of weight w3 = (B4-B5)*U2, which
+        clears its denominators."""
         A4, B4, A5, B5 = self.A4, self.B4, self.A5, self.B5
         mu1, mu2, mu3 = self.mu1, self.mu2, self.mu3
         r = self.radii
-        w3 = (B4 - B5) * self.U2
-        legs = {
-            1: SphereConstraint((0, 0, 0),
-                                (mu1 * A4 + mu2 * B4, mu3 * B4, 0), r[0]),
-            2: SphereConstraint((1, 0, 0),
-                                (mu1 * A5 + mu2 * B5, mu3 * B5, 0), r[1]),
-            3: SphereConstraint((self.V * self.U2, 0, 0),
-                                (B4 * (A5 * mu1 + B5 * mu2) * (B4 - B5),
-                                 B4 * B5 * mu3 * (B4 - B5), 0), r[2]),
-            4: SphereConstraint((A4, B4, 0), (0, 0, 0), r[3]),
-            5: SphereConstraint((A5, B5, 0), (mu1, 0, 0), r[4]),
-        }
-        return legs, w3
+        return (
+            SphereConstraint((0, 0, 0), (mu1 * A4 + mu2 * B4, mu3 * B4, 0),
+                             r[0]),
+            SphereConstraint((1, 0, 0), (mu1 * A5 + mu2 * B5, mu3 * B5, 0),
+                             r[1]),
+            SphereConstraint((self.V * self.U2, 0, 0),
+                             (B4 * (A5 * mu1 + B5 * mu2) * (B4 - B5),
+                              B4 * B5 * mu3 * (B4 - B5), 0), r[2],
+                             (B4 - B5) * self.U2),
+            SphereConstraint((A4, B4, 0), (0, 0, 0), r[3]),
+            SphereConstraint((A5, B5, 0), (mu1, 0, 0), r[4]),
+        )
 
 
 # the symbolic pose's e_i e_j products (i <= j), rotation numerator R(e)
@@ -329,32 +317,24 @@ def _scaled(lam: int, x):
     return q
 
 
-def _leg_data(design: CanonicalDesign) -> list:
-    """Legs 1..5 as (M, m, w, r^2 w^2), leg 3 pre-scaled by w = w3."""
-    legs, w3 = design.legs()
-    return [(leg.M, leg.m, w, leg.r2 * w * w)
-            for leg, w in zip(legs.values(), (1, 1, w3, 1, 1))]
+def _clearing_scale(legs) -> int:
+    """lambda for the legs: the lcm of the denominators of their rational
+    coordinates, weights and r^2 w^2 (a polynomial datum has none;
+    all-polynomial data give 1).  Scaling every length and weight by lambda
+    then makes every rational datum an int and each of _leg_scalars
+    lambda^2 times its unscaled value; r^2 w^2 needs its own denominator in
+    the lcm, as clearing r^2 and w alone need not clear their product."""
+    return math.lcm(*(v.denominator for leg in legs
+                      for v in (*leg.M, *leg.m, leg.w, leg.r2 * leg.w * leg.w)
+                      if not isinstance(v, MPoly)))
 
 
-def _clearing_scale(data) -> int:
-    """lambda for legs given as (M, m, w, r^2 w^2): the lcm of the
-    denominators of the rational coordinates, weights and r^2 w^2 (a
-    polynomial datum has none; all-polynomial data give 1).  Scaling every
-    length and weight by lambda then makes every rational datum an int and
-    each of _leg_scalars lambda^2 times its unscaled value; r^2 w^2 needs
-    its own denominator in the lcm, as clearing r^2 and w alone need not
-    clear their product."""
-    return math.lcm(*(v.denominator for M, m, w, rw2 in data
-                      for v in (*M, *m, w, rw2) if not isinstance(v, MPoly)))
-
-
-def _cleared_leg(leg, lam: int) -> tuple:
-    """A leg (M, m, w, r^2 w^2) with every length and weight scaled by lam,
-    its rationals as ints: r^2 w^2 by lam^2."""
-    M, m, w, rw2 = leg
-    return (tuple(_scaled(lam, x) for x in M),
-            tuple(_scaled(lam, x) for x in m),
-            _scaled(lam, w), _scaled(lam * lam, rw2))
+def _cleared_leg(leg: SphereConstraint, lam: int) -> tuple:
+    """(M, m, w, r^2 w^2) of a leg with every length and weight scaled by
+    lam, its rationals as ints: r^2 w^2 by lam^2."""
+    return (tuple(_scaled(lam, x) for x in leg.M),
+            tuple(_scaled(lam, x) for x in leg.m),
+            _scaled(lam, leg.w), _scaled(lam * lam, leg.r2 * leg.w * leg.w))
 
 
 def _leg_scalars(M, m, w, rw2) -> tuple:
@@ -386,25 +366,44 @@ def _delta_form(sc) -> tuple:
     return row, const
 
 
-def leg_split(design: CanonicalDesign) -> dict:
-    """Delta_2..Delta_5 as {i: (f-row, constant)}, each built once at the
-    symbolic pose from its combined data scalars.
+@dataclass(frozen=True)
+class LegSplit:
+    """Delta_2..Delta_5 of a design as f-rows and constants, with the K_e
+    weights w on them.  It is built only once the weights annihilate the
+    rows, sum_k w_k r_k = 0, each coordinate one exactpoly.dot sum
+    (NotFFree otherwise)."""
 
-    Delta_i = s*Q_1 - Q_i with s = w3^2 for the pre-scaled leg 3 and 1
-    otherwise, so the 4 s |f|^2 terms cancel and Delta_i is affine-linear in
-    f: row.f + constant, both linear in the legs' _leg_scalars, so Delta_i's
-    scalars are s*sc_1 - sc_i.  Every length and weight is first scaled by
-    the design's _clearing_scale lambda, which makes each scalar lambda^2
-    times its value and each rational one an int (all-polynomial data give
+    rows: tuple
+    consts: tuple
+    weights: tuple
+
+    def __post_init__(self):
+        for k, fv in enumerate(F_VARS):
+            if dot(self.weights, (row[k] for row in self.rows)):
+                raise NotFFree(f"{fv} survives the K_e combination")
+
+
+def leg_split(design: CanonicalDesign) -> LegSplit:
+    """Delta_2..Delta_5, each built once at the symbolic pose from its
+    combined data scalars, and the K_e weights
+    w = (B4*B5*V*(B4-B5)*U2, U3, B5*U1*U2, -B4*U1*U2); the U3 on the
+    Delta_3 slot and the weighted leg 3 make all f-terms cancel.
+
+    Delta_i = s*Q_1 - Q_i with s = w3^2 for leg 3 and 1 otherwise, so the
+    4 s |f|^2 terms cancel and Delta_i is affine-linear in f: row.f +
+    constant, both linear in the legs' _leg_scalars, so Delta_i's scalars
+    are s*sc_1 - sc_i.  Every length and weight is first scaled by the
+    legs' _clearing_scale lambda, which makes each scalar lambda^2 times its
+    value and each rational one an int (all-polynomial data give
     lambda = 1); the legs combine in ints where the data are rational, as
     (lambda w3)^2 sc_1 - lambda^2 sc_3 for Delta_3, and lambda^2 (lambda^4
     for Delta_3) is divided out of each finished row and constant.
     """
-    data = _leg_data(design)
-    lam = _clearing_scale(data)
-    data = [_cleared_leg(leg, lam) for leg in data]
+    legs = design.legs()
+    lam = _clearing_scale(legs)
+    data = [_cleared_leg(leg, lam) for leg in legs]
     sc1, *rest = [_leg_scalars(*leg) for leg in data]
-    split = {}
+    rows, consts = [], []
     for i, sc in zip((2, 3, 4, 5), rest):
         if i == 3:
             # (lam w3)^2 (lam^2 sc_1) - lam^2 (lam^2 sc_3), data[2][2] being
@@ -415,15 +414,20 @@ def leg_split(design: CanonicalDesign) -> dict:
         row, const = _delta_form(tuple(s * x - t * y
                                        for x, y in zip(sc1, sc)))
         inv = Fraction(1, div)
-        split[i] = (tuple(x * inv for x in row), const * inv)
-    return split
+        rows.append(tuple(x * inv for x in row))
+        consts.append(const * inv)
+    B4, B5 = design.B4, design.B5
+    V, U1, U2, U3 = design.V, design.U1, design.U2, design.U3
+    weights = (B4 * B5 * V * (B4 - B5) * U2, U3, B5 * U1 * U2, -B4 * U1 * U2)
+    return LegSplit(tuple(rows), tuple(consts), weights)
 
 
 def delta(design: CanonicalDesign, i: int) -> MPoly:
     """Numerator of Q_1 - Q_i; affine-linear in f0..f3."""
     if i not in (2, 3, 4, 5):
         raise ValueError("i must be in 2..5")
-    row, c = leg_split(design)[i]
+    split = leg_split(design)
+    row, c = split.rows[i - 2], split.consts[i - 2]
     return sum((x * GENS[fv] for x, fv in zip(row, F_VARS)), c)
 
 
@@ -472,36 +476,14 @@ class QuadricForm:
         return self.poly.evaluate(assignment)
 
 
-def f_row_weights(design: CanonicalDesign, split) -> tuple:
-    """The K_e weights w on Delta_2..Delta_5, after checking that they
-    annihilate the f-rows of split: sum_k w_k r_k = 0, each coordinate one
-    exactpoly.dot sum (NotFFree otherwise).
-
-    w = (B4*B5*V*(B4-B5)*U2, U3, B5*U1*U2, -B4*U1*U2); the U3 on the Delta_3
-    slot and the cleared leg-3 slot make all f-terms cancel identically.
-    """
-    B4, B5 = design.B4, design.B5
-    V, U1, U2, U3 = design.V, design.U1, design.U2, design.U3
-    weights = (B4 * B5 * V * (B4 - B5) * U2, U3, B5 * U1 * U2, -B4 * U1 * U2)
-    rows = [split[i][0] for i in (2, 3, 4, 5)]
-    for k, fv in enumerate(F_VARS):
-        if dot(weights, (row[k] for row in rows)):
-            raise NotFFree(f"{fv} survives the K_e combination")
-    return weights
-
-
-def compute_Ke(design: CanonicalDesign, *, split=None,
-               weights=None) -> QuadricForm:
-    """The f-free quadric: the combination of the leg differences by the
-    f_row_weights, whose f-rows are checked to cancel before K_e is taken
-    from the constants.  split is the design's leg_split and weights its
-    f_row_weights when the caller has them.
+def compute_Ke(design: CanonicalDesign, *, split=None) -> QuadricForm:
+    """The f-free quadric: the leg differences combined by the K_e weights,
+    which the split has checked to cancel their f-rows, taken from the
+    constants.  split is the design's leg_split when the caller has it.
     """
     if split is None:
         split = leg_split(design)
-    if weights is None:
-        weights = f_row_weights(design, split)
-    return QuadricForm(dot(weights, (split[i][1] for i in (2, 3, 4, 5))))
+    return QuadricForm(dot(split.weights, split.consts))
 
 
 def e0e3_ratio(ke: QuadricForm, design: CanonicalDesign):
@@ -537,31 +519,26 @@ def f_coefficient_matrix(design: CanonicalDesign, *, split=None) -> tuple:
     """The f-coefficients of S (e0..e3) and of Delta_2..Delta_5, as rows."""
     if split is None:
         split = leg_split(design)
-    return ((tuple(GENS[v] for v in E_VARS),)
-            + tuple(split[i][0] for i in (2, 3, 4, 5)))
+    return (tuple(GENS[v] for v in E_VARS),) + split.rows
 
 
-def rank_drop_T(design: CanonicalDesign, *, split=None,
-                weights=None) -> RankDropResult:
+def rank_drop_T(design: CanonicalDesign, *, split=None) -> RankDropResult:
     """T from one 4x4 minor of the f-coefficient matrix of (S, Delta_2..5).
 
-    The f-rows r_2..r_5 satisfy sum_k w_k r_k = 0 for the f_row_weights w,
-    which check it.  So the minor without the S row vanishes, and if M_l is
+    The split's f-rows r_2..r_5 satisfy sum_k w_k r_k = 0 for its K_e
+    weights w, checked when it was built.  So the minor without the S row vanishes, and if M_l is
     the minor without Delta_(l+2), then w_0 M_l = (-1)^l w_l M_0 by
     multilinearity: with every weight nonzero, each minor is a nonzero
-    multiple of M_1, the cheapest one (leg 3's pre-scaled row is the
+    multiple of M_1, the cheapest one (leg 3's weighted row is the
     largest).  M_1 over N is an e-quadric proportional to
     epsilon_quadric(epsilons), which _normalize_quadric then turns into T.
     The closed form's coefficients are the epsilons themselves, on the
     EPS_AT slots and zero elsewhere.  No gcd is taken of the minor.  split
-    is the design's leg_split and weights its f_row_weights when the
-    caller has them.
+    is the design's leg_split when the caller has it.
     """
     if split is None:
         split = leg_split(design)
-    if weights is None:
-        weights = f_row_weights(design, split)
-    for k, w in enumerate(weights):
+    for k, w in enumerate(split.weights):
         if not w:
             raise InvariantViolation(
                 f"K_e weight w{k} vanishes, so the other minors need not "
@@ -657,9 +634,13 @@ def f1_degeneracy_certificate() -> MPoly:
 
 @dataclass(frozen=True)
 class BranchReport:
+    """One branch of the tangency ansatz: the nu it forces, the
+    requirements that fail, and, when none does, its checked witness."""
+
     name: str
     forced: dict
     obstructions: dict
+    witness: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -730,7 +711,7 @@ def _ansatz_branch(ke: QuadricForm, active, partner) -> BranchReport:
     if not (ke.poly + witness["nu"] * N_poly() + lin * lin).is_zero():
         raise InvariantViolation(
             f"ansatz witness of {name} leaves K_e + nu*N + lin^2 nonzero")
-    raise AnsatzSolvable(name, witness)
+    return BranchReport(name, forced, obstructions, witness)
 
 
 def tangency_ansatz(ke: QuadricForm) -> AnsatzReport:
@@ -739,8 +720,8 @@ def tangency_ansatz(ke: QuadricForm) -> AnsatzReport:
     Follows the two branches nu0 = nu3 = 0 and nu1 = nu2 = 0.  Identically
     zero coefficient differences force the corresponding nu to zero; surviving
     requirements are reported as obstructions.  A branch whose requirements
-    all hold identically yields a verified witness and raises AnsatzSolvable;
-    InvariantViolation if the witness fails its own check.
+    all hold identically carries a witness that has passed its own check
+    (InvariantViolation if it fails).
     """
     return AnsatzReport(_ansatz_branch(ke, (1, 2), (0, 3)),
                         _ansatz_branch(ke, (0, 3), (1, 2)))
@@ -829,9 +810,8 @@ def chain_vanishes_at(design: CanonicalDesign, e1, e2) -> bool:
     """Whether all three chain polynomials vanish at numeric (e1, e2)."""
     assignment = {"e1": e1, "e2": e2}
     split = leg_split(design)
-    weights = f_row_weights(design, split)
-    ke = compute_Ke(design, split=split, weights=weights)
-    td = rank_drop_T(design, split=split, weights=weights)
+    ke = compute_Ke(design, split=split)
+    td = rank_drop_T(design, split=split)
     _, res_e3 = _eliminate(ke.poly.evaluate(assignment),
                            td.T.poly.evaluate(assignment),
                            N_poly().evaluate(assignment))
@@ -844,8 +824,7 @@ def _branch_json(rep: BranchReport) -> dict:
     return {
         "forced": {k: str(v) for k, v in rep.forced.items()},
         "obstructions": sorted(rep.obstructions),
-        # a solvable branch raises, so every report printed is unsolvable
-        "solvable": False,
+        "solvable": rep.witness is not None,
     }
 
 
@@ -856,22 +835,22 @@ def pipeline_report(design: CanonicalDesign) -> dict:
     form must agree, else InvariantViolation.
     """
     split = leg_split(design)
-    weights = f_row_weights(design, split)
-    ke = compute_Ke(design, split=split, weights=weights)
+    ke = compute_Ke(design, split=split)
     ratio = e0e3_ratio(ke, design)
-    td = rank_drop_T(design, split=split, weights=weights)
+    td = rank_drop_T(design, split=split)
     chain = resultant_chain(ke, td.T, design)
     f1, f2 = chain.f1, chain.f2
-    try:
-        rep = tangency_ansatz(ke)
+    rep = tangency_ansatz(ke)
+    solved = [b for b in (rep.branch_a, rep.branch_b) if b.witness is not None]
+    if solved:
+        ansatz = {"solvable_branch": solved[0].name,
+                  "witness": {k: str(v) for k, v in solved[0].witness.items()}}
+    else:
         ansatz = {
             "branch_a": _branch_json(rep.branch_a),
             "branch_b": _branch_json(rep.branch_b),
             "forces_all_zero": rep.forces_all_zero(),
         }
-    except AnsatzSolvable as exc:
-        ansatz = {"solvable_branch": exc.branch,
-                  "witness": {k: str(v) for k, v in exc.witness.items()}}
     moves = chain.gcd.is_zero()
     if moves != f2.is_zero():
         raise InvariantViolation(

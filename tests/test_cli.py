@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end."""
 
 import csv
+import itertools
 import json
 import warnings
 from fractions import Fraction
@@ -95,6 +96,36 @@ def test_classify_writes_out_file(tmp_path, capsys):
                         "--samples", "10", "--out", str(out_path))
     assert code == 0
     assert json.loads(out_path.read_text()) == out
+
+
+def _unwritable_out(capsys, argv, out):
+    # an --out path that cannot be opened for writing is a schema error
+    # naming it, with nothing on stdout (it raised out of main, exit 1)
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert str(out) in json.loads(captured.err)["error"]
+
+
+def test_classify_out_that_is_a_directory_is_a_schema_error(tmp_path,
+                                                            capsys):
+    # the JSON copy is written before the report is printed
+    _unwritable_out(capsys, ["classify", worked_file(tmp_path),
+                             "--samples", "10"], tmp_path)
+
+
+def test_motion_out_in_a_missing_directory_is_a_schema_error(tmp_path,
+                                                             capsys):
+    out = tmp_path / "nodir" / "m.csv"
+    _unwritable_out(capsys, ["motion", worked_file(tmp_path),
+                             "--samples", "4"], out)
+    assert not out.parent.exists()
+
+
+def test_svg_out_in_a_missing_directory_is_a_schema_error(tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.svg"
+    _unwritable_out(capsys, ["svg", worked_file(tmp_path)], out)
+    assert not out.parent.exists()
 
 
 # ---------------------------------------------------------------------- motion
@@ -317,16 +348,18 @@ def test_pipeline_refuses_a_file_with_params_options(tmp_path, capsys,
 
 
 def test_pipeline_invariant_violation_exits_3(monkeypatch, capsys):
-    real = study.leg_split
+    real = study._delta_form
+    forms = itertools.count()
 
-    def perturbed(design):
-        # break the first check: the K_e weights must annihilate the f-rows
-        split = real(design)
-        row, c = split[4]
-        split[4] = ((row[0], row[1] + study.GENS["e0"]) + row[2:], c)
-        return split
+    def perturbed(sc):
+        # break the first check: the K_e weights must annihilate the f-rows,
+        # here with an e0 on the f1 entry of Delta_4's row
+        row, c = real(sc)
+        if next(forms) == 2:
+            row = (row[0], row[1] + study.GENS["e0"]) + row[2:]
+        return row, c
 
-    monkeypatch.setattr(study, "leg_split", perturbed)
+    monkeypatch.setattr(study, "_delta_form", perturbed)
     code = main(["pipeline", "--params", "1/3,-2,5/2,7",
                  "--mu", "3/2,1/5,-2", "--radii", "1,2,3,4,5"])
     captured = capsys.readouterr()

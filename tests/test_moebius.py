@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -203,6 +204,16 @@ def test_lam_power_is_the_least_vanishing_multiplicity():
     p = picture(PTS, ConicDirection.from_direction((1, 0)))
     assert p.extended and p.lam_power == 1
     assert p == DelPezzoPoint(p.phi) == dataclasses.replace(p, lam_power=3)
+
+
+def test_every_phi_has_a_factor_on_each_triple():
+    # a direction along a collinear triple zeroes the triple's three D_ij,
+    # and each of the ten triples meets every phi_k's factors, so an
+    # extended picture has lam_power >= 1 and extended is lam_power > 0
+    for triple in itertools.combinations(range(1, 6), 3):
+        pairs = set(itertools.combinations(triple, 2))
+        for factors in PHI_FACTORS:
+            assert pairs & set(factors), (triple, factors)
 
 
 # -------------------------------------------------------------- same_picture

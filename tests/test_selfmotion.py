@@ -233,9 +233,9 @@ def _leg_rows(legs, e):
     """Rows L_i and constants c_i of the legs at a unit-norm e, split one
     leg at a time by study.sphere_linear: Q_i(f) = 4|f|^2 + L_i.f + c_i."""
     e = [float(v) for v in e]
-    spheres = list(map(SphereConstraint, legs.M.tolist(), legs.m.tolist(),
-                       legs.r2.tolist()))
-    rows, consts = zip(*sphere_linear(e, spheres))
+    spheres = map(SphereConstraint, legs.M.tolist(), legs.m.tolist(),
+                  legs.r2.tolist())
+    rows, consts = zip(*(sphere_linear(e, leg) for leg in spheres))
     return np.array(rows), np.array(consts)
 
 
@@ -284,20 +284,19 @@ def test_exact_leg_split_matches_the_float_slice(params, mu, radii):
     # the two formulas for the leg differences: study.leg_split's exact
     # Delta_i from combined data scalars, and the float slice sample_pose
     # builds from sphere_linear on float_legs, row 1 - row i and constant
-    # 1 - constant i, times w3^2 for the pre-scaled leg 3
+    # 1 - constant i, times w3^2 for the weighted leg 3
     base = params if isinstance(params, BaseParams) else BaseParams(*params)
     platform = build_platform(base, AffineMap2(*mu))
     legs = float_legs(PentapodDesign(base.points, platform, radii))
     design = CanonicalDesign.from_params(base, mu=mu, radii=radii)
     split = leg_split(design)
-    w3sq = float(design.legs()[1] ** 2)
+    w3sq = float(design.legs()[2].w ** 2)
     e = np.array([[float(v) for v in d] for d in SLICE_DIRECTIONS])
-    [(rows, consts)] = sphere_linear(tuple(e.T[:, :, None]), [legs.stacked])
+    rows, consts = sphere_linear(tuple(e.T[:, :, None]), legs.stacked)
     rows = np.stack(rows, axis=-1)
     for b, direction in enumerate(SLICE_DIRECTIONS):
         at = dict(zip(("e0", "e1", "e2", "e3"), direction))
-        for i in (2, 3, 4, 5):
-            row, c = split[i]
+        for i, row, c in zip((2, 3, 4, 5), split.rows, split.consts):
             want = np.array([float(x.evaluate(at).scalar()) for x in row]
                             + [float(c.evaluate(at).scalar())])
             got = np.append(rows[b, 0] - rows[b, i - 1],

@@ -23,7 +23,6 @@ from duporcq.geometry import (WORKED_PARAMS, AffineMap2, BaseParams,
 from duporcq.study import (
     GENS,
     STUDY_VARS,
-    AnsatzSolvable,
     CanonicalDesign,
     E_VARS,
     ExceptionalPose,
@@ -52,7 +51,6 @@ from duporcq.study import (
     f1_f2,
     f_coefficient_matrix,
     f_matrix_at,
-    f_row_weights,
     leg_split,
     pipeline_report,
     rank_drop_T,
@@ -160,9 +158,8 @@ def test_sphere_matching_radius_at_identity():
 def test_worked_design_closes_at_half_turn():
     design = WORKED
     pose = StudyPose((0, 0, 0, 1), (0, 0, 0, 0))
-    legs, w3 = design.legs()
-    for i in (1, 2, 3, 4, 5):
-        assert sphere_condition(pose, legs[i], w3 if i == 3 else 1) == 0
+    for leg in design.legs():
+        assert sphere_condition(pose, leg) == 0
 
 
 @given(st.lists(rationals, min_size=4, max_size=4),
@@ -200,8 +197,8 @@ def test_weighted_sphere_condition_scales(e, f, M, m, r2, w):
     pose = StudyPose(tuple(e), f)
     plain = sphere_condition(pose, SphereConstraint(tuple(M), tuple(m), r2))
     scaled_leg = SphereConstraint(tuple(w * x for x in M),
-                                  tuple(w * x for x in m), r2)
-    assert sphere_condition(pose, scaled_leg, weight=w) == w * w * plain
+                                  tuple(w * x for x in m), r2, w)
+    assert sphere_condition(pose, scaled_leg) == w * w * plain
 
 
 # -------------------------------------------------------------- leg differences
@@ -253,12 +250,17 @@ def test_Ke_f_cancellation_is_a_typed_check(monkeypatch, capsys):
 
 def _assembled_delta(design, i):
     # the leg difference as the full sphere conditions' difference, |f|^2
-    # terms included: w3^2 Q_1 - Q_3 for the pre-scaled leg 3
+    # terms included: w3^2 Q_1 - Q_3 for the weighted leg 3
     pose = StudyPose.symbolic()
-    legs, w3 = design.legs()
-    s = w3 * w3 if i == 3 else 1
-    return (s * sphere_condition(pose, legs[1])
-            - sphere_condition(pose, legs[i], w3 if i == 3 else 1))
+    legs = design.legs()
+    w = legs[i - 1].w
+    return (w * w * sphere_condition(pose, legs[0])
+            - sphere_condition(pose, legs[i - 1]))
+
+
+def _plain_scalars(leg):
+    # a leg's _leg_scalars before any clearing
+    return study._leg_scalars(leg.M, leg.m, leg.w, leg.r2 * leg.w * leg.w)
 
 
 def _split_design(name):
@@ -282,8 +284,7 @@ def _split_design(name):
     for _ in range(int(name[-1])):
         _generic_design(rng)
     design = _generic_design(rng)
-    _, w3 = design.legs()
-    assert w3 != 1 and design.mu2 != 0
+    assert design.legs()[2].w != 1 and design.mu2 != 0
     return design
 
 
@@ -295,12 +296,12 @@ def test_leg_split_matches_the_assembled_leg_differences(name):
     # lambda clears the rational data of a partly symbolic design too, and
     # scales its polynomials as they are: the cleared legs' scalars are
     # lambda^2 times the plain ones; all-polynomial data give lambda = 1
-    data = study._leg_data(design)
-    lam = study._clearing_scale(data)
+    legs = design.legs()
+    lam = study._clearing_scale(legs)
     assert (lam == 1) == (name in ("symbolic", "worked"))
-    for leg in data:
+    for leg in legs:
         assert study._leg_scalars(*study._cleared_leg(leg, lam)) == tuple(
-            lam * lam * x for x in study._leg_scalars(*leg))
+            lam * lam * x for x in _plain_scalars(leg))
     deltas = {i: _assembled_delta(design, i) for i in (2, 3, 4, 5)}
     for i, d in deltas.items():
         assert delta(design, i) == d
@@ -345,19 +346,18 @@ def test_cleared_leg_scalars_are_lambda_squared_times_the_plain_ones():
     rng = random.Random(3)
     missed = 0
     for _ in range(400):
-        data = study._leg_data(_ninths_design(rng))
-        lam = study._clearing_scale(data)
-        for leg in data:
+        legs = _ninths_design(rng).legs()
+        lam = study._clearing_scale(legs)
+        for leg in legs:
             cleared = study._cleared_leg(leg, lam)
             assert all(type(v) is int for v in (*cleared[0], *cleared[1],
                                                 *cleared[2:]))
             assert study._leg_scalars(*cleared) == tuple(
-                lam * lam * x for x in study._leg_scalars(*leg))
-        short = math.lcm(*(Fraction(v).denominator
-                           for M, m, w, rw2 in data
-                           for v in (*M, *m, w, rw2 / (w * w))))
+                lam * lam * x for x in _plain_scalars(leg))
+        short = math.lcm(*(Fraction(v).denominator for leg in legs
+                           for v in (*leg.M, *leg.m, leg.w, leg.r2)))
         try:
-            for leg in data:
+            for leg in legs:
                 study._cleared_leg(leg, short)
         except InvariantViolation:
             missed += 1
@@ -369,20 +369,19 @@ def test_leg_split_matches_the_oracle_on_seeded_designs():
     for _ in range(30):
         design = _ninths_design(rng)
         split = leg_split(design)
-        for i in (2, 3, 4, 5):
-            row, c = split[i]
+        for i, row, c in zip((2, 3, 4, 5), split.rows, split.consts):
             assert (sum((x * GENS[fv] for x, fv in zip(row, F_VARS)), c)
                     == _assembled_delta(design, i))
 
 
 def test_pipeline_splits_the_legs_once(monkeypatch):
     # one split per pipeline, of five legs' scalars into four Delta forms,
-    # with no rotation numerator built per design; the split's f-row
-    # dependency is checked once, for both K_e and T
+    # with no rotation numerator built per design; the split, whose f-row
+    # dependency is checked as it is built, serves both K_e and T
     rotations, scalars, forms, checks = [], [], [], []
     real_rotation = study.rotation_numerator
     real_scalars, real_form = study._leg_scalars, study._delta_form
-    real_weights = study.f_row_weights
+    real_split = study.leg_split
 
     def rotation(e):
         rotations.append(tuple(e))
@@ -396,14 +395,14 @@ def test_pipeline_splits_the_legs_once(monkeypatch):
         forms.append(sc)
         return real_form(sc)
 
-    def weights(design, split):
-        checks.append(split)
-        return real_weights(design, split)
+    def split(design):
+        checks.append(design)
+        return real_split(design)
 
     monkeypatch.setattr(study, "rotation_numerator", rotation)
     monkeypatch.setattr(study, "_leg_scalars", leg_scalars)
     monkeypatch.setattr(study, "_delta_form", delta_form)
-    monkeypatch.setattr(study, "f_row_weights", weights)
+    monkeypatch.setattr(study, "leg_split", split)
     design = CanonicalDesign.from_params(
         BaseParams(Fraction(1, 3), -2, Fraction(5, 2), 7),
         mu=(Fraction(3, 2), Fraction(1, 5), -2), radii=(1, 2, 3, 4, 5))
@@ -629,7 +628,7 @@ def test_f_row_dependency_makes_the_minors_multiples_of_one(ring):
                if ring == "numeric" else [_ring_unit(ring)[0]])
     for design in designs:
         split = leg_split(design)
-        w = f_row_weights(design, split)
+        w = split.weights
         assert all(w)
         mat = f_coefficient_matrix(design, split=split)
         assert det(mat[1:]).is_zero()
@@ -690,14 +689,23 @@ def test_rank_drop_checks_are_typed(monkeypatch, kind, message):
         # vanish
         design = dataclasses.replace(
             design, A5=(design.B4 + design.A4 * design.B5) / design.B4)
-    split = leg_split(design)
     if kind == "f-row":
-        row, c = split[4]
-        split[4] = ((row[0], row[1] + GENS["e0"]) + row[2:], c)
+        # an e0 on the f1 entry of Delta_4's row, which the split's check
+        # meets before rank_drop_T can read the split
+        real_form = study._delta_form
+        forms = itertools.count()
+
+        def perturbed(sc):
+            row, c = real_form(sc)
+            if next(forms) == 2:
+                row = (row[0], row[1] + GENS["e0"]) + row[2:]
+            return row, c
+
+        monkeypatch.setattr(study, "_delta_form", perturbed)
     elif kind != "zero-weight":
         monkeypatch.setattr(study, "det", _perturbed_det(kind))
     with pytest.raises(InvariantViolation, match=message) as exc:
-        rank_drop_T(design, split=split)
+        rank_drop_T(design)
     assert isinstance(exc.value, NotFFree) == (kind == "f-row")
 
 
@@ -755,10 +763,12 @@ def test_ansatz_forces_zero_on_draws():
 def test_ansatz_sanity_branch_b():
     g = GENS
     ke = QuadricForm(-N_poly() - g["e0"] * g["e0"])
-    with pytest.raises(AnsatzSolvable) as exc:
-        tangency_ansatz(ke)
-    assert exc.value.branch == "nu1=nu2=0"
-    assert exc.value.witness["nu0"] == 1
+    report = tangency_ansatz(ke)
+    assert report.branch_a.witness is None
+    branch = report.branch_b
+    assert branch.name == "nu1=nu2=0" and branch.obstructions == {}
+    assert branch.witness["nu0"] == 1
+    assert not report.forces_all_zero()
 
 
 def test_ansatz_witness_that_fails_its_check_is_an_invariant_violation(
@@ -778,11 +788,12 @@ def test_ansatz_sanity_branch_a():
     g = GENS
     lin = g["e1"] + g["e2"]
     ke = QuadricForm(-N_poly() - lin * lin)
-    with pytest.raises(AnsatzSolvable) as exc:
-        tangency_ansatz(ke)
-    assert exc.value.branch == "nu0=nu3=0"
-    assert abs(exc.value.witness["nu1"]) == 1
-    assert abs(exc.value.witness["nu2"]) == 1
+    report = tangency_ansatz(ke)
+    assert report.branch_b.witness is None
+    branch = report.branch_a
+    assert branch.name == "nu0=nu3=0" and branch.obstructions == {}
+    assert abs(branch.witness["nu1"]) == 1
+    assert abs(branch.witness["nu2"]) == 1
 
 
 # ------------------------------------------------------------- resultant chain
@@ -1313,7 +1324,9 @@ def test_pipeline_report_solvable_ansatz(monkeypatch):
                "nu2": Fraction(0), "nu3": Fraction(1, 2)}
 
     def solvable(ke):
-        raise AnsatzSolvable("nu1=nu2=0", witness)
+        return study.AnsatzReport(
+            study.BranchReport("nu0=nu3=0", {}, {"q03": ke.coeff(0, 3)}),
+            study.BranchReport("nu1=nu2=0", {}, {}, witness))
 
     monkeypatch.setattr("duporcq.study.tangency_ansatz", solvable)
     report = pipeline_report(_generic_design(random.Random(43)))

@@ -37,6 +37,35 @@ def _package_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
+def test_install_requirements_match_pyproject():
+    # README's Install section names pyproject's numpy floor and installs
+    # the dev extra, which holds every third-party module the tests import
+    # (pytest.importorskip included), so no test is skipped for a missing
+    # dependency the instructions leave out
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text())[
+        "project"]
+    deps = {re.split(r"[<>=!~ ]", d)[0]: d for d in project["dependencies"]}
+    dev = set(project["optional-dependencies"]["dev"])
+    install = README.read_text().split("## Install", 1)[1].split("\n## ")[0]
+    floor = re.fullmatch(r"numpy>=([\d.]+)", deps["numpy"]).group(1)
+    assert re.findall(r"numpy (\d[\d.]*)\+", install) == [floor]
+    assert '".[dev]"' in install
+    imported = set()
+    for path in (README.parent / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "importorskip"):
+                imported.add(node.args[0].value.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {
+        "duporcq", "perfbench", "tomllib"}
+    assert third_party <= dev | set(deps)
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so an invariant written as one
     # silently stops being checked; the package raises typed exceptions,
